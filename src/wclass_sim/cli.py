@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import secrets
 import sys
 import time
@@ -21,12 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InsufficientDataError, UsageError, WClassError
-from .montecarlo import (
-    RunReport,
-    run_batch,
-    run_epr_batch,
-    run_teleport_batch,
-)
+from .montecarlo import run_batch, run_epr_batch, run_teleport_batch
 from .protocol import ProtocolConfig, TeleportConfig
 
 SCHEMA_VERSION = 1
@@ -49,6 +45,14 @@ class ExperimentSpec:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a value such as "-3.7e-05" for an option unless it
+        # matches this pattern; the stock one has no exponent.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        )
+
     def error(self, message: str):  # argparse would sys.exit(2) with noise
         raise UsageError(message)
 
@@ -293,10 +297,6 @@ def _config_echo(spec: ExperimentSpec) -> dict:
     return echo
 
 
-def _attempts_of(report: RunReport, t0: float) -> int:
-    return round(report.mean_time_s * report.trials / t0)
-
-
 def _run_sweep(spec: ExperimentSpec) -> tuple[dict, int]:
     rows = []
     prev_time = None
@@ -310,7 +310,7 @@ def _run_sweep(spec: ExperimentSpec) -> tuple[dict, int]:
         report = run_batch(cfg, spec.trials, workers=spec.workers)
         ratio = None if prev_time is None else report.mean_time_s / prev_time
         prev_time = report.mean_time_s
-        attempts_total += _attempts_of(report, cfg.t0)
+        attempts_total += report.rounds_total
         rows.append({"n": n, "ratio_to_prev": ratio, **report.to_dict()})
     return {"sweep": rows}, attempts_total
 
@@ -337,28 +337,19 @@ def run(spec: ExperimentSpec) -> int:
     started = time.monotonic()
     if spec.seed_was_auto:
         print(f"seed: {spec.config.seed}", file=sys.stderr)
-    starved = False
     try:
-        if spec.command == "epr":
-            report = run_epr_batch(spec.config, spec.trials, workers=spec.workers)
-            results = report.to_dict()
-            attempts_total = _attempts_of(report, spec.config.t0)
-            starved = report.successes == 0
-        elif spec.command == "w-state":
-            report = run_batch(spec.config, spec.trials, workers=spec.workers)
-            results = report.to_dict()
-            attempts_total = _attempts_of(report, spec.config.t0)
-            starved = report.successes == 0
-        elif spec.command == "teleport":
-            treport = run_teleport_batch(spec.teleport, spec.trials, workers=spec.workers)
-            results = treport.to_dict()
-            attempts_total = round(
-                treport.mean_time_s * treport.trials / spec.config.t0
-            )
-            starved = treport.successes == 0
-        else:
+        if spec.command == "scaling-sweep":
             results, attempts_total = _run_sweep(spec)
             starved = any(row["successes"] == 0 for row in results["sweep"])
+        else:
+            if spec.command == "teleport":
+                report = run_teleport_batch(spec.teleport, spec.trials, workers=spec.workers)
+            else:
+                batch = run_epr_batch if spec.command == "epr" else run_batch
+                report = batch(spec.config, spec.trials, workers=spec.workers)
+            results = report.to_dict()
+            attempts_total = report.rounds_total
+            starved = report.successes == 0
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return 1

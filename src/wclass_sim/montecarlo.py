@@ -15,7 +15,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, PreconditionError
+from .errors import (
+    AttemptsExhaustedError,
+    DomainError,
+    InsufficientDataError,
+    PreconditionError,
+)
 from .fock import (
     FockState,
     count_excitations,
@@ -28,8 +33,11 @@ from .fock import (
 from .protocol import (
     ChainSimulator,
     ProtocolConfig,
+    StageSpec,
     TeleportConfig,
-    connect_round,
+    chain_stages,
+    connect_round,  # unused here; bench/spans.py wraps this binding
+    epr_stage,
     epr_state,
     ideal_w_state,
     make_chain_layout,
@@ -107,6 +115,7 @@ class RunReport:
     w_fraction: float
     vacuum_fraction: float
     confidence: Dict[str, object]
+    rounds_total: int  # exact sum of the trials' rounds; not in to_dict
     records: List[TrialRecord] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
@@ -127,9 +136,9 @@ class RunReport:
 
 
 def _classify_final(
-    state: FockState, layout, ideal: FockState, rng: np.random.Generator
-) -> Tuple[float, str]:
-    """(fidelity with the ideal W, outcome class).
+    fid: float, state: FockState, layout, rng: np.random.Generator
+) -> str:
+    """Outcome class of a success whose fidelity with the ideal W is ``fid``.
 
     A success counts as a W outcome when it overlaps the ideal W state by
     more than one half.  Otherwise the excitation number of the last two
@@ -137,36 +146,48 @@ def _classify_final(
     signature of a multi-pair emission whose partner photon was lost, and
     anything else is residual contamination.
     """
-    fid = fidelity(state, ideal)
     if fid > 0.5:
-        return fid, "w"
+        return "w"
     tail = layout.ensembles[-2:]
     p_empty = count_excitations(state, tail).get(0, 0.0)
     if rng.random() < p_empty:
-        return fid, "vacuum"
-    return fid, "other"
+        return "vacuum"
+    return "other"
 
 
 def _run_chain_trials(
-    cfg: ProtocolConfig, lo: int, hi: int, trace: bool
+    cfg: ProtocolConfig, stages: Tuple[StageSpec, ...], lo: int, hi: int, trace: bool
 ) -> List[TrialRecord]:
-    sim = ChainSimulator(cfg)
-    ideal = ideal_w_state(cfg.n, cfg.phases, sim.layout)
+    sim = ChainSimulator(cfg, stages=stages)
+    epr = len(stages) == 1  # a one-stage chain ends in the EPR pair
+    if epr:
+        i, j = stages[0].i, stages[0].j
+        target = epr_state(sim.layout, i, j, cfg.phases[j - 1] - cfg.phases[i - 1])
+    else:
+        target = ideal_w_state(cfg.n, cfg.phases, sim.layout)
+    # final states are memoized round outcomes, so the same objects recur;
+    # each entry keeps its state alive, so its id is not reused
+    fids: Dict[int, Tuple[FockState, float]] = {}
     out: List[TrialRecord] = []
     for t in range(lo, hi):
         rng = rng_for_trial(cfg.seed, t)
         res = sim.run_trial(rng, trace=trace)
+        fid, cls = None, None
         if res.succeeded:
-            fid, cls = _classify_final(res.final_state, sim.layout, ideal, rng)
-        else:
-            fid, cls = None, None
+            state = res.final_state
+            seen = fids.get(id(state))
+            if seen is None:
+                seen = fids[id(state)] = (state, fidelity(state, target))
+            fid = seen[1]
+            if not epr:
+                cls = _classify_final(fid, state, sim.layout, rng)
         out.append(
             TrialRecord(
                 t,
                 res.succeeded,
                 res.rounds,
-                tuple(int(x) for x in res.stage_attempts),
-                tuple(int(x) for x in res.stage_successes),
+                res.stage_attempts,
+                res.stage_successes,
                 fid,
                 cls,
                 res.first_success_attempts,
@@ -189,30 +210,33 @@ def _collect_records(fn, args_builder, trials: int, workers: int) -> list:
 
 
 def run_batch(
-    cfg: ProtocolConfig, trials: int, workers: int = 1, trace: bool = False
+    cfg: ProtocolConfig,
+    trials: int,
+    workers: int = 1,
+    trace: bool = False,
+    stages: Tuple[StageSpec, ...] | None = None,
 ) -> RunReport:
     """Run ``trials`` independent seeded chain builds and aggregate them.
 
-    Exhausted trials are recorded as failures, not raised.  Deterministic
-    for fixed ``(cfg, trials)`` and independent of ``workers``.
+    ``stages`` defaults to the ``n``-party W chain; a one-stage list is an
+    EPR batch, scored against the EPR pair and not classified.  Exhausted
+    trials are recorded as failures, not raised.  Deterministic for fixed
+    ``(cfg, trials)`` and independent of ``workers``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    stages = chain_stages(cfg.n) if stages is None else tuple(stages)
     records = _collect_records(
-        _run_chain_trials, lambda lo, hi: (cfg, lo, hi, trace), trials, workers
+        _run_chain_trials, lambda lo, hi: (cfg, stages, lo, hi, trace), trials, workers
     )
-    sim = ChainSimulator(cfg)  # for stage labels only
-    labels = tuple(s.label for s in sim.stages)
-    connect_idx = [k for k, s in enumerate(sim.stages) if s.kind == "connect"]
-    return _aggregate_chain(cfg, labels, connect_idx, records)
+    return _aggregate_chain(cfg, stages, records)
 
 
 def _aggregate_chain(
-    cfg: ProtocolConfig,
-    labels: Tuple[str, ...],
-    connect_idx: List[int],
-    records: List[TrialRecord],
+    cfg: ProtocolConfig, stages: Tuple[StageSpec, ...], records: List[TrialRecord]
 ) -> RunReport:
+    labels = tuple(s.label for s in stages)
+    connect_idx = [k for k, s in enumerate(stages) if s.kind == "connect"]
     trials = len(records)
     successes = sum(1 for r in records if r.succeeded)
     n_stages = len(labels)
@@ -278,6 +302,7 @@ def _aggregate_chain(
         w_fraction=w_count / successes if successes else 0.0,
         vacuum_fraction=vac_count / successes if successes else 0.0,
         confidence=confidence,
+        rounds_total=sum(rounds),
         records=records,
     )
 
@@ -287,48 +312,10 @@ def _aggregate_chain(
 # ---------------------------------------------------------------------------
 
 
-def _run_epr_trials(cfg: ProtocolConfig, lo: int, hi: int) -> List[TrialRecord]:
-    layout = make_chain_layout(cfg)
-    dist = connect_round(layout.vacuum(), layout, 1, 2, cfg, ("D1", "D2"))
-    target = epr_state(layout, 1, 2, cfg.phases[1])
-    out: List[TrialRecord] = []
-    for t in range(lo, hi):
-        rng = rng_for_trial(cfg.seed, t)
-        if dist.p_accept <= 0.0:
-            out.append(
-                TrialRecord(t, False, cfg.max_attempts, (cfg.max_attempts,), (0,), None, None)
-            )
-            continue
-        attempts = int(rng.geometric(dist.p_accept))
-        u = rng.random() * dist.p_accept
-        if attempts > cfg.max_attempts:
-            out.append(
-                TrialRecord(t, False, cfg.max_attempts, (cfg.max_attempts,), (0,), None, None)
-            )
-            continue
-        acc = 0.0
-        chosen = dist.branches[-1]
-        for br in dist.branches:
-            acc += br.prob
-            if u < acc:
-                chosen = br
-                break
-        fid = fidelity(chosen.state, target)
-        out.append(
-            TrialRecord(t, True, attempts, (attempts,), (1,), fid, None, (attempts,))
-        )
-    return out
-
-
 def run_epr_batch(cfg: ProtocolConfig, trials: int, workers: int = 1) -> RunReport:
     """Batch of two-party entangling rounds; fidelity is against the exact
     two-party target state."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    records = _collect_records(
-        _run_epr_trials, lambda lo, hi: (cfg, lo, hi), trials, workers
-    )
-    return _aggregate_chain(cfg, ("epr(1,2)",), [0], records)
+    return run_batch(cfg, trials, workers, stages=(epr_stage(1, 2),))
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +333,7 @@ class TeleportReport:
     localize_fidelity_mean: float | None
     mean_time_s: float
     confidence: Dict[str, object]
+    rounds_total: int  # exact sum of the trials' rounds; not in to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -381,7 +369,7 @@ def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
         rng = rng_for_trial(tcfg.base.seed, t)
         try:
             res = teleport(tcfg, rng, layout)
-        except Exception:
+        except AttemptsExhaustedError:
             out.append((t, False, tcfg.base.max_attempts, False, None, None, None))
             continue
         correct = bool(res.info and res.info.get("correct_clicks"))
@@ -431,6 +419,7 @@ def run_teleport_batch(
             if holders
             else None,
         },
+        rounds_total=sum(rounds),
     )
 
 

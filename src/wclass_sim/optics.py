@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -92,6 +92,20 @@ class LossSpec:
 class DetectorOutcome:
     clicked: bool
     detector_id: str
+
+
+def pick(branches: Sequence, u: float, weights: Sequence[float] | None = None):
+    """Categorical draw: the first branch at which the running sum of
+    ``weights`` (by default each branch's ``prob``) exceeds ``u``, or the last
+    branch when rounding leaves ``u`` beyond the total."""
+    if weights is None:
+        weights = [b.prob for b in branches]
+    acc = 0.0
+    for branch, w in zip(branches, weights):
+        acc += w
+        if u < acc:
+            return branch
+    return branches[-1]
 
 
 def apply_beam_splitter(state: FockState, bs: BeamSplitterSpec) -> FockState:
@@ -240,15 +254,7 @@ def apply_loss(
 
     The number of lost photons is appended to ``log`` when one is given.
     """
-    branches = loss_outcomes(state, m, loss.eta)
-    u = rng.random()
-    acc = 0.0
-    chosen = branches[-1]
-    for b in branches:
-        acc += b.prob
-        if u < acc:
-            chosen = b
-            break
+    chosen = pick(loss_outcomes(state, m, loss.eta), rng.random())
     if log is not None:
         log.append(chosen.lost)
     return normalize(chosen.state)
@@ -296,15 +302,7 @@ def detect(
     outcome only says whether ``k >= 1`` (one and two photons give the same
     click).
     """
-    branches = detection_outcomes(state, m)
-    u = rng.random()
-    acc = 0.0
-    chosen = branches[-1]
-    for b in branches:
-        acc += b.prob
-        if u < acc:
-            chosen = b
-            break
+    chosen = pick(detection_outcomes(state, m), rng.random())
     return (
         DetectorOutcome(clicked=chosen.photons >= 1, detector_id=detector_id),
         normalize(chosen.state),

@@ -72,6 +72,7 @@ from .optics import (
     apply_phase,
     detection_outcomes,
     loss_outcomes,
+    pick,
     pump_excite,
     repump_convert,
 )
@@ -591,11 +592,17 @@ class StageSpec:
     symmetric_port_only: bool = False
 
 
+def epr_stage(i: int, j: int) -> StageSpec:
+    """The entangling round on two fresh ensembles; alone it is a chain
+    whose product is the EPR pair."""
+    return StageSpec(f"epr({i},{j})", "connect", i, j, ("D1", "D2"))
+
+
 def chain_stages(n: int) -> Tuple[StageSpec, ...]:
     """EPR, then connect/merge pairs, then the maximizing pair."""
     if n < 3:
         raise PreconditionError("the W chain needs n >= 3 ensembles")
-    stages = [StageSpec("epr(1,2)", "connect", 1, 2, ("D1", "D2"))]
+    stages = [epr_stage(1, 2)]
     for i in range(2, n):
         stages.append(StageSpec(f"connect({i},{i + 1})", "connect", i, i + 1, ("D1", "D2")))
         stages.append(StageSpec(f"merge({i})", "merge", i, None, ("D3",)))
@@ -610,18 +617,40 @@ def chain_stages(n: int) -> Tuple[StageSpec, ...]:
 class ChainTrialResult:
     succeeded: bool
     rounds: int
-    stage_attempts: np.ndarray
-    stage_successes: np.ndarray
+    stage_attempts: Tuple[int, ...]
+    stage_successes: Tuple[int, ...]
     final_state: FockState | None
     click_log: Tuple[Tuple[str, bool], ...]
     first_success_attempts: Tuple[int, ...] | None = None
 
 
-class ChainSimulator:
-    """Repeat-until-success builder of the ``n``-party W state.
+def _tally(counts: List[int], finished: bool) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Per-stage ``(attempts, successes)`` of ``counts[k]`` passes failed at
+    stage ``k``, plus one completed pass when ``finished``."""
+    attempts, successes, reached = [], [], int(finished)
+    for c in reversed(counts):
+        reached += c
+        attempts.append(reached)
+        successes.append(reached - c)
+    return tuple(attempts[::-1]), tuple(successes[::-1])
 
-    Any failed conditioning restarts the whole chain from the EPR step, so a
-    trial is a sequence of independent passes.  Round-outcome distributions
+
+def _sample_branch(
+    dist: RoundDistribution, rng: np.random.Generator
+) -> RoundBranch | None:
+    """One conditioned round: returns the accepted branch or None on failure."""
+    u = rng.random()
+    if u >= dist.p_accept:
+        return None
+    return pick(dist.branches, u)
+
+
+class ChainSimulator:
+    """Repeat-until-success runner of a stage list, by default the
+    ``n``-party W chain (:func:`chain_stages`).
+
+    Any failed conditioning restarts the whole list from its first stage, so
+    a trial is a sequence of independent passes.  Round-outcome distributions
     and pass-completion probabilities are memoized per reached state; the
     default fast path samples the number of passes geometrically, allots the
     failed passes to their failure stages multinomially, and walks one
@@ -629,17 +658,25 @@ class ChainSimulator:
     simulates round by round (slower, used for distributional checks).
     """
 
-    def __init__(self, cfg: ProtocolConfig, layout: ChainLayout | None = None):
+    def __init__(
+        self,
+        cfg: ProtocolConfig,
+        layout: ChainLayout | None = None,
+        stages: Sequence[StageSpec] | None = None,
+    ):
         self.cfg = cfg
         self.layout = layout or make_chain_layout(cfg)
-        self.stages = chain_stages(cfg.n)
+        self.stages = chain_stages(cfg.n) if stages is None else tuple(stages)
+        self._vacuum = self.layout.vacuum()
         self._rounds: Dict[tuple, RoundDistribution] = {}
         self._completion: Dict[tuple, Tuple[float, Tuple[float, ...]]] = {}
+        self._pass_laws: Dict[tuple, Tuple[float, np.ndarray, float]] = {}
+        self._weights: Dict[tuple, Tuple[Tuple[RoundBranch, ...], List[float], float]] = {}
 
     # -- exact per-round machinery ----------------------------------------
 
     def initial_state(self) -> FockState:
-        return self.layout.vacuum()
+        return self._vacuum
 
     def round_distribution(self, stage_idx: int, state: FockState) -> RoundDistribution:
         spec = self.stages[stage_idx]
@@ -682,6 +719,37 @@ class ChainSimulator:
         self._completion[key] = result
         return result
 
+    def _pass_law(self, state0: FockState) -> Tuple[float, np.ndarray, float]:
+        """``(p_pass, failure-stage law of a failed pass, its mean cost)``.
+
+        A pass that fails at stage ``k`` costs ``k + 1`` rounds.
+        """
+        key = state0.key()
+        law = self._pass_laws.get(key)
+        if law is None:
+            p_pass, fail_vec = self.completion(0, state0)
+            q = (1.0 - p_pass) or 1.0  # a pass that never fails: any law will do
+            cond = np.clip(np.asarray(fail_vec) / q, 0.0, None)
+            cond[-1] = max(0.0, 1.0 - cond[:-1].sum())
+            cost = sum((k + 1) * f for k, f in enumerate(fail_vec)) / q
+            law = self._pass_laws[key] = (p_pass, cond, max(cost, 1.0))
+        return law
+
+    def _success_weights(
+        self, stage_idx: int, state: FockState
+    ) -> Tuple[Tuple[RoundBranch, ...], List[float], float]:
+        """Branches of a round weighted by the chance that the pass then
+        completes, and the weights' total."""
+        key = (stage_idx, state.key())
+        found = self._weights.get(key)
+        if found is None:
+            branches = self.round_distribution(stage_idx, state).branches
+            weights = [
+                br.prob * self.completion(stage_idx + 1, br.state)[0] for br in branches
+            ]
+            found = self._weights[key] = (branches, weights, sum(weights))
+        return found
+
     # -- trial sampling ----------------------------------------------------
 
     def _sample_success_pass(
@@ -689,19 +757,8 @@ class ChainSimulator:
     ) -> Tuple[FockState, Tuple[Tuple[str, bool], ...]]:
         log: List[Tuple[str, bool]] = []
         for idx in range(len(self.stages)):
-            dist = self.round_distribution(idx, state)
-            weights = [
-                br.prob * self.completion(idx + 1, br.state)[0] for br in dist.branches
-            ]
-            total = sum(weights)
-            u = rng.random() * total
-            acc = 0.0
-            chosen = dist.branches[-1]
-            for br, w in zip(dist.branches, weights):
-                acc += w
-                if u < acc:
-                    chosen = br
-                    break
+            branches, weights, total = self._success_weights(idx, state)
+            chosen = pick(branches, rng.random() * total, weights)
             log.extend(chosen.clicks)
             state = chosen.state
         return state, tuple(log)
@@ -712,55 +769,39 @@ class ChainSimulator:
         initial_state: FockState | None = None,
         trace: bool = False,
     ) -> ChainTrialResult:
-        state0 = initial_state if initial_state is not None else self.initial_state()
+        """One trial within ``max_attempts`` rounds.
+
+        A trial that exhausts its budget spends it on failed passes: their
+        number is ``budget / E[cost of a failed pass]`` and their failure
+        stages follow the failure law, so ``rounds`` equals the budget and a
+        one-stage chain records ``(budget,)`` attempts and no success.
+        """
+        state0 = self._vacuum if initial_state is None else initial_state
         if trace:
             return self._run_trial_trace(rng, state0)
         n_stages = len(self.stages)
         budget = self.cfg.max_attempts
-        p_pass, fail_vec = self.completion(0, state0)
-        attempts = np.zeros(n_stages, dtype=np.int64)
-        if p_pass <= 0.0:
-            # No completing path exists; the budget burns down on the
-            # reachable prefix of the chain.
-            per_pass = sum((k + 1) * f for k, f in enumerate(fail_vec))
-            n_pass = max(1, int(budget / max(per_pass, 1.0)))
-            counts = rng.multinomial(n_pass, np.asarray(fail_vec))
-            for k in range(n_stages):
-                attempts[k] = counts[k:].sum()
-            return ChainTrialResult(
-                False, budget, attempts, np.zeros(n_stages, dtype=np.int64), None, ()
-            )
-        passes = 1 if p_pass >= 1.0 else int(rng.geometric(p_pass))
-        fails = passes - 1
-        counts = np.zeros(n_stages, dtype=np.int64)
-        if fails > 0:
-            cond = np.asarray(fail_vec) / (1.0 - p_pass)
-            cond = np.clip(cond, 0.0, None)
-            cond[-1] = max(0.0, 1.0 - cond[:-1].sum())
-            counts = rng.multinomial(fails, cond)
-        suffix = counts[::-1].cumsum()[::-1]
-        attempts = suffix + 1
-        rounds = int(np.arange(1, n_stages + 1, dtype=np.int64) @ counts) + n_stages
-        if rounds > budget:
-            return ChainTrialResult(
-                False,
-                budget,
-                attempts,
-                attempts - counts,
-                None,
-                (),
-            )
-        final, log = self._sample_success_pass(rng, state0)
-        return ChainTrialResult(
-            True, rounds, attempts, attempts - counts, final, log
-        )
+        p_pass, cond, fail_cost = self._pass_law(state0)
+        if p_pass > 0.0:
+            fails = 0 if p_pass >= 1.0 else int(rng.geometric(p_pass)) - 1
+            counts = [0] * n_stages
+            if n_stages == 1:
+                counts = [fails]  # what multinomial returns, without its cost
+            elif fails > 0:
+                counts = rng.multinomial(fails, cond).tolist()
+            rounds = sum(k * c for k, c in enumerate(counts, 1)) + n_stages
+            if rounds <= budget:
+                final, log = self._sample_success_pass(rng, state0)
+                return ChainTrialResult(True, rounds, *_tally(counts, True), final, log)
+        counts = rng.multinomial(max(1, int(budget / fail_cost)), cond).tolist()
+        return ChainTrialResult(False, budget, *_tally(counts, False), None, ())
 
     def _run_trial_trace(
         self, rng: np.random.Generator, state0: FockState
     ) -> ChainTrialResult:
         n_stages = len(self.stages)
-        attempts = np.zeros(n_stages, dtype=np.int64)
-        successes = np.zeros(n_stages, dtype=np.int64)
+        attempts = [0] * n_stages
+        successes = [0] * n_stages
         first: List[int | None] = [None] * n_stages
         state = state0
         idx = 0
@@ -769,23 +810,15 @@ class ChainSimulator:
         while True:
             if rounds >= self.cfg.max_attempts:
                 return ChainTrialResult(
-                    False, rounds, attempts, successes, None, tuple(log)
+                    False, rounds, tuple(attempts), tuple(successes), None, tuple(log)
                 )
-            dist = self.round_distribution(idx, state)
+            chosen = _sample_branch(self.round_distribution(idx, state), rng)
             rounds += 1
             attempts[idx] += 1
-            u = rng.random()
-            if u < dist.p_accept:
-                acc = 0.0
-                chosen = dist.branches[-1]
-                for br in dist.branches:
-                    acc += br.prob
-                    if u < acc:
-                        chosen = br
-                        break
+            if chosen is not None:
                 successes[idx] += 1
                 if first[idx] is None:
-                    first[idx] = int(attempts[idx])
+                    first[idx] = attempts[idx]
                 if idx == 0:
                     log = list(chosen.clicks)
                 else:
@@ -796,8 +829,8 @@ class ChainSimulator:
                     return ChainTrialResult(
                         True,
                         rounds,
-                        attempts,
-                        successes,
+                        tuple(attempts),
+                        tuple(successes),
                         state,
                         tuple(log),
                         tuple(x if x is not None else 0 for x in first),
@@ -812,21 +845,6 @@ class ChainSimulator:
 # ---------------------------------------------------------------------------
 
 
-def _sample_branch(
-    dist: RoundDistribution, rng: np.random.Generator
-) -> RoundBranch | None:
-    """One conditioned round: returns the accepted branch or None on failure."""
-    u = rng.random()
-    if u >= dist.p_accept:
-        return None
-    acc = 0.0
-    for br in dist.branches:
-        acc += br.prob
-        if u < acc:
-            return br
-    return dist.branches[-1]
-
-
 def prepare_epr(
     cfg: ProtocolConfig,
     i: int,
@@ -838,32 +856,9 @@ def prepare_epr(
 
     Pumps both, interferes the Stokes light, and conditions on exactly one
     click; failed attempts reset to the ground state and repeat, up to
-    ``max_attempts``.
+    ``max_attempts``: the one-stage chain ``(epr_stage(i, j),)``.
     """
-    layout = layout or make_chain_layout(cfg)
-    dist = connect_round(layout.vacuum(), layout, i, j, cfg, ("D1", "D2"))
-    if dist.p_accept <= 0.0:
-        raise AttemptsExhaustedError(
-            "entangling round can never click (p_e = 0?)",
-            stage=f"epr({i},{j})",
-            attempts=cfg.max_attempts,
-        )
-    attempts = int(rng.geometric(dist.p_accept))
-    if attempts > cfg.max_attempts:
-        raise AttemptsExhaustedError(
-            f"no click within {cfg.max_attempts} attempts",
-            stage=f"epr({i},{j})",
-            attempts=cfg.max_attempts,
-        )
-    u = rng.random() * dist.p_accept
-    acc = 0.0
-    chosen = dist.branches[-1]
-    for br in dist.branches:
-        acc += br.prob
-        if u < acc:
-            chosen = br
-            break
-    return StepOutcome(True, attempts, chosen.state, chosen.clicks)
+    return build_w_chain(cfg, rng, layout, stages=(epr_stage(i, j),))
 
 
 def connect_step(
@@ -947,12 +942,14 @@ def build_w_chain(
     rng: np.random.Generator,
     layout: ChainLayout | None = None,
     trace: bool = False,
+    stages: Sequence[StageSpec] | None = None,
 ) -> StepOutcome:
-    """Build the ``n``-party W state, restarting the chain on any failure."""
-    sim = ChainSimulator(cfg, layout)
+    """Build the ``n``-party W state (or run another stage list), restarting
+    from the first stage on any failure."""
+    sim = ChainSimulator(cfg, layout, stages)
     result = sim.run_trial(rng, trace=trace)
     stage_attempts = {
-        spec.label: int(a) for spec, a in zip(sim.stages, result.stage_attempts)
+        spec.label: a for spec, a in zip(sim.stages, result.stage_attempts)
     }
     if not result.succeeded:
         worst = max(stage_attempts, key=stage_attempts.get)

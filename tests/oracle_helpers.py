@@ -233,3 +233,49 @@ def expected_rounds_with_restart(qs) -> float:
         numerator += prefix
         prefix *= q
     return numerator / prefix
+
+
+# ---------------------------------------------------------------------------
+# EPR batch reference: the dedicated repeat-until-click loop
+# ---------------------------------------------------------------------------
+
+
+def epr_reference_records(cfg, lo: int, hi: int) -> list:
+    """Per-trial ``(index, succeeded, rounds, stage_attempts, stage_successes,
+    fidelity, classification)`` of an EPR batch, drawn by a loop written for
+    the single entangling round alone: a geometric number of attempts, then
+    one Born draw among the accepted branches.
+
+    The round itself comes from ``connect_round`` and the per-trial streams
+    from ``rng_for_trial``; only the repeat-until-success sampling is
+    independent of the engine it checks.
+    """
+    from wclass_sim.fock import fidelity
+    from wclass_sim.montecarlo import rng_for_trial
+    from wclass_sim.protocol import connect_round, epr_state, make_chain_layout
+
+    layout = make_chain_layout(cfg)
+    dist = connect_round(layout.vacuum(), layout, 1, 2, cfg, ("D1", "D2"))
+    target = epr_state(layout, 1, 2, cfg.phases[1])
+    exhausted = (cfg.max_attempts, (cfg.max_attempts,), (0,), None, None)
+    out = []
+    for t in range(lo, hi):
+        rng = rng_for_trial(cfg.seed, t)
+        if dist.p_accept <= 0.0:
+            out.append((t, False, *exhausted))
+            continue
+        attempts = int(rng.geometric(dist.p_accept))
+        u = rng.random() * dist.p_accept
+        if attempts > cfg.max_attempts:
+            out.append((t, False, *exhausted))
+            continue
+        acc = 0.0
+        chosen = dist.branches[-1]
+        for br in dist.branches:
+            acc += br.prob
+            if u < acc:
+                chosen = br
+                break
+        fid = fidelity(chosen.state, target)
+        out.append((t, True, attempts, (attempts,), (1,), fid, None))
+    return out

@@ -19,6 +19,19 @@ def test_parse_w_state_flags():
     assert spec.trials == 1000
 
 
+def test_parse_negative_numbers_in_scientific_notation():
+    alpha = repr(math.sqrt(1.0 - 3.7e-05**2))
+    spec = parse_args(
+        ["teleport", "--alpha-re", alpha, "--beta-re", "-3.7e-05", "--beta-im", "-0.0",
+         "--seed", "1"]
+    )
+    assert spec.teleport.beta == complex(-3.7e-05, 0.0)
+    spec = parse_args(["w-state", "--n", "3", "--eta", "1E-2", "--seed", "-5"])
+    assert spec.config.eta == 0.01 and spec.config.seed == -5
+    with pytest.raises(UsageError):
+        parse_args(["teleport", "--beta-re", "-x", "--seed", "1"])
+
+
 def test_parse_rejects_small_n_for_w_state():
     with pytest.raises(UsageError):
         parse_args(["w-state", "--n", "2", "--seed", "1"])

@@ -1,0 +1,67 @@
+"""Golden reports: fixed command lines whose JSON reports must not change.
+
+Each case runs ``wclass-sim`` in-process and compares the report with the
+committed file ``tests/golden/<name>.json`` byte for byte.  The cases avoid
+budget-exhausted multi-stage trials, so a golden file changes only when the
+random stream or a reported formula changes on purpose.  To rewrite the
+files after such a change (and say why in CHANGES.md), run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from wclass_sim.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+W_COMMON = ["--eta", "0.3", "--pe", "0.01", "--trials", "100", "--workers", "1"]
+
+# name -> (argv, exit code)
+CASES = {
+    "epr_n2": (["epr", "--n", "2", "--eta", "0.1", "--pe", "0.01", "--trials", "300",
+                "--seed", "1", "--workers", "1"], 0),
+    "epr_default_n": (["epr", "--eta", "0.3", "--pe", "0.02", "--phases", "0,0.4,1.3",
+                       "--trials", "300", "--seed", "2", "--workers", "1"], 0),
+    "epr_budget_30": (["epr", "--pe", "0.01", "--max-attempts", "30", "--trials", "300",
+                       "--seed", "3", "--workers", "1"], 0),
+    "epr_pe0": (["epr", "--pe", "0", "--max-attempts", "40", "--trials", "20",
+                 "--seed", "4", "--workers", "1"], 1),
+    "w3": (["w-state", "--n", "3", *W_COMMON, "--seed", "13"], 0),
+    "w4": (["w-state", "--n", "4", *W_COMMON, "--seed", "14"], 0),
+    "w5": (["w-state", "--n", "5", *W_COMMON, "--seed", "15"], 0),
+    "w6": (["w-state", "--n", "6", *W_COMMON, "--seed", "16"], 0),
+    "w4_cap3_finite": (["w-state", "--n", "4", "--cap", "3", "--na", "100", "--finite-size",
+                        "--no-double-pair", "--phases", "0,0.5,1.2,-0.7", "--eta", "0.1",
+                        "--pe", "0.03", "--trials", "100", "--seed", "7", "--workers", "1"], 0),
+    "w3_workers2": (["w-state", "--n", "3", "--eta", "0.2", "--pe", "0.02", "--trials", "100",
+                     "--seed", "5", "--workers", "2"], 0),
+    "sweep": (["scaling-sweep", "--n-min", "3", "--n-max", "5", "--eta", "0.2", "--pe", "0.03",
+               "--trials", "60", "--seed", "9", "--workers", "1"], 0),
+    "teleport_cap5": (["teleport", "--cap", "5", "--alpha-re", "0.6", "--beta-re", "0.8",
+                       "--pe", "0.05", "--eta", "0.1", "--trials", "4", "--seed", "11",
+                       "--workers", "1"], 0),
+}
+
+
+def _run(name: str, out: Path) -> int:
+    return main([*CASES[name][0], "-o", str(out)])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path):
+    out = tmp_path / "report.json"
+    assert _run(name, out) == CASES[name][1]
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        code = _run(case, GOLDEN / f"{case}.json")
+        print(f"{case}: exit {code}", file=sys.stderr)

@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from wclass_sim import montecarlo
+from wclass_sim.cli import main
 from wclass_sim.errors import DomainError, InsufficientDataError, PreconditionError
 from wclass_sim.fock import create
 from wclass_sim.montecarlo import (
@@ -13,17 +16,21 @@ from wclass_sim.montecarlo import (
     predicted_generation_time,
     run_batch,
     run_epr_batch,
+    run_teleport_batch,
     wilson_interval,
 )
 from wclass_sim.protocol import (
     ChainSimulator,
     ProtocolConfig,
+    TeleportConfig,
+    epr_stage,
     ideal_w_state,
     make_chain_layout,
 )
 
 from oracle_helpers import (
     chain_stage_probabilities,
+    epr_reference_records,
     expected_rounds_with_restart,
 )
 
@@ -223,3 +230,71 @@ def test_epr_batch_reports_high_fidelity():
     assert report.successes == 2000
     assert report.fidelity_mean >= 0.99
     assert report.p_c_hat == pytest.approx(2 * cfg.p_e, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ProtocolConfig(n=3, p_e=0.01, eta=0.3, seed=6, phases=(0.0, 0.9, -0.4)),
+        ProtocolConfig(n=2, p_e=0.03, eta=0.1, seed=7),
+        ProtocolConfig(n=3, p_e=0.01, seed=8, max_attempts=30),  # about half exhausted
+        ProtocolConfig(n=3, p_e=0.0, seed=9, max_attempts=40),  # never clicks
+    ],
+    ids=["in-budget", "n2", "exhausted", "pe0"],
+)
+def test_epr_batch_matches_reference_loop(cfg):
+    records = run_epr_batch(cfg, 300).records
+    got = [
+        (r.index, r.succeeded, r.rounds, r.stage_attempts, r.stage_successes,
+         r.fidelity, r.classification)
+        for r in records
+    ]
+    assert got == epr_reference_records(cfg, 0, 300)
+
+
+def test_one_stage_exhausted_trial_spends_the_budget_on_its_stage():
+    cfg = ProtocolConfig(n=3, p_e=0.01, seed=1, max_attempts=5)
+    sim = ChainSimulator(cfg, stages=(epr_stage(1, 2),))
+    failed = [r for r in (sim.run_trial(np.random.default_rng(t)) for t in range(200))
+              if not r.succeeded]
+    assert len(failed) > 100
+    for r in failed:
+        assert r.rounds == 5
+        assert tuple(r.stage_attempts) == (5,)
+        assert tuple(r.stage_successes) == (0,)
+
+
+def test_exhausted_trials_fast_path_matches_trace():
+    # nearly every trial runs out of its 200 rounds; the fast path must
+    # spread them over the stages the way round-by-round simulation does
+    cfg = ProtocolConfig(n=3, p_e=0.02, seed=4, max_attempts=200)
+    fast = run_batch(cfg, 200)
+    slow = run_batch(cfg, 200, trace=True)
+    assert fast.successes < 10
+    for k in range(len(fast.stage_labels)):
+        a = np.array([r.stage_attempts[k] for r in fast.records])
+        b = np.array([r.stage_attempts[k] for r in slow.records])
+        se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(len(a))
+        assert abs(a.mean() - b.mean()) <= 4 * se, fast.stage_labels[k]
+
+
+def test_attempts_total_is_the_exact_sum_of_rounds(tmp_path):
+    # 8.8e15 rounds: past 2**53, where a float mean no longer holds the sum
+    argv = ["w-state", "--n", "6", "--eta", "0.3", "--pe", "0.01", "--seed", "11",
+            "--trials", "1000", "--workers", "1"]
+    out = tmp_path / "w6.json"
+    assert main(argv + ["-o", str(out)]) == 0
+    report = run_batch(ProtocolConfig(n=6, p_e=0.01, eta=0.3, seed=11), 1000)
+    exact = sum(r.rounds for r in report.records)
+    assert report.rounds_total == exact
+    assert json.loads(out.read_text())["timing"]["attempts_total"] == exact
+
+
+def test_teleport_batch_propagates_program_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not an exhausted budget")
+
+    monkeypatch.setattr(montecarlo, "teleport", broken)
+    tcfg = TeleportConfig(1.0, 0.0, ProtocolConfig(n=3, p_e=0.05, seed=1))
+    with pytest.raises(ValueError):
+        run_teleport_batch(tcfg, 2)
