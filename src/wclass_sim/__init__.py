@@ -59,6 +59,7 @@ from .protocol import (
     ProtocolConfig,
     StepOutcome,
     TeleportConfig,
+    TeleportSimulator,
     build_w_chain,
     connect_step,
     epr_state,

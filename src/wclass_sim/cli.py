@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -81,7 +82,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv-summary"], default=None)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and reused by every later
+    parse: building it costs more than a parse."""
     p = _Parser(prog="wclass-sim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("epr", "w-state", "teleport", "scaling-sweep"):
@@ -152,7 +156,7 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
     is required (the literal ``auto`` draws one, prints it, and embeds it in
     the report).
     """
-    ns = _build_parser().parse_args(list(argv))
+    ns = _parser().parse_args(list(argv))
     file_cfg = _load_config_file(ns.config) if ns.config else {}
 
     def pick(flag_value, file_key, default):

@@ -11,6 +11,13 @@ total-occupation truncation cap (operators drop overflowing terms and set an
 correction that rescales the collective-mode ladder elements by
 ``sqrt(1 - n / n_a)`` so that ``annihilate(create(create(vac))) ==
 2 (n_a - 1) / n_a * create(vac)``.
+
+Validation happens once, at the public boundary: ``FockState(...)`` (and
+``FockState.vacuum``) check the registry, the cap and every occupation.
+States derived from valid states are valid by construction, so the operators
+here and in :mod:`~wclass_sim.optics` and :mod:`~wclass_sim.protocol` build
+their results through :meth:`FockState.replace_terms` and :func:`superpose`,
+which skip the checks and only prune negligible amplitudes.
 """
 
 from __future__ import annotations
@@ -137,6 +144,12 @@ class FockState:
     ``terms`` maps full-length occupation tuples (registry order) to complex
     amplitudes.  All operations return new states; instances are safe to
     share across workers.
+
+    The constructor is the public boundary and validates its input: the
+    registry must be sealed, ``truncation_cap`` at least 1, and every
+    occupation a tuple of the registry's width with non-negative entries
+    summing to at most the cap.  Operators derive new states through
+    :meth:`replace_terms`, which trusts its terms.
     """
 
     __slots__ = ("registry", "truncation_cap", "overflow", "_terms", "_key")
@@ -153,7 +166,7 @@ class FockState:
         if truncation_cap < 1:
             raise ValueError("truncation_cap must be a positive integer")
         width = registry.n_modes
-        pruned: Dict[Occupation, complex] = {}
+        checked: Dict[Occupation, complex] = {}
         for occ, amp in terms.items():
             occ = tuple(int(x) for x in occ)
             if len(occ) != width:
@@ -162,14 +175,38 @@ class FockState:
                 raise ValueError(f"negative occupation in {occ}")
             if sum(occ) > truncation_cap:
                 raise ValueError(f"occupation {occ} exceeds cap {truncation_cap}")
-            amp = complex(amp)
-            if abs(amp) >= PRUNE_THRESHOLD:
-                pruned[occ] = pruned.get(occ, 0j) + amp
+            checked[occ] = checked.get(occ, 0j) + complex(amp)
+        self._init(registry, checked, truncation_cap, bool(overflow))
+
+    def _init(
+        self,
+        registry: ModeRegistry,
+        terms: Mapping[Occupation, complex],
+        truncation_cap: int,
+        overflow: bool,
+    ) -> None:
         self.registry = registry
         self.truncation_cap = truncation_cap
-        self.overflow = bool(overflow)
-        self._terms = pruned
+        self.overflow = overflow
+        # ``0j + amp`` makes -0.0 parts +0.0, which debug_serialize would show
+        self._terms = {
+            occ: 0j + amp for occ, amp in terms.items() if abs(amp) >= PRUNE_THRESHOLD
+        }
         self._key: tuple | None = None
+
+    @classmethod
+    def _from_terms(
+        cls,
+        registry: ModeRegistry,
+        terms: Mapping[Occupation, complex],
+        truncation_cap: int,
+        overflow: bool,
+    ) -> "FockState":
+        """Trusted construction: ``terms`` must already be canonical
+        occupation tuples within the cap of a sealed registry."""
+        state = cls.__new__(cls)
+        state._init(registry, terms, truncation_cap, overflow)
+        return state
 
     # -- constructors ------------------------------------------------------
 
@@ -182,8 +219,14 @@ class FockState:
     def replace_terms(
         self, terms: Mapping[Occupation, complex], overflow: bool | None = None
     ) -> "FockState":
-        """New state over the same registry/cap with different terms."""
-        return FockState(
+        """New state over the same registry/cap with different terms.
+
+        The terms are trusted, not validated: they must be occupation tuples
+        of this registry's width within the cap, as every operator derives
+        them from this state's own.  Amplitudes below ``PRUNE_THRESHOLD``
+        are dropped.
+        """
+        return FockState._from_terms(
             self.registry,
             terms,
             self.truncation_cap,
@@ -317,7 +360,7 @@ def superpose(coeffs: Sequence[complex], states: Sequence[FockState]) -> FockSta
             raise RegistryError("states live on different registries")
         for occ, amp in s.items():
             out[occ] = out.get(occ, 0j) + complex(c) * amp
-    return FockState(reg, out, cap, overflow)
+    return FockState._from_terms(reg, out, cap, overflow)
 
 
 def count_excitations(state: FockState, modes: Iterable[Mode]) -> Dict[int, float]:

@@ -35,6 +35,7 @@ from .protocol import (
     ProtocolConfig,
     StageSpec,
     TeleportConfig,
+    TeleportSimulator,
     chain_stages,
     connect_round,  # unused here; bench/spans.py wraps this binding
     epr_stage,
@@ -349,7 +350,8 @@ class TeleportReport:
 
 
 def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
-    layout = make_teleport_layout(tcfg)
+    sim = TeleportSimulator(tcfg, make_teleport_layout(tcfg))
+    layout = sim.layout
     target = teleport_target_state(tcfg, layout)
     carol = (layout.ensembles[2], layout.ensembles[5])  # ensembles 3 and 6
     vac = layout.vacuum()
@@ -368,7 +370,7 @@ def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
     for t in range(lo, hi):
         rng = rng_for_trial(tcfg.base.seed, t)
         try:
-            res = teleport(tcfg, rng, layout)
+            res = teleport(tcfg, rng, sim=sim)
         except AttemptsExhaustedError:
             out.append((t, False, tcfg.base.max_attempts, False, None, None, None))
             continue

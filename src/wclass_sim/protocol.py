@@ -624,15 +624,45 @@ class ChainTrialResult:
     first_success_attempts: Tuple[int, ...] | None = None
 
 
-def _tally(counts: List[int], finished: bool) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def _tally(counts: List[int], through: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Per-stage ``(attempts, successes)`` of ``counts[k]`` passes failed at
-    stage ``k``, plus one completed pass when ``finished``."""
-    attempts, successes, reached = [], [], int(finished)
-    for c in reversed(counts):
-        reached += c
+    stage ``k``, plus one pass that got through the first ``through`` stages
+    (all of them for a completed pass, fewer for one cut by the budget)."""
+    attempts, successes, reached = [], [], 0
+    for k in range(len(counts) - 1, -1, -1):
+        c = counts[k]
+        reached += c + (k == through - 1)
         attempts.append(reached)
         successes.append(reached - c)
     return tuple(attempts[::-1]), tuple(successes[::-1])
+
+
+def _spend_budget(
+    rng: np.random.Generator, cond: np.ndarray, max_cost: int, budget: int
+) -> Tuple[List[int], int]:
+    """Failed passes, with failure stages drawn from ``cond``, until their
+    rounds reach ``budget``: ``(passes failed at each stage, stages got
+    through by a last pass that the budget cut short)``.
+
+    A pass failing at stage ``k`` costs ``k + 1 <= max_cost`` rounds, so a
+    block of ``left // max_cost`` passes always fits in the ``left`` rounds
+    still to spend and can be drawn at once; the last few are drawn singly.
+    """
+    counts = [0] * len(cond)
+    left = budget
+    while left >= max_cost:
+        block = rng.multinomial(left // max_cost, cond).tolist()
+        for k, c in enumerate(block):
+            counts[k] += c
+            left -= (k + 1) * c
+    stages = range(len(cond))
+    while left > 0:
+        k = pick(stages, rng.random(), cond)
+        if k >= left:
+            return counts, left
+        counts[k] += 1
+        left -= k + 1
+    return counts, 0
 
 
 def _sample_branch(
@@ -719,8 +749,8 @@ class ChainSimulator:
         self._completion[key] = result
         return result
 
-    def _pass_law(self, state0: FockState) -> Tuple[float, np.ndarray, float]:
-        """``(p_pass, failure-stage law of a failed pass, its mean cost)``.
+    def _pass_law(self, state0: FockState) -> Tuple[float, np.ndarray, int]:
+        """``(p_pass, failure-stage law of a failed pass, its largest cost)``.
 
         A pass that fails at stage ``k`` costs ``k + 1`` rounds.
         """
@@ -731,8 +761,8 @@ class ChainSimulator:
             q = (1.0 - p_pass) or 1.0  # a pass that never fails: any law will do
             cond = np.clip(np.asarray(fail_vec) / q, 0.0, None)
             cond[-1] = max(0.0, 1.0 - cond[:-1].sum())
-            cost = sum((k + 1) * f for k, f in enumerate(fail_vec)) / q
-            law = self._pass_laws[key] = (p_pass, cond, max(cost, 1.0))
+            max_cost = int(np.flatnonzero(cond)[-1]) + 1
+            law = self._pass_laws[key] = (p_pass, cond, max_cost)
         return law
 
     def _success_weights(
@@ -771,9 +801,10 @@ class ChainSimulator:
     ) -> ChainTrialResult:
         """One trial within ``max_attempts`` rounds.
 
-        A trial that exhausts its budget spends it on failed passes: their
-        number is ``budget / E[cost of a failed pass]`` and their failure
-        stages follow the failure law, so ``rounds`` equals the budget and a
+        A trial that exhausts its budget spends it on failed passes drawn
+        from the failure law until their rounds reach the budget; a last pass
+        cut short by the budget counts the stages it got through.  So
+        ``rounds`` equals the budget, the stage attempts sum to it, and a
         one-stage chain records ``(budget,)`` attempts and no success.
         """
         state0 = self._vacuum if initial_state is None else initial_state
@@ -781,7 +812,7 @@ class ChainSimulator:
             return self._run_trial_trace(rng, state0)
         n_stages = len(self.stages)
         budget = self.cfg.max_attempts
-        p_pass, cond, fail_cost = self._pass_law(state0)
+        p_pass, cond, max_cost = self._pass_law(state0)
         if p_pass > 0.0:
             fails = 0 if p_pass >= 1.0 else int(rng.geometric(p_pass)) - 1
             counts = [0] * n_stages
@@ -792,9 +823,11 @@ class ChainSimulator:
             rounds = sum(k * c for k, c in enumerate(counts, 1)) + n_stages
             if rounds <= budget:
                 final, log = self._sample_success_pass(rng, state0)
-                return ChainTrialResult(True, rounds, *_tally(counts, True), final, log)
-        counts = rng.multinomial(max(1, int(budget / fail_cost)), cond).tolist()
-        return ChainTrialResult(False, budget, *_tally(counts, False), None, ())
+                return ChainTrialResult(
+                    True, rounds, *_tally(counts, n_stages), final, log
+                )
+        counts, through = _spend_budget(rng, cond, max_cost, budget)
+        return ChainTrialResult(False, budget, *_tally(counts, through), None, ())
 
     def _run_trial_trace(
         self, rng: np.random.Generator, state0: FockState
@@ -1017,25 +1050,46 @@ def teleport_from_states(
     )
 
 
+class TeleportSimulator:
+    """The two W-chain simulators and the retrieval round of
+    :func:`teleport`, with their memo tables; share one across the trials of
+    a batch so that each reached state is enumerated once."""
+
+    def __init__(self, tcfg: TeleportConfig, layout: TeleportLayout | None = None):
+        self.tcfg = tcfg
+        self.layout = layout or make_teleport_layout(tcfg)
+        self.w123 = ChainSimulator(tcfg.base, self.layout.chain_layout(1))
+        self.w456 = ChainSimulator(tcfg.base, self.layout.chain_layout(4))
+        self._rounds: Dict[tuple, RoundDistribution] = {}
+
+    def round_distribution(self, joint: FockState) -> RoundDistribution:
+        """The teleport round on the W pair ``joint`` once the unknown state
+        is prepared on the sender's pair."""
+        key = joint.key()
+        dist = self._rounds.get(key)
+        if dist is None:
+            psi = _unknown_prepared(self.tcfg, self.layout, joint)
+            dist = self._rounds[key] = teleport_round(psi, self.layout, self.tcfg.base)
+        return dist
+
+
 def teleport(
     tcfg: TeleportConfig,
     rng: np.random.Generator,
-    layout: TeleportLayout | None = None,
+    sim: TeleportSimulator | None = None,
 ) -> StepOutcome:
     """Full pipeline: build both W states, retrieve, condition on two clicks.
 
     A failed conditioning round discards everything and re-prepares both W
     states, as the protocol prescribes; the attempt count accumulates across
-    restarts.
+    restarts.  ``sim``, built from the same ``tcfg`` (by default here), holds
+    the layout and the enumerated rounds; pass one to every trial of a batch.
     """
-    layout = layout or make_teleport_layout(tcfg)
-    cfg = tcfg.base
-    sim123 = ChainSimulator(cfg, layout.chain_layout(1))
-    sim456 = ChainSimulator(cfg, layout.chain_layout(4))
-    budget = cfg.max_attempts
+    sim = sim or TeleportSimulator(tcfg)
+    budget = tcfg.base.max_attempts
     rounds = 0
     while True:
-        r1 = sim123.run_trial(rng)
+        r1 = sim.w123.run_trial(rng)
         rounds += r1.rounds
         if not r1.succeeded or rounds >= budget:
             raise AttemptsExhaustedError(
@@ -1043,7 +1097,7 @@ def teleport(
                 stage="w123",
                 attempts=min(rounds, budget),
             )
-        r2 = sim456.run_trial(rng, initial_state=r1.final_state)
+        r2 = sim.w456.run_trial(rng, initial_state=r1.final_state)
         rounds += r2.rounds
         if not r2.succeeded or rounds >= budget:
             raise AttemptsExhaustedError(
@@ -1051,8 +1105,7 @@ def teleport(
                 stage="w456",
                 attempts=min(rounds, budget),
             )
-        psi = _unknown_prepared(tcfg, layout, r2.final_state)
-        dist = teleport_round(psi, layout, cfg)
+        dist = sim.round_distribution(r2.final_state)
         rounds += 1
         br = _sample_branch(dist, rng)
         if br is not None:

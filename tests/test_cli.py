@@ -6,6 +6,8 @@ import pytest
 from wclass_sim.cli import main, parse_args
 from wclass_sim.errors import UsageError
 
+from test_golden import CASES, GOLDEN
+
 
 def test_parse_w_state_flags():
     spec = parse_args(
@@ -184,3 +186,18 @@ def test_report_written_to_stdout_by_default(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["command"] == "epr"
+
+
+def test_parser_reuse_keeps_reports_byte_identical(tmp_path, capsys):
+    # one parser serves every call in a process: a usage error or another
+    # command's flags must not leak into the next parse
+    argv = CASES["w4_cap3_finite"][0]
+    first, between, again = (tmp_path / f"{k}.json" for k in ("first", "w3", "again"))
+    assert main([*argv, "-o", str(first)]) == 0
+    assert main(["w-state", "--n", "x", "--seed", "1"]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert main([*CASES["w3"][0], "-o", str(between)]) == 0
+    assert main([*argv, "-o", str(again)]) == 0
+    golden = (GOLDEN / "w4_cap3_finite.json").read_bytes()
+    assert first.read_bytes() == again.read_bytes() == golden
+    assert between.read_bytes() == (GOLDEN / "w3.json").read_bytes()

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wclass_sim.errors import ModeError, NormalizationError, RegistryError
 from wclass_sim.fock import (
+    PRUNE_THRESHOLD,
     CollectiveModeModel,
     FockState,
     ModeKind,
@@ -17,6 +20,13 @@ from wclass_sim.fock import (
     inner_product,
     normalize,
     superpose,
+)
+from wclass_sim.optics import (
+    BeamSplitterSpec,
+    apply_beam_splitter,
+    apply_phase,
+    detection_outcomes,
+    loss_outcomes,
 )
 from wclass_sim.protocol import ProtocolConfig, make_chain_layout, w_prime_state
 
@@ -214,8 +224,6 @@ def test_count_distribution_sums_to_one():
 def test_pruning_norm_bound():
     # dropping sub-threshold amplitudes moves the norm by at most
     # threshold * term count
-    from wclass_sim.fock import PRUNE_THRESHOLD
-
     reg = small_registry()
     kept = {(1, 0, 0): 0.6, (0, 1, 0): 0.8}
     tiny = {(0, 0, 1): PRUNE_THRESHOLD / 3}
@@ -260,3 +268,88 @@ def test_equal_up_to_global_phase():
     phase = superpose([complex(math.cos(1.3), math.sin(1.3))], [one])
     assert equal_up_to_global_phase(one, phase, 1e-12)
     assert not equal_up_to_global_phase(one, vac, 1e-12)
+
+
+def _unsealed_registry():
+    reg = ModeRegistry()
+    reg.add_atomic("a")
+    return reg
+
+
+@pytest.mark.parametrize(
+    "registry, terms, cap, error",
+    [
+        (_unsealed_registry(), {(1,): 1.0}, 4, RegistryError),
+        (small_registry(), {(1, 0, 0): 1.0}, 0, ValueError),
+        (small_registry(), {(1, 0): 1.0}, 4, ValueError),
+        (small_registry(), {(1, -1, 1): 1.0}, 4, ValueError),
+        (small_registry(), {(2, 1, 1): 1.0}, 3, ValueError),
+    ],
+    ids=["unsealed", "cap-below-1", "wrong-length", "negative", "above-cap"],
+)
+def test_public_constructor_rejects_invalid_input(registry, terms, cap, error):
+    with pytest.raises(error):
+        FockState(registry, terms, cap)
+
+
+# -- operators build valid states without the constructor's checks ----------
+
+PROP_CAP = 4
+
+
+def _prop_registry():
+    # n_a = 3 makes the finite-size creation factor vanish at n = 3, below the cap
+    reg = ModeRegistry(CollectiveModeModel(3.0, True))
+    reg.add_atomic("a0")
+    reg.add_atomic("a1")
+    reg.add_photonic("p0")
+    reg.add_photonic("p1")
+    return reg.seal()
+
+
+PROP_REG = _prop_registry()
+PHOTONIC = PROP_REG.modes[2:]
+
+occupations = st.lists(st.sampled_from(range(4)), max_size=PROP_CAP).map(
+    lambda idx: tuple(idx.count(m) for m in range(4))
+)
+amplitudes = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+states = st.dictionaries(occupations, amplitudes, min_size=1, max_size=6).map(
+    lambda terms: FockState(PROP_REG, terms, PROP_CAP)
+)
+
+
+def _bits(state):
+    return sorted((occ, repr(amp)) for occ, amp in state.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    state=states,
+    other=states,
+    mode=st.sampled_from(PROP_REG.modes),
+    port=st.sampled_from(PHOTONIC),
+    phi=st.floats(-7.0, 7.0),
+    coeffs=st.tuples(amplitudes, amplitudes),
+    eta=st.floats(0.0, 1.0),
+)
+def test_operator_results_pass_the_public_constructor_unchanged(
+    state, other, mode, port, phi, coeffs, eta
+):
+    assume(not state.is_zero())
+    results = [
+        create(state, mode),
+        annihilate(state, mode),
+        normalize(state),
+        superpose(list(coeffs), [state, other]),
+        apply_beam_splitter(state, BeamSplitterSpec(*PHOTONIC)),
+        apply_phase(state, mode, phi),
+        *(b.state for b in loss_outcomes(state, port, eta)),
+        *(b.state for b in detection_outcomes(state, port)),
+    ]
+    for result in results:
+        rebuilt = FockState(
+            result.registry, dict(result.items()), result.truncation_cap, result.overflow
+        )
+        assert _bits(rebuilt) == _bits(result)
+        assert rebuilt.overflow == result.overflow

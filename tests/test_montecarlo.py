@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from wclass_sim import montecarlo
+from wclass_sim import montecarlo, protocol
 from wclass_sim.cli import main
 from wclass_sim.errors import DomainError, InsufficientDataError, PreconditionError
 from wclass_sim.fock import create
@@ -278,6 +278,24 @@ def test_exhausted_trials_fast_path_matches_trace():
         assert abs(a.mean() - b.mean()) <= 4 * se, fast.stage_labels[k]
 
 
+@pytest.mark.parametrize("seed", [5, 6])
+def test_exhausted_trials_count_the_pass_the_budget_cut(seed):
+    # 3000 trials resolve the one stage-0 attempt per trial that a rule
+    # ignoring the last, cut-short pass would miss (z of about -4.5)
+    cfg = ProtocolConfig(n=3, p_e=0.02, seed=seed, max_attempts=200)
+    fast = run_batch(cfg, 3000)
+    slow = run_batch(cfg, 3000, trace=True)
+    for r in fast.records:
+        if not r.succeeded:
+            assert sum(r.stage_attempts) == r.rounds == cfg.max_attempts
+    for name in ("stage_attempts", "stage_successes"):
+        for k in range(len(fast.stage_labels)):
+            a = np.array([getattr(r, name)[k] for r in fast.records])
+            b = np.array([getattr(r, name)[k] for r in slow.records])
+            se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(len(a))
+            assert abs(a.mean() - b.mean()) <= 3 * se, (name, fast.stage_labels[k])
+
+
 def test_attempts_total_is_the_exact_sum_of_rounds(tmp_path):
     # 8.8e15 rounds: past 2**53, where a float mean no longer holds the sum
     argv = ["w-state", "--n", "6", "--eta", "0.3", "--pe", "0.01", "--seed", "11",
@@ -298,3 +316,39 @@ def test_teleport_batch_propagates_program_errors(monkeypatch):
     tcfg = TeleportConfig(1.0, 0.0, ProtocolConfig(n=3, p_e=0.05, seed=1))
     with pytest.raises(ValueError):
         run_teleport_batch(tcfg, 2)
+
+
+def test_teleport_batch_enumerates_each_round_once(monkeypatch):
+    tcfg = TeleportConfig(
+        0.6, 0.8, ProtocolConfig(n=3, p_e=0.05, eta=0.1, truncation_cap=5, seed=11)
+    )
+    trial = [None]
+    first_seen = {}  # (round, its input) -> trial that enumerated it
+    repeats = []
+
+    def record(key):
+        if key in first_seen:
+            repeats.append((trial[0], first_seen[key]))
+        first_seen.setdefault(key, trial[0])
+
+    real_rng, real_connect, real_teleport_round = (
+        montecarlo.rng_for_trial, protocol.connect_round, protocol.teleport_round)
+
+    def numbered_rng(seed, t):
+        trial[0] = t
+        return real_rng(seed, t)
+
+    def connect_round(state, layout, i, j, *args):
+        record(("connect", layout.ensembles, i, j, state.key()))
+        return real_connect(state, layout, i, j, *args)
+
+    def teleport_round(state, layout, cfg):
+        record(("teleport", state.key()))
+        return real_teleport_round(state, layout, cfg)
+
+    monkeypatch.setattr(montecarlo, "rng_for_trial", numbered_rng)
+    monkeypatch.setattr(protocol, "connect_round", connect_round)
+    monkeypatch.setattr(protocol, "teleport_round", teleport_round)
+    assert run_teleport_batch(tcfg, 3).successes == 3
+    assert trial[0] == 2 and first_seen
+    assert repeats == []

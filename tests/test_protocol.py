@@ -9,6 +9,7 @@ from wclass_sim.errors import (
     ProtocolSequencingError,
 )
 from wclass_sim.fock import (
+    FockState,
     count_excitations,
     equal_up_to_global_phase,
     fidelity,
@@ -20,6 +21,7 @@ from wclass_sim.protocol import (
     Holder,
     ProtocolConfig,
     TeleportConfig,
+    TeleportSimulator,
     build_w_chain,
     chain_stages,
     connect_applied,
@@ -35,6 +37,7 @@ from wclass_sim.protocol import (
     phase_compensate,
     prepare_epr,
     receiver_localize,
+    teleport,
     teleport_from_states,
     teleport_round,
     teleport_target_state,
@@ -491,3 +494,19 @@ def test_teleport_round_vacuum_fakes_are_flagged():
         kinds[correct_teleport_clicks(br)] += br.prob
     assert kinds[True] == pytest.approx(2 / 9, abs=1e-10)
     assert kinds[False] == pytest.approx(1 / 9, abs=1e-10)
+
+
+def test_rounds_build_no_state_through_the_validating_constructor(monkeypatch):
+    # every state a trial reaches derives from the simulators' vacua, which
+    # are built (and validated) here, before the constructor is refused
+    sim = ChainSimulator(ProtocolConfig(n=4, p_e=0.02, eta=0.2))
+    base = ProtocolConfig(n=3, p_e=0.05, eta=0.1, truncation_cap=5)
+    tcfg = TeleportConfig(0.6, 0.8, base)
+    tsim = TeleportSimulator(tcfg)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("FockState.__init__ called inside a round")
+
+    monkeypatch.setattr(FockState, "__init__", refuse)
+    assert sim.run_trial(np.random.default_rng(0)).succeeded
+    assert teleport(tcfg, np.random.default_rng(1), sim=tsim).succeeded
