@@ -42,7 +42,7 @@ from .protocol import (
     epr_state,
     ideal_w_state,
     make_chain_layout,
-    make_teleport_layout,
+    make_teleport_layout,  # unused here; bench/spans.py wraps this binding
     receiver_localize,
     teleport,
     teleport_target_state,
@@ -350,7 +350,7 @@ class TeleportReport:
 
 
 def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
-    sim = TeleportSimulator(tcfg, make_teleport_layout(tcfg))
+    sim = TeleportSimulator(tcfg)
     layout = sim.layout
     target = teleport_target_state(tcfg, layout)
     carol = (layout.ensembles[2], layout.ensembles[5])  # ensembles 3 and 6
@@ -370,7 +370,7 @@ def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
     for t in range(lo, hi):
         rng = rng_for_trial(tcfg.base.seed, t)
         try:
-            res = teleport(tcfg, rng, sim=sim)
+            res = teleport(tcfg, rng, sim)
         except AttemptsExhaustedError:
             out.append((t, False, tcfg.base.max_attempts, False, None, None, None))
             continue

@@ -700,7 +700,7 @@ class ChainSimulator:
         self._vacuum = self.layout.vacuum()
         self._rounds: Dict[tuple, RoundDistribution] = {}
         self._completion: Dict[tuple, Tuple[float, Tuple[float, ...]]] = {}
-        self._pass_laws: Dict[tuple, Tuple[float, np.ndarray, float]] = {}
+        self._pass_laws: Dict[tuple, Tuple[float, np.ndarray, int]] = {}
         self._weights: Dict[tuple, Tuple[Tuple[RoundBranch, ...], List[float], float]] = {}
 
     # -- exact per-round machinery ----------------------------------------
@@ -1055,9 +1055,9 @@ class TeleportSimulator:
     :func:`teleport`, with their memo tables; share one across the trials of
     a batch so that each reached state is enumerated once."""
 
-    def __init__(self, tcfg: TeleportConfig, layout: TeleportLayout | None = None):
+    def __init__(self, tcfg: TeleportConfig):
         self.tcfg = tcfg
-        self.layout = layout or make_teleport_layout(tcfg)
+        self.layout = make_teleport_layout(tcfg)
         self.w123 = ChainSimulator(tcfg.base, self.layout.chain_layout(1))
         self.w456 = ChainSimulator(tcfg.base, self.layout.chain_layout(4))
         self._rounds: Dict[tuple, RoundDistribution] = {}
@@ -1072,56 +1072,65 @@ class TeleportSimulator:
             dist = self._rounds[key] = teleport_round(psi, self.layout, self.tcfg.base)
         return dist
 
+    def run_trial(self, rng: np.random.Generator) -> StepOutcome:
+        """Full pipeline: build both W states, retrieve, condition on two
+        clicks.
+
+        A failed conditioning round discards everything and re-prepares both
+        W states, as the protocol prescribes; the attempt count accumulates
+        across restarts.
+        """
+        budget = self.tcfg.base.max_attempts
+        rounds = 0
+        while True:
+            r1 = self.w123.run_trial(rng)
+            rounds += r1.rounds
+            if not r1.succeeded or rounds >= budget:
+                raise AttemptsExhaustedError(
+                    "W preparation exhausted the attempt budget",
+                    stage="w123",
+                    attempts=min(rounds, budget),
+                )
+            r2 = self.w456.run_trial(rng, initial_state=r1.final_state)
+            rounds += r2.rounds
+            if not r2.succeeded or rounds >= budget:
+                raise AttemptsExhaustedError(
+                    "W preparation exhausted the attempt budget",
+                    stage="w456",
+                    attempts=min(rounds, budget),
+                )
+            dist = self.round_distribution(r2.final_state)
+            rounds += 1
+            br = _sample_branch(dist, rng)
+            if br is not None:
+                return StepOutcome(
+                    True,
+                    rounds,
+                    br.state,
+                    br.clicks,
+                    info={"correct_clicks": correct_teleport_clicks(br)},
+                )
+            if rounds >= budget:
+                raise AttemptsExhaustedError(
+                    "teleport conditioning exhausted the attempt budget",
+                    stage="teleport",
+                    attempts=budget,
+                )
+
 
 def teleport(
     tcfg: TeleportConfig,
     rng: np.random.Generator,
     sim: TeleportSimulator | None = None,
 ) -> StepOutcome:
-    """Full pipeline: build both W states, retrieve, condition on two clicks.
-
-    A failed conditioning round discards everything and re-prepares both W
-    states, as the protocol prescribes; the attempt count accumulates across
-    restarts.  ``sim``, built from the same ``tcfg`` (by default here), holds
-    the layout and the enumerated rounds; pass one to every trial of a batch.
-    """
-    sim = sim or TeleportSimulator(tcfg)
-    budget = tcfg.base.max_attempts
-    rounds = 0
-    while True:
-        r1 = sim.w123.run_trial(rng)
-        rounds += r1.rounds
-        if not r1.succeeded or rounds >= budget:
-            raise AttemptsExhaustedError(
-                "W preparation exhausted the attempt budget",
-                stage="w123",
-                attempts=min(rounds, budget),
-            )
-        r2 = sim.w456.run_trial(rng, initial_state=r1.final_state)
-        rounds += r2.rounds
-        if not r2.succeeded or rounds >= budget:
-            raise AttemptsExhaustedError(
-                "W preparation exhausted the attempt budget",
-                stage="w456",
-                attempts=min(rounds, budget),
-            )
-        dist = sim.round_distribution(r2.final_state)
-        rounds += 1
-        br = _sample_branch(dist, rng)
-        if br is not None:
-            return StepOutcome(
-                True,
-                rounds,
-                br.state,
-                br.clicks,
-                info={"correct_clicks": correct_teleport_clicks(br)},
-            )
-        if rounds >= budget:
-            raise AttemptsExhaustedError(
-                "teleport conditioning exhausted the attempt budget",
-                stage="teleport",
-                attempts=budget,
-            )
+    """One trial of :meth:`TeleportSimulator.run_trial`.  ``sim`` must be
+    built from this very ``tcfg`` (a fresh one by default); pass one to every
+    trial of a batch."""
+    if sim is None:
+        sim = TeleportSimulator(tcfg)
+    elif sim.tcfg is not tcfg:
+        raise ValueError("the teleport simulator was built from another config")
+    return sim.run_trial(rng)
 
 
 def receiver_localize(

@@ -510,3 +510,11 @@ def test_rounds_build_no_state_through_the_validating_constructor(monkeypatch):
     monkeypatch.setattr(FockState, "__init__", refuse)
     assert sim.run_trial(np.random.default_rng(0)).succeeded
     assert teleport(tcfg, np.random.default_rng(1), sim=tsim).succeeded
+
+
+def test_teleport_refuses_a_simulator_of_another_config():
+    base = ProtocolConfig(n=3, p_e=0.05, eta=0.1, truncation_cap=5)
+    tcfg = TeleportConfig(0.6, 0.8, base)
+    other = TeleportConfig(0.8, 0.6, base)
+    with pytest.raises(ValueError):
+        teleport(tcfg, np.random.default_rng(1), sim=TeleportSimulator(other))
