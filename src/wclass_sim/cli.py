@@ -30,6 +30,8 @@ SCHEMA_VERSION = 1
 
 WORKERS_ENV = "WCLASS_SIM_WORKERS"
 
+_FORMATS = ("json", "csv-summary")
+
 
 @dataclass
 class ExperimentSpec:
@@ -79,7 +81,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", default=None, help="integer seed, or 'auto'")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("-o", "--output", default=None, help="report path (default stdout)")
-    p.add_argument("--format", choices=["json", "csv-summary"], default=None)
+    p.add_argument("--format", choices=_FORMATS, default=None)
 
 
 @functools.cache
@@ -102,23 +104,22 @@ def _parser() -> _Parser:
     return p
 
 
+_FIELDS = dataclasses.fields(ProtocolConfig)
+
+# the CLI's own defaults; the rest are ProtocolConfig's
 _DEFAULTS = {
+    **{f.name: f.default for f in _FIELDS},
     "n": 3,
     "p_e": 0.01,
-    "eta": 0.0,
-    "phases": None,
-    "n_a": None,
-    "finite_size": False,
-    "t0": 1e-6,
-    "truncation_cap": 4,
-    "max_attempts": 10**15,
-    "second_order_pump": True,
     "trials": 1000,
     "alpha": [1.0, 0.0],
     "beta": [0.0, 0.0],
     "n_min": 3,
     "n_max": 5,
 }
+
+# what a report's config echo holds, plus the output format
+_CONFIG_KEYS = frozenset(_DEFAULTS) | {"format"}
 
 
 def _load_config_file(path: str) -> dict:
@@ -131,6 +132,9 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
+    unknown = sorted(set(data) - _CONFIG_KEYS)
+    if unknown:
+        raise UsageError(f"unknown config file key(s): {', '.join(unknown)}")
     return data
 
 
@@ -247,6 +251,8 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
         raise UsageError("--trials must be at least 1")
 
     fmt = pick(ns.format, "format", "json")
+    if fmt not in _FORMATS:
+        raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
     if fmt == "csv-summary" and ns.command != "scaling-sweep":
         raise UsageError("csv-summary output is only defined for scaling-sweep")
 
@@ -277,21 +283,10 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
 
 
 def _config_echo(spec: ExperimentSpec) -> dict:
-    cfg = spec.config
-    echo = {
-        "n": cfg.n,
-        "p_e": cfg.p_e,
-        "eta": cfg.eta,
-        "phases": list(cfg.phases),
-        "n_a": None if math.isinf(cfg.n_a) else cfg.n_a,
-        "finite_size": cfg.finite_size,
-        "t0": cfg.t0,
-        "truncation_cap": cfg.truncation_cap,
-        "max_attempts": cfg.max_attempts,
-        "seed": cfg.seed,
-        "second_order_pump": cfg.second_order_pump,
-        "trials": spec.trials,
-    }
+    echo = {f.name: getattr(spec.config, f.name) for f in _FIELDS}
+    if math.isinf(echo["n_a"]):
+        echo["n_a"] = None
+    echo["trials"] = spec.trials
     if spec.teleport is not None:
         echo["alpha"] = [spec.teleport.alpha.real, spec.teleport.alpha.imag]
         echo["beta"] = [spec.teleport.beta.real, spec.teleport.beta.imag]

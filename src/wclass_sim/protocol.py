@@ -10,8 +10,9 @@ Two code paths cover every protocol state:
 
 * **Sampled engine** (:class:`ChainSimulator` and the step functions):
   Monte Carlo trajectories over pump, beam splitter, loss, and detection,
-  conditioned on single clicks.  Round outcomes are enumerated exactly and
-  memoized, so trials reduce to categorical draws plus geometric /
+  conditioned on single clicks.  Each reached (stage, state) is enumerated
+  exactly, once, into a table of nodes linked stage to stage, so trials
+  reduce to categorical draws along those links plus geometric /
   multinomial fast-forwarding of the repeat-until-success loop; simulated
   attempt counts stay exact while wall time stays flat.
 
@@ -41,6 +42,7 @@ Conditioning conventions (all fixed here, once):
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -638,16 +640,17 @@ def _tally(counts: List[int], through: int) -> Tuple[Tuple[int, ...], Tuple[int,
 
 
 def _spend_budget(
-    rng: np.random.Generator, cond: np.ndarray, max_cost: int, budget: int
+    rng: np.random.Generator, root: _Node, budget: int
 ) -> Tuple[List[int], int]:
-    """Failed passes, with failure stages drawn from ``cond``, until their
-    rounds reach ``budget``: ``(passes failed at each stage, stages got
-    through by a last pass that the budget cut short)``.
+    """Failed passes from ``root``, with failure stages drawn from its law,
+    until their rounds reach ``budget``: ``(passes failed at each stage,
+    stages got through by a last pass that the budget cut short)``.
 
     A pass failing at stage ``k`` costs ``k + 1 <= max_cost`` rounds, so a
     block of ``left // max_cost`` passes always fits in the ``left`` rounds
     still to spend and can be drawn at once; the last few are drawn singly.
     """
+    _, cond, max_cost = root.law
     counts = [0] * len(cond)
     left = budget
     while left >= max_cost:
@@ -675,17 +678,36 @@ def _sample_branch(
     return pick(dist.branches, u)
 
 
+@dataclass(eq=False, slots=True)
+class _Node:
+    """One reached ``(stage, state)`` of a pass: its round, the node each
+    branch leads to (``None`` past the last stage), and the exact odds of
+    the rest of the pass from here."""
+
+    dist: RoundDistribution
+    links: Tuple[Tuple[RoundBranch, _Node | None], ...]
+    weights: List[float]  # branch prob x P(pass then completes)
+    total: float  # sum(weights)
+    p_complete: float
+    fail: Tuple[float, ...]  # P(pass fails at stage k)
+    # stage-0 nodes only: (p_pass, failure-stage law of a failed pass, its
+    # largest cost); a pass failing at stage k costs k + 1 rounds
+    law: Tuple[float, np.ndarray, int] | None = None
+
+
 class ChainSimulator:
     """Repeat-until-success runner of a stage list, by default the
     ``n``-party W chain (:func:`chain_stages`).
 
     Any failed conditioning restarts the whole list from its first stage, so
-    a trial is a sequence of independent passes.  Round-outcome distributions
-    and pass-completion probabilities are memoized per reached state; the
-    default fast path samples the number of passes geometrically, allots the
-    failed passes to their failure stages multinomially, and walks one
-    success-conditioned pass for the final state.  ``trace=True`` instead
-    simulates round by round (slower, used for distributional checks).
+    a trial is a sequence of independent passes.  Each reached ``(stage,
+    state)`` is enumerated once into a node of one table, linked to the
+    nodes its branches lead to; a pass is a walk along those links, so a
+    trial from the vacuum computes no state key.  The default fast path
+    samples the number of passes geometrically, allots the failed passes to
+    their failure stages multinomially, and walks one success-weighted pass
+    for the final state.  ``trace=True`` instead simulates round by round
+    (slower, used for distributional checks).
     """
 
     def __init__(
@@ -698,10 +720,7 @@ class ChainSimulator:
         self.layout = layout or make_chain_layout(cfg)
         self.stages = chain_stages(cfg.n) if stages is None else tuple(stages)
         self._vacuum = self.layout.vacuum()
-        self._rounds: Dict[tuple, RoundDistribution] = {}
-        self._completion: Dict[tuple, Tuple[float, Tuple[float, ...]]] = {}
-        self._pass_laws: Dict[tuple, Tuple[float, np.ndarray, int]] = {}
-        self._weights: Dict[tuple, Tuple[Tuple[RoundBranch, ...], List[float], float]] = {}
+        self._nodes: Dict[tuple, _Node] = {}
 
     # -- exact per-round machinery ----------------------------------------
 
@@ -709,89 +728,61 @@ class ChainSimulator:
         return self._vacuum
 
     def round_distribution(self, stage_idx: int, state: FockState) -> RoundDistribution:
-        spec = self.stages[stage_idx]
-        key = (stage_idx, state.key())
-        dist = self._rounds.get(key)
-        if dist is None:
-            if spec.kind == "connect":
-                dist = connect_round(
-                    state,
-                    self.layout,
-                    spec.i,
-                    spec.j,
-                    self.cfg,
-                    spec.detectors,
-                    spec.symmetric_port_only,
-                )
-            else:
-                dist = merge_round(state, self.layout, spec.i, self.cfg, spec.detectors[0])
-            self._rounds[key] = dist
-        return dist
+        return self._node(stage_idx, state).dist
 
     def completion(self, stage_idx: int, state: FockState) -> Tuple[float, Tuple[float, ...]]:
         """``(P(pass completes from here), P(pass fails at stage k))``."""
-        if stage_idx == len(self.stages):
-            return 1.0, (0.0,) * len(self.stages)
-        key = (stage_idx, state.key())
-        cached = self._completion.get(key)
-        if cached is not None:
-            return cached
-        dist = self.round_distribution(stage_idx, state)
+        node = self._node(stage_idx, state)
+        return node.p_complete, node.fail
+
+    def _node(self, idx: int, state: FockState) -> _Node:
+        """The node of ``(idx, state)``, built on first reach together with
+        every node it links to."""
+        key = (idx, state.key())
+        if key in self._nodes:
+            return self._nodes[key]
+        spec = self.stages[idx]
+        if spec.kind == "connect":
+            dist = connect_round(
+                state,
+                self.layout,
+                spec.i,
+                spec.j,
+                self.cfg,
+                spec.detectors,
+                spec.symmetric_port_only,
+            )
+        else:
+            dist = merge_round(state, self.layout, spec.i, self.cfg, spec.detectors[0])
+        last = idx + 1 == len(self.stages)
+        links = tuple(
+            (br, None if last else self._node(idx + 1, br.state)) for br in dist.branches
+        )
         fail = [0.0] * len(self.stages)
-        fail[stage_idx] = 1.0 - dist.p_accept
+        fail[idx] = 1.0 - dist.p_accept
         p_complete = 0.0
-        for br in dist.branches:
-            pc, fv = self.completion(stage_idx + 1, br.state)
+        weights = []
+        for br, child in links:
+            pc, fv = (1.0, ()) if child is None else (child.p_complete, child.fail)
+            weights.append(br.prob * pc)
             p_complete += br.prob * pc
             for k, x in enumerate(fv):
                 fail[k] += br.prob * x
-        result = (p_complete, tuple(fail))
-        self._completion[key] = result
-        return result
-
-    def _pass_law(self, state0: FockState) -> Tuple[float, np.ndarray, int]:
-        """``(p_pass, failure-stage law of a failed pass, its largest cost)``.
-
-        A pass that fails at stage ``k`` costs ``k + 1`` rounds.
-        """
-        key = state0.key()
-        law = self._pass_laws.get(key)
-        if law is None:
-            p_pass, fail_vec = self.completion(0, state0)
-            q = (1.0 - p_pass) or 1.0  # a pass that never fails: any law will do
-            cond = np.clip(np.asarray(fail_vec) / q, 0.0, None)
+        node = self._nodes[key] = _Node(
+            dist, links, weights, sum(weights), p_complete, tuple(fail)
+        )
+        if idx == 0:  # a root: a pass may start here
+            q = (1.0 - p_complete) or 1.0  # a pass that never fails: any law will do
+            cond = np.clip(np.asarray(fail) / q, 0.0, None)
             cond[-1] = max(0.0, 1.0 - cond[:-1].sum())
-            max_cost = int(np.flatnonzero(cond)[-1]) + 1
-            law = self._pass_laws[key] = (p_pass, cond, max_cost)
-        return law
+            node.law = (p_complete, cond, int(np.flatnonzero(cond)[-1]) + 1)
+        return node
 
-    def _success_weights(
-        self, stage_idx: int, state: FockState
-    ) -> Tuple[Tuple[RoundBranch, ...], List[float], float]:
-        """Branches of a round weighted by the chance that the pass then
-        completes, and the weights' total."""
-        key = (stage_idx, state.key())
-        found = self._weights.get(key)
-        if found is None:
-            branches = self.round_distribution(stage_idx, state).branches
-            weights = [
-                br.prob * self.completion(stage_idx + 1, br.state)[0] for br in branches
-            ]
-            found = self._weights[key] = (branches, weights, sum(weights))
-        return found
+    @functools.cached_property
+    def _vacuum_root(self) -> _Node:
+        return self._node(0, self._vacuum)
 
     # -- trial sampling ----------------------------------------------------
-
-    def _sample_success_pass(
-        self, rng: np.random.Generator, state: FockState
-    ) -> Tuple[FockState, Tuple[Tuple[str, bool], ...]]:
-        log: List[Tuple[str, bool]] = []
-        for idx in range(len(self.stages)):
-            branches, weights, total = self._success_weights(idx, state)
-            chosen = pick(branches, rng.random() * total, weights)
-            log.extend(chosen.clicks)
-            state = chosen.state
-        return state, tuple(log)
 
     def run_trial(
         self,
@@ -807,12 +798,12 @@ class ChainSimulator:
         ``rounds`` equals the budget, the stage attempts sum to it, and a
         one-stage chain records ``(budget,)`` attempts and no success.
         """
-        state0 = self._vacuum if initial_state is None else initial_state
+        root = self._vacuum_root if initial_state is None else self._node(0, initial_state)
         if trace:
-            return self._run_trial_trace(rng, state0)
+            return self._run_trial_trace(rng, root)
         n_stages = len(self.stages)
         budget = self.cfg.max_attempts
-        p_pass, cond, max_cost = self._pass_law(state0)
+        p_pass, cond, _ = root.law
         if p_pass > 0.0:
             fails = 0 if p_pass >= 1.0 else int(rng.geometric(p_pass)) - 1
             counts = [0] * n_stages
@@ -822,55 +813,50 @@ class ChainSimulator:
                 counts = rng.multinomial(fails, cond).tolist()
             rounds = sum(k * c for k, c in enumerate(counts, 1)) + n_stages
             if rounds <= budget:
-                final, log = self._sample_success_pass(rng, state0)
+                node, log = root, []
+                while node is not None:
+                    br, node = pick(node.links, rng.random() * node.total, node.weights)
+                    log.extend(br.clicks)
                 return ChainTrialResult(
-                    True, rounds, *_tally(counts, n_stages), final, log
+                    True, rounds, *_tally(counts, n_stages), br.state, tuple(log)
                 )
-        counts, through = _spend_budget(rng, cond, max_cost, budget)
+        counts, through = _spend_budget(rng, root, budget)
         return ChainTrialResult(False, budget, *_tally(counts, through), None, ())
 
     def _run_trial_trace(
-        self, rng: np.random.Generator, state0: FockState
+        self, rng: np.random.Generator, root: _Node
     ) -> ChainTrialResult:
         n_stages = len(self.stages)
         attempts = [0] * n_stages
         successes = [0] * n_stages
-        first: List[int | None] = [None] * n_stages
-        state = state0
-        idx = 0
-        rounds = 0
+        first = [0] * n_stages
+        node, idx, rounds = root, 0, 0
         log: List[Tuple[str, bool]] = []
         while True:
             if rounds >= self.cfg.max_attempts:
                 return ChainTrialResult(
                     False, rounds, tuple(attempts), tuple(successes), None, tuple(log)
                 )
-            chosen = _sample_branch(self.round_distribution(idx, state), rng)
+            u = rng.random()
             rounds += 1
             attempts[idx] += 1
-            if chosen is not None:
+            if u < node.dist.p_accept:
+                br, child = pick(node.links, u, [b.prob for b, _ in node.links])
                 successes[idx] += 1
-                if first[idx] is None:
-                    first[idx] = attempts[idx]
+                first[idx] = first[idx] or attempts[idx]
                 if idx == 0:
-                    log = list(chosen.clicks)
+                    log = list(br.clicks)
                 else:
-                    log.extend(chosen.clicks)
-                state = chosen.state
+                    log.extend(br.clicks)
                 idx += 1
-                if idx == n_stages:
+                if child is None:
                     return ChainTrialResult(
-                        True,
-                        rounds,
-                        tuple(attempts),
-                        tuple(successes),
-                        state,
-                        tuple(log),
-                        tuple(x if x is not None else 0 for x in first),
+                        True, rounds, tuple(attempts), tuple(successes), br.state,
+                        tuple(log), tuple(first),
                     )
+                node = child
             else:
-                idx = 0
-                state = state0
+                idx, node = 0, root
 
 
 # ---------------------------------------------------------------------------

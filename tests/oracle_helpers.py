@@ -279,3 +279,44 @@ def epr_reference_records(cfg, lo: int, hi: int) -> list:
         fid = fidelity(chosen.state, target)
         out.append((t, True, attempts, (attempts,), (1,), fid, None))
     return out
+
+
+# ---------------------------------------------------------------------------
+# pass completion: plain recursion over the round enumerators
+# ---------------------------------------------------------------------------
+
+
+def completion_reference(stages, layout, cfg, state, idx: int = 0, seen=None):
+    """``(P(pass completes), P(pass fails at stage k))`` from stage ``idx``
+    on ``state``, by recursing into every branch of every round with no memo
+    of results: each path of the pass is enumerated anew with
+    ``connect_round`` or ``merge_round`` and summed in branch order.
+
+    States reached by different paths can share a ``key()`` (amplitudes
+    rounded to 12 digits) while differing in the last bits.  With ``seen``
+    (a dict) the first state to reach each ``(stage, key)`` stands in for
+    the later ones, as it does in the simulator's node table; without it
+    every path keeps its own state.
+    """
+    from wclass_sim.protocol import connect_round, merge_round
+
+    if idx == len(stages):
+        return 1.0, (0.0,) * len(stages)
+    if seen is not None:
+        state = seen.setdefault((idx, state.key()), state)
+    spec = stages[idx]
+    if spec.kind == "connect":
+        dist = connect_round(
+            state, layout, spec.i, spec.j, cfg, spec.detectors, spec.symmetric_port_only
+        )
+    else:
+        dist = merge_round(state, layout, spec.i, cfg, spec.detectors[0])
+    fail = [0.0] * len(stages)
+    fail[idx] = 1.0 - dist.p_accept
+    p_complete = 0.0
+    for br in dist.branches:
+        pc, fv = completion_reference(stages, layout, cfg, br.state, idx + 1, seen)
+        p_complete += br.prob * pc
+        for k, x in enumerate(fv):
+            fail[k] += br.prob * x
+    return p_complete, tuple(fail)

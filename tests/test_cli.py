@@ -201,3 +201,26 @@ def test_parser_reuse_keeps_reports_byte_identical(tmp_path, capsys):
     golden = (GOLDEN / "w4_cap3_finite.json").read_bytes()
     assert first.read_bytes() == again.read_bytes() == golden
     assert between.read_bytes() == (GOLDEN / "w3.json").read_bytes()
+
+
+@pytest.mark.parametrize("content", [{"pe": 0.05}, {"format": "xml"}])
+def test_config_file_rejects_unknown_keys_and_values(tmp_path, content):
+    # {"pe": ...} is not the echo key "p_e"; it used to be ignored silently
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(content))
+    argv = ["w-state", "--config", str(cfg_path), "--seed", "1", "--trials", "2"]
+    with pytest.raises(UsageError):
+        parse_args(argv)
+    assert main([*argv, "-o", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("name", ["w3", "teleport_cap5", "sweep"])
+def test_config_echo_round_trips_through_config_file(tmp_path, name):
+    # the config echo alone reproduces its report
+    golden = (GOLDEN / f"{name}.json").read_bytes()
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg_path.write_text(json.dumps(json.loads(golden)["config"]))
+    argv = [CASES[name][0][0], "--config", str(cfg_path), "--workers", "1"]
+    assert main([*argv, "-o", str(out)]) == 0
+    assert out.read_bytes() == golden

@@ -1,10 +1,13 @@
 """Golden reports: fixed command lines whose JSON reports must not change.
 
 Each case runs ``wclass-sim`` in-process and compares the report with the
-committed file ``tests/golden/<name>.json`` byte for byte.  The cases avoid
-budget-exhausted multi-stage trials, so a golden file changes only when the
-random stream or a reported formula changes on purpose.  To rewrite the
-files after such a change (and say why in CHANGES.md), run
+committed file ``tests/golden/<name>.json`` byte for byte.  Two cases cover
+budget-exhausted trials: ``w3_exhausted`` (a multi-stage chain whose
+budget of 200 rounds most trials spend) and ``teleport_cap4_exhausted``
+(9 of its 30 trials reach a W123 outcome from which W456 has no completing
+path under the cap).  A golden file changes only when the random stream or a
+reported formula changes on purpose.  To rewrite the files after such a
+change (and say why in CHANGES.md), run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -46,6 +49,11 @@ CASES = {
     "teleport_cap5": (["teleport", "--cap", "5", "--alpha-re", "0.6", "--beta-re", "0.8",
                        "--pe", "0.05", "--eta", "0.1", "--trials", "4", "--seed", "11",
                        "--workers", "1"], 0),
+    "w3_exhausted": (["w-state", "--n", "3", "--pe", "0.02", "--max-attempts", "200",
+                      "--trials", "200", "--seed", "4", "--workers", "1"], 0),
+    "teleport_cap4_exhausted": (["teleport", "--alpha-re", "0.6", "--beta-re", "0.8",
+                                 "--pe", "0.02", "--eta", "0.2", "--trials", "30",
+                                 "--seed", "3", "--workers", "1"], 0),
 }
 
 

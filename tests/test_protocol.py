@@ -26,6 +26,7 @@ from wclass_sim.protocol import (
     chain_stages,
     connect_applied,
     connect_round,
+    epr_stage,
     epr_state,
     exact_double_w_state,
     ideal_w_state,
@@ -47,6 +48,7 @@ from wclass_sim.protocol import (
 
 from oracle_helpers import (
     as_state,
+    completion_reference,
     epr_amplitudes,
     merged_amplitudes,
     receiver_amplitudes,
@@ -518,3 +520,44 @@ def test_teleport_refuses_a_simulator_of_another_config():
     other = TeleportConfig(0.8, 0.6, base)
     with pytest.raises(ValueError):
         teleport(tcfg, np.random.default_rng(1), sim=TeleportSimulator(other))
+
+
+@pytest.mark.parametrize("n", [None, 3, 4, 5, 6])  # None: the one-stage EPR chain
+@pytest.mark.parametrize("cap", [3, 4])
+@pytest.mark.parametrize("double_pair", [True, False])
+@pytest.mark.parametrize("eta", [0.0, 0.3])
+def test_completion_table_matches_plain_recursion(n, cap, double_pair, eta):
+    stages = (epr_stage(1, 2),) if n is None else chain_stages(n)
+    for finite in ({}, {"n_a": 100.0, "finite_size": True}):
+        cfg = ProtocolConfig(
+            n=n or 2, p_e=0.01, eta=eta, truncation_cap=cap,
+            second_order_pump=double_pair, **finite,
+        )
+        sim = ChainSimulator(cfg, stages=stages)
+        vac = sim.initial_state()
+        p_pass, fails = sim.completion(0, vac)
+        # exact when each (stage, key) is represented by its first state, as
+        # in the table; each path's own state moves the last bits only
+        assert (p_pass, fails) == completion_reference(
+            sim.stages, sim.layout, cfg, vac, seen={}
+        )
+        own_pc, own_fails = completion_reference(sim.stages, sim.layout, cfg, vac)
+        assert (p_pass, *fails) == pytest.approx((own_pc, *own_fails), rel=1e-14, abs=0)
+        assert abs(p_pass + sum(fails) - 1.0) < 1e-12
+
+
+def test_warm_trials_hash_no_state(monkeypatch):
+    # after a warm-up trial every pass is a walk along the node table's links
+    in_budget = ChainSimulator(ProtocolConfig(n=3, p_e=0.05, eta=0.1))
+    exhausted = ChainSimulator(ProtocolConfig(n=3, p_e=0.02, max_attempts=200))
+    for sim in (in_budget, exhausted):
+        sim.run_trial(np.random.default_rng(0))
+
+    def refuse(self):
+        raise AssertionError("FockState.key called by a warm trial")
+
+    monkeypatch.setattr(FockState, "key", refuse)
+    rng = np.random.default_rng(1)
+    assert all(in_budget.run_trial(rng).succeeded for _ in range(300))
+    assert sum(exhausted.run_trial(rng).succeeded for _ in range(50)) < 50
+    assert all(in_budget.run_trial(rng, trace=True).succeeded for _ in range(50))
