@@ -61,7 +61,6 @@ from .protocol import (
     TeleportConfig,
     TeleportSimulator,
     build_w_chain,
-    connect_step,
     epr_state,
     ideal_w_state,
     make_chain_layout,

@@ -8,13 +8,15 @@ Two code paths cover every protocol state:
   creation/annihilation products, with the chain intermediate kept
   unnormalized (its squared norm is ``4n - 6``).
 
-* **Sampled engine** (:class:`ChainSimulator` and the step functions):
-  Monte Carlo trajectories over pump, beam splitter, loss, and detection,
-  conditioned on single clicks.  Each reached (stage, state) is enumerated
-  exactly, once, into a table of nodes linked stage to stage, so trials
-  reduce to categorical draws along those links plus geometric /
-  multinomial fast-forwarding of the repeat-until-success loop; simulated
-  attempt counts stay exact while wall time stays flat.
+* **Sampled engine** (:class:`ChainSimulator`): Monte Carlo trajectories
+  over pump, beam splitter, loss, and detection, conditioned on single
+  clicks.  Each reached (stage, state) is enumerated exactly, once, into a
+  table of nodes linked stage to stage, so trials reduce to categorical
+  draws along those links plus geometric / multinomial fast-forwarding of
+  the repeat-until-success loop; simulated attempt counts stay exact while
+  wall time stays flat.  Trace trials and :meth:`ChainSimulator.attempt`
+  (the single steps ``merge_repump`` and ``maximize_w``) walk the same
+  links round by round with one walker and one conditioned draw per round.
 
 Conditioning conventions (all fixed here, once):
 
@@ -668,14 +670,15 @@ def _spend_budget(
     return counts, 0
 
 
-def _sample_branch(
-    dist: RoundDistribution, rng: np.random.Generator
-) -> RoundBranch | None:
-    """One conditioned round: returns the accepted branch or None on failure."""
+def _draw(rng: np.random.Generator, dist: RoundDistribution, options: Sequence = ()):
+    """One conditioned round of ``dist``: ``u = rng.random()`` fails it when
+    ``u >= p_accept`` (None), and otherwise picks, by the branch
+    probabilities and the same ``u``, the accepted branch or its entry of
+    ``options`` (one per branch, in branch order)."""
     u = rng.random()
     if u >= dist.p_accept:
         return None
-    return pick(dist.branches, u)
+    return pick(options or dist.branches, u, [b.prob for b in dist.branches])
 
 
 @dataclass(eq=False, slots=True)
@@ -706,8 +709,11 @@ class ChainSimulator:
     trial from the vacuum computes no state key.  The default fast path
     samples the number of passes geometrically, allots the failed passes to
     their failure stages multinomially, and walks one success-weighted pass
-    for the final state.  ``trace=True`` instead simulates round by round
-    (slower, used for distributional checks).
+    for the final state.  Everything else walks passes round by round with
+    one walker, one conditioned draw per round: ``trace=True`` repeats
+    passes from the root until one completes or the budget runs out
+    (slower, used for distributional checks), and :meth:`attempt` runs a
+    single pass, which is how the step functions run their rounds.
     """
 
     def __init__(
@@ -823,6 +829,32 @@ class ChainSimulator:
         counts, through = _spend_budget(rng, root, budget)
         return ChainTrialResult(False, budget, *_tally(counts, through), None, ())
 
+    def _pass(
+        self, rng: np.random.Generator, node: _Node, left: int
+    ) -> Tuple[int, int, RoundBranch | None, List[Tuple[str, bool]]]:
+        """One pass from ``node``, round by round, of at most ``left``
+        rounds: ``(stages got through, rounds used, last accepted branch,
+        clicks of the accepted rounds)``.  A pass that fails used one round
+        more than it got through; one cut short by ``left`` used as many."""
+        br, log = None, []
+        for used in range(1, left + 1):
+            link = _draw(rng, node.dist, node.links)
+            if link is None:
+                return used - 1, used, br, log
+            br, node = link
+            log.extend(br.clicks)
+            if node is None:
+                break
+        return used, used, br, log
+
+    def attempt(self, rng: np.random.Generator, state: FockState) -> StepOutcome:
+        """One pass of the stage list from ``state``, with no restart.  On
+        failure the state handed back is ``state`` and the click log holds
+        the clicks of the rounds accepted before the failing one."""
+        through, used, br, log = self._pass(rng, self._node(0, state), len(self.stages))
+        done = through == len(self.stages)
+        return StepOutcome(done, used, br.state if done else state, tuple(log))
+
     def _run_trial_trace(
         self, rng: np.random.Generator, root: _Node
     ) -> ChainTrialResult:
@@ -830,33 +862,23 @@ class ChainSimulator:
         attempts = [0] * n_stages
         successes = [0] * n_stages
         first = [0] * n_stages
-        node, idx, rounds = root, 0, 0
-        log: List[Tuple[str, bool]] = []
-        while True:
-            if rounds >= self.cfg.max_attempts:
+        budget, rounds = self.cfg.max_attempts, 0
+        while rounds < budget:
+            through, used, br, log = self._pass(rng, root, budget - rounds)
+            rounds += used
+            for k in range(used):
+                attempts[k] += 1
+            for k in range(through):
+                successes[k] += 1
+                first[k] = first[k] or attempts[k]
+            if through == n_stages:
                 return ChainTrialResult(
-                    False, rounds, tuple(attempts), tuple(successes), None, tuple(log)
+                    True, rounds, tuple(attempts), tuple(successes), br.state,
+                    tuple(log), tuple(first),
                 )
-            u = rng.random()
-            rounds += 1
-            attempts[idx] += 1
-            if u < node.dist.p_accept:
-                br, child = pick(node.links, u, [b.prob for b, _ in node.links])
-                successes[idx] += 1
-                first[idx] = first[idx] or attempts[idx]
-                if idx == 0:
-                    log = list(br.clicks)
-                else:
-                    log.extend(br.clicks)
-                idx += 1
-                if child is None:
-                    return ChainTrialResult(
-                        True, rounds, tuple(attempts), tuple(successes), br.state,
-                        tuple(log), tuple(first),
-                    )
-                node = child
-            else:
-                idx, node = 0, root
+        return ChainTrialResult(
+            False, rounds, tuple(attempts), tuple(successes), None, ()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -880,29 +902,6 @@ def prepare_epr(
     return build_w_chain(cfg, rng, layout, stages=(epr_stage(i, j),))
 
 
-def connect_step(
-    cfg: ProtocolConfig,
-    state: FockState,
-    i: int,
-    j: int,
-    rng: np.random.Generator,
-    layout: ChainLayout | None = None,
-) -> StepOutcome:
-    """One connect round on an existing state (single attempt).
-
-    On failure the protocol prescribes repumping all involved ensembles to
-    ground and restarting from the EPR step; that orchestration lives in
-    :func:`build_w_chain`, so here a failed round reports ``succeeded=False``
-    and hands back the input for the caller to discard.
-    """
-    layout = layout or make_chain_layout(cfg)
-    dist = connect_round(state, layout, i, j, cfg, ("D1", "D2"))
-    br = _sample_branch(dist, rng)
-    if br is None:
-        return StepOutcome(False, 1, state, ())
-    return StepOutcome(True, 1, br.state, br.clicks)
-
-
 def merge_repump(
     cfg: ProtocolConfig,
     state: FockState,
@@ -911,13 +910,13 @@ def merge_repump(
     layout: ChainLayout | None = None,
     detector_id: str = "D3",
 ) -> StepOutcome:
-    """One repump-readout round on ensemble ``i`` (single attempt)."""
-    layout = layout or make_chain_layout(cfg)
-    dist = merge_round(state, layout, i, cfg, detector_id)
-    br = _sample_branch(dist, rng)
-    if br is None:
-        return StepOutcome(False, 1, state, ((detector_id, False),))
-    return StepOutcome(True, 1, br.state, br.clicks)
+    """One repump-readout round on ensemble ``i`` (single attempt); a failed
+    round logs ``detector_id`` as not clicking."""
+    stage = StageSpec(f"merge({i})", "merge", i, None, (detector_id,))
+    out = ChainSimulator(cfg, layout, (stage,)).attempt(rng, state)
+    if not out.succeeded:
+        out.click_log = ((detector_id, False),)
+    return out
 
 
 def maximize_w(
@@ -929,9 +928,10 @@ def maximize_w(
     """Turn the chain intermediate into the maximally entangled W state.
 
     Connects ensembles 1 and ``n`` (symmetric-port click, D4), then repumps
-    ensemble 1 (D6).  Raises :class:`ProtocolSequencingError` when the input
-    already looks like a maximized W state, which would mean the chain was
-    sequenced wrongly.
+    ensemble 1 (D6): the last two stages of :func:`chain_stages`, as one
+    pass with no restart.  Raises :class:`ProtocolSequencingError` when the
+    input already looks like a maximized W state, which would mean the chain
+    was sequenced wrongly.
     """
     layout = layout or make_chain_layout(cfg)
     n = cfg.n
@@ -943,17 +943,7 @@ def maximize_w(
                 "input is already W-like; the maximizing step expects the "
                 "unmaximized chain state"
             )
-    dist1 = connect_round(
-        state, layout, 1, n, cfg, ("D4", "D5"), symmetric_port_only=True
-    )
-    br1 = _sample_branch(dist1, rng)
-    if br1 is None:
-        return StepOutcome(False, 1, state, ())
-    dist2 = merge_round(br1.state, layout, 1, cfg, "D6")
-    br2 = _sample_branch(dist2, rng)
-    if br2 is None:
-        return StepOutcome(False, 2, state, br1.clicks)
-    return StepOutcome(True, 2, br2.state, br1.clicks + br2.clicks)
+    return ChainSimulator(cfg, layout, chain_stages(n)[-2:]).attempt(rng, state)
 
 
 def build_w_chain(
@@ -1015,6 +1005,18 @@ def exact_double_w_state(tcfg: TeleportConfig, layout: TeleportLayout) -> FockSt
     )
 
 
+def _retrieve(
+    rng: np.random.Generator, dist: RoundDistribution, rounds: int
+) -> StepOutcome | None:
+    """One teleport round drawn from ``dist``: the accepted outcome, after
+    ``rounds`` rounds in all, or None when the clicks are rejected."""
+    br = _draw(rng, dist)
+    if br is None:
+        return None
+    info = {"correct_clicks": correct_teleport_clicks(br)}
+    return StepOutcome(True, rounds, br.state, br.clicks, info=info)
+
+
 def teleport_from_states(
     tcfg: TeleportConfig,
     rng: np.random.Generator,
@@ -1023,17 +1025,8 @@ def teleport_from_states(
 ) -> StepOutcome:
     """One teleport round given already-prepared W states (single attempt)."""
     psi = _unknown_prepared(tcfg, layout, joint_w_state)
-    dist = teleport_round(psi, layout, tcfg.base)
-    br = _sample_branch(dist, rng)
-    if br is None:
-        return StepOutcome(False, 1, psi, ())
-    return StepOutcome(
-        True,
-        1,
-        br.state,
-        br.clicks,
-        info={"correct_clicks": correct_teleport_clicks(br)},
-    )
+    out = _retrieve(rng, teleport_round(psi, layout, tcfg.base), 1)
+    return StepOutcome(False, 1, psi, ()) if out is None else out
 
 
 class TeleportSimulator:
@@ -1085,17 +1078,10 @@ class TeleportSimulator:
                     stage="w456",
                     attempts=min(rounds, budget),
                 )
-            dist = self.round_distribution(r2.final_state)
             rounds += 1
-            br = _sample_branch(dist, rng)
-            if br is not None:
-                return StepOutcome(
-                    True,
-                    rounds,
-                    br.state,
-                    br.clicks,
-                    info={"correct_clicks": correct_teleport_clicks(br)},
-                )
+            out = _retrieve(rng, self.round_distribution(r2.final_state), rounds)
+            if out is not None:
+                return out
             if rounds >= budget:
                 raise AttemptsExhaustedError(
                     "teleport conditioning exhausted the attempt budget",

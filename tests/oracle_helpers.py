@@ -320,3 +320,68 @@ def completion_reference(stages, layout, cfg, state, idx: int = 0, seen=None):
         for k, x in enumerate(fv):
             fail[k] += br.prob * x
     return p_complete, tuple(fail)
+
+
+# ---------------------------------------------------------------------------
+# single-step references: one round straight from its enumerator
+# ---------------------------------------------------------------------------
+
+
+def _conditioned(dist, rng):
+    """``u = rng.random()``: None when ``u >= p_accept``, else the branch at
+    which the running sum of branch probabilities first exceeds ``u`` (the
+    last one when rounding leaves ``u`` beyond it)."""
+    u = rng.random()
+    if u >= dist.p_accept:
+        return None
+    acc = 0.0
+    for br in dist.branches:
+        acc += br.prob
+        if u < acc:
+            return br
+    return dist.branches[-1]
+
+
+def merge_repump_reference(cfg, state, i, rng, layout, detector_id="D3"):
+    """One repump-readout round on ensemble ``i``, drawn from ``merge_round``."""
+    from wclass_sim.protocol import StepOutcome, merge_round
+
+    br = _conditioned(merge_round(state, layout, i, cfg, detector_id), rng)
+    if br is None:
+        return StepOutcome(False, 1, state, ((detector_id, False),))
+    return StepOutcome(True, 1, br.state, br.clicks)
+
+
+def maximize_w_reference(cfg, state, rng, layout):
+    """The maximizing connect(1, n) round, then merge(1) on its outcome,
+    each drawn from its enumerator; no restart and no sequencing guard."""
+    from wclass_sim.protocol import StepOutcome, connect_round, merge_round
+
+    n = cfg.n
+    dist1 = connect_round(state, layout, 1, n, cfg, ("D4", "D5"), symmetric_port_only=True)
+    br1 = _conditioned(dist1, rng)
+    if br1 is None:
+        return StepOutcome(False, 1, state, ())
+    br2 = _conditioned(merge_round(br1.state, layout, 1, cfg, "D6"), rng)
+    if br2 is None:
+        return StepOutcome(False, 2, state, br1.clicks)
+    return StepOutcome(True, 2, br2.state, br1.clicks + br2.clicks)
+
+
+def teleport_from_states_reference(tcfg, rng, layout, joint_w_state):
+    """One teleport round on the W pair ``joint_w_state`` with the unknown
+    state prepared on the sender's pair, drawn from ``teleport_round``."""
+    from wclass_sim.fock import create, normalize, superpose
+    from wclass_sim.protocol import StepOutcome, correct_teleport_clicks, teleport_round
+
+    psi = normalize(
+        superpose(
+            [tcfg.alpha, tcfg.beta],
+            [create(joint_w_state, layout.mode_l), create(joint_w_state, layout.mode_r)],
+        )
+    )
+    br = _conditioned(teleport_round(psi, layout, tcfg.base), rng)
+    if br is None:
+        return StepOutcome(False, 1, psi, ())
+    info = {"correct_clicks": correct_teleport_clicks(br)}
+    return StepOutcome(True, 1, br.state, br.clicks, info=info)

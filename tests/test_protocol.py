@@ -50,9 +50,12 @@ from oracle_helpers import (
     as_state,
     completion_reference,
     epr_amplitudes,
+    maximize_w_reference,
+    merge_repump_reference,
     merged_amplitudes,
     receiver_amplitudes,
     step2_amplitudes,
+    teleport_from_states_reference,
     w_m_amplitudes,
     w_prime_amplitudes,
 )
@@ -561,3 +564,82 @@ def test_warm_trials_hash_no_state(monkeypatch):
     assert all(in_budget.run_trial(rng).succeeded for _ in range(300))
     assert sum(exhausted.run_trial(rng).succeeded for _ in range(50)) < 50
     assert all(in_budget.run_trial(rng, trace=True).succeeded for _ in range(50))
+
+
+def test_exhausted_trace_trials_log_no_clicks():
+    # like the fast path, a trial that runs out of rounds reports no clicks,
+    # not those of a pass it abandoned
+    sim = ChainSimulator(ProtocolConfig(n=3, p_e=0.05, max_attempts=30))
+    exhausted = 0
+    for seed in range(300):
+        for trace in (False, True):
+            res = sim.run_trial(np.random.default_rng(seed), trace=trace)
+            if not res.succeeded:
+                exhausted += trace
+                assert res.click_log == ()
+                assert res.rounds == sum(res.stage_attempts) == 30
+    assert exhausted > 250
+
+
+# ---------------------------------------------------------------------------
+# single-step functions against rounds drawn straight from their enumerators
+# ---------------------------------------------------------------------------
+
+
+def _outcomes_against_reference(step, reference):
+    """Run ``step`` and ``reference`` on the same seeds 0..199; they must
+    agree on every field and leave their generators in the same place.
+    Returns the ``(succeeded, attempts)`` pairs seen."""
+    seen = set()
+    for seed in range(200):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out, ref = step(rng), reference(ref_rng)
+        assert (out.succeeded, out.attempts, out.click_log, out.info) == (
+            ref.succeeded, ref.attempts, ref.click_log, ref.info
+        )
+        assert out.state.key() == ref.state.key()
+        assert rng.random() == ref_rng.random()
+        seen.add((out.succeeded, out.attempts))
+    return seen
+
+
+def test_merge_repump_matches_reference_round():
+    cfg = ProtocolConfig(n=3, p_e=0.01, eta=0.3, phases=(0.0, 0.7, -0.2))
+    layout = make_chain_layout(cfg)
+    pair = epr_state(layout, 1, 2, cfg.phases[1])
+    for state, i, det, want in (
+        (layout.vacuum(), 2, "D3", {(False, 1)}),
+        (pair, 2, "D3", {(True, 1), (False, 1)}),
+        (pair, 1, "D6", {(True, 1), (False, 1)}),
+    ):
+        seen = _outcomes_against_reference(
+            lambda rng: merge_repump(cfg, state, i, rng, layout, det),
+            lambda rng: merge_repump_reference(cfg, state, i, rng, layout, det),
+        )
+        assert seen == want
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_maximize_w_matches_reference_rounds(n):
+    cfg = ProtocolConfig(
+        n=n, p_e=0.1, eta=0.3, phases=random_phases(n, np.random.default_rng(n))
+    )
+    layout = make_chain_layout(cfg)
+    wp = normalize(w_prime_state(n, cfg.phases, layout))
+    seen = _outcomes_against_reference(
+        lambda rng: maximize_w(cfg, wp, rng, layout),
+        lambda rng: maximize_w_reference(cfg, wp, rng, layout),
+    )
+    assert seen == {(False, 1), (False, 2), (True, 2)}
+
+
+def test_teleport_from_states_matches_reference_round():
+    base = ProtocolConfig(n=3, p_e=0.01, eta=0.2, phases=(0.0, 0.6, -0.9))
+    tcfg = TeleportConfig(complex(0.3, 0.5), complex(math.sqrt(0.66), 0.0), base)
+    layout = make_teleport_layout(tcfg)
+    joint = exact_double_w_state(tcfg, layout)
+    seen = _outcomes_against_reference(
+        lambda rng: teleport_from_states(tcfg, rng, layout, joint),
+        lambda rng: teleport_from_states_reference(tcfg, rng, layout, joint),
+    )
+    assert seen == {(True, 1), (False, 1)}
