@@ -138,6 +138,19 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _phases(value) -> tuple | None:
+    """Phases from a comma-separated string or a list of numbers."""
+    if isinstance(value, str):
+        value = value.split(",")
+    return None if value is None else tuple(float(x) for x in value)
+
+
+def _pair(value) -> tuple[float, float]:
+    """``(re, im)`` of a two-number list."""
+    re_part, im_part = value
+    return float(re_part), float(im_part)
+
+
 def _resolve_workers(flag: int | None) -> int:
     if flag is not None:
         value = flag
@@ -163,12 +176,14 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
     ns = _parser().parse_args(list(argv))
     file_cfg = _load_config_file(ns.config) if ns.config else {}
 
-    def pick(flag_value, file_key, default):
-        if flag_value is not None:
-            return flag_value
-        if file_key in file_cfg:
-            return file_cfg[file_key]
-        return default
+    def pick(flag_value, file_key, default, convert):
+        """The flag, else the config file's value, else ``default``, through
+        ``convert``; a value it cannot take is a usage error."""
+        value = file_cfg.get(file_key, default) if flag_value is None else flag_value
+        try:
+            return convert(value)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise UsageError(f"bad value for {file_key}: {value!r} ({exc})") from exc
 
     seed_raw = ns.seed if ns.seed is not None else file_cfg.get("seed")
     if seed_raw is None:
@@ -183,7 +198,7 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
         except (TypeError, ValueError) as exc:
             raise UsageError("--seed must be an integer or 'auto'") from exc
 
-    n = int(pick(ns.n, "n", _DEFAULTS["n"]))
+    n = pick(ns.n, "n", _DEFAULTS["n"], int)
     if ns.command == "teleport" and n != 3:
         raise UsageError("teleportation uses two 3-party W states (n must be 3)")
     if ns.command == "w-state" and n < 3:
@@ -191,66 +206,55 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
     if ns.command == "epr" and n < 2:
         raise UsageError("epr needs --n >= 2")
 
-    phases = pick(
-        None if ns.phases is None else ns.phases, "phases", _DEFAULTS["phases"]
-    )
-    if isinstance(phases, str):
-        try:
-            phases = tuple(float(x) for x in phases.split(","))
-        except ValueError as exc:
-            raise UsageError("--phases must be comma-separated numbers") from exc
-    elif phases is not None:
-        phases = tuple(float(x) for x in phases)
-
-    n_a = pick(ns.na, "n_a", _DEFAULTS["n_a"])
+    phases = pick(ns.phases, "phases", _DEFAULTS["phases"], _phases)
+    n_a = pick(ns.na, "n_a", _DEFAULTS["n_a"], lambda v: math.inf if v is None else float(v))
     second_order = pick(
         None if ns.no_double_pair is None else not ns.no_double_pair,
         "second_order_pump",
         _DEFAULTS["second_order_pump"],
+        bool,
     )
     try:
         config = ProtocolConfig(
             n=n,
-            p_e=float(pick(ns.pe, "p_e", _DEFAULTS["p_e"])),
-            eta=float(pick(ns.eta, "eta", _DEFAULTS["eta"])),
+            p_e=pick(ns.pe, "p_e", _DEFAULTS["p_e"], float),
+            eta=pick(ns.eta, "eta", _DEFAULTS["eta"], float),
             phases=phases,
-            n_a=math.inf if n_a is None else float(n_a),
-            finite_size=bool(
-                pick(ns.finite_size, "finite_size", _DEFAULTS["finite_size"])
-            ),
-            t0=float(pick(ns.t0, "t0", _DEFAULTS["t0"])),
-            truncation_cap=int(pick(ns.cap, "truncation_cap", _DEFAULTS["truncation_cap"])),
-            max_attempts=int(
-                pick(ns.max_attempts, "max_attempts", _DEFAULTS["max_attempts"])
+            n_a=n_a,
+            finite_size=pick(ns.finite_size, "finite_size", _DEFAULTS["finite_size"], bool),
+            t0=pick(ns.t0, "t0", _DEFAULTS["t0"], float),
+            truncation_cap=pick(ns.cap, "truncation_cap", _DEFAULTS["truncation_cap"], int),
+            max_attempts=pick(
+                ns.max_attempts, "max_attempts", _DEFAULTS["max_attempts"], int
             ),
             seed=seed,
-            second_order_pump=bool(second_order),
+            second_order_pump=second_order,
         )
     except (ValueError, WClassError) as exc:
         raise UsageError(str(exc)) from exc
 
     teleport_cfg = None
     if ns.command == "teleport":
-        alpha_file = file_cfg.get("alpha", _DEFAULTS["alpha"])
-        beta_file = file_cfg.get("beta", _DEFAULTS["beta"])
+        alpha_file = pick(None, "alpha", _DEFAULTS["alpha"], _pair)
+        beta_file = pick(None, "beta", _DEFAULTS["beta"], _pair)
         alpha = complex(
-            pick(ns.alpha_re, None, alpha_file[0]),
-            pick(ns.alpha_im, None, alpha_file[1]),
+            pick(ns.alpha_re, None, alpha_file[0], float),
+            pick(ns.alpha_im, None, alpha_file[1], float),
         )
         beta = complex(
-            pick(ns.beta_re, None, beta_file[0]),
-            pick(ns.beta_im, None, beta_file[1]),
+            pick(ns.beta_re, None, beta_file[0], float),
+            pick(ns.beta_im, None, beta_file[1], float),
         )
         try:
             teleport_cfg = TeleportConfig(alpha, beta, config)
         except WClassError as exc:
             raise UsageError(str(exc)) from exc
 
-    trials = int(pick(ns.trials, "trials", _DEFAULTS["trials"]))
+    trials = pick(ns.trials, "trials", _DEFAULTS["trials"], int)
     if trials < 1:
         raise UsageError("--trials must be at least 1")
 
-    fmt = pick(ns.format, "format", "json")
+    fmt = pick(ns.format, "format", "json", str)
     if fmt not in _FORMATS:
         raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
     if fmt == "csv-summary" and ns.command != "scaling-sweep":
@@ -258,8 +262,8 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
 
     n_min = n_max = None
     if ns.command == "scaling-sweep":
-        n_min = int(pick(ns.n_min, "n_min", _DEFAULTS["n_min"]))
-        n_max = int(pick(ns.n_max, "n_max", _DEFAULTS["n_max"]))
+        n_min = pick(ns.n_min, "n_min", _DEFAULTS["n_min"], int)
+        n_max = pick(ns.n_max, "n_max", _DEFAULTS["n_max"], int)
         if n_min < 3 or n_max < n_min:
             raise UsageError("need 3 <= --n-min <= --n-max")
 

@@ -17,6 +17,9 @@ Two code paths cover every protocol state:
   wall time stays flat.  Trace trials and :meth:`ChainSimulator.attempt`
   (the single steps ``merge_repump`` and ``maximize_w``) walk the same
   links round by round with one walker and one conditioned draw per round.
+  Connect and teleport rounds are enumerated by one walk over loss and
+  detection outcomes, with one ``_PROB_FLOOR`` cut and one merge of equal
+  branches; the repump round has a closed form.
 
 Conditioning conventions (all fixed here, once):
 
@@ -47,7 +50,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -403,18 +406,58 @@ class RoundDistribution:
 _PROB_FLOOR = 1e-18
 
 
-def _dedup(branches: List[RoundBranch]) -> Tuple[RoundBranch, ...]:
+def _heralded(
+    psi: FockState,
+    ops: Sequence[Tuple[Mode, bool]],
+    detector_ids: Sequence[str],
+    eta: float,
+    herald: Callable[[Tuple[bool, ...], FockState], FockState | None],
+) -> RoundDistribution:
+    """Enumerate one heralded round of the normalized ``psi``.
+
+    ``ops`` is walked in order; ``(mode, True)`` is a transmission-``1 - eta``
+    loss channel on ``mode`` and ``(mode, False)`` an absorbing detection
+    there, which ``detector_ids`` name in order.  A path is dropped as soon
+    as its probability (a product taken left to right) falls below
+    ``_PROB_FLOOR``; every state but the last is normalized.  At a leaf,
+    ``herald(clicks, state)`` returns the conditioned state, or None to
+    reject; accepted leaves equal in state key, clicks, detected photons and
+    lost photons are merged.
+    """
     merged: Dict[tuple, RoundBranch] = {}
-    for br in branches:
-        key = (br.state.key(), br.clicks, br.detected, br.lost)
-        old = merged.get(key)
-        if old is None:
-            merged[key] = br
-        else:
-            merged[key] = RoundBranch(
-                old.prob + br.prob, old.state, old.clicks, old.detected, old.lost
-            )
-    return tuple(merged.values())
+    last = len(ops) - 1
+
+    def walk(k: int, s: FockState, prob: float, lost: int, photons: Tuple[int, ...]):
+        mode, lossy = ops[k]
+        outcomes = loss_outcomes(s, mode, eta) if lossy else detection_outcomes(s, mode)
+        for b in outcomes:
+            p = prob * b.prob
+            if p < _PROB_FLOOR:
+                continue
+            if lossy:
+                n_lost, ph = lost + b.lost, photons
+            else:
+                n_lost, ph = lost, photons + (b.photons,)
+            if k < last:
+                walk(k + 1, normalize(b.state), p, n_lost, ph)
+                continue
+            clicks = tuple(map(bool, ph))  # one photon or more clicks
+            post = herald(clicks, b.state)
+            if post is None:
+                continue
+            named = tuple(zip(detector_ids, clicks))
+            key = (post.key(), named, ph, n_lost)
+            old = merged.get(key)
+            if old is not None:
+                p, post = old.prob + p, old.state
+            merged[key] = RoundBranch(p, post, named, ph, n_lost)
+
+    walk(0, psi, 1.0, 0, ())
+    # ``walk`` refers to itself through its closure: unbind it so that
+    # reference counting frees it, not the cycle collector
+    del walk
+    branches = tuple(merged.values())
+    return RoundDistribution(sum(b.prob for b in branches), branches)
 
 
 def connect_round(
@@ -446,43 +489,16 @@ def connect_round(
         cfg.second_order_pump,
     )
     psi = normalize(apply_beam_splitter(psi, BeamSplitterSpec(st_i, st_j)))
-    accepted: List[RoundBranch] = []
-    for lb1 in loss_outcomes(psi, st_i, cfg.eta):
-        if lb1.prob < _PROB_FLOOR:
-            continue
-        s1 = normalize(lb1.state)
-        for lb2 in loss_outcomes(s1, st_j, cfg.eta):
-            p_loss = lb1.prob * lb2.prob
-            if p_loss < _PROB_FLOOR:
-                continue
-            s2 = normalize(lb2.state)
-            for d1 in detection_outcomes(s2, st_i):
-                if d1.prob * p_loss < _PROB_FLOOR:
-                    continue
-                s3 = normalize(d1.state)
-                for d2 in detection_outcomes(s3, st_j):
-                    prob = p_loss * d1.prob * d2.prob
-                    if prob < _PROB_FLOOR:
-                        continue
-                    c1, c2 = d1.photons >= 1, d2.photons >= 1
-                    if c1 == c2:
-                        continue  # zero or two clicks: rejected
-                    if c2 and symmetric_port_only:
-                        continue
-                    post = normalize(d2.state)
-                    if c2:
-                        post = apply_phase(post, layout.ensemble(j), math.pi)
-                    accepted.append(
-                        RoundBranch(
-                            prob,
-                            post,
-                            ((detector_ids[0], c1), (detector_ids[1], c2)),
-                            (d1.photons, d2.photons),
-                            lb1.lost + lb2.lost,
-                        )
-                    )
-    branches = _dedup(accepted)
-    return RoundDistribution(sum(b.prob for b in branches), branches)
+
+    def herald(clicks: Tuple[bool, ...], s: FockState) -> FockState | None:
+        c1, c2 = clicks
+        if c1 == c2 or (c2 and symmetric_port_only):
+            return None  # zero or two clicks, or the rejected port
+        post = normalize(s)
+        return apply_phase(post, layout.ensemble(j), math.pi) if c2 else post
+
+    ops = ((st_i, True), (st_j, True), (st_i, False), (st_j, False))
+    return _heralded(psi, ops, detector_ids, cfg.eta, herald)
 
 
 def merge_round(
@@ -527,49 +543,22 @@ def teleport_round(
     psi = apply_beam_splitter(psi, BeamSplitterSpec(layout.phot_r, layout.phot[3]))
     psi = normalize(psi)
     ports = (layout.phot_l, layout.phot[0], layout.phot_r, layout.phot[3])
-    names = ("D1", "D2", "D3", "D4")
-    accepted: List[RoundBranch] = []
 
-    def walk(k: int, s: FockState, prob: float, lost: int, ks: Tuple[int, ...]):
-        if prob < _PROB_FLOOR:
-            return
-        if k == len(ports):
-            clicks = tuple(x >= 1 for x in ks)
-            if sum(clicks[:2]) != 1 or sum(clicks[2:]) != 1:
-                return
-            post = normalize(s)
-            if clicks[1]:  # D2: photon came through the ensemble-1 port
-                post = apply_phase(post, layout.ensembles[4], math.pi)
-                post = apply_phase(post, layout.ensembles[5], math.pi)
-            if clicks[3]:  # D4: photon came through the ensemble-4 port
-                post = apply_phase(post, layout.ensembles[1], math.pi)
-                post = apply_phase(post, layout.ensembles[2], math.pi)
-            accepted.append(
-                RoundBranch(
-                    prob,
-                    post,
-                    tuple(zip(names, clicks)),
-                    ks,
-                    lost,
-                )
-            )
-            return
-        for lb in loss_outcomes(s, ports[k], cfg.eta):
-            if lb.prob * prob < _PROB_FLOOR:
-                continue
-            sl = normalize(lb.state)
-            for db in detection_outcomes(sl, ports[k]):
-                walk(
-                    k + 1,
-                    normalize(db.state),
-                    prob * lb.prob * db.prob,
-                    lost + lb.lost,
-                    ks + (db.photons,),
-                )
+    def herald(clicks: Tuple[bool, ...], s: FockState) -> FockState | None:
+        if sum(clicks[:2]) != 1 or sum(clicks[2:]) != 1:
+            return None
+        # normalized twice on purpose: once alone moves the states' last bits
+        post = normalize(normalize(s))
+        if clicks[1]:  # D2: photon came through the ensemble-1 port
+            post = apply_phase(post, layout.ensembles[4], math.pi)
+            post = apply_phase(post, layout.ensembles[5], math.pi)
+        if clicks[3]:  # D4: photon came through the ensemble-4 port
+            post = apply_phase(post, layout.ensembles[1], math.pi)
+            post = apply_phase(post, layout.ensembles[2], math.pi)
+        return post
 
-    walk(0, psi, 1.0, 0, ())
-    branches = _dedup(accepted)
-    return RoundDistribution(sum(b.prob for b in branches), branches)
+    ops = tuple((port, lossy) for port in ports for lossy in (True, False))
+    return _heralded(psi, ops, ("D1", "D2", "D3", "D4"), cfg.eta, herald)
 
 
 def correct_teleport_clicks(branch: RoundBranch) -> bool:
@@ -805,11 +794,11 @@ class ChainSimulator:
         one-stage chain records ``(budget,)`` attempts and no success.
         """
         root = self._vacuum_root if initial_state is None else self._node(0, initial_state)
-        if trace:
+        p_pass, cond, _ = root.law
+        if trace and p_pass > 0.0:  # else every pass fails: spend the budget at once
             return self._run_trial_trace(rng, root)
         n_stages = len(self.stages)
         budget = self.cfg.max_attempts
-        p_pass, cond, _ = root.law
         if p_pass > 0.0:
             fails = 0 if p_pass >= 1.0 else int(rng.geometric(p_pass)) - 1
             counts = [0] * n_stages
@@ -1118,12 +1107,11 @@ def receiver_localize(
     flagged as a precondition violation).
     """
     modes = list(receiver_modes)
-    for occ, _ in state.items():
-        if sum(occ) != 1:
-            raise PreconditionError(
-                "localization needs a single shared excitation; the input has "
-                "a vacuum or multi-excitation component"
-            )
+    if state.is_zero() or any(sum(occ) != 1 for occ, _ in state.items()):
+        raise PreconditionError(
+            "localization needs a single shared excitation; the input is zero "
+            "or has a vacuum or multi-excitation component"
+        )
     idx = [state.registry.check_mode(m).index for m in modes]
     total = state.norm_squared()
     p_here = (

@@ -385,3 +385,155 @@ def teleport_from_states_reference(tcfg, rng, layout, joint_w_state):
         return StepOutcome(False, 1, psi, ())
     info = {"correct_clicks": correct_teleport_clicks(br)}
     return StepOutcome(True, 1, br.state, br.clicks, info=info)
+
+
+# ---------------------------------------------------------------------------
+# round enumerators: each round's own loss/detection loop
+# ---------------------------------------------------------------------------
+
+
+def _dedup(branches):
+    """Merge branches equal in state key, clicks, detected and lost photons,
+    summing probabilities in order onto the first one's state."""
+    from wclass_sim.protocol import RoundBranch
+
+    merged = {}
+    for br in branches:
+        key = (br.state.key(), br.clicks, br.detected, br.lost)
+        old = merged.get(key)
+        if old is None:
+            merged[key] = br
+        else:
+            merged[key] = RoundBranch(
+                old.prob + br.prob, old.state, old.clicks, old.detected, old.lost
+            )
+    return tuple(merged.values())
+
+
+def connect_round_reference(
+    state, layout, i, j, cfg, detector_ids=("D1", "D2"), symmetric_port_only=False
+):
+    """``connect_round`` as a four-deep loop: loss on port i, loss on port j,
+    detection on i, detection on j, with the floor cut at each level."""
+    from wclass_sim.fock import normalize
+    from wclass_sim.optics import (
+        BeamSplitterSpec,
+        PumpSpec,
+        apply_beam_splitter,
+        apply_phase,
+        detection_outcomes,
+        loss_outcomes,
+        pump_excite,
+    )
+    from wclass_sim.protocol import _PROB_FLOOR, RoundBranch, RoundDistribution
+
+    if cfg.p_e <= 0.0:
+        return RoundDistribution(0.0, ())
+    st_i, st_j = layout.stokes_of(i), layout.stokes_of(j)
+    psi = pump_excite(
+        state,
+        PumpSpec(layout.ensemble(i), st_i, cfg.p_e, layout.phase(i)),
+        cfg.second_order_pump,
+    )
+    psi = pump_excite(
+        psi,
+        PumpSpec(layout.ensemble(j), st_j, cfg.p_e, layout.phase(j)),
+        cfg.second_order_pump,
+    )
+    psi = normalize(apply_beam_splitter(psi, BeamSplitterSpec(st_i, st_j)))
+    accepted = []
+    for lb1 in loss_outcomes(psi, st_i, cfg.eta):
+        if lb1.prob < _PROB_FLOOR:
+            continue
+        s1 = normalize(lb1.state)
+        for lb2 in loss_outcomes(s1, st_j, cfg.eta):
+            p_loss = lb1.prob * lb2.prob
+            if p_loss < _PROB_FLOOR:
+                continue
+            s2 = normalize(lb2.state)
+            for d1 in detection_outcomes(s2, st_i):
+                if d1.prob * p_loss < _PROB_FLOOR:
+                    continue
+                s3 = normalize(d1.state)
+                for d2 in detection_outcomes(s3, st_j):
+                    prob = p_loss * d1.prob * d2.prob
+                    if prob < _PROB_FLOOR:
+                        continue
+                    c1, c2 = d1.photons >= 1, d2.photons >= 1
+                    if c1 == c2:
+                        continue  # zero or two clicks: rejected
+                    if c2 and symmetric_port_only:
+                        continue
+                    post = normalize(d2.state)
+                    if c2:
+                        post = apply_phase(post, layout.ensemble(j), math.pi)
+                    accepted.append(
+                        RoundBranch(
+                            prob,
+                            post,
+                            ((detector_ids[0], c1), (detector_ids[1], c2)),
+                            (d1.photons, d2.photons),
+                            lb1.lost + lb2.lost,
+                        )
+                    )
+    branches = _dedup(accepted)
+    return RoundDistribution(sum(b.prob for b in branches), branches)
+
+
+def teleport_round_reference(state, layout, cfg):
+    """``teleport_round`` as a recursive walk: loss then detection on each
+    of the four retrieval ports, one click accepted behind each splitter."""
+    from wclass_sim.fock import normalize
+    from wclass_sim.optics import (
+        BeamSplitterSpec,
+        apply_beam_splitter,
+        apply_phase,
+        detection_outcomes,
+        loss_outcomes,
+        repump_convert,
+    )
+    from wclass_sim.protocol import _PROB_FLOOR, RoundBranch, RoundDistribution
+
+    psi = repump_convert(state, layout.mode_l, layout.phot_l)
+    psi = repump_convert(psi, layout.ensembles[0], layout.phot[0])
+    psi = repump_convert(psi, layout.mode_r, layout.phot_r)
+    psi = repump_convert(psi, layout.ensembles[3], layout.phot[3])
+    psi = apply_beam_splitter(psi, BeamSplitterSpec(layout.phot_l, layout.phot[0]))
+    psi = apply_beam_splitter(psi, BeamSplitterSpec(layout.phot_r, layout.phot[3]))
+    psi = normalize(psi)
+    ports = (layout.phot_l, layout.phot[0], layout.phot_r, layout.phot[3])
+    names = ("D1", "D2", "D3", "D4")
+    accepted = []
+
+    def walk(k, s, prob, lost, ks):
+        if prob < _PROB_FLOOR:
+            return
+        if k == len(ports):
+            clicks = tuple(x >= 1 for x in ks)
+            if sum(clicks[:2]) != 1 or sum(clicks[2:]) != 1:
+                return
+            post = normalize(s)
+            if clicks[1]:  # D2: photon came through the ensemble-1 port
+                post = apply_phase(post, layout.ensembles[4], math.pi)
+                post = apply_phase(post, layout.ensembles[5], math.pi)
+            if clicks[3]:  # D4: photon came through the ensemble-4 port
+                post = apply_phase(post, layout.ensembles[1], math.pi)
+                post = apply_phase(post, layout.ensembles[2], math.pi)
+            accepted.append(RoundBranch(prob, post, tuple(zip(names, clicks)), ks, lost))
+            return
+        for lb in loss_outcomes(s, ports[k], cfg.eta):
+            if lb.prob * prob < _PROB_FLOOR:
+                continue
+            sl = normalize(lb.state)
+            for db in detection_outcomes(sl, ports[k]):
+                walk(
+                    k + 1,
+                    normalize(db.state),
+                    prob * lb.prob * db.prob,
+                    lost + lb.lost,
+                    ks + (db.photons,),
+                )
+
+    walk(0, psi, 1.0, 0, ())
+    branches = _dedup(accepted)
+    return RoundDistribution(sum(b.prob for b in branches), branches)

@@ -203,12 +203,27 @@ def test_parser_reuse_keeps_reports_byte_identical(tmp_path, capsys):
     assert between.read_bytes() == (GOLDEN / "w3.json").read_bytes()
 
 
-@pytest.mark.parametrize("content", [{"pe": 0.05}, {"format": "xml"}])
-def test_config_file_rejects_unknown_keys_and_values(tmp_path, content):
-    # {"pe": ...} is not the echo key "p_e"; it used to be ignored silently
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        pytest.param("w-state", {"pe": 0.05}, id="content0"),
+        pytest.param("w-state", {"format": "xml"}, id="content1"),
+        pytest.param("w-state", {"n": "abc"}, id="n-abc"),
+        pytest.param("w-state", {"trials": "x"}, id="trials-x"),
+        pytest.param("scaling-sweep", {"n_min": "a"}, id="n_min-a"),
+        pytest.param("w-state", {"phases": 5}, id="phases-5"),
+        pytest.param("teleport", {"alpha": 0.6}, id="alpha-scalar"),
+        pytest.param("teleport", {"beta": [0.8]}, id="beta-one-number"),
+    ],
+)
+def test_config_file_rejects_unknown_keys_and_values(tmp_path, command, content):
+    # {"pe": ...} is not the echo key "p_e"; it used to be ignored silently.
+    # A value of the wrong type is a usage error too, not a traceback.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(content))
-    argv = ["w-state", "--config", str(cfg_path), "--seed", "1", "--trials", "2"]
+    argv = [command, "--config", str(cfg_path), "--seed", "1"]
+    if "trials" not in content:
+        argv += ["--trials", "2"]
     with pytest.raises(UsageError):
         parse_args(argv)
     assert main([*argv, "-o", str(tmp_path / "r.json")]) == 2

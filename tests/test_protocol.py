@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wclass_sim import protocol
 from wclass_sim.errors import (
     AttemptsExhaustedError,
     PreconditionError,
@@ -11,6 +12,7 @@ from wclass_sim.errors import (
 from wclass_sim.fock import (
     FockState,
     count_excitations,
+    debug_serialize,
     equal_up_to_global_phase,
     fidelity,
     inner_product,
@@ -49,6 +51,7 @@ from wclass_sim.protocol import (
 from oracle_helpers import (
     as_state,
     completion_reference,
+    connect_round_reference,
     epr_amplitudes,
     maximize_w_reference,
     merge_repump_reference,
@@ -56,6 +59,7 @@ from oracle_helpers import (
     receiver_amplitudes,
     step2_amplitudes,
     teleport_from_states_reference,
+    teleport_round_reference,
     w_m_amplitudes,
     w_prime_amplitudes,
 )
@@ -482,6 +486,15 @@ def test_receiver_localize_rejects_vacuum_component():
         receiver_localize(bad, carol, np.random.default_rng(0))
 
 
+def test_receiver_localize_rejects_the_zero_state():
+    base = ProtocolConfig(n=3, p_e=0.01)
+    layout = make_teleport_layout(TeleportConfig(1.0, 0.0, base))
+    zero = layout.vacuum().replace_terms({})
+    carol = (layout.ensembles[2], layout.ensembles[5])
+    with pytest.raises(PreconditionError):
+        receiver_localize(zero, carol, np.random.default_rng(0))
+
+
 def test_teleport_round_vacuum_fakes_are_flagged():
     # bunched two-photon accepts exist at eta = 0 and are marked incorrect
     base = ProtocolConfig(n=3, p_e=0.01, eta=0.0, seed=3)
@@ -549,6 +562,75 @@ def test_completion_table_matches_plain_recursion(n, cap, double_pair, eta):
         assert abs(p_pass + sum(fails) - 1.0) < 1e-12
 
 
+def _assert_same_round(dist, ref):
+    assert dist.p_accept == ref.p_accept
+    assert [(b.prob, b.clicks, b.detected, b.lost) for b in dist.branches] == [
+        (b.prob, b.clicks, b.detected, b.lost) for b in ref.branches
+    ]
+    assert [debug_serialize(b.state) for b in dist.branches] == [
+        debug_serialize(b.state) for b in ref.branches
+    ]
+
+
+def test_connect_rounds_match_reference_loop(monkeypatch):
+    # every connect node of the chain tables, against the four-deep loop
+    real = protocol.connect_round
+    inputs = []
+
+    def checked(state, layout, i, j, cfg, *args):
+        dist = real(state, layout, i, j, cfg, *args)
+        _assert_same_round(dist, connect_round_reference(state, layout, i, j, cfg, *args))
+        inputs.append(cfg)
+        return dist
+
+    monkeypatch.setattr(protocol, "connect_round", checked)
+    grid = [
+        dict(n=n, truncation_cap=cap, eta=eta, second_order_pump=double_pair)
+        for n in (3, 4, 5, 6)
+        for cap in (3, 4)
+        for eta in (0.0, 0.3)
+        for double_pair in (True, False)
+    ]
+    grid.append(dict(n=4, eta=0.3, n_a=100.0, finite_size=True))
+    grid.append(dict(n=3, truncation_cap=5, eta=0.5, p_e=1e-9))  # paths cut by the floor
+    for kw in grid:
+        sim = ChainSimulator(ProtocolConfig(**{"p_e": 0.01, **kw}))
+        sim.completion(0, sim.initial_state())
+    assert len(set(inputs)) == len(grid)
+
+
+def _terminal_states(sim, roots):
+    """The states a completed pass of ``sim`` can end in, from ``roots``."""
+    for state in roots:
+        sim.completion(0, state)
+    return [
+        br.state for node in sim._nodes.values() for br, child in node.links
+        if child is None
+    ]
+
+
+def test_teleport_rounds_match_reference_walk():
+    from wclass_sim.protocol import _unknown_prepared
+
+    amplitudes = ((0.6, 0.8), (complex(0.3, 0.5), complex(math.sqrt(0.66), 0.0)))
+    for eta in (0.0, 1e-9, 0.2):  # 1e-9: lossy paths cut by the floor
+        for cap in (4, 5):
+            base = ProtocolConfig(
+                n=3, p_e=0.05, eta=eta, truncation_cap=cap, phases=(0.0, 0.6, -0.9)
+            )
+            tcfg = TeleportConfig(*amplitudes[cap - 4], base)
+            sim = TeleportSimulator(tcfg)
+            w123 = _terminal_states(sim.w123, [sim.w123.initial_state()])
+            joints = [exact_double_w_state(tcfg, sim.layout)]
+            joints += _terminal_states(sim.w456, w123)
+            for joint in joints:
+                psi = _unknown_prepared(tcfg, sim.layout, joint)
+                _assert_same_round(
+                    teleport_round(psi, sim.layout, base),
+                    teleport_round_reference(psi, sim.layout, base),
+                )
+
+
 def test_warm_trials_hash_no_state(monkeypatch):
     # after a warm-up trial every pass is a walk along the node table's links
     in_budget = ChainSimulator(ProtocolConfig(n=3, p_e=0.05, eta=0.1))
@@ -579,6 +661,20 @@ def test_exhausted_trace_trials_log_no_clicks():
                 assert res.click_log == ()
                 assert res.rounds == sum(res.stage_attempts) == 30
     assert exhausted > 250
+
+
+def test_trace_trials_that_cannot_complete_spend_the_budget_at_once():
+    # at cap 2 no pass gets through; round by round, the default budget of
+    # 10**15 rounds would take decades
+    for n in (3, 4, 5, 6):
+        cfg = ProtocolConfig(n=n, p_e=0.1, eta=0.3, truncation_cap=2)
+        sim = ChainSimulator(cfg)
+        assert sim.completion(0, sim.initial_state())[0] == 0.0
+        res = sim.run_trial(np.random.default_rng(n), trace=True)
+        assert not res.succeeded
+        assert res.rounds == sum(res.stage_attempts) == cfg.max_attempts == 10**15
+        with pytest.raises(AttemptsExhaustedError):
+            build_w_chain(cfg, np.random.default_rng(n), trace=True)
 
 
 # ---------------------------------------------------------------------------
