@@ -138,17 +138,40 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _bool(value) -> bool:
+    """A JSON ``true`` or ``false``."""
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
+def _int(value) -> int:
+    """A number with an integral value, not a boolean."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise TypeError("expected an integer")
+    return int(value)
+
+
+def _float(value) -> float:
+    """A number, not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
 def _phases(value) -> tuple | None:
     """Phases from a comma-separated string or a list of numbers."""
     if isinstance(value, str):
-        value = value.split(",")
-    return None if value is None else tuple(float(x) for x in value)
+        return tuple(float(x) for x in value.split(","))
+    return None if value is None else tuple(_float(x) for x in value)
 
 
 def _pair(value) -> tuple[float, float]:
     """``(re, im)`` of a two-number list."""
     re_part, im_part = value
-    return float(re_part), float(im_part)
+    return _float(re_part), _float(im_part)
 
 
 def _resolve_workers(flag: int | None) -> int:
@@ -182,7 +205,7 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
         value = file_cfg.get(file_key, default) if flag_value is None else flag_value
         try:
             return convert(value)
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise UsageError(f"bad value for {file_key}: {value!r} ({exc})") from exc
 
     seed_raw = ns.seed if ns.seed is not None else file_cfg.get("seed")
@@ -194,11 +217,11 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
         seed_was_auto = True
     else:
         try:
-            seed = int(seed_raw)
+            seed = int(seed_raw) if isinstance(seed_raw, str) else _int(seed_raw)
         except (TypeError, ValueError) as exc:
             raise UsageError("--seed must be an integer or 'auto'") from exc
 
-    n = pick(ns.n, "n", _DEFAULTS["n"], int)
+    n = pick(ns.n, "n", _DEFAULTS["n"], _int)
     if ns.command == "teleport" and n != 3:
         raise UsageError("teleportation uses two 3-party W states (n must be 3)")
     if ns.command == "w-state" and n < 3:
@@ -207,25 +230,25 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
         raise UsageError("epr needs --n >= 2")
 
     phases = pick(ns.phases, "phases", _DEFAULTS["phases"], _phases)
-    n_a = pick(ns.na, "n_a", _DEFAULTS["n_a"], lambda v: math.inf if v is None else float(v))
+    n_a = pick(ns.na, "n_a", _DEFAULTS["n_a"], lambda v: math.inf if v is None else _float(v))
     second_order = pick(
         None if ns.no_double_pair is None else not ns.no_double_pair,
         "second_order_pump",
         _DEFAULTS["second_order_pump"],
-        bool,
+        _bool,
     )
     try:
         config = ProtocolConfig(
             n=n,
-            p_e=pick(ns.pe, "p_e", _DEFAULTS["p_e"], float),
-            eta=pick(ns.eta, "eta", _DEFAULTS["eta"], float),
+            p_e=pick(ns.pe, "p_e", _DEFAULTS["p_e"], _float),
+            eta=pick(ns.eta, "eta", _DEFAULTS["eta"], _float),
             phases=phases,
             n_a=n_a,
-            finite_size=pick(ns.finite_size, "finite_size", _DEFAULTS["finite_size"], bool),
-            t0=pick(ns.t0, "t0", _DEFAULTS["t0"], float),
-            truncation_cap=pick(ns.cap, "truncation_cap", _DEFAULTS["truncation_cap"], int),
+            finite_size=pick(ns.finite_size, "finite_size", _DEFAULTS["finite_size"], _bool),
+            t0=pick(ns.t0, "t0", _DEFAULTS["t0"], _float),
+            truncation_cap=pick(ns.cap, "truncation_cap", _DEFAULTS["truncation_cap"], _int),
             max_attempts=pick(
-                ns.max_attempts, "max_attempts", _DEFAULTS["max_attempts"], int
+                ns.max_attempts, "max_attempts", _DEFAULTS["max_attempts"], _int
             ),
             seed=seed,
             second_order_pump=second_order,
@@ -250,7 +273,7 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
         except WClassError as exc:
             raise UsageError(str(exc)) from exc
 
-    trials = pick(ns.trials, "trials", _DEFAULTS["trials"], int)
+    trials = pick(ns.trials, "trials", _DEFAULTS["trials"], _int)
     if trials < 1:
         raise UsageError("--trials must be at least 1")
 
@@ -262,8 +285,8 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
 
     n_min = n_max = None
     if ns.command == "scaling-sweep":
-        n_min = pick(ns.n_min, "n_min", _DEFAULTS["n_min"], int)
-        n_max = pick(ns.n_max, "n_max", _DEFAULTS["n_max"], int)
+        n_min = pick(ns.n_min, "n_min", _DEFAULTS["n_min"], _int)
+        n_max = pick(ns.n_max, "n_max", _DEFAULTS["n_max"], _int)
         if n_min < 3 or n_max < n_min:
             raise UsageError("need 3 <= --n-min <= --n-max")
 

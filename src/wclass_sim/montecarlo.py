@@ -24,11 +24,11 @@ from .errors import (
 from .fock import (
     FockState,
     count_excitations,
-    create,
+    create,  # unused here; bench/spans.py wraps this binding
     fidelity,
     inner_product,
     normalize,
-    superpose,
+    superpose,  # unused here; bench/spans.py wraps this binding
 )
 from .protocol import (
     ChainSimulator,
@@ -43,6 +43,7 @@ from .protocol import (
     ideal_w_state,
     make_chain_layout,
     make_teleport_layout,  # unused here; bench/spans.py wraps this binding
+    qubit_state,
     receiver_localize,
     teleport,
     teleport_target_state,
@@ -353,19 +354,9 @@ def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
     sim = TeleportSimulator(tcfg)
     layout = sim.layout
     target = teleport_target_state(tcfg, layout)
-    carol = (layout.ensembles[2], layout.ensembles[5])  # ensembles 3 and 6
     vac = layout.vacuum()
-    carol_target = normalize(
-        superpose(
-            [tcfg.alpha, tcfg.beta], [create(vac, carol[0]), create(vac, carol[1])]
-        )
-    )
-    bob_target = normalize(
-        superpose(
-            [tcfg.alpha, tcfg.beta],
-            [create(vac, layout.ensembles[1]), create(vac, layout.ensembles[4])],
-        )
-    )
+    carol_target = qubit_state(tcfg, vac, layout.carol)
+    bob_target = qubit_state(tcfg, vac, layout.bob)
     out = []
     for t in range(lo, hi):
         rng = rng_for_trial(tcfg.base.seed, t)
@@ -379,7 +370,7 @@ def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
         holder = None
         loc_fid = None
         try:
-            h, residual = receiver_localize(res.state, carol, rng)
+            h, residual = receiver_localize(res.state, layout.carol, rng)
             holder = h.value == "this-receiver"
             loc_fid = fidelity(residual, carol_target if holder else bob_target)
         except PreconditionError:

@@ -10,6 +10,7 @@ to build exact trajectory trees.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -143,7 +144,7 @@ def apply_phase(state: FockState, m: Mode, phi: float) -> FockState:
     if phi == 0.0:
         return state
     out = {
-        occ: amp * complex(math.cos(phi * occ[idx]), math.sin(phi * occ[idx]))
+        occ: amp * cmath.rect(1.0, phi * occ[idx])
         for occ, amp in state.items()
     }
     return state.replace_terms(out)
@@ -164,9 +165,7 @@ def pump_excite(
             raise ProtocolSequencingError(
                 f"stokes mode {p.stokes.name} is occupied; pump applied out of order"
             )
-    lam = math.sqrt(p.emission_prob) * complex(
-        math.cos(p.channel_phase), math.sin(p.channel_phase)
-    )
+    lam = math.sqrt(p.emission_prob) * cmath.rect(1.0, p.channel_phase)
     if lam == 0:
         return state
     pair = create(create(state, p.ensemble), p.stokes)

@@ -3,10 +3,12 @@
 Two code paths cover every protocol state:
 
 * **Operator algebra** (``epr_state``, ``w_prime_state``,
-  ``w_state_by_operators``, ``ideal_w_state``, ``teleport_target_state``):
-  exact, noise-free construction by literal application of the
-  creation/annihilation products, with the chain intermediate kept
-  unnormalized (its squared norm is ``4n - 6``).
+  ``w_state_by_operators``, ``ideal_w_state``, ``teleport_target_state``,
+  ``qubit_state``, ``exact_double_w_state``): exact, noise-free
+  construction by literal application of the creation/annihilation
+  products, with the chain intermediate kept unnormalized (its squared norm
+  is ``4n - 6``).  Every creation step is one builder, ``_excite``: a
+  spread ``sum_k c_k m_k+`` of creation operators applied to a state.
 
 * **Sampled engine** (:class:`ChainSimulator`): Monte Carlo trajectories
   over pump, beam splitter, loss, and detection, conditioned on single
@@ -46,6 +48,7 @@ Conditioning conventions (all fixed here, once):
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
@@ -133,6 +136,7 @@ class ProtocolConfig:
             raise ValueError("max_attempts must be at least 1")
         if self.truncation_cap < 2:
             raise ValueError("truncation_cap below 2 cannot hold the protocol")
+        CollectiveModeModel(self.n_a, self.finite_size)  # raises if n_a is too small
 
 
 @dataclass(frozen=True)
@@ -231,6 +235,16 @@ class TeleportLayout:
             self.truncation_cap,
         )
 
+    @property
+    def carol(self) -> Tuple[Mode, Mode]:
+        """The receiver pair localized on: ensembles 3 and 6."""
+        return self.ensembles[2], self.ensembles[5]
+
+    @property
+    def bob(self) -> Tuple[Mode, Mode]:
+        """The other receiver pair: ensembles 2 and 5."""
+        return self.ensembles[1], self.ensembles[4]
+
     def vacuum(self) -> FockState:
         return FockState.vacuum(self.registry, self.truncation_cap)
 
@@ -255,6 +269,14 @@ def make_teleport_layout(tcfg: TeleportConfig) -> TeleportLayout:
 # ---------------------------------------------------------------------------
 
 
+def _excite(
+    state: FockState, modes: Sequence[Mode], coeffs: Sequence[complex]
+) -> FockState:
+    """``sum_k coeffs[k] m_k+ |state>`` over ``modes``: every exact state
+    below is one or more of these excitations."""
+    return superpose(coeffs, [create(state, m) for m in modes])
+
+
 def ideal_w_state(
     n: int, phases: Sequence[float] | None = None, layout: ChainLayout | None = None
 ) -> FockState:
@@ -265,33 +287,22 @@ def ideal_w_state(
         phases = (0.0,) * n
     if layout is None:
         layout = make_chain_layout(ProtocolConfig(n=max(n, 2), p_e=0.0))
-    vac = layout.vacuum()
-    parts = [create(vac, layout.ensemble(i)) for i in range(1, n + 1)]
-    coeffs = [
-        complex(math.cos(ph), math.sin(ph)) / math.sqrt(n) for ph in phases[:n]
-    ]
-    return superpose(coeffs, parts)
+    coeffs = [cmath.rect(1.0, ph) / math.sqrt(n) for ph in phases[:n]]
+    return _excite(layout.vacuum(), layout.ensembles[:n], coeffs)
 
 
 def epr_state(layout: ChainLayout, i: int, j: int, phase_ij: float) -> FockState:
     """Two-ensemble entangled state ``(s_i+ + e^{i phi} s_j+)/sqrt(2)|vac>``."""
-    vac = layout.vacuum()
-    e = complex(math.cos(phase_ij), math.sin(phase_ij))
-    return superpose(
-        [1.0 / math.sqrt(2), e / math.sqrt(2)],
-        [create(vac, layout.ensemble(i)), create(vac, layout.ensemble(j))],
-    )
+    return connect_applied(layout.vacuum(), layout, i, j, phase_ij)
 
 
 def connect_applied(
     state: FockState, layout: ChainLayout, i: int, j: int, rel_phase: float
 ) -> FockState:
     """Apply the heralded connect operator ``(s_i+ + e^{i phi} s_j+)/sqrt(2)``."""
-    e = complex(math.cos(rel_phase), math.sin(rel_phase))
-    return superpose(
-        [1.0 / math.sqrt(2), e / math.sqrt(2)],
-        [create(state, layout.ensemble(i)), create(state, layout.ensemble(j))],
-    )
+    e = cmath.rect(1.0, rel_phase)
+    modes = (layout.ensemble(i), layout.ensemble(j))
+    return _excite(state, modes, [1.0 / math.sqrt(2), e / math.sqrt(2)])
 
 
 def w_prime_state(
@@ -310,19 +321,11 @@ def w_prime_state(
         phases = (0.0,) * n
     if layout is None:
         layout = make_chain_layout(ProtocolConfig(n=n, p_e=0.0))
-    vac = layout.vacuum()
-    e12 = complex(math.cos(phases[1]), math.sin(phases[1]))
-    state = superpose(
-        [1.0, e12],
-        [create(vac, layout.ensemble(1)), create(vac, layout.ensemble(2))],
-    )
+    e12 = cmath.rect(1.0, phases[1])
+    state = _excite(layout.vacuum(), layout.ensembles[:2], [1.0, e12])
     for i in range(2, n):
-        rel = phases[i] - phases[i - 1]
-        e = complex(math.cos(rel), math.sin(rel))
-        state = superpose(
-            [1.0, e],
-            [create(state, layout.ensemble(i)), create(state, layout.ensemble(i + 1))],
-        )
+        e = cmath.rect(1.0, phases[i] - phases[i - 1])
+        state = _excite(state, (layout.ensemble(i), layout.ensemble(i + 1)), [1.0, e])
         state = annihilate(state, layout.ensemble(i))
     return state
 
@@ -337,50 +340,41 @@ def w_state_by_operators(
     if layout is None:
         layout = make_chain_layout(ProtocolConfig(n=n, p_e=0.0))
     wp = w_prime_state(n, phases, layout)
-    rel = phases[n - 1]
-    e = complex(math.cos(rel), math.sin(rel))
-    state = superpose(
-        [1.0, e],
-        [create(wp, layout.ensemble(1)), create(wp, layout.ensemble(n))],
-    )
+    e = cmath.rect(1.0, phases[n - 1])
+    state = _excite(wp, (layout.ensemble(1), layout.ensemble(n)), [1.0, e])
     state = annihilate(state, layout.ensemble(1))
     return superpose([1.0 / (2.0 * math.sqrt(n))], [state])
 
 
 def phase_compensate(
-    state: FockState,
-    phases: Sequence[float],
-    ensembles: Sequence[Mode] | None = None,
+    state: FockState, phases: Sequence[float], ensembles: Sequence[Mode]
 ) -> FockState:
-    """Undo the channel phases: apply ``-phi_1i`` on each atomic mode.
+    """Undo the channel phases: apply ``-phases[k]`` on ``ensembles[k]``.
 
     With the phases measured, this turns the prepared state into the
     all-positive-coefficient W form (up to a global phase).
     """
-    if ensembles is None:
-        from .fock import ModeKind
-
-        ensembles = [m for m in state.registry.modes if m.kind is ModeKind.ATOMIC]
     for mode, ph in zip(ensembles, phases):
         state = apply_phase(state, mode, -ph)
     return state
 
 
+def qubit_state(
+    tcfg: TeleportConfig, state: FockState, pair: Tuple[Mode, Mode]
+) -> FockState:
+    """Normalized ``(alpha a+ + beta b+)|state>`` on ``pair = (a, b)``: the
+    unknown qubit on the sender's pair, or its ideal copy on a receiver's."""
+    return normalize(_excite(state, pair, [tcfg.alpha, tcfg.beta]))
+
+
 def teleport_target_state(tcfg: TeleportConfig, layout: TeleportLayout) -> FockState:
     """Normalized receiver state
     ``[e^{i phi_13}(a s_3+ + b s_6+) + e^{i phi_12}(a s_2+ + b s_5+)]/sqrt(2)``."""
-    vac = layout.vacuum()
-    e12 = complex(math.cos(layout.phases[1]), math.sin(layout.phases[1]))
-    e13 = complex(math.cos(layout.phases[2]), math.sin(layout.phases[2]))
+    e12 = cmath.rect(1.0, layout.phases[1])
+    e13 = cmath.rect(1.0, layout.phases[2])
     a, b = tcfg.alpha, tcfg.beta
-    parts = [
-        create(vac, layout.ensembles[2]),  # ensemble 3
-        create(vac, layout.ensembles[5]),  # ensemble 6
-        create(vac, layout.ensembles[1]),  # ensemble 2
-        create(vac, layout.ensembles[4]),  # ensemble 5
-    ]
     coeffs = [e13 * a, e13 * b, e12 * a, e12 * b]
-    return normalize(superpose(coeffs, parts))
+    return normalize(_excite(layout.vacuum(), layout.carol + layout.bob, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -971,27 +965,11 @@ def build_w_chain(
 # ---------------------------------------------------------------------------
 
 
-def _unknown_prepared(
-    tcfg: TeleportConfig, layout: TeleportLayout, joint: FockState
-) -> FockState:
-    return normalize(
-        superpose(
-            [tcfg.alpha, tcfg.beta],
-            [create(joint, layout.mode_l), create(joint, layout.mode_r)],
-        )
-    )
-
-
 def exact_double_w_state(tcfg: TeleportConfig, layout: TeleportLayout) -> FockState:
     """Operator-algebra ``|W>_123 x |W>_456`` on the teleport registry."""
     w123 = w_state_by_operators(3, tcfg.base.phases, layout.chain_layout(1))
-    return superpose(
-        [
-            complex(math.cos(ph), math.sin(ph)) / math.sqrt(3)
-            for ph in tcfg.base.phases
-        ],
-        [create(w123, layout.ensembles[k]) for k in (3, 4, 5)],
-    )
+    coeffs = [cmath.rect(1.0, ph) / math.sqrt(3) for ph in tcfg.base.phases]
+    return _excite(w123, layout.ensembles[3:], coeffs)
 
 
 def _retrieve(
@@ -1013,7 +991,7 @@ def teleport_from_states(
     joint_w_state: FockState,
 ) -> StepOutcome:
     """One teleport round given already-prepared W states (single attempt)."""
-    psi = _unknown_prepared(tcfg, layout, joint_w_state)
+    psi = qubit_state(tcfg, joint_w_state, (layout.mode_l, layout.mode_r))
     out = _retrieve(rng, teleport_round(psi, layout, tcfg.base), 1)
     return StepOutcome(False, 1, psi, ()) if out is None else out
 
@@ -1036,7 +1014,7 @@ class TeleportSimulator:
         key = joint.key()
         dist = self._rounds.get(key)
         if dist is None:
-            psi = _unknown_prepared(self.tcfg, self.layout, joint)
+            psi = qubit_state(self.tcfg, joint, (self.layout.mode_l, self.layout.mode_r))
             dist = self._rounds[key] = teleport_round(psi, self.layout, self.tcfg.base)
         return dist
 

@@ -537,3 +537,169 @@ def teleport_round_reference(state, layout, cfg):
     walk(0, psi, 1.0, 0, ())
     branches = _dedup(accepted)
     return RoundDistribution(sum(b.prob for b in branches), branches)
+
+
+# ---------------------------------------------------------------------------
+# exact-state builders: each operator product written out by hand
+# ---------------------------------------------------------------------------
+
+
+def _chain_layout(n):
+    from wclass_sim.protocol import ProtocolConfig, make_chain_layout
+
+    return make_chain_layout(ProtocolConfig(n=n, p_e=0.0))
+
+
+def ideal_w_state_reference(n, phases=None, layout=None):
+    """``(1/sqrt(n)) sum_i e^{i phi_1i} s_i+ |vac>``, term by term."""
+    from wclass_sim.fock import create, superpose
+
+    if n < 1:
+        raise ValueError("n must be positive")
+    if phases is None:
+        phases = (0.0,) * n
+    if layout is None:
+        layout = _chain_layout(max(n, 2))
+    vac = layout.vacuum()
+    parts = [create(vac, layout.ensemble(i)) for i in range(1, n + 1)]
+    coeffs = [
+        complex(math.cos(ph), math.sin(ph)) / math.sqrt(n) for ph in phases[:n]
+    ]
+    return superpose(coeffs, parts)
+
+
+def epr_state_reference(layout, i, j, phase_ij):
+    """``(s_i+ + e^{i phi} s_j+)/sqrt(2)|vac>``."""
+    from wclass_sim.fock import create, superpose
+
+    vac = layout.vacuum()
+    e = complex(math.cos(phase_ij), math.sin(phase_ij))
+    return superpose(
+        [1.0 / math.sqrt(2), e / math.sqrt(2)],
+        [create(vac, layout.ensemble(i)), create(vac, layout.ensemble(j))],
+    )
+
+
+def connect_applied_reference(state, layout, i, j, rel_phase):
+    """``(s_i+ + e^{i phi} s_j+)/sqrt(2)`` applied to ``state``."""
+    from wclass_sim.fock import create, superpose
+
+    e = complex(math.cos(rel_phase), math.sin(rel_phase))
+    return superpose(
+        [1.0 / math.sqrt(2), e / math.sqrt(2)],
+        [create(state, layout.ensemble(i)), create(state, layout.ensemble(j))],
+    )
+
+
+def w_prime_state_reference(n, phases=None, layout=None):
+    """``prod_{i=2}^{n-1} s_i (s_i+ + e^{i phi_{i,i+1}} s_{i+1}+)`` on the
+    unnormalized pair ``(s_1+ + e^{i phi_12} s_2+)|vac>``."""
+    from wclass_sim.fock import annihilate, create, superpose
+
+    if n < 3:
+        raise ValueError("the chain intermediate needs n >= 3")
+    if phases is None:
+        phases = (0.0,) * n
+    if layout is None:
+        layout = _chain_layout(n)
+    vac = layout.vacuum()
+    e12 = complex(math.cos(phases[1]), math.sin(phases[1]))
+    state = superpose(
+        [1.0, e12],
+        [create(vac, layout.ensemble(1)), create(vac, layout.ensemble(2))],
+    )
+    for i in range(2, n):
+        rel = phases[i] - phases[i - 1]
+        e = complex(math.cos(rel), math.sin(rel))
+        state = superpose(
+            [1.0, e],
+            [create(state, layout.ensemble(i)), create(state, layout.ensemble(i + 1))],
+        )
+        state = annihilate(state, layout.ensemble(i))
+    return state
+
+
+def w_state_by_operators_reference(n, phases=None, layout=None):
+    """``(1/(2 sqrt(n))) s_1 (s_1+ + e^{i phi_1n} s_n+)`` on the chain
+    intermediate."""
+    from wclass_sim.fock import annihilate, create, superpose
+
+    if phases is None:
+        phases = (0.0,) * n
+    if layout is None:
+        layout = _chain_layout(n)
+    wp = w_prime_state_reference(n, phases, layout)
+    rel = phases[n - 1]
+    e = complex(math.cos(rel), math.sin(rel))
+    state = superpose(
+        [1.0, e],
+        [create(wp, layout.ensemble(1)), create(wp, layout.ensemble(n))],
+    )
+    state = annihilate(state, layout.ensemble(1))
+    return superpose([1.0 / (2.0 * math.sqrt(n))], [state])
+
+
+def teleport_target_state_reference(tcfg, layout):
+    """``[e^{i phi_13}(a s_3+ + b s_6+) + e^{i phi_12}(a s_2+ + b s_5+)]``,
+    normalized."""
+    from wclass_sim.fock import create, normalize, superpose
+
+    vac = layout.vacuum()
+    e12 = complex(math.cos(layout.phases[1]), math.sin(layout.phases[1]))
+    e13 = complex(math.cos(layout.phases[2]), math.sin(layout.phases[2]))
+    a, b = tcfg.alpha, tcfg.beta
+    parts = [
+        create(vac, layout.ensembles[2]),  # ensemble 3
+        create(vac, layout.ensembles[5]),  # ensemble 6
+        create(vac, layout.ensembles[1]),  # ensemble 2
+        create(vac, layout.ensembles[4]),  # ensemble 5
+    ]
+    coeffs = [e13 * a, e13 * b, e12 * a, e12 * b]
+    return normalize(superpose(coeffs, parts))
+
+
+def exact_double_w_state_reference(tcfg, layout):
+    """``|W>_123 x |W>_456``: the second W created term by term on the first."""
+    from wclass_sim.fock import create, superpose
+
+    w123 = w_state_by_operators_reference(3, tcfg.base.phases, layout.chain_layout(1))
+    return superpose(
+        [
+            complex(math.cos(ph), math.sin(ph)) / math.sqrt(3)
+            for ph in tcfg.base.phases
+        ],
+        [create(w123, layout.ensembles[k]) for k in (3, 4, 5)],
+    )
+
+
+def unknown_prepared_reference(tcfg, layout, joint):
+    """``(alpha s_L+ + beta s_R+)|joint>``, normalized."""
+    from wclass_sim.fock import create, normalize, superpose
+
+    return normalize(
+        superpose(
+            [tcfg.alpha, tcfg.beta],
+            [create(joint, layout.mode_l), create(joint, layout.mode_r)],
+        )
+    )
+
+
+def receiver_targets_reference(tcfg, layout):
+    """The qubit ``alpha a+ + beta b+`` on Carol's pair (ensembles 3, 6) and
+    on Bob's (2, 5), each normalized."""
+    from wclass_sim.fock import create, normalize, superpose
+
+    carol = (layout.ensembles[2], layout.ensembles[5])  # ensembles 3 and 6
+    vac = layout.vacuum()
+    carol_target = normalize(
+        superpose(
+            [tcfg.alpha, tcfg.beta], [create(vac, carol[0]), create(vac, carol[1])]
+        )
+    )
+    bob_target = normalize(
+        superpose(
+            [tcfg.alpha, tcfg.beta],
+            [create(vac, layout.ensembles[1]), create(vac, layout.ensembles[4])],
+        )
+    )
+    return carol_target, bob_target

@@ -4,6 +4,7 @@ that calls past the wrapped binding, breaks every traced benchmark run.
 This checks the names, and that one small call reaches the enumerators
 through them."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -41,3 +42,29 @@ def test_a_traced_teleport_call_records_every_enumerator(tmp_path):
     summary = tracer.summary()
     names = (*spans.ENUMERATORS, *spans.OUTCOME_ENUMERATORS)
     assert {name: summary.count(name) > 0 for name in names} == dict.fromkeys(names, True)
+
+
+def test_unused_imports_in_src_are_bindings_the_benchmark_wraps():
+    # no linter is installed: an import a module never uses must be one the
+    # tracer wraps there, else it is dead code
+    wrapped = {}
+    for owner, attr, _ in _spans()._targets(wclass_sim):
+        wrapped.setdefault(owner, set()).add(attr)
+    unused = {}
+    for path in sorted(Path(wclass_sim.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = getattr(wclass_sim, path.stem)
+        extra = imported - used - wrapped.get(module, set())
+        if extra:
+            unused[path.stem] = sorted(extra)
+    assert unused == {}

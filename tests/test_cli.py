@@ -88,6 +88,15 @@ def test_usage_error_exit_code_and_no_report(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_a", ["1", "-5"])
+def test_finite_size_below_two_atoms_is_a_usage_error(tmp_path, n_a):
+    out = tmp_path / "never.json"
+    argv = ["w-state", "--na", n_a, "--finite-size", "--seed", "1", "--trials", "2",
+            "--workers", "1", "-o", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
 def test_io_error_exit_code(tmp_path):
     code = main(
         ["w-state", "--n", "3", "--pe", "0.05", "--trials", "2", "--seed", "1",
@@ -214,6 +223,15 @@ def test_parser_reuse_keeps_reports_byte_identical(tmp_path, capsys):
         pytest.param("w-state", {"phases": 5}, id="phases-5"),
         pytest.param("teleport", {"alpha": 0.6}, id="alpha-scalar"),
         pytest.param("teleport", {"beta": [0.8]}, id="beta-one-number"),
+        # no lenient conversion: bool("false") is True, int(3.9) is 3 ...
+        pytest.param("w-state", {"finite_size": "false"}, id="finite_size-string"),
+        pytest.param("w-state", {"second_order_pump": "no"}, id="second_order_pump-string"),
+        pytest.param("w-state", {"n": 3.9}, id="n-fraction"),
+        pytest.param("w-state", {"trials": 2.5}, id="trials-fraction"),
+        pytest.param("w-state", {"max_attempts": True}, id="max_attempts-true"),
+        pytest.param("w-state", {"t0": True}, id="t0-true"),
+        pytest.param("w-state", {"seed": 1.9}, id="seed-fraction"),
+        pytest.param("w-state", {"eta": 10**400}, id="eta-beyond-float"),
     ],
 )
 def test_config_file_rejects_unknown_keys_and_values(tmp_path, command, content):
@@ -221,7 +239,9 @@ def test_config_file_rejects_unknown_keys_and_values(tmp_path, command, content)
     # A value of the wrong type is a usage error too, not a traceback.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(content))
-    argv = [command, "--config", str(cfg_path), "--seed", "1"]
+    argv = [command, "--config", str(cfg_path)]
+    if "seed" not in content:
+        argv += ["--seed", "1"]
     if "trials" not in content:
         argv += ["--trials", "2"]
     with pytest.raises(UsageError):

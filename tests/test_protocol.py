@@ -39,6 +39,7 @@ from wclass_sim.protocol import (
     merge_round,
     phase_compensate,
     prepare_epr,
+    qubit_state,
     receiver_localize,
     teleport,
     teleport_from_states,
@@ -51,22 +52,37 @@ from wclass_sim.protocol import (
 from oracle_helpers import (
     as_state,
     completion_reference,
+    connect_applied_reference,
     connect_round_reference,
     epr_amplitudes,
+    epr_state_reference,
+    exact_double_w_state_reference,
+    ideal_w_state_reference,
     maximize_w_reference,
     merge_repump_reference,
     merged_amplitudes,
     receiver_amplitudes,
     step2_amplitudes,
     teleport_from_states_reference,
+    receiver_targets_reference,
     teleport_round_reference,
+    teleport_target_state_reference,
+    unknown_prepared_reference,
     w_m_amplitudes,
     w_prime_amplitudes,
+    w_prime_state_reference,
+    w_state_by_operators_reference,
 )
 
 
 def random_phases(n, rng):
     return (0.0,) + tuple(rng.uniform(-math.pi, math.pi, n - 1))
+
+
+def test_config_rejects_finite_size_below_two_atoms():
+    with pytest.raises(ValueError):
+        ProtocolConfig(n=3, p_e=0.01, n_a=1.0, finite_size=True)
+    ProtocolConfig(n=3, p_e=0.01, n_a=1.0)  # ideal bosons: n_a unused
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +142,70 @@ def test_ideal_w_state_examples():
     assert ideal_w_state(1).norm() == pytest.approx(1.0)
     for n in range(2, 9):
         assert ideal_w_state(n).norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def _bits(state):
+    return debug_serialize(state), state.overflow, state.truncation_cap
+
+
+def _phase_sets(n, rng):
+    """Zero, random, and signed-zero / +-pi phases for ``n`` parties."""
+    special = (0.0, -0.0, math.pi, -math.pi)
+    return [(0.0,) * n, random_phases(n, rng), tuple(special[k % 4] for k in range(n))]
+
+
+@pytest.mark.parametrize("cap", [3, 4])
+@pytest.mark.parametrize("finite", [{}, {"n_a": 100.0, "finite_size": True}])
+def test_exact_chain_states_match_reference_builders_bitwise(cap, finite):
+    rng = np.random.default_rng(8)
+    for n in range(1, 9):
+        layout = make_chain_layout(
+            ProtocolConfig(n=max(n, 2), p_e=0.01, truncation_cap=cap, **finite)
+        )
+        for phases in _phase_sets(n, rng):
+            assert _bits(ideal_w_state(n, phases, layout)) == _bits(
+                ideal_w_state_reference(n, phases, layout)
+            )
+            if n < 3:
+                continue
+            wp = w_prime_state(n, phases, layout)
+            assert _bits(wp) == _bits(w_prime_state_reference(n, phases, layout))
+            assert _bits(w_state_by_operators(n, phases, layout)) == _bits(
+                w_state_by_operators_reference(n, phases, layout)
+            )
+            for i, j in ((1, 2), (2, 3), (1, n)):
+                phi = phases[j - 1] - phases[i - 1]
+                epr = epr_state(layout, i, j, phi)
+                assert _bits(epr) == _bits(epr_state_reference(layout, i, j, phi))
+                for state in (epr, wp):
+                    assert _bits(connect_applied(state, layout, i, j, phi)) == _bits(
+                        connect_applied_reference(state, layout, i, j, phi)
+                    )
+
+
+@pytest.mark.parametrize("cap", [4, 5])
+@pytest.mark.parametrize(
+    "amplitudes", [(0.6, 0.8), (complex(0.3, 0.5), complex(math.sqrt(0.66), 0.0))]
+)
+def test_exact_teleport_states_match_reference_builders_bitwise(cap, amplitudes):
+    rng = np.random.default_rng(9)
+    for phases in _phase_sets(3, rng):
+        base = ProtocolConfig(n=3, p_e=0.05, truncation_cap=cap, phases=phases)
+        tcfg = TeleportConfig(*amplitudes, base)
+        layout = make_teleport_layout(tcfg)
+        joint = exact_double_w_state(tcfg, layout)
+        assert _bits(joint) == _bits(exact_double_w_state_reference(tcfg, layout))
+        assert _bits(teleport_target_state(tcfg, layout)) == _bits(
+            teleport_target_state_reference(tcfg, layout)
+        )
+        vac = layout.vacuum()
+        for state in (vac, joint):
+            assert _bits(qubit_state(tcfg, state, (layout.mode_l, layout.mode_r))) == _bits(
+                unknown_prepared_reference(tcfg, layout, state)
+            )
+        got = (qubit_state(tcfg, vac, layout.carol), qubit_state(tcfg, vac, layout.bob))
+        want = receiver_targets_reference(tcfg, layout)
+        assert [_bits(s) for s in got] == [_bits(s) for s in want]
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +581,7 @@ def test_teleport_round_vacuum_fakes_are_flagged():
     tcfg = TeleportConfig(1.0, 0.0, base)
     layout = make_teleport_layout(tcfg)
     joint = exact_double_w_state(tcfg, layout)
-    from wclass_sim.protocol import _unknown_prepared
-
-    psi = _unknown_prepared(tcfg, layout, joint)
+    psi = qubit_state(tcfg, joint, (layout.mode_l, layout.mode_r))
     dist = teleport_round(psi, layout, base)
     kinds = {True: 0.0, False: 0.0}
     from wclass_sim.protocol import correct_teleport_clicks
@@ -610,8 +688,6 @@ def _terminal_states(sim, roots):
 
 
 def test_teleport_rounds_match_reference_walk():
-    from wclass_sim.protocol import _unknown_prepared
-
     amplitudes = ((0.6, 0.8), (complex(0.3, 0.5), complex(math.sqrt(0.66), 0.0)))
     for eta in (0.0, 1e-9, 0.2):  # 1e-9: lossy paths cut by the floor
         for cap in (4, 5):
@@ -624,7 +700,7 @@ def test_teleport_rounds_match_reference_walk():
             joints = [exact_double_w_state(tcfg, sim.layout)]
             joints += _terminal_states(sim.w456, w123)
             for joint in joints:
-                psi = _unknown_prepared(tcfg, sim.layout, joint)
+                psi = qubit_state(tcfg, joint, (sim.layout.mode_l, sim.layout.mode_r))
                 _assert_same_round(
                     teleport_round(psi, sim.layout, base),
                     teleport_round_reference(psi, sim.layout, base),
