@@ -1,6 +1,8 @@
 """Command-line front end: parse a config, run experiments, emit reports.
 
-Commands: ``epr``, ``w-state``, ``teleport``, ``scaling-sweep``.  Reports are
+Commands: ``epr``, ``w-state``, ``teleport``, ``scaling-sweep``.  Every flag
+stores to the config-file key it sets: a command's values are the defaults,
+overlaid by the ``--config`` file, then by the flags given.  Reports are
 JSON (schema version 1) with a full config echo so every report reproduces
 itself; ``scaling-sweep`` can also emit a CSV summary.  Wall-clock timing
 goes to stderr only, so a re-run with the same config and seed writes a
@@ -64,16 +66,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--n", type=int, default=None, help="number of ensembles")
     p.add_argument("--eta", type=float, default=None, help="photon loss probability")
-    p.add_argument("--pe", type=float, default=None, help="pair-emission probability")
+    p.add_argument("--pe", dest="p_e", type=float, default=None,
+                   help="pair-emission probability")
     p.add_argument("--phases", default=None, help="comma-separated phi_1i (radians)")
-    p.add_argument("--na", type=float, default=None, help="atom number N_a")
+    p.add_argument("--na", dest="n_a", type=float, default=None, help="atom number N_a")
     p.add_argument("--finite-size", action="store_true", default=None)
     p.add_argument("--t0", type=float, default=None, help="interaction time (s)")
-    p.add_argument("--cap", type=int, default=None, help="total-occupation cap")
+    p.add_argument("--cap", dest="truncation_cap", type=int, default=None,
+                   help="total-occupation cap")
     p.add_argument("--max-attempts", type=int, default=None)
     p.add_argument(
         "--no-double-pair",
-        action="store_true",
+        dest="second_order_pump",
+        action="store_false",
         default=None,
         help="truncate the pump at first order",
     )
@@ -104,24 +109,6 @@ def _parser() -> _Parser:
     return p
 
 
-_FIELDS = dataclasses.fields(ProtocolConfig)
-
-# the CLI's own defaults; the rest are ProtocolConfig's
-_DEFAULTS = {
-    **{f.name: f.default for f in _FIELDS},
-    "n": 3,
-    "p_e": 0.01,
-    "trials": 1000,
-    "alpha": [1.0, 0.0],
-    "beta": [0.0, 0.0],
-    "n_min": 3,
-    "n_max": 5,
-}
-
-# what a report's config echo holds, plus the output format
-_CONFIG_KEYS = frozenset(_DEFAULTS) | {"format"}
-
-
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -132,7 +119,7 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(data.keys() - _CONVERT.keys())
     if unknown:
         raise UsageError(f"unknown config file key(s): {', '.join(unknown)}")
     return data
@@ -174,6 +161,47 @@ def _pair(value) -> tuple[float, float]:
     return _float(re_part), _float(im_part)
 
 
+def _n_a(value) -> float:
+    """An atom number; ``null`` is the no-correction limit."""
+    return math.inf if value is None else _float(value)
+
+
+def _seed(value) -> int:
+    """An integer, or a string of one."""
+    return int(value) if isinstance(value, str) else _int(value)
+
+
+def _format(value) -> str:
+    """One of ``_FORMATS``."""
+    if value not in _FORMATS:
+        raise ValueError(f"expected one of {', '.join(_FORMATS)}")
+    return value
+
+
+_FIELDS = dataclasses.fields(ProtocolConfig)
+
+# Every config-file key, which is also the dest of the flag that sets it:
+# its default (ProtocolConfig's where it has one) and its converter.
+_DEFAULTS = {
+    **{f.name: f.default for f in _FIELDS},
+    "n": 3,
+    "p_e": 0.01,
+    "seed": None,  # required
+    "trials": 1000,
+    "alpha": [1.0, 0.0],
+    "beta": [0.0, 0.0],
+    "n_min": 3,
+    "n_max": 5,
+    "format": "json",
+}
+_CONVERT = {
+    "n": _int, "p_e": _float, "eta": _float, "phases": _phases, "n_a": _n_a,
+    "finite_size": _bool, "t0": _float, "truncation_cap": _int, "max_attempts": _int,
+    "seed": _seed, "second_order_pump": _bool, "trials": _int, "alpha": _pair,
+    "beta": _pair, "n_min": _int, "n_max": _int, "format": _format,
+}
+
+
 def _resolve_workers(flag: int | None) -> int:
     if flag is not None:
         value = flag
@@ -189,104 +217,59 @@ def _resolve_workers(flag: int | None) -> int:
     return value
 
 
+def _complex(pair: tuple[float, float], re_flag, im_flag) -> complex:
+    """``pair`` as a complex number, each part replaced by its flag if given."""
+    return complex(
+        pair[0] if re_flag is None else re_flag, pair[1] if im_flag is None else im_flag
+    )
+
+
 def parse_args(argv: Sequence[str]) -> ExperimentSpec:
     """Parse the command line into a validated experiment spec.
 
-    Flags override config-file values; unknown flags are rejected; ``--seed``
-    is required (the literal ``auto`` draws one, prints it, and embeds it in
-    the report).
+    Each key's value is its default, overlaid by the ``--config`` file, then
+    by the flags given; unknown flags and keys are rejected; ``--seed`` is
+    required (the literal ``auto`` draws one, prints it, and embeds it in the
+    report).
     """
     ns = _parser().parse_args(list(argv))
-    file_cfg = _load_config_file(ns.config) if ns.config else {}
-
-    def pick(flag_value, file_key, default, convert):
-        """The flag, else the config file's value, else ``default``, through
-        ``convert``; a value it cannot take is a usage error."""
-        value = file_cfg.get(file_key, default) if flag_value is None else flag_value
-        try:
-            return convert(value)
-        except (TypeError, ValueError, IndexError, OverflowError) as exc:
-            raise UsageError(f"bad value for {file_key}: {value!r} ({exc})") from exc
-
-    seed_raw = ns.seed if ns.seed is not None else file_cfg.get("seed")
-    if seed_raw is None:
+    raw = {
+        **_DEFAULTS,
+        **(_load_config_file(ns.config) if ns.config else {}),
+        **{k: v for k, v in vars(ns).items() if v is not None and k in _CONVERT},
+    }
+    if raw["seed"] is None:
         raise UsageError("--seed is required (use '--seed auto' to draw one)")
-    seed_was_auto = False
-    if isinstance(seed_raw, str) and seed_raw.lower() == "auto":
-        seed = secrets.randbits(63)
-        seed_was_auto = True
-    else:
+    seed_was_auto = isinstance(raw["seed"], str) and raw["seed"].lower() == "auto"
+    if seed_was_auto:
+        raw["seed"] = secrets.randbits(63)
+    values = {}
+    for key, convert in _CONVERT.items():
         try:
-            seed = int(seed_raw) if isinstance(seed_raw, str) else _int(seed_raw)
-        except (TypeError, ValueError) as exc:
-            raise UsageError("--seed must be an integer or 'auto'") from exc
+            values[key] = convert(raw[key])
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise UsageError(f"bad value for {key}: {raw[key]!r} ({exc})") from exc
 
-    n = pick(ns.n, "n", _DEFAULTS["n"], _int)
-    if ns.command == "teleport" and n != 3:
-        raise UsageError("teleportation uses two 3-party W states (n must be 3)")
-    if ns.command == "w-state" and n < 3:
+    if ns.command == "w-state" and values["n"] < 3:
         raise UsageError("w-state needs --n >= 3")
-    if ns.command == "epr" and n < 2:
-        raise UsageError("epr needs --n >= 2")
-
-    phases = pick(ns.phases, "phases", _DEFAULTS["phases"], _phases)
-    n_a = pick(ns.na, "n_a", _DEFAULTS["n_a"], lambda v: math.inf if v is None else _float(v))
-    second_order = pick(
-        None if ns.no_double_pair is None else not ns.no_double_pair,
-        "second_order_pump",
-        _DEFAULTS["second_order_pump"],
-        _bool,
-    )
+    teleport_cfg = None
     try:
-        config = ProtocolConfig(
-            n=n,
-            p_e=pick(ns.pe, "p_e", _DEFAULTS["p_e"], _float),
-            eta=pick(ns.eta, "eta", _DEFAULTS["eta"], _float),
-            phases=phases,
-            n_a=n_a,
-            finite_size=pick(ns.finite_size, "finite_size", _DEFAULTS["finite_size"], _bool),
-            t0=pick(ns.t0, "t0", _DEFAULTS["t0"], _float),
-            truncation_cap=pick(ns.cap, "truncation_cap", _DEFAULTS["truncation_cap"], _int),
-            max_attempts=pick(
-                ns.max_attempts, "max_attempts", _DEFAULTS["max_attempts"], _int
-            ),
-            seed=seed,
-            second_order_pump=second_order,
-        )
+        config = ProtocolConfig(**{f.name: values[f.name] for f in _FIELDS})
+        if ns.command == "teleport":
+            alpha = _complex(values["alpha"], ns.alpha_re, ns.alpha_im)
+            beta = _complex(values["beta"], ns.beta_re, ns.beta_im)
+            teleport_cfg = TeleportConfig(alpha, beta, config)
     except (ValueError, WClassError) as exc:
         raise UsageError(str(exc)) from exc
 
-    teleport_cfg = None
-    if ns.command == "teleport":
-        alpha_file = pick(None, "alpha", _DEFAULTS["alpha"], _pair)
-        beta_file = pick(None, "beta", _DEFAULTS["beta"], _pair)
-        alpha = complex(
-            pick(ns.alpha_re, None, alpha_file[0], float),
-            pick(ns.alpha_im, None, alpha_file[1], float),
-        )
-        beta = complex(
-            pick(ns.beta_re, None, beta_file[0], float),
-            pick(ns.beta_im, None, beta_file[1], float),
-        )
-        try:
-            teleport_cfg = TeleportConfig(alpha, beta, config)
-        except WClassError as exc:
-            raise UsageError(str(exc)) from exc
-
-    trials = pick(ns.trials, "trials", _DEFAULTS["trials"], _int)
-    if trials < 1:
+    if values["trials"] < 1:
         raise UsageError("--trials must be at least 1")
-
-    fmt = pick(ns.format, "format", "json", str)
-    if fmt not in _FORMATS:
-        raise UsageError(f"format must be one of {', '.join(_FORMATS)}")
-    if fmt == "csv-summary" and ns.command != "scaling-sweep":
+    if values["format"] == "csv-summary" and ns.command != "scaling-sweep":
         raise UsageError("csv-summary output is only defined for scaling-sweep")
 
     n_min = n_max = None
     if ns.command == "scaling-sweep":
-        n_min = pick(ns.n_min, "n_min", _DEFAULTS["n_min"], _int)
-        n_max = pick(ns.n_max, "n_max", _DEFAULTS["n_max"], _int)
+        n_min, n_max = values["n_min"], values["n_max"]
         if n_min < 3 or n_max < n_min:
             raise UsageError("need 3 <= --n-min <= --n-max")
 
@@ -294,9 +277,9 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
         command=ns.command,
         config=config,
         teleport=teleport_cfg,
-        trials=trials,
+        trials=values["trials"],
         output_path=ns.output,
-        fmt=fmt,
+        fmt=values["format"],
         workers=_resolve_workers(ns.workers),
         n_min=n_min,
         n_max=n_max,
@@ -341,20 +324,23 @@ def _run_sweep(spec: ExperimentSpec) -> tuple[dict, int]:
     return {"sweep": rows}, attempts_total
 
 
+_SWEEP_COLUMNS = (
+    "n", "p_c_hat", "mean_time_s", "predicted_time_s", "ratio_to_prev", "c_n_hat",
+    "fidelity_mean",
+)
+
+
+def _csv_cell(value) -> str:
+    """An integer as is, a number by its shortest repr, ``None`` as empty."""
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, int) else repr(float(value))
+
+
 def _sweep_csv(results: dict) -> str:
-    header = "n,p_c_hat,mean_time_s,predicted_time_s,ratio_to_prev,c_n_hat,fidelity_mean"
-    lines = [header]
+    lines = [",".join(_SWEEP_COLUMNS)]
     for row in results["sweep"]:
-        cells = [
-            str(row["n"]),
-            repr(float(row["p_c_hat"])),
-            repr(float(row["mean_time_s"])),
-            "" if row["predicted_time_s"] is None else repr(float(row["predicted_time_s"])),
-            "" if row["ratio_to_prev"] is None else repr(float(row["ratio_to_prev"])),
-            "" if row["c_n_hat"] is None else repr(float(row["c_n_hat"])),
-            "" if row["fidelity_mean"] is None else repr(float(row["fidelity_mean"])),
-        ]
-        lines.append(",".join(cells))
+        lines.append(",".join(_csv_cell(row[c]) for c in _SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

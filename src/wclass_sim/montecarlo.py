@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -101,8 +101,18 @@ class TrialRecord:
     first_success_attempts: Tuple[int, ...] | None = None
 
 
+class _Report:
+    def to_dict(self) -> dict:
+        """Every field but ``rounds_total`` and ``records``, in field order."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("rounds_total", "records")
+        }
+
+
 @dataclass
-class RunReport:
+class RunReport(_Report):
     """Aggregates of one batch; every estimate carries a standard error."""
 
     trials: int
@@ -119,22 +129,6 @@ class RunReport:
     confidence: Dict[str, object]
     rounds_total: int  # exact sum of the trials' rounds; not in to_dict
     records: List[TrialRecord] = field(default_factory=list, repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "stage_labels": list(self.stage_labels),
-            "mean_attempts_per_stage": list(self.mean_attempts_per_stage),
-            "p_c_hat": self.p_c_hat,
-            "mean_time_s": self.mean_time_s,
-            "predicted_time_s": self.predicted_time_s,
-            "c_n_hat": self.c_n_hat,
-            "fidelity_mean": self.fidelity_mean,
-            "w_fraction": self.w_fraction,
-            "vacuum_fraction": self.vacuum_fraction,
-            "confidence": self.confidence,
-        }
 
 
 def _classify_final(
@@ -326,7 +320,7 @@ def run_epr_batch(cfg: ProtocolConfig, trials: int, workers: int = 1) -> RunRepo
 
 
 @dataclass
-class TeleportReport:
+class TeleportReport(_Report):
     trials: int
     successes: int
     correct_click_fraction: float
@@ -336,18 +330,6 @@ class TeleportReport:
     mean_time_s: float
     confidence: Dict[str, object]
     rounds_total: int  # exact sum of the trials' rounds; not in to_dict
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "correct_click_fraction": self.correct_click_fraction,
-            "fidelity_mean": self.fidelity_mean,
-            "holder_this_fraction": self.holder_this_fraction,
-            "localize_fidelity_mean": self.localize_fidelity_mean,
-            "mean_time_s": self.mean_time_s,
-            "confidence": self.confidence,
-        }
 
 
 def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:

@@ -129,9 +129,13 @@ class ProtocolConfig:
             raise ValueError(f"need one phase per ensemble ({self.n})")
         if phases[0] != 0.0:
             raise ValueError("the reference phase phi_11 must be zero")
+        if not all(map(math.isfinite, phases)):
+            raise ValueError("phases must be finite")
         object.__setattr__(self, "phases", phases)
-        if self.t0 <= 0.0:
-            raise ValueError("t0 must be positive")
+        if not 0.0 < self.t0 < math.inf:
+            raise ValueError("t0 must be positive and finite")
+        if math.isnan(self.n_a):
+            raise ValueError("n_a must be a number (inf: no finite-size correction)")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if self.truncation_cap < 2:
@@ -150,6 +154,8 @@ class TeleportConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
+            raise PreconditionError("alpha and beta must be finite")
         if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > 1e-12:
             raise PreconditionError("|alpha|^2 + |beta|^2 must equal 1")
         if self.base.n != 3:
@@ -673,8 +679,7 @@ class _Node:
     dist: RoundDistribution
     links: Tuple[Tuple[RoundBranch, _Node | None], ...]
     weights: List[float]  # branch prob x P(pass then completes)
-    total: float  # sum(weights)
-    p_complete: float
+    p_complete: float  # sum(weights)
     fail: Tuple[float, ...]  # P(pass fails at stage k)
     # stage-0 nodes only: (p_pass, failure-stage law of a failed pass, its
     # largest cost); a pass failing at stage k costs k + 1 rounds
@@ -757,9 +762,7 @@ class ChainSimulator:
             p_complete += br.prob * pc
             for k, x in enumerate(fv):
                 fail[k] += br.prob * x
-        node = self._nodes[key] = _Node(
-            dist, links, weights, sum(weights), p_complete, tuple(fail)
-        )
+        node = self._nodes[key] = _Node(dist, links, weights, p_complete, tuple(fail))
         if idx == 0:  # a root: a pass may start here
             q = (1.0 - p_complete) or 1.0  # a pass that never fails: any law will do
             cond = np.clip(np.asarray(fail) / q, 0.0, None)
@@ -804,7 +807,7 @@ class ChainSimulator:
             if rounds <= budget:
                 node, log = root, []
                 while node is not None:
-                    br, node = pick(node.links, rng.random() * node.total, node.weights)
+                    br, node = pick(node.links, rng.random() * node.p_complete, node.weights)
                     log.extend(br.clicks)
                 return ChainTrialResult(
                     True, rounds, *_tally(counts, n_stages), br.state, tuple(log)

@@ -1,12 +1,14 @@
+import argparse
 import json
 import math
 
 import pytest
 
+from wclass_sim import cli
 from wclass_sim.cli import main, parse_args
 from wclass_sim.errors import UsageError
 
-from test_golden import CASES, GOLDEN
+from test_golden import CASES, GOLDEN, JSON_CASES
 
 
 def test_parse_w_state_flags():
@@ -69,16 +71,73 @@ def test_parse_csv_only_for_sweep():
         parse_args(["w-state", "--seed", "1", "--format", "csv-summary"])
 
 
-def test_config_file_with_flag_override(tmp_path):
+# key -> (command, config file, flags, what the spec holds); the flags win
+FLAG_OVERRIDES = {
+    "n": ("w-state", {"n": 4}, ["--n", "5"], lambda s: s.config.n, 5),
+    "p_e": ("w-state", {"p_e": 0.02}, ["--pe", "0.03"], lambda s: s.config.p_e, 0.03),
+    "eta": ("w-state", {"eta": 0.25}, ["--eta", "0.1"], lambda s: s.config.eta, 0.1),
+    "phases": ("w-state", {"phases": [0, 0.1, 0.2]}, ["--phases", "0,0.3,-0.4"],
+               lambda s: s.config.phases, (0.0, 0.3, -0.4)),
+    "n_a": ("w-state", {"n_a": 100}, ["--na", "200"], lambda s: s.config.n_a, 200.0),
+    "finite_size": ("w-state", {"n_a": 100, "finite_size": False}, ["--finite-size"],
+                    lambda s: s.config.finite_size, True),
+    "t0": ("w-state", {"t0": 2e-6}, ["--t0", "3e-6"], lambda s: s.config.t0, 3e-6),
+    "truncation_cap": ("w-state", {"truncation_cap": 3}, ["--cap", "5"],
+                       lambda s: s.config.truncation_cap, 5),
+    "max_attempts": ("w-state", {"max_attempts": 10}, ["--max-attempts", "20"],
+                     lambda s: s.config.max_attempts, 20),
+    "seed": ("w-state", {"seed": 9}, ["--seed", "10"], lambda s: s.config.seed, 10),
+    "second_order_pump": ("w-state", {"second_order_pump": True}, ["--no-double-pair"],
+                          lambda s: s.config.second_order_pump, False),
+    "trials": ("w-state", {"trials": 50}, ["--trials", "60"], lambda s: s.trials, 60),
+    # each component flag replaces one part of the file's [re, im]
+    "alpha": ("teleport", {"alpha": [0.6, 0.8]}, ["--alpha-im", "-0.8"],
+              lambda s: s.teleport.alpha, complex(0.6, -0.8)),
+    "beta": ("teleport", {"alpha": [0.6, 0.0], "beta": [0.0, 0.8]}, ["--beta-im", "-0.8"],
+             lambda s: s.teleport.beta, complex(0.0, -0.8)),
+    "n_min": ("scaling-sweep", {"n_min": 3}, ["--n-min", "4"], lambda s: s.n_min, 4),
+    "n_max": ("scaling-sweep", {"n_max": 5}, ["--n-max", "4"], lambda s: s.n_max, 4),
+    "format": ("scaling-sweep", {"format": "json"}, ["--format", "csv-summary"],
+               lambda s: s.fmt, "csv-summary"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FLAG_OVERRIDES))
+def test_config_file_with_flag_override(tmp_path, key):
+    command, content, flags, got, want = FLAG_OVERRIDES[key]
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(
-        json.dumps({"n": 4, "p_e": 0.02, "eta": 0.25, "seed": 9, "trials": 50})
-    )
-    spec = parse_args(["w-state", "--config", str(cfg_path), "--eta", "0.1"])
-    assert spec.config.n == 4
-    assert spec.config.eta == 0.1  # flag wins
-    assert spec.config.p_e == 0.02
-    assert spec.config.seed == 9
+    cfg_path.write_text(json.dumps({"seed": 9, **content}))
+    spec = parse_args([command, "--config", str(cfg_path), *flags])
+    assert got(spec) == want  # flag wins
+    spec = parse_args([command, "--config", str(cfg_path)])
+    file_value = content[key]
+    if key in ("alpha", "beta"):
+        file_value = complex(*file_value)
+    elif key == "phases":
+        file_value = tuple(file_value)
+    assert got(spec) == file_value  # the file's value without the flag
+
+
+def test_flag_override_cases_cover_every_config_key():
+    assert sorted(FLAG_OVERRIDES) == sorted(cli._CONVERT) == sorted(cli._DEFAULTS)
+
+
+def test_every_flag_stores_to_its_config_file_key(tmp_path):
+    # a flag is named for the user; its dest is the key a config file and
+    # the report's echo use, so one table serves both
+    not_keys = {"command", "config", "workers", "output",
+                "alpha_re", "alpha_im", "beta_re", "beta_im"}
+    subparsers = next(a for a in cli._parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = {
+        action.dest
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict.fromkeys(sorted(dests - not_keys))))
+    cli._load_config_file(str(cfg_path))  # raises on a key it does not take
 
 
 def test_usage_error_exit_code_and_no_report(tmp_path, capsys):
@@ -232,6 +291,9 @@ def test_parser_reuse_keeps_reports_byte_identical(tmp_path, capsys):
         pytest.param("w-state", {"t0": True}, id="t0-true"),
         pytest.param("w-state", {"seed": 1.9}, id="seed-fraction"),
         pytest.param("w-state", {"eta": 10**400}, id="eta-beyond-float"),
+        # the configs, not the CLI, reject these
+        pytest.param("teleport", {"n": 4}, id="teleport-n4"),
+        pytest.param("epr", {"n": 1}, id="epr-n1"),
     ],
 )
 def test_config_file_rejects_unknown_keys_and_values(tmp_path, command, content):
@@ -250,12 +312,34 @@ def test_config_file_rejects_unknown_keys_and_values(tmp_path, command, content)
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("name", ["w3", "teleport_cap5", "sweep"])
+@pytest.mark.parametrize("name", JSON_CASES)
 def test_config_echo_round_trips_through_config_file(tmp_path, name):
-    # the config echo alone reproduces its report
+    # the config echo alone reproduces its report and exit code
     golden = (GOLDEN / f"{name}.json").read_bytes()
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
     cfg_path.write_text(json.dumps(json.loads(golden)["config"]))
     argv = [CASES[name][0][0], "--config", str(cfg_path), "--workers", "1"]
-    assert main([*argv, "-o", str(out)]) == 0
+    assert main([*argv, "-o", str(out)]) == CASES[name][1]
     assert out.read_bytes() == golden
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        pytest.param(["w-state", "--t0", "nan"], None, id="t0-nan"),
+        pytest.param(["w-state"], {"t0": math.nan}, id="t0-nan-config"),
+        pytest.param(["w-state", "--t0", "inf"], None, id="t0-inf"),
+        pytest.param(["w-state", "--na", "nan"], None, id="na-nan"),
+        pytest.param(["w-state", "--phases", "0,nan,0"], None, id="phases-nan"),
+        pytest.param(["teleport", "--alpha-re", "nan"], None, id="alpha-re-nan"),
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(tmp_path, argv, content):
+    if content is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(content))  # writes the bare token NaN
+        argv = [*argv, "--config", str(cfg_path)]
+    out = tmp_path / "never.json"
+    assert main([*argv, "--seed", "1", "--trials", "3", "--workers", "1",
+                 "-o", str(out)]) == 2
+    assert not out.exists()

@@ -1,7 +1,8 @@
-"""Golden reports: fixed command lines whose JSON reports must not change.
+"""Golden reports: fixed command lines whose reports must not change.
 
 Each case runs ``wclass-sim`` in-process and compares the report with the
-committed file ``tests/golden/<name>.json`` byte for byte.  Two cases cover
+committed file ``tests/golden/<name>.json`` (``<name>.csv`` for a
+``csv-summary`` case) byte for byte.  Two cases cover
 budget-exhausted trials: ``w3_exhausted`` (a multi-stage chain whose
 budget of 200 rounds most trials spend) and ``teleport_cap4_exhausted``
 (9 of its 30 trials reach a W123 outcome from which W456 has no completing
@@ -25,6 +26,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 W_COMMON = ["--eta", "0.3", "--pe", "0.01", "--trials", "100", "--workers", "1"]
 
+SWEEP = ["scaling-sweep", "--n-min", "3", "--n-max", "5", "--eta", "0.2", "--pe", "0.03",
+         "--trials", "60", "--seed", "9", "--workers", "1"]
+
 # name -> (argv, exit code)
 CASES = {
     "epr_n2": (["epr", "--n", "2", "--eta", "0.1", "--pe", "0.01", "--trials", "300",
@@ -44,8 +48,8 @@ CASES = {
                         "--pe", "0.03", "--trials", "100", "--seed", "7", "--workers", "1"], 0),
     "w3_workers2": (["w-state", "--n", "3", "--eta", "0.2", "--pe", "0.02", "--trials", "100",
                      "--seed", "5", "--workers", "2"], 0),
-    "sweep": (["scaling-sweep", "--n-min", "3", "--n-max", "5", "--eta", "0.2", "--pe", "0.03",
-               "--trials", "60", "--seed", "9", "--workers", "1"], 0),
+    "sweep": (SWEEP, 0),
+    "sweep_csv": ([*SWEEP, "--format", "csv-summary"], 0),
     "teleport_cap5": (["teleport", "--cap", "5", "--alpha-re", "0.6", "--beta-re", "0.8",
                        "--pe", "0.05", "--eta", "0.1", "--trials", "4", "--seed", "11",
                        "--workers", "1"], 0),
@@ -57,19 +61,27 @@ CASES = {
 }
 
 
+# the cases whose report is JSON, with a config echo
+JSON_CASES = sorted(name for name, (argv, _) in CASES.items() if "csv-summary" not in argv)
+
+
+def golden_path(name: str) -> Path:
+    return GOLDEN / f"{name}.{'json' if name in JSON_CASES else 'csv'}"
+
+
 def _run(name: str, out: Path) -> int:
     return main([*CASES[name][0], "-o", str(out)])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path):
-    out = tmp_path / "report.json"
+    out = tmp_path / "report"
     assert _run(name, out) == CASES[name][1]
-    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    assert out.read_bytes() == golden_path(name).read_bytes()
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
-        code = _run(case, GOLDEN / f"{case}.json")
+        code = _run(case, golden_path(case))
         print(f"{case}: exit {code}", file=sys.stderr)

@@ -85,6 +85,43 @@ def test_config_rejects_finite_size_below_two_atoms():
     ProtocolConfig(n=3, p_e=0.01, n_a=1.0)  # ideal bosons: n_a unused
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"t0": math.nan},
+        {"t0": math.inf},
+        {"t0": -math.inf},
+        {"n_a": math.nan},
+        {"n_a": math.nan, "finite_size": True},
+        {"phases": (0.0, math.nan, 0.0)},
+        {"phases": (0.0, 0.0, math.inf)},
+    ],
+    ids=["t0-nan", "t0-inf", "t0-minus-inf", "n_a-nan", "n_a-nan-finite-size",
+         "phase-nan", "phase-inf"],
+)
+def test_config_rejects_non_finite_numbers(kwargs):
+    with pytest.raises(ValueError):
+        ProtocolConfig(n=3, p_e=0.01, **kwargs)
+
+
+def test_config_keeps_infinite_atom_number_as_no_correction():
+    assert ProtocolConfig(n=3, p_e=0.01, n_a=math.inf).n_a == math.inf
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        (complex(math.nan, 0.0), 0.8),
+        (0.6, complex(0.8, math.nan)),
+        (complex(math.inf, 0.0), 0.0),
+        (1.0, complex(0.0, -math.inf)),
+    ],
+)
+def test_teleport_config_rejects_non_finite_amplitudes(alpha, beta):
+    with pytest.raises(PreconditionError, match="finite"):
+        TeleportConfig(alpha, beta, ProtocolConfig(n=3, p_e=0.01))
+
+
 # ---------------------------------------------------------------------------
 # operator-algebra path against the literal closed forms
 # ---------------------------------------------------------------------------
