@@ -40,13 +40,9 @@ from .fock import (
 )
 from .optics import (
     BeamSplitterSpec,
-    DetectorOutcome,
-    LossSpec,
     PumpSpec,
     apply_beam_splitter,
-    apply_loss,
     apply_phase,
-    detect,
     detection_outcomes,
     loss_outcomes,
     pump_excite,

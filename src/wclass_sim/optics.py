@@ -1,11 +1,9 @@
 """Linear-optical elements, Raman pump/repump events, loss, and detection.
 
-All elements are pure functions on :class:`~wclass_sim.fock.FockState`
-except for the ones that take a random stream.  The stochastic elements
-(:func:`apply_loss`, :func:`detect`) are thin Born-rule samplers over the
-exact outcome enumerators (:func:`loss_outcomes`,
-:func:`detection_outcomes`), which the protocol engine also uses directly
-to build exact trajectory trees.
+Every element is a pure function on :class:`~wclass_sim.fock.FockState`;
+none takes a random stream.  Loss and detection are exact outcome
+enumerators (:func:`loss_outcomes`, :func:`detection_outcomes`), whose
+branches the protocol engine conditions on and samples.
 """
 
 from __future__ import annotations
@@ -14,16 +12,15 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List
 
 from .errors import (
     ModeKindError,
     NormalizationError,
     ProtocolSequencingError,
 )
-from .fock import FockState, Mode, ModeKind, Occupation, normalize, superpose, create
+from .fock import FockState, Mode, ModeKind, Occupation, create, superpose
+from .fock import normalize  # unused here; bench/spans.py wraps this binding
 
 
 @dataclass(frozen=True)
@@ -72,41 +69,6 @@ class PumpSpec:
                 "regime; the truncated expansion loses accuracy",
                 stacklevel=2,
             )
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Lumped per-photon loss probability ``eta`` on a photonic path.
-
-    Protocol configurations require ``eta < 1``; the element itself also
-    accepts the degenerate total-loss channel ``eta = 1``.
-    """
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DetectorOutcome:
-    clicked: bool
-    detector_id: str
-
-
-def pick(branches: Sequence, u: float, weights: Sequence[float] | None = None):
-    """Categorical draw: the first branch at which the running sum of
-    ``weights`` (by default each branch's ``prob``) exceeds ``u``, or the last
-    branch when rounding leaves ``u`` beyond the total."""
-    if weights is None:
-        weights = [b.prob for b in branches]
-    acc = 0.0
-    for branch, w in zip(branches, weights):
-        acc += w
-        if u < acc:
-            return branch
-    return branches[-1]
 
 
 def apply_beam_splitter(state: FockState, bs: BeamSplitterSpec) -> FockState:
@@ -216,8 +178,11 @@ def loss_outcomes(state: FockState, m: Mode, eta: float) -> List[LossBranch]:
     The environment records only the number ``j`` of lost photons, so the
     branch states stay coherent across photon-number sectors:
     ``|k> -> sqrt(C(k, j) eta^j (1-eta)^(k-j)) |k-j>``.
-    Branch probabilities are relative to the normalized input.
+    Branch probabilities are relative to the normalized input.  ``eta``
+    must lie in [0, 1]; ``eta = 1`` is the total-loss channel.
     """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
     idx = state.registry.check_mode(m).index
     total = state.norm_squared()
     if total <= 0.0:
@@ -240,23 +205,6 @@ def loss_outcomes(state: FockState, m: Mode, eta: float) -> List[LossBranch]:
         if p > 0.0:
             branches.append(LossBranch(p, j, branch))
     return branches
-
-
-def apply_loss(
-    state: FockState,
-    m: Mode,
-    loss: LossSpec,
-    rng: np.random.Generator,
-    log: list | None = None,
-) -> FockState:
-    """Monte Carlo sample of the loss channel: conditioned, renormalized.
-
-    The number of lost photons is appended to ``log`` when one is given.
-    """
-    chosen = pick(loss_outcomes(state, m, loss.eta), rng.random())
-    if log is not None:
-        log.append(chosen.lost)
-    return normalize(chosen.state)
 
 
 @dataclass(frozen=True)
@@ -286,23 +234,3 @@ def detection_outcomes(state: FockState, m: Mode) -> List[DetectionBranch]:
         branch = state.replace_terms(sectors[k])
         branches.append(DetectionBranch(branch.norm_squared() / total, k, branch))
     return branches
-
-
-def detect(
-    state: FockState,
-    m: Mode,
-    rng: np.random.Generator,
-    detector_id: str = "D",
-) -> Tuple[DetectorOutcome, FockState]:
-    """Sample a non-number-resolving detection on mode ``m``.
-
-    The photon number ``k`` is sampled by the Born rule and the state
-    collapses to the ``k`` sector with the mode emptied, but the reported
-    outcome only says whether ``k >= 1`` (one and two photons give the same
-    click).
-    """
-    chosen = pick(detection_outcomes(state, m), rng.random())
-    return (
-        DetectorOutcome(clicked=chosen.photons >= 1, detector_id=detector_id),
-        normalize(chosen.state),
-    )

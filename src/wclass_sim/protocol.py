@@ -82,7 +82,6 @@ from .optics import (
     apply_phase,
     detection_outcomes,
     loss_outcomes,
-    pick,
     pump_excite,
     repump_convert,
 )
@@ -138,6 +137,8 @@ class ProtocolConfig:
             raise ValueError("n_a must be a number (inf: no finite-size correction)")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        if not -(2**63) <= self.seed < 2**63:  # rng_for_trial keeps 64 bits
+            raise ValueError("seed must lie in [-2**63, 2**63)")
         if self.truncation_cap < 2:
             raise ValueError("truncation_cap below 2 cannot hold the protocol")
         CollectiveModeModel(self.n_a, self.finite_size)  # raises if n_a is too small
@@ -283,14 +284,22 @@ def _excite(
     return superpose(coeffs, [create(state, m) for m in modes])
 
 
+def _phases_for(n: int, phases: Sequence[float] | None) -> Sequence[float]:
+    """``phases`` (n zeros by default), which must hold one per ensemble."""
+    if phases is None:
+        return (0.0,) * n
+    if len(phases) < n:
+        raise ValueError(f"need one phase per ensemble ({n})")
+    return phases
+
+
 def ideal_w_state(
     n: int, phases: Sequence[float] | None = None, layout: ChainLayout | None = None
 ) -> FockState:
     """``(1/sqrt(n)) sum_i e^{i phi_1i} s_i+ |vac>``, exactly."""
     if n < 1:
         raise ValueError("n must be positive")
-    if phases is None:
-        phases = (0.0,) * n
+    phases = _phases_for(n, phases)
     if layout is None:
         layout = make_chain_layout(ProtocolConfig(n=max(n, 2), p_e=0.0))
     coeffs = [cmath.rect(1.0, ph) / math.sqrt(n) for ph in phases[:n]]
@@ -323,8 +332,7 @@ def w_prime_state(
     """
     if n < 3:
         raise ValueError("the chain intermediate needs n >= 3")
-    if phases is None:
-        phases = (0.0,) * n
+    phases = _phases_for(n, phases)
     if layout is None:
         layout = make_chain_layout(ProtocolConfig(n=n, p_e=0.0))
     e12 = cmath.rect(1.0, phases[1])
@@ -341,8 +349,7 @@ def w_state_by_operators(
 ) -> FockState:
     """Maximized W state via ``(1/(2 sqrt(n))) s_1 (s_1+ + e^{i phi_1n} s_n+)``
     acting on the chain intermediate."""
-    if phases is None:
-        phases = (0.0,) * n
+    phases = _phases_for(n, phases)
     if layout is None:
         layout = make_chain_layout(ProtocolConfig(n=n, p_e=0.0))
     wp = w_prime_state(n, phases, layout)
@@ -630,6 +637,18 @@ def _tally(counts: List[int], through: int) -> Tuple[Tuple[int, ...], Tuple[int,
     return tuple(attempts[::-1]), tuple(successes[::-1])
 
 
+def pick(branches: Sequence, u: float, weights: Sequence[float]):
+    """Categorical draw: the first branch at which the running sum of
+    ``weights`` exceeds ``u``, or the last branch when rounding leaves ``u``
+    beyond the total."""
+    acc = 0.0
+    for branch, w in zip(branches, weights):
+        acc += w
+        if u < acc:
+            return branch
+    return branches[-1]
+
+
 def _spend_budget(
     rng: np.random.Generator, root: _Node, budget: int
 ) -> Tuple[List[int], int]:
@@ -641,7 +660,7 @@ def _spend_budget(
     block of ``left // max_cost`` passes always fits in the ``left`` rounds
     still to spend and can be drawn at once; the last few are drawn singly.
     """
-    _, cond, max_cost = root.law
+    cond, max_cost = root.law
     counts = [0] * len(cond)
     left = budget
     while left >= max_cost:
@@ -681,9 +700,9 @@ class _Node:
     weights: List[float]  # branch prob x P(pass then completes)
     p_complete: float  # sum(weights)
     fail: Tuple[float, ...]  # P(pass fails at stage k)
-    # stage-0 nodes only: (p_pass, failure-stage law of a failed pass, its
-    # largest cost); a pass failing at stage k costs k + 1 rounds
-    law: Tuple[float, np.ndarray, int] | None = None
+    # stage-0 nodes only: (failure-stage law of a failed pass, its largest
+    # cost); a pass failing at stage k costs k + 1 rounds
+    law: Tuple[np.ndarray, int] | None = None
 
 
 class ChainSimulator:
@@ -767,7 +786,7 @@ class ChainSimulator:
             q = (1.0 - p_complete) or 1.0  # a pass that never fails: any law will do
             cond = np.clip(np.asarray(fail) / q, 0.0, None)
             cond[-1] = max(0.0, 1.0 - cond[:-1].sum())
-            node.law = (p_complete, cond, int(np.flatnonzero(cond)[-1]) + 1)
+            node.law = (cond, int(np.flatnonzero(cond)[-1]) + 1)
         return node
 
     @functools.cached_property
@@ -791,7 +810,7 @@ class ChainSimulator:
         one-stage chain records ``(budget,)`` attempts and no success.
         """
         root = self._vacuum_root if initial_state is None else self._node(0, initial_state)
-        p_pass, cond, _ = root.law
+        p_pass, cond = root.p_complete, root.law[0]
         if trace and p_pass > 0.0:  # else every pass fails: spend the budget at once
             return self._run_trial_trace(rng, root)
         n_stages = len(self.stages)

@@ -294,6 +294,8 @@ def test_parser_reuse_keeps_reports_byte_identical(tmp_path, capsys):
         # the configs, not the CLI, reject these
         pytest.param("teleport", {"n": 4}, id="teleport-n4"),
         pytest.param("epr", {"n": 1}, id="epr-n1"),
+        pytest.param("w-state", {"seed": 2**63}, id="seed-2**63"),
+        pytest.param("w-state", {"seed": -(2**63) - 1}, id="seed-below-2**63"),
     ],
 )
 def test_config_file_rejects_unknown_keys_and_values(tmp_path, command, content):
@@ -341,5 +343,14 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, argv, content):
         argv = [*argv, "--config", str(cfg_path)]
     out = tmp_path / "never.json"
     assert main([*argv, "--seed", "1", "--trials", "3", "--workers", "1",
+                 "-o", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [str(2**63), str(-(2**63) - 1)])
+def test_seed_beyond_64_bits_is_a_usage_error(tmp_path, seed):
+    # trial streams keep a seed's low 64 bits, so a wider seed would alias one
+    out = tmp_path / "never.json"
+    assert main(["w-state", "--seed", seed, "--trials", "3", "--workers", "1",
                  "-o", str(out)]) == 2
     assert not out.exists()

@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wclass_sim.errors import ModeKindError, ProtocolSequencingError
+import wclass_sim
+from wclass_sim.errors import ModeKindError, NormalizationError, ProtocolSequencingError
 from wclass_sim.fock import (
     FockState,
     ModeRegistry,
@@ -14,12 +17,9 @@ from wclass_sim.fock import (
 )
 from wclass_sim.optics import (
     BeamSplitterSpec,
-    LossSpec,
     PumpSpec,
     apply_beam_splitter,
-    apply_loss,
     apply_phase,
-    detect,
     detection_outcomes,
     loss_outcomes,
     pump_excite,
@@ -190,52 +190,53 @@ def test_repump_preserves_per_term_excitation(optics_registry):
     assert moved.amplitude((0, 2, 0)) == pytest.approx(math.sqrt(2))
 
 
+def one_plus_two_photons(reg):
+    """(|1> + |2>)/sqrt(2) on photonic mode ``a``."""
+    a = reg.modes[1]
+    vac = FockState.vacuum(reg)
+    return normalize(
+        superpose([1.0, 1.0], [create(vac, a), normalize(create(create(vac, a), a))])
+    )
+
+
 def test_loss_eta_zero_is_identity(optics_registry):
     reg = optics_registry
     psi = photon_pair_state(reg, 2, 0)
-    rng = np.random.default_rng(0)
-    assert apply_loss(psi, reg.modes[1], LossSpec(0.0), rng) is not None
-    branches = loss_outcomes(psi, reg.modes[1], 0.0)
-    assert len(branches) == 1 and branches[0].prob == 1.0
+    [branch] = loss_outcomes(psi, reg.modes[1], 0.0)
+    assert (branch.prob, branch.lost) == (1.0, 0) and branch.state is psi
 
 
 def test_loss_eta_one_empties_the_mode(optics_registry):
     reg = optics_registry
-    one = photon_pair_state(reg, 1, 0)
-    rng = np.random.default_rng(0)
-    out = apply_loss(one, reg.modes[1], LossSpec(1.0), rng)
-    assert out.amplitude((0, 0, 0)) == pytest.approx(1.0)
+    [branch] = loss_outcomes(photon_pair_state(reg, 1, 0), reg.modes[1], 1.0)
+    assert (branch.prob, branch.lost) == (1.0, 1)
+    assert dict(branch.state.items()) == {(0, 0, 0): 1.0 + 0j}
 
 
-def test_loss_sampling_matches_binomial_oracle(optics_registry):
+@pytest.mark.parametrize("eta", [math.nan, -0.5, 1.5])
+def test_loss_rejects_eta_outside_unit_interval(optics_registry, eta):
     reg = optics_registry
-    one = photon_pair_state(reg, 1, 0)
+    with pytest.raises(ValueError, match="eta must lie in"):
+        loss_outcomes(photon_pair_state(reg, 1, 0), reg.modes[1], eta)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_loss_branches_match_binomial_oracle(optics_registry, k):
+    # |k> loses j photons with probability C(k, j) eta^j (1-eta)^(k-j), into |k-j>.
+    reg = optics_registry
     eta = 0.3
-    rng = np.random.default_rng(123)
-    n = 100_000
-    log: list = []
-    survived = 0
-    for _ in range(n):
-        out = apply_loss(one, reg.modes[1], LossSpec(eta), rng, log=log)
-        survived += out.amplitude((0, 1, 0)) != 0
-    p = binomial_pmf(1, 1, eta)  # P(photon lost) = eta
-    assert p == eta
-    se = math.sqrt(eta * (1 - eta) / n)
-    assert survived / n == pytest.approx(1 - eta, abs=3 * se)
-    assert sum(log) == n - survived
+    branches = loss_outcomes(photon_pair_state(reg, k, 0), reg.modes[1], eta)
+    assert [b.lost for b in branches] == list(range(k + 1))
+    for b in branches:
+        assert b.prob == pytest.approx(binomial_pmf(k, b.lost, eta), abs=1e-12)
+        assert set(dict(b.state.items())) == {(0, k - b.lost, 0)}
 
 
 def test_loss_branches_are_coherent_within_fixed_loss_count(optics_registry):
     # |1> + |2> with one photon lost keeps the |0>,|1> superposition.
     reg = optics_registry
     a = reg.modes[1]
-    vac = FockState.vacuum(reg)
-    psi = normalize(
-        superpose(
-            [1.0, 1.0],
-            [create(vac, a), normalize(create(create(vac, a), a))],
-        )
-    )
+    psi = one_plus_two_photons(reg)
     branches = {b.lost: b for b in loss_outcomes(psi, a, 0.4)}
     one_lost = branches[1]
     amps = dict(one_lost.state.items())
@@ -244,52 +245,60 @@ def test_loss_branches_are_coherent_within_fixed_loss_count(optics_registry):
 
 def test_detect_on_single_photon_and_vacuum(optics_registry):
     reg = optics_registry
-    rng = np.random.default_rng(2)
-    outcome, post = detect(photon_pair_state(reg, 1, 0), reg.modes[1], rng, "D1")
-    assert outcome.clicked and outcome.detector_id == "D1"
-    assert post.amplitude((0, 0, 0)) == pytest.approx(1.0)
-    outcome, post = detect(FockState.vacuum(reg), reg.modes[1], rng)
-    assert not outcome.clicked
+    [branch] = detection_outcomes(photon_pair_state(reg, 1, 0), reg.modes[1])
+    assert (branch.prob, branch.photons) == (1.0, 1)
+    assert dict(branch.state.items()) == {(0, 0, 0): 1.0 + 0j}
+    [branch] = detection_outcomes(FockState.vacuum(reg), reg.modes[1])
+    assert (branch.prob, branch.photons) == (1.0, 0)
 
 
 def test_detect_confuses_one_and_two_photons(optics_registry):
-    # (|1> + |2>)/sqrt(2): always clicks; k collapses to 1 or 2 evenly.
+    # (|1> + |2>)/sqrt(2): every outcome clicks; k is 1 or 2 evenly.
     reg = optics_registry
-    a = reg.modes[1]
-    vac = FockState.vacuum(reg)
-    psi = normalize(
-        superpose(
-            [1.0, 1.0],
-            [create(vac, a), normalize(create(create(vac, a), a))],
-        )
-    )
-    branches = detection_outcomes(psi, a)
-    probs = {b.photons: b.prob for b in branches}
-    assert probs[1] == pytest.approx(0.5, abs=1e-12)
-    assert probs[2] == pytest.approx(0.5, abs=1e-12)
-    rng = np.random.default_rng(8)
-    clicks = sum(detect(psi, a, rng)[0].clicked for _ in range(500))
-    assert clicks == 500
+    branches = detection_outcomes(one_plus_two_photons(reg), reg.modes[1])
+    assert [b.photons for b in branches] == [1, 2]
+    for b in branches:
+        assert b.prob == pytest.approx(0.5, abs=1e-12)
 
 
 def test_detect_zero_state_is_normalization_error(optics_registry):
-    from wclass_sim.errors import NormalizationError
-
     reg = optics_registry
     zero = superpose([0.0], [FockState.vacuum(reg)])
     with pytest.raises(NormalizationError):
-        detect(zero, reg.modes[1], np.random.default_rng(0))
+        detection_outcomes(zero, reg.modes[1])
+    with pytest.raises(NormalizationError):
+        loss_outcomes(zero, reg.modes[1], 0.3)
 
 
-def test_click_frequency_after_loss(optics_registry):
+def test_click_probability_after_loss(optics_registry):
     reg = optics_registry
-    one = photon_pair_state(reg, 1, 0)
+    a = reg.modes[1]
     eta = 0.25
-    rng = np.random.default_rng(77)
-    n = 20_000
-    clicks = 0
-    for _ in range(n):
-        lossy = apply_loss(one, reg.modes[1], LossSpec(eta), rng)
-        clicks += detect(lossy, reg.modes[1], rng)[0].clicked
-    se = math.sqrt(eta * (1 - eta) / n)
-    assert clicks / n == pytest.approx(1 - eta, abs=3 * se)
+    p_click = sum(
+        lb.prob * db.prob
+        for lb in loss_outcomes(photon_pair_state(reg, 1, 0), a, eta)
+        for db in detection_outcomes(normalize(lb.state), a)
+        if db.photons >= 1
+    )
+    assert p_click == pytest.approx(1 - eta, abs=1e-12)
+
+
+@pytest.mark.parametrize("module", ["fock", "optics"])
+def test_state_layers_take_no_random_stream(module):
+    # randomness lives in protocol and montecarlo; fock and optics are exact
+    path = Path(wclass_sim.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    takes_rng = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "rng" in {a.arg for a in (*node.args.posonlyargs, *node.args.args,
+                                      *node.args.kwonlyargs)}
+    ]
+    assert ("numpy" in modules, takes_rng) == (False, [])

@@ -104,6 +104,17 @@ def test_config_rejects_non_finite_numbers(kwargs):
         ProtocolConfig(n=3, p_e=0.01, **kwargs)
 
 
+@pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+def test_config_rejects_seed_beyond_64_bits(seed):
+    with pytest.raises(ValueError, match="seed"):
+        ProtocolConfig(n=3, p_e=0.01, seed=seed)
+
+
+def test_config_keeps_seeds_at_the_64_bit_bounds():
+    for seed in (-(2**63), 2**63 - 1):
+        assert ProtocolConfig(n=3, p_e=0.01, seed=seed).seed == seed
+
+
 def test_config_keeps_infinite_atom_number_as_no_correction():
     assert ProtocolConfig(n=3, p_e=0.01, n_a=math.inf).n_a == math.inf
 
@@ -179,6 +190,23 @@ def test_ideal_w_state_examples():
     assert ideal_w_state(1).norm() == pytest.approx(1.0)
     for n in range(2, 9):
         assert ideal_w_state(n).norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (ideal_w_state, (3, (0.0, 0.5))),
+        (w_prime_state, (4, (0.0, 0.1))),
+        (w_state_by_operators, (3, (0.0,))),
+    ],
+    ids=["ideal_w_state", "w_prime_state", "w_state_by_operators"],
+)
+def test_builders_reject_short_phase_lists(build, args):
+    with pytest.raises(ValueError, match="need one phase per ensemble"):
+        build(*args)
+    n = args[0]
+    longer = (0.0,) * (n + 2)  # phases past the n-th are ignored
+    assert dict(build(n, longer).items()) == dict(build(n).items())
 
 
 def _bits(state):
