@@ -211,7 +211,7 @@ def _resolve_workers(flag: int | None) -> int:
         except ValueError as exc:
             raise UsageError(f"{WORKERS_ENV} must be an integer") from exc
     else:
-        value = os.cpu_count() or 1
+        value = 1  # a process pool costs more than it saves below ~10**4 trials
     if value < 1:
         raise UsageError("--workers must be at least 1")
     return value

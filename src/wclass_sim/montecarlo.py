@@ -1,17 +1,18 @@
 """Seeded batch runner and estimators for the protocol's quantitative claims.
 
-Trials are independent and reproducible: trial ``t`` of a batch draws from a
-generator derived from ``(seed, t)``, and aggregates are reduced in trial
-order, so reports are bit-identical for a fixed configuration no matter how
-many workers executed the batch.
+Trials are independent and reproducible: trial ``t`` of a batch draws from
+PCG64 seeded by ``SeedSequence(seed mod 2**64, spawn_key=(t,))``
+(:func:`rng_for_trial`), and aggregates are reduced in trial order, so
+reports are bit-identical for a fixed configuration no matter how many
+workers executed the batch.  A chain batch derives all of its trials'
+generator states at once (:func:`trial_rngs`), bit for bit the same.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -56,6 +57,102 @@ def rng_for_trial(seed: int, trial_index: int) -> np.random.Generator:
         entropy=seed & (2**64 - 1), spawn_key=(trial_index,)
     )
     return np.random.default_rng(ss)
+
+
+# numpy's SeedSequence (pool of 4 words, hash constants and multipliers) and
+# PCG64 (128-bit LCG multiplier), which trial_rngs reproduces
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+_BLOCK = 4096  # trials derived per vectorized pass
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int) -> Tuple[np.ndarray, int]:
+    """SeedSequence's hash of the uint32 words ``value``:
+    ``(hashed words, next hash constant)``."""
+    const_next = const * mult & _M32
+    value = (value ^ np.uint32(const)) * np.uint32(const_next)
+    return value ^ (value >> 16), const_next
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a hashed word ``y`` into the pool word ``x``."""
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> 16)
+
+
+def _entropy_pool(seed: int) -> Tuple[List[np.ndarray], int]:
+    """The pool of ``SeedSequence(seed mod 2**64, spawn_key=(t,))`` once its
+    entropy words are mixed in, which is the same for every ``t``, and the
+    hash constant that mixing the spawn words goes on from."""
+    e = seed & (2**64 - 1)
+    words = [e & _M32, e >> 32] if e >> 32 else [e]
+    words += [0] * (_POOL - len(words))  # a spawn key pads entropy to the pool
+    const, pool = _INIT_A, []
+    for w in words:
+        h, const = _hashmix(np.array([w], np.uint32), const, _MULT_A)
+        pool.append(h)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                h, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    return pool, const
+
+
+def _pcg_seeds(pool: List[np.ndarray], const: int, t: np.ndarray) -> List[list]:
+    """PCG64's ``(state high, state low, inc high, inc low)`` seed words, as
+    lists of ints, of the trials ``t`` (uint64, all below or all from 2**32,
+    whose spawn key is then one or two words)."""
+    words = [(t & _M32).astype(np.uint32)]
+    if t[0] >> 32:
+        words.append((t >> 32).astype(np.uint32))
+    pool = list(pool)
+    for w in words:
+        for dst in range(_POOL):
+            h, const = _hashmix(w, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
+    # generate_state(4, uint64): 8 words cycled from the pool, paired low first
+    const, out = _INIT_B, []
+    for k in range(8):
+        h, const = _hashmix(pool[k % _POOL], const, _MULT_B)
+        out.append(h.astype(np.uint64))
+    return [(out[k] | out[k + 1] << 32).tolist() for k in range(0, 8, 2)]
+
+
+def trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    """``rng_for_trial(seed, t)`` for each ``t`` in ``[lo, hi)``, derived
+    ``_BLOCK`` trials at a time.
+
+    The hashing of the spawn word runs on uint32 arrays over the block, and
+    PCG64's seeding (``inc = 2 initseq + 1``, then two LCG steps) on ints.
+    One generator is yielded over and over, set to each trial's state in
+    turn, so a trial's draws must be taken before the next one is asked for.
+    """
+    if not 0 <= lo <= hi <= 2**64:
+        raise ValueError("trial indices must lie in [0, 2**64)")
+    pool, const = _entropy_pool(seed)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bitgen = rng.bit_generator
+    for start in range(lo, hi, _BLOCK):
+        stop = min(start + _BLOCK, hi)
+        for a, b in ((start, min(stop, 2**32)), (max(start, 2**32), stop)):
+            if a >= b:
+                continue
+            t = np.arange(a, b, dtype=np.uint64)
+            for s_hi, s_lo, i_hi, i_lo in zip(*_pcg_seeds(pool, const, t)):
+                inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
+                state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _M128
+                bitgen.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                yield rng
 
 
 def wilson_interval(successes: int, total: int, z: float = 1.96) -> Tuple[float, float]:
@@ -131,10 +228,12 @@ class RunReport(_Report):
     records: List[TrialRecord] = field(default_factory=list, repr=False)
 
 
-def _classify_final(
-    fid: float, state: FockState, layout, rng: np.random.Generator
-) -> str:
-    """Outcome class of a success whose fidelity with the ideal W is ``fid``.
+def _final_outcome(
+    state: FockState, target: FockState, layout, classify: bool
+) -> Tuple[float, float | None]:
+    """``(fidelity with target, P(the last two ensembles hold nothing))`` of
+    a final state; the second is None when the state is never classified
+    (an EPR pair, or a W outcome).
 
     A success counts as a W outcome when it overlaps the ideal W state by
     more than one half.  Otherwise the excitation number of the last two
@@ -142,13 +241,10 @@ def _classify_final(
     signature of a multi-pair emission whose partner photon was lost, and
     anything else is residual contamination.
     """
-    if fid > 0.5:
-        return "w"
-    tail = layout.ensembles[-2:]
-    p_empty = count_excitations(state, tail).get(0, 0.0)
-    if rng.random() < p_empty:
-        return "vacuum"
-    return "other"
+    fid = fidelity(state, target)
+    if not classify or fid > 0.5:
+        return fid, None
+    return fid, count_excitations(state, layout.ensembles[-2:]).get(0, 0.0)
 
 
 def _run_chain_trials(
@@ -163,20 +259,24 @@ def _run_chain_trials(
         target = ideal_w_state(cfg.n, cfg.phases, sim.layout)
     # final states are memoized round outcomes, so the same objects recur;
     # each entry keeps its state alive, so its id is not reused
-    fids: Dict[int, Tuple[FockState, float]] = {}
+    finals: Dict[int, Tuple[FockState, float, float | None]] = {}
     out: List[TrialRecord] = []
-    for t in range(lo, hi):
-        rng = rng_for_trial(cfg.seed, t)
+    for t, rng in zip(range(lo, hi), trial_rngs(cfg.seed, lo, hi)):
         res = sim.run_trial(rng, trace=trace)
         fid, cls = None, None
         if res.succeeded:
             state = res.final_state
-            seen = fids.get(id(state))
+            seen = finals.get(id(state))
             if seen is None:
-                seen = fids[id(state)] = (state, fidelity(state, target))
-            fid = seen[1]
+                seen = finals[id(state)] = (
+                    state, *_final_outcome(state, target, sim.layout, not epr)
+                )
+            _, fid, p_empty = seen
             if not epr:
-                cls = _classify_final(fid, state, sim.layout, rng)
+                if p_empty is None:
+                    cls = "w"
+                else:  # the Born draw of the tail's excitation number
+                    cls = "vacuum" if rng.random() < p_empty else "other"
         out.append(
             TrialRecord(
                 t,
@@ -195,6 +295,9 @@ def _run_chain_trials(
 def _collect_records(fn, args_builder, trials: int, workers: int) -> list:
     if workers <= 1:
         return fn(*args_builder(0, trials))
+    # imported here: a one-worker run need not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = (trials + workers - 1) // workers
     spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     records: list = []
@@ -234,27 +337,18 @@ def _aggregate_chain(
     labels = tuple(s.label for s in stages)
     connect_idx = [k for k, s in enumerate(stages) if s.kind == "connect"]
     trials = len(records)
-    successes = sum(1 for r in records if r.succeeded)
-    n_stages = len(labels)
-    att_sum = [0] * n_stages
-    conn_att = 0
-    conn_succ = 0
-    rounds = []
-    fids = []
-    w_count = 0
-    vac_count = 0
-    for r in records:
-        for k in range(n_stages):
-            att_sum[k] += r.stage_attempts[k]
-        conn_att += sum(r.stage_attempts[k] for k in connect_idx)
-        conn_succ += sum(r.stage_successes[k] for k in connect_idx)
-        rounds.append(r.rounds)
-        if r.succeeded:
-            fids.append(r.fidelity)
-            if r.classification == "w":
-                w_count += 1
-            elif r.classification == "vacuum":
-                vac_count += 1
+    # exact integer column sums, so their order does not matter
+    att_sum = [sum(col) for col in zip(*(r.stage_attempts for r in records))]
+    succ_sum = [sum(col) for col in zip(*(r.stage_successes for r in records))]
+    conn_att = sum(att_sum[k] for k in connect_idx)
+    conn_succ = sum(succ_sum[k] for k in connect_idx)
+    rounds = [r.rounds for r in records]
+    done = [r for r in records if r.succeeded]
+    successes = len(done)
+    fids = [r.fidelity for r in done]  # trial order: float sums depend on it
+    classes = [r.classification for r in done]
+    w_count = classes.count("w")
+    vac_count = classes.count("vacuum")
     mean_attempts = tuple(s / trials for s in att_sum)
     p_c_hat = conn_succ / conn_att if conn_att else 0.0
     mean_rounds = sum(rounds) / trials

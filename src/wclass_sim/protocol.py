@@ -52,7 +52,10 @@ import cmath
 import enum
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -408,6 +411,11 @@ class RoundBranch:
 class RoundDistribution:
     p_accept: float
     branches: Tuple[RoundBranch, ...]
+    # running sums of the branch probabilities, for :func:`pick`
+    cum: List[float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cum", list(accumulate(b.prob for b in self.branches)))
 
 
 _PROB_FLOOR = 1e-18
@@ -628,25 +636,19 @@ def _tally(counts: List[int], through: int) -> Tuple[Tuple[int, ...], Tuple[int,
     """Per-stage ``(attempts, successes)`` of ``counts[k]`` passes failed at
     stage ``k``, plus one pass that got through the first ``through`` stages
     (all of them for a completed pass, fewer for one cut by the budget)."""
-    attempts, successes, reached = [], [], 0
-    for k in range(len(counts) - 1, -1, -1):
-        c = counts[k]
-        reached += c + (k == through - 1)
-        attempts.append(reached)
-        successes.append(reached - c)
-    return tuple(attempts[::-1]), tuple(successes[::-1])
+    ended = list(counts)
+    if through:
+        ended[through - 1] += 1  # the last pass, as if it ended there
+    reached = list(accumulate(reversed(ended)))[::-1]  # passes ended at k or later
+    return tuple(reached), tuple(map(operator.sub, reached, counts))
 
 
-def pick(branches: Sequence, u: float, weights: Sequence[float]):
-    """Categorical draw: the first branch at which the running sum of
-    ``weights`` exceeds ``u``, or the last branch when rounding leaves ``u``
-    beyond the total."""
-    acc = 0.0
-    for branch, w in zip(branches, weights):
-        acc += w
-        if u < acc:
-            return branch
-    return branches[-1]
+def pick(branches: Sequence, u: float, cum: Sequence[float]):
+    """Categorical draw: the first branch at which ``cum``, the running sums
+    of the branch weights (``itertools.accumulate``), exceeds ``u``, or the
+    last branch when rounding leaves ``u`` beyond the total."""
+    k = bisect_right(cum, u)
+    return branches[k] if k < len(branches) else branches[-1]
 
 
 def _spend_budget(
@@ -660,7 +662,7 @@ def _spend_budget(
     block of ``left // max_cost`` passes always fits in the ``left`` rounds
     still to spend and can be drawn at once; the last few are drawn singly.
     """
-    cond, max_cost = root.law
+    cond, max_cost, cum = root.law
     counts = [0] * len(cond)
     left = budget
     while left >= max_cost:
@@ -670,7 +672,7 @@ def _spend_budget(
             left -= (k + 1) * c
     stages = range(len(cond))
     while left > 0:
-        k = pick(stages, rng.random(), cond)
+        k = pick(stages, rng.random(), cum)
         if k >= left:
             return counts, left
         counts[k] += 1
@@ -686,7 +688,7 @@ def _draw(rng: np.random.Generator, dist: RoundDistribution, options: Sequence =
     u = rng.random()
     if u >= dist.p_accept:
         return None
-    return pick(options or dist.branches, u, [b.prob for b in dist.branches])
+    return pick(options or dist.branches, u, dist.cum)
 
 
 @dataclass(eq=False, slots=True)
@@ -697,12 +699,12 @@ class _Node:
 
     dist: RoundDistribution
     links: Tuple[Tuple[RoundBranch, _Node | None], ...]
-    weights: List[float]  # branch prob x P(pass then completes)
-    p_complete: float  # sum(weights)
+    cum: List[float]  # running sums of branch prob x P(pass then completes)
+    p_complete: float  # cum[-1], or 0
     fail: Tuple[float, ...]  # P(pass fails at stage k)
     # stage-0 nodes only: (failure-stage law of a failed pass, its largest
-    # cost); a pass failing at stage k costs k + 1 rounds
-    law: Tuple[np.ndarray, int] | None = None
+    # cost, its running sums); a pass failing at stage k costs k + 1 rounds
+    law: Tuple[np.ndarray, int, List[float]] | None = None
 
 
 class ChainSimulator:
@@ -774,19 +776,20 @@ class ChainSimulator:
         fail = [0.0] * len(self.stages)
         fail[idx] = 1.0 - dist.p_accept
         p_complete = 0.0
-        weights = []
+        cum = []
         for br, child in links:
             pc, fv = (1.0, ()) if child is None else (child.p_complete, child.fail)
-            weights.append(br.prob * pc)
             p_complete += br.prob * pc
+            cum.append(p_complete)
             for k, x in enumerate(fv):
                 fail[k] += br.prob * x
-        node = self._nodes[key] = _Node(dist, links, weights, p_complete, tuple(fail))
+        node = self._nodes[key] = _Node(dist, links, cum, p_complete, tuple(fail))
         if idx == 0:  # a root: a pass may start here
             q = (1.0 - p_complete) or 1.0  # a pass that never fails: any law will do
             cond = np.clip(np.asarray(fail) / q, 0.0, None)
             cond[-1] = max(0.0, 1.0 - cond[:-1].sum())
-            node.law = (cond, int(np.flatnonzero(cond)[-1]) + 1)
+            law_cum = list(accumulate(cond.tolist()))
+            node.law = (cond, int(np.flatnonzero(cond)[-1]) + 1, law_cum)
         return node
 
     @functools.cached_property
@@ -822,11 +825,12 @@ class ChainSimulator:
                 counts = [fails]  # what multinomial returns, without its cost
             elif fails > 0:
                 counts = rng.multinomial(fails, cond).tolist()
-            rounds = sum(k * c for k, c in enumerate(counts, 1)) + n_stages
+            # a pass failed at stage k cost k + 1 rounds, the completed one n_stages
+            rounds = sum(map(operator.mul, counts, range(1, n_stages + 1))) + n_stages
             if rounds <= budget:
                 node, log = root, []
-                while node is not None:
-                    br, node = pick(node.links, rng.random() * node.p_complete, node.weights)
+                for u in rng.random(n_stages).tolist():  # one per stage of the walk
+                    br, node = pick(node.links, u * node.p_complete, node.cum)
                     log.extend(br.clicks)
                 return ChainTrialResult(
                     True, rounds, *_tally(counts, n_stages), br.state, tuple(log)

@@ -323,6 +323,22 @@ def completion_reference(stages, layout, cfg, state, idx: int = 0, seen=None):
 
 
 # ---------------------------------------------------------------------------
+# categorical draw: the running-sum loop
+# ---------------------------------------------------------------------------
+
+
+def pick_reference(branches, u: float, weights):
+    """The first branch at which the running sum of ``weights`` exceeds
+    ``u``, or the last branch when rounding leaves ``u`` beyond the total."""
+    acc = 0.0
+    for branch, w in zip(branches, weights):
+        acc += w
+        if u < acc:
+            return branch
+    return branches[-1]
+
+
+# ---------------------------------------------------------------------------
 # single-step references: one round straight from its enumerator
 # ---------------------------------------------------------------------------
 

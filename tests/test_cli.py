@@ -1,6 +1,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +251,28 @@ def test_workers_env_fallback(monkeypatch):
     monkeypatch.setenv("WCLASS_SIM_WORKERS", "zero")
     with pytest.raises(UsageError):
         parse_args(["w-state", "--n", "3", "--seed", "1"])
+
+
+def test_workers_default_to_one(monkeypatch):
+    monkeypatch.delenv("WCLASS_SIM_WORKERS", raising=False)
+    assert parse_args(["w-state", "--n", "3", "--seed", "1"]).workers == 1
+
+
+def test_one_worker_run_never_imports_multiprocessing(tmp_path):
+    argv = ["w-state", "--n", "3", "--pe", "0.02", "--trials", "20", "--seed", "5",
+            "--workers", "1", "-o", str(tmp_path / "w.json")]
+    code = (
+        "import sys\n"
+        "from wclass_sim.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert json.loads((tmp_path / "w.json").read_text())["command"] == "w-state"
 
 
 def test_report_written_to_stdout_by_default(capsys):

@@ -14,9 +14,11 @@ from wclass_sim.montecarlo import (
     estimate_vacuum_coefficient,
     fidelity_mixture,
     predicted_generation_time,
+    rng_for_trial,
     run_batch,
     run_epr_batch,
     run_teleport_batch,
+    trial_rngs,
     wilson_interval,
 )
 from wclass_sim.protocol import (
@@ -352,3 +354,35 @@ def test_teleport_batch_enumerates_each_round_once(monkeypatch):
     assert run_teleport_batch(tcfg, 3).successes == 3
     assert trial[0] == 2 and first_seen
     assert repeats == []
+
+
+# 0, one and two entropy words, negative seeds taken mod 2**64
+DERIVATION_SEEDS = [0, 1, -1, 5, 2**32 - 1, 2**32, 2**63 - 1, -(2**63)]
+# from 0, from lo > 0, across a block of the derivation, across the one- to
+# two-word spawn key at 2**32, and up to the last index
+DERIVATION_WINDOWS = [
+    (0, 6), (7, 12), (4093, 4099), (2**32 - 3, 2**32 + 3), (2**64 - 3, 2**64)
+]
+
+
+@pytest.mark.parametrize("seed", DERIVATION_SEEDS)
+def test_trial_rngs_match_numpy_derivation(seed):
+    for lo, hi in DERIVATION_WINDOWS:
+        trials = range(lo, hi)
+        for t, rng in zip(trials, trial_rngs(seed, lo, hi), strict=True):
+            ref = rng_for_trial(seed, t)
+            # a buffered 32-bit half left by the trial before would show here
+            assert rng.bit_generator.state == ref.bit_generator.state, (seed, t)
+            assert rng.random(8).tolist() == ref.random(8).tolist(), (seed, t)
+            # an odd number of 32-bit draws leaves half of a 64-bit word
+            halves = [g.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+                      for g in (rng, ref)]
+            assert halves[0] == halves[1], (seed, t)
+            assert rng.bit_generator.state["has_uint32"] == 1
+
+
+def test_trial_rngs_reject_indices_beyond_64_bits():
+    with pytest.raises(ValueError):
+        next(trial_rngs(1, 2**64 - 1, 2**64 + 1))
+    with pytest.raises(ValueError):
+        next(trial_rngs(1, -1, 2))

@@ -1,7 +1,10 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wclass_sim import protocol
 from wclass_sim.errors import (
@@ -61,6 +64,7 @@ from oracle_helpers import (
     maximize_w_reference,
     merge_repump_reference,
     merged_amplitudes,
+    pick_reference,
     receiver_amplitudes,
     step2_amplitudes,
     teleport_from_states_reference,
@@ -880,3 +884,20 @@ def test_teleport_from_states_matches_reference_round():
         lambda rng: teleport_from_states_reference(tcfg, rng, layout, joint),
     )
     assert seen == {(True, 1), (False, 1)}
+
+
+@given(
+    weights=st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 1e-300)),
+        min_size=1,
+        max_size=12,
+    ),
+    u=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_pick_matches_the_running_sum_loop(weights, u):
+    branches = list(range(len(weights)))
+    cum = list(accumulate(weights))
+    total = cum[-1]
+    # random points, every running sum exactly, and the total and beyond
+    for x in (u, u * total, *cum, total, math.nextafter(total, 2.0), 2.0):
+        assert protocol.pick(branches, x, cum) == pick_reference(branches, x, weights)
