@@ -6,12 +6,22 @@ PCG64 seeded by ``SeedSequence(seed mod 2**64, spawn_key=(t,))``
 reports are bit-identical for a fixed configuration no matter how many
 workers executed the batch.  A chain batch derives all of its trials'
 generator states at once (:func:`trial_rngs`), bit for bit the same.
+
+A process keeps the node tables of its last 8 chain configurations
+(:func:`_chain_engine`), so batches of one configuration at different seeds
+build its table once.  A chain table is closed once it is built and
+batches only read it, so a batch's bytes never depend on what ran before
+it.  Teleport batches build their own tables: the W456 table grows during
+trials from W123 outcomes, and ``FockState.key`` rounds amplitudes, so the
+first trial to reach a key supplies its state and a shared table would make
+a report depend on the batches run before it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -70,57 +80,68 @@ _M32, _M128 = 2**32 - 1, 2**128 - 1
 _BLOCK = 4096  # trials derived per vectorized pass
 
 
-def _hashmix(value: np.ndarray, const: int, mult: int) -> Tuple[np.ndarray, int]:
-    """SeedSequence's hash of the uint32 words ``value``:
-    ``(hashed words, next hash constant)``."""
-    const_next = const * mult & _M32
-    value = (value ^ np.uint32(const)) * np.uint32(const_next)
-    return value ^ (value >> 16), const_next
+def _hash_keys(const: int, mult: int, k: int) -> List[Tuple[int, int]]:
+    """The ``(xor, multiplier)`` constants of SeedSequence's next ``k``
+    hashes, the hash constant starting at ``const``."""
+    keys = []
+    for _ in range(k):
+        after = const * mult & _M32
+        keys.append((const, after))
+        const = after
+    return keys
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of a hashed word ``y`` into the pool word ``x``."""
-    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-    return r ^ (r >> 16)
+# the pool takes 4 hashes to fill and 12 to mix, then 4 per spawn word
+_MIX_KEYS = _hash_keys(_INIT_A, _MULT_A, 24)
+# per spawn word and for generate_state's 8 words: the constants as columns,
+# so that one array op hashes a row of trials with each of them
+_SPAWN_KEYS = [
+    np.array(_MIX_KEYS[k : k + _POOL], np.uint32).T[:, :, None] for k in (16, 20)
+]
+_STATE_KEYS = np.array(_hash_keys(_INIT_B, _MULT_B, 8), np.uint32).T[:, :, None]
 
 
-def _entropy_pool(seed: int) -> Tuple[List[np.ndarray], int]:
+def _hash(value, xor, mult):
+    """SeedSequence's hash of 32-bit words, on ints or uint32 arrays."""
+    value = (value ^ xor) * mult & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a hashed word ``y`` into the pool word ``x``, on
+    ints or uint32 arrays (whose products wrap)."""
+    r = x * _MIX_L - y * _MIX_R & _M32
+    return r ^ r >> 16
+
+
+def _entropy_pool(seed: int) -> List[int]:
     """The pool of ``SeedSequence(seed mod 2**64, spawn_key=(t,))`` once its
-    entropy words are mixed in, which is the same for every ``t``, and the
-    hash constant that mixing the spawn words goes on from."""
+    entropy words are mixed in, which is the same for every ``t``."""
     e = seed & (2**64 - 1)
     words = [e & _M32, e >> 32] if e >> 32 else [e]
     words += [0] * (_POOL - len(words))  # a spawn key pads entropy to the pool
-    const, pool = _INIT_A, []
-    for w in words:
-        h, const = _hashmix(np.array([w], np.uint32), const, _MULT_A)
-        pool.append(h)
+    keys = iter(_MIX_KEYS)
+    pool = [_hash(w, *next(keys)) for w in words]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                h, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], h)
-    return pool, const
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(keys)))
+    return pool
 
 
-def _pcg_seeds(pool: List[np.ndarray], const: int, t: np.ndarray) -> List[list]:
+def _pcg_seeds(pool: List[int], lo: int, hi: int) -> List[list]:
     """PCG64's ``(state high, state low, inc high, inc low)`` seed words, as
-    lists of ints, of the trials ``t`` (uint64, all below or all from 2**32,
+    lists of ints, of the trials ``[lo, hi)`` (all below or all from 2**32,
     whose spawn key is then one or two words)."""
-    words = [(t & _M32).astype(np.uint32)]
-    if t[0] >> 32:
-        words.append((t >> 32).astype(np.uint32))
-    pool = list(pool)
-    for w in words:
-        for dst in range(_POOL):
-            h, const = _hashmix(w, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], h)
+    t = np.arange(lo, hi, dtype=np.uint64)
+    words = [t & _M32, t >> 32] if lo >> 32 else [t]
+    mixed = np.array(pool, np.uint32)[:, None]
+    for w, (xor, mult) in zip(words, _SPAWN_KEYS):
+        # the word hashed once per pool word, into a (pool, trials) array
+        mixed = _mix(mixed, _hash(w.astype(np.uint32), xor, mult))
     # generate_state(4, uint64): 8 words cycled from the pool, paired low first
-    const, out = _INIT_B, []
-    for k in range(8):
-        h, const = _hashmix(pool[k % _POOL], const, _MULT_B)
-        out.append(h.astype(np.uint64))
-    return [(out[k] | out[k + 1] << 32).tolist() for k in range(0, 8, 2)]
+    out = _hash(np.vstack((mixed, mixed)), *_STATE_KEYS).astype(np.uint64)
+    return (out[0::2] | out[1::2] << 32).tolist()
 
 
 def trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
@@ -134,7 +155,7 @@ def trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
     """
     if not 0 <= lo <= hi <= 2**64:
         raise ValueError("trial indices must lie in [0, 2**64)")
-    pool, const = _entropy_pool(seed)
+    pool = _entropy_pool(seed)
     rng = np.random.Generator(np.random.PCG64(0))
     bitgen = rng.bit_generator
     for start in range(lo, hi, _BLOCK):
@@ -142,8 +163,7 @@ def trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
         for a, b in ((start, min(stop, 2**32)), (max(start, 2**32), stop)):
             if a >= b:
                 continue
-            t = np.arange(a, b, dtype=np.uint64)
-            for s_hi, s_lo, i_hi, i_lo in zip(*_pcg_seeds(pool, const, t)):
+            for s_hi, s_lo, i_hi, i_lo in zip(*_pcg_seeds(pool, a, b)):
                 inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
                 state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _M128
                 bitgen.state = {
@@ -247,19 +267,35 @@ def _final_outcome(
     return fid, count_excitations(state, layout.ensembles[-2:]).get(0, 0.0)
 
 
-def _run_chain_trials(
-    cfg: ProtocolConfig, stages: Tuple[StageSpec, ...], lo: int, hi: int, trace: bool
-) -> List[TrialRecord]:
+@functools.lru_cache(maxsize=8)
+def _chain_engine(
+    cfg: ProtocolConfig, stages: Tuple[StageSpec, ...]
+) -> Tuple[ChainSimulator, FockState, Dict[int, Tuple[float, float | None]]]:
+    """``(simulator with its node table built, target state, memo of final
+    states)`` of a chain configuration, called with ``seed=0``: batches that
+    differ only in their seed share one.
+
+    The table is closed once built (every node reachable from the vacuum
+    root is built with it) and batches only read it, so a batch draws on
+    the same nodes and states whatever ran before it.  The memo maps ``id``
+    of a final state, which the table keeps alive (so the id is never
+    reused), to :func:`_final_outcome`.
+    """
     sim = ChainSimulator(cfg, stages=stages)
-    epr = len(stages) == 1  # a one-stage chain ends in the EPR pair
-    if epr:
+    sim._vacuum_root  # builds the table
+    if len(stages) == 1:  # a one-stage chain ends in the EPR pair
         i, j = stages[0].i, stages[0].j
         target = epr_state(sim.layout, i, j, cfg.phases[j - 1] - cfg.phases[i - 1])
     else:
         target = ideal_w_state(cfg.n, cfg.phases, sim.layout)
-    # final states are memoized round outcomes, so the same objects recur;
-    # each entry keeps its state alive, so its id is not reused
-    finals: Dict[int, Tuple[FockState, float, float | None]] = {}
+    return sim, target, {}
+
+
+def _run_chain_trials(
+    cfg: ProtocolConfig, stages: Tuple[StageSpec, ...], lo: int, hi: int, trace: bool
+) -> List[TrialRecord]:
+    sim, target, finals = _chain_engine(replace(cfg, seed=0), stages)
+    epr = len(stages) == 1
     out: List[TrialRecord] = []
     for t, rng in zip(range(lo, hi), trial_rngs(cfg.seed, lo, hi)):
         res = sim.run_trial(rng, trace=trace)
@@ -268,10 +304,8 @@ def _run_chain_trials(
             state = res.final_state
             seen = finals.get(id(state))
             if seen is None:
-                seen = finals[id(state)] = (
-                    state, *_final_outcome(state, target, sim.layout, not epr)
-                )
-            _, fid, p_empty = seen
+                seen = finals[id(state)] = _final_outcome(state, target, sim.layout, not epr)
+            fid, p_empty = seen
             if not epr:
                 if p_empty is None:
                     cls = "w"
@@ -325,6 +359,8 @@ def run_batch(
     if trials < 1:
         raise ValueError("need at least one trial")
     stages = chain_stages(cfg.n) if stages is None else tuple(stages)
+    if workers > 1:  # built before the pool starts, so forked workers inherit it
+        _chain_engine(replace(cfg, seed=0), stages)
     records = _collect_records(
         _run_chain_trials, lambda lo, hi: (cfg, stages, lo, hi, trace), trials, workers
     )

@@ -6,9 +6,11 @@ committed file ``tests/golden/<name>.json`` (``<name>.csv`` for a
 budget-exhausted trials: ``w3_exhausted`` (a multi-stage chain whose
 budget of 200 rounds most trials spend) and ``teleport_cap4_exhausted``
 (9 of its 30 trials reach a W123 outcome from which W456 has no completing
-path under the cap).  A golden file changes only when the random stream or a
-reported formula changes on purpose.  To rewrite the files after such a
-change (and say why in CHANGES.md), run
+path under the cap).  Every chain case also runs with its node table cold,
+cached, and cached by a batch at another seed, to the same bytes.  A golden
+file changes only when the random stream or a reported formula changes on
+purpose.  To rewrite the files after such a change (and say why in
+CHANGES.md), run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from wclass_sim.cli import main
+from wclass_sim.montecarlo import _chain_engine
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -78,6 +81,40 @@ def test_report_matches_golden(name, tmp_path):
     out = tmp_path / "report"
     assert _run(name, out) == CASES[name][1]
     assert out.read_bytes() == golden_path(name).read_bytes()
+
+
+CHAIN_CASES = sorted(name for name, (argv, _) in CASES.items() if argv[0] != "teleport")
+
+
+def _reseeded(argv: list[str]) -> list[str]:
+    k = argv.index("--seed") + 1
+    return [*argv[:k], str(int(argv[k]) + 1000), *argv[k + 1 :]]
+
+
+@pytest.mark.parametrize("name", CHAIN_CASES)
+def test_report_independent_of_cached_tables(name, tmp_path):
+    # cold, warm, and warm after a batch of the same configuration at
+    # another seed: the cached node tables must not show in the bytes
+    argv, code = CASES[name]
+    out = tmp_path / "report"
+    _chain_engine.cache_clear()
+    for run in ("cold", "warm", "reseeded"):
+        if run == "reseeded":
+            main([*_reseeded(argv), "-o", str(tmp_path / "other")])
+        assert main([*argv, "-o", str(out)]) == code
+        assert out.read_bytes() == golden_path(name).read_bytes(), run
+
+
+def test_budget_is_part_of_the_table_key(tmp_path):
+    # w3_exhausted's configuration at the default budget first: a table
+    # shared across budgets would let its trials run past 200 rounds
+    argv, code = CASES["w3_exhausted"]
+    k = argv.index("--max-attempts")
+    _chain_engine.cache_clear()
+    assert main([*argv[:k], *argv[k + 2 :], "-o", str(tmp_path / "unbounded")]) == 0
+    out = tmp_path / "report"
+    assert main([*argv, "-o", str(out)]) == code
+    assert out.read_bytes() == golden_path("w3_exhausted").read_bytes()
 
 
 if __name__ == "__main__":

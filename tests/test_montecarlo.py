@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from wclass_sim.protocol import (
     ChainSimulator,
     ProtocolConfig,
     TeleportConfig,
+    chain_stages,
     epr_stage,
     ideal_w_state,
     make_chain_layout,
@@ -386,3 +389,106 @@ def test_trial_rngs_reject_indices_beyond_64_bits():
         next(trial_rngs(1, 2**64 - 1, 2**64 + 1))
     with pytest.raises(ValueError):
         next(trial_rngs(1, -1, 2))
+
+
+# seeds of one and two entropy words, negative seeds taken mod 2**64
+OVERFLOW_SEEDS = [0, -1, 2**32, 2**63 - 1, -(2**63)]
+
+
+@pytest.mark.parametrize("seed", OVERFLOW_SEEDS)
+def test_trial_rngs_raise_no_warnings(seed):
+    # uint32 arrays wrap silently where numpy scalars warn on overflow; a
+    # warning here means the derivation computed on a scalar
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lo, hi in [(0, 5), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64)]:
+            for rng in trial_rngs(seed, lo, hi):
+                rng.random()
+
+
+@pytest.mark.parametrize(
+    "cfg, stages",
+    [
+        (ProtocolConfig(n=3, p_e=0.1, eta=0.1, seed=1), None),
+        (ProtocolConfig(n=4, p_e=0.1, eta=0.2, seed=2, max_attempts=20), None),
+        (ProtocolConfig(n=3, p_e=0.1, eta=0.3, seed=3), (epr_stage(1, 2),)),
+    ],
+    ids=["w3", "w4-exhausted", "epr"],
+)
+def test_chain_table_is_closed_once_built(cfg, stages):
+    # a batch served from a cached table adds no node to it, fast or traced
+    montecarlo._chain_engine.cache_clear()
+    stages = chain_stages(cfg.n) if stages is None else stages
+    sim = montecarlo._chain_engine(replace(cfg, seed=0), stages)[0]
+    built = len(sim._nodes)
+    run_batch(cfg, 300, stages=stages)
+    assert len(sim._nodes) == built
+    run_batch(cfg, 100, trace=True, stages=stages)
+    assert len(sim._nodes) == built
+    assert montecarlo._chain_engine.cache_info().misses == 1
+
+
+def test_chain_engines_are_keyed_by_everything_but_the_seed():
+    montecarlo._chain_engine.cache_clear()
+    base = ProtocolConfig(n=3, p_e=0.02, eta=0.1, seed=1)
+    run_batch(base, 5)
+    run_batch(replace(base, seed=2), 5)
+    info = montecarlo._chain_engine.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    for cfg in (
+        replace(base, eta=0.2),
+        replace(base, phases=(0.0, 0.5, 0.0)),
+        replace(base, truncation_cap=3),
+        replace(base, max_attempts=50),
+    ):
+        run_batch(cfg, 5)
+    info = montecarlo._chain_engine.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 5, 5)
+
+
+def test_signed_zero_phases_give_the_same_report():
+    # (0, -0.0, 0) == (0, 0.0, 0), so the two share an engine: they must give
+    # the same report whichever of them built it
+    signed, plain = (
+        ProtocolConfig(n=3, p_e=0.02, eta=0.1, phases=phases, seed=3)
+        for phases in ((0.0, -0.0, 0.0), (0.0, 0.0, 0.0))
+    )
+    reports = []
+    for first, second in ((signed, plain), (plain, signed)):
+        montecarlo._chain_engine.cache_clear()
+        reports += [json.dumps(run_batch(cfg, 300).to_dict()) for cfg in (first, second)]
+        assert montecarlo._chain_engine.cache_info().hits == 1
+    assert len(set(reports)) == 1
+
+
+def test_engine_cache_holds_at_most_eight_configurations():
+    montecarlo._chain_engine.cache_clear()
+    for k in range(10):
+        run_batch(ProtocolConfig(n=3, p_e=0.01 + 0.001 * k, seed=k), 1)
+    info = montecarlo._chain_engine.cache_info()
+    assert (info.misses, info.currsize) == (10, 8)
+
+
+def test_pool_workers_start_from_the_parents_table():
+    # built in the parent before the pool starts, so forked workers inherit it
+    montecarlo._chain_engine.cache_clear()
+    cfg = ProtocolConfig(n=3, p_e=0.02, eta=0.1, seed=4)
+    run_batch(cfg, 40, workers=2)
+    info = montecarlo._chain_engine.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_teleport_batches_build_their_own_simulator(monkeypatch):
+    real, built = montecarlo.TeleportSimulator, []
+
+    def counting(tcfg):
+        built.append(real(tcfg))
+        return built[-1]
+
+    monkeypatch.setattr(montecarlo, "TeleportSimulator", counting)
+    tcfg = TeleportConfig(
+        0.6, 0.8, ProtocolConfig(n=3, p_e=0.05, eta=0.1, truncation_cap=5, seed=11)
+    )
+    run_teleport_batch(tcfg, 1)
+    run_teleport_batch(tcfg, 1)
+    assert len(built) == 2 and built[0] is not built[1]
