@@ -16,14 +16,22 @@ from wclass_sim.protocol import (
     prepare_epr,
 )
 
+
+def clicked(br):
+    """The detectors that clicked in a branch, e.g. "D1"."""
+    return ",".join(d for d, c in br.clicks if c)
+
+
 cfg = ProtocolConfig(n=3, p_e=0.01, eta=0.0, seed=1)
 layout = make_chain_layout(cfg)
 
 dist = connect_round(layout.vacuum(), layout, 1, 2, cfg)
 print(f"entangling round at p_e = {cfg.p_e}, eta = 0:")
 print(f"  accept probability {dist.p_accept:.6f}  (first order: 2 p_e = {2 * cfg.p_e})")
-for br in sorted(dist.branches, key=lambda b: -b.prob):
-    clicks = ",".join(d for d, c in br.clicks if c)
+# most likely first; D1 and D2 branches equal in exact arithmetic can differ
+# in their last bits, so compare 12 digits and then the detector
+for br in sorted(dist.branches, key=lambda b: (-round(b.prob, 12), clicked(b))):
+    clicks = clicked(br)
     print(f"  p={br.prob:.3e}  click {clicks}  photons {br.detected}  -> {br.state}")
 print("  two-click events (one photon at each detector) are rejected, so no")
 print("  branch above clicks both detectors; bunched double pairs survive as")

@@ -380,11 +380,13 @@ def count_excitations(state: FockState, modes: Iterable[Mode]) -> Dict[int, floa
 
 
 def fidelity(a: FockState, b: FockState) -> float:
-    """``|<a|b>|^2`` between the normalized versions of ``a`` and ``b``."""
+    """``|<a|b>|^2`` between the normalized versions of ``a`` and ``b``,
+    clamped to [0, 1]: for a state against itself rounding can land a few
+    ulps above 1."""
     na, nb = a.norm(), b.norm()
     if na <= 0.0 or nb <= 0.0:
         raise NormalizationError("fidelity of a zero state is undefined")
-    return abs(inner_product(a, b)) ** 2 / (na**2 * nb**2)
+    return min(1.0, abs(inner_product(a, b)) ** 2 / (na**2 * nb**2))
 
 
 def equal_up_to_global_phase(a: FockState, b: FockState, tol: float = 1e-10) -> bool:

@@ -2,17 +2,21 @@
 
 Every element is a pure function on :class:`~wclass_sim.fock.FockState`;
 none takes a random stream.  Loss and detection are exact outcome
-enumerators (:func:`loss_outcomes`, :func:`detection_outcomes`), whose
-branches the protocol engine conditions on and samples.
+enumerators (:func:`loss_outcomes`, :func:`detection_outcomes`).  Photon
+loss has one law, :func:`loss_weights`: ``loss_outcomes`` reads it mode by
+mode, and the protocol engine reads it once per photon-number sector when it
+enumerates a heralded round (loss before an absorbing detector only
+reweights each sector).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .errors import (
     ModeKindError,
@@ -71,28 +75,38 @@ class PumpSpec:
             )
 
 
+@functools.lru_cache(maxsize=None)
+def _splitter_expansion(
+    na: int, nb: int
+) -> Tuple[float, Tuple[Tuple[int, int, float], ...]]:
+    """``(sqrt(2^(na+nb) na! nb!), ((p, q, c), ...))``: the splitter takes
+    ``|na, nb>`` to ``sum c |p, q>`` divided by the first entry, from the
+    expansion of ``(a+ + b+)^na (a+ - b+)^nb`` term by term."""
+    tot = na + nb
+    scale = math.sqrt(2.0**tot * math.factorial(na) * math.factorial(nb))
+    terms = []
+    for p in range(tot + 1):
+        q = tot - p
+        coef = 0.0
+        for j in range(max(0, p - nb), min(na, p) + 1):
+            k = p - j
+            coef += math.comb(na, j) * math.comb(nb, k) * (-1.0) ** (nb - k)
+        if coef == 0.0:
+            continue
+        coef *= math.sqrt(math.factorial(p) * math.factorial(q))
+        terms.append((p, q, coef))
+    return scale, tuple(terms)
+
+
 def apply_beam_splitter(state: FockState, bs: BeamSplitterSpec) -> FockState:
     """Apply the 50/50 splitter unitary to all terms.  Norm preserving."""
     ia = state.registry.check_mode(bs.mode_a).index
     ib = state.registry.check_mode(bs.mode_b).index
     out: Dict[Occupation, complex] = {}
     for occ, amp in state.items():
-        na, nb = occ[ia], occ[ib]
-        tot = na + nb
-        if tot == 0:
-            out[occ] = out.get(occ, 0j) + amp
-            continue
-        # Expand (a+ + b+)^na (a+ - b+)^nb / sqrt(2^tot na! nb!) term by term.
-        base = amp / math.sqrt(2.0**tot * math.factorial(na) * math.factorial(nb))
-        for p in range(tot + 1):
-            q = tot - p
-            coef = 0.0
-            for j in range(max(0, p - nb), min(na, p) + 1):
-                k = p - j
-                coef += math.comb(na, j) * math.comb(nb, k) * (-1.0) ** (nb - k)
-            if coef == 0.0:
-                continue
-            coef *= math.sqrt(math.factorial(p) * math.factorial(q))
+        scale, terms = _splitter_expansion(occ[ia], occ[ib])
+        base = amp / scale
+        for p, q, coef in terms:
             new = list(occ)
             new[ia], new[ib] = p, q
             new_t = tuple(new)
@@ -165,6 +179,15 @@ def repump_convert(state: FockState, ensemble: Mode, anti_stokes: Mode) -> FockS
     return state.replace_terms(out)
 
 
+@functools.lru_cache(maxsize=1024)
+def loss_weights(n: int, eta: float) -> Tuple[float, ...]:
+    """``C(n, l) eta^l (1 - eta)^(n - l)`` for ``l = 0..n``: the chance that
+    a transmission-``(1 - eta)`` channel loses ``l`` of ``n`` photons."""
+    return tuple(
+        math.comb(n, l) * eta**l * (1.0 - eta) ** (n - l) for l in range(n + 1)
+    )
+
+
 @dataclass(frozen=True)
 class LossBranch:
     prob: float
@@ -197,7 +220,7 @@ def loss_outcomes(state: FockState, m: Mode, eta: float) -> List[LossBranch]:
             k = occ[idx]
             if k < j:
                 continue
-            w = math.comb(k, j) * eta**j * (1.0 - eta) ** (k - j)
+            w = loss_weights(k, eta)[j]
             new = occ[:idx] + (k - j,) + occ[idx + 1 :]
             terms[new] = terms.get(new, 0j) + amp * math.sqrt(w)
         branch = state.replace_terms(terms)

@@ -19,9 +19,10 @@ Two code paths cover every protocol state:
   wall time stays flat.  Trace trials and :meth:`ChainSimulator.attempt`
   (the single steps ``merge_repump`` and ``maximize_w``) walk the same
   links round by round with one walker and one conditioned draw per round.
-  Connect and teleport rounds are enumerated by one walk over loss and
-  detection outcomes, with one ``_PROB_FLOOR`` cut and one merge of equal
-  branches; the repump round has a closed form.
+  Connect and teleport rounds are enumerated by one pass over the
+  photon-number sectors of their ports (loss before an absorbing detector
+  only reweights each sector), with one ``_PROB_FLOOR`` cut and one merge
+  of equal branches; the repump round has a closed form.
 
 Conditioning conventions (all fixed here, once):
 
@@ -55,7 +56,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -83,11 +84,12 @@ from .optics import (
     PumpSpec,
     apply_beam_splitter,
     apply_phase,
-    detection_outcomes,
-    loss_outcomes,
+    loss_weights,
     pump_excite,
     repump_convert,
 )
+# unused here; bench/spans.py wraps these bindings
+from .optics import detection_outcomes, loss_outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +413,10 @@ class RoundBranch:
 class RoundDistribution:
     p_accept: float
     branches: Tuple[RoundBranch, ...]
+    # the rest of the round's mass: outcomes the herald rejects, and
+    # outcomes below ``_PROB_FLOOR``; with ``p_accept`` they sum to one
+    rejected: float = field(default=0.0, compare=False)
+    dropped: float = field(default=0.0, compare=False)
     # running sums of the branch probabilities, for :func:`pick`
     cum: List[float] = field(init=False, repr=False, compare=False)
 
@@ -426,53 +432,85 @@ def _heralded(
     ops: Sequence[Tuple[Mode, bool]],
     detector_ids: Sequence[str],
     eta: float,
-    herald: Callable[[Tuple[bool, ...], FockState], FockState | None],
+    herald: Callable[[Tuple[bool, ...]], Tuple[Mode, ...] | None],
 ) -> RoundDistribution:
     """Enumerate one heralded round of the normalized ``psi``.
 
-    ``ops`` is walked in order; ``(mode, True)`` is a transmission-``1 - eta``
-    loss channel on ``mode`` and ``(mode, False)`` an absorbing detection
-    there, which ``detector_ids`` name in order.  A path is dropped as soon
-    as its probability (a product taken left to right) falls below
-    ``_PROB_FLOOR``; every state but the last is normalized.  At a leaf,
-    ``herald(clicks, state)`` returns the conditioned state, or None to
-    reject; accepted leaves equal in state key, clicks, detected photons and
-    lost photons are merged.
+    ``ops`` names, for each port, a transmission-``1 - eta`` loss channel
+    ``(mode, True)`` and, after it, an absorbing detection ``(mode, False)``,
+    which ``detector_ids`` name in order.  Loss before an absorbing detector
+    only reweights each photon-number sector of the ports, so losing ``l``
+    and detecting ``d`` photons per port happens in the sector ``l + d``
+    alone, with probability ``prod C(l + d, l) eta^l (1 - eta)^d`` times
+    the sector's share of ``psi`` (:func:`~wclass_sim.optics.loss_weights`),
+    and leaves that sector, normalized, with the ports emptied.
+
+    An outcome below ``_PROB_FLOOR`` is dropped; since no outcome is more
+    likely than any prefix of it along ``ops``, this is the cut a walk one
+    op at a time would make.  ``herald(clicks)`` returns the modes that get
+    a pi feed-forward, or None to reject, and only accepted sectors are
+    built.  Branches come in the lexicographic order of the outcomes along
+    ``ops``, and those equal in state key, clicks, detected and lost
+    photons are merged onto the first.
     """
-    merged: Dict[tuple, RoundBranch] = {}
-    last = len(ops) - 1
-
-    def walk(k: int, s: FockState, prob: float, lost: int, photons: Tuple[int, ...]):
-        mode, lossy = ops[k]
-        outcomes = loss_outcomes(s, mode, eta) if lossy else detection_outcomes(s, mode)
-        for b in outcomes:
-            p = prob * b.prob
+    ports = [mode.index for mode, lossy in ops if not lossy]
+    slot = {index: k for k, index in enumerate(ports)}
+    # where each op's count sits in ``lost + detected``
+    order = [slot[mode.index] + (0 if lossy else len(ports)) for mode, lossy in ops]
+    sectors: Dict[Tuple[int, ...], List[Tuple[tuple, complex]]] = {}
+    norm2: Dict[Tuple[int, ...], float] = {}
+    for occ, amp in psi.items():
+        n = tuple(map(occ.__getitem__, ports))
+        sectors.setdefault(n, []).append((occ, amp))
+        norm2[n] = norm2.get(n, 0.0) + abs(amp) ** 2
+    total = psi.norm_squared()
+    leaves = []
+    rejected = dropped = 0.0
+    for n, n2 in norm2.items():
+        share = n2 / total
+        weights = [loss_weights(k, eta) for k in n]
+        for lost in product(*[range(k + 1) for k in n]):  # photons lost per port
+            p = share
+            for w, l in zip(weights, lost):
+                p *= w[l]
             if p < _PROB_FLOOR:
+                dropped += p
                 continue
-            if lossy:
-                n_lost, ph = lost + b.lost, photons
-            else:
-                n_lost, ph = lost, photons + (b.photons,)
-            if k < last:
-                walk(k + 1, normalize(b.state), p, n_lost, ph)
+            det = tuple(map(operator.sub, n, lost))
+            clicks = tuple([d > 0 for d in det])  # one photon or more clicks
+            flips = herald(clicks)
+            if flips is None:
+                rejected += p
                 continue
-            clicks = tuple(map(bool, ph))  # one photon or more clicks
-            post = herald(clicks, b.state)
-            if post is None:
-                continue
-            named = tuple(zip(detector_ids, clicks))
-            key = (post.key(), named, ph, n_lost)
-            old = merged.get(key)
-            if old is not None:
-                p, post = old.prob + p, old.state
-            merged[key] = RoundBranch(p, post, named, ph, n_lost)
+            outcome = lost + det
+            along_ops = tuple([outcome[k] for k in order])
+            leaves.append((along_ops, n, sum(lost), det, clicks, flips, p))
+    leaves.sort(key=operator.itemgetter(0))
 
-    walk(0, psi, 1.0, 0, ())
-    # ``walk`` refers to itself through its closure: unbind it so that
-    # reference counting frees it, not the cycle collector
-    del walk
+    built: Dict[tuple, FockState] = {}
+    merged: Dict[tuple, RoundBranch] = {}
+    for _, n, n_lost, det, clicks, flips, p in leaves:
+        post = built.get((n, flips))
+        if post is None:
+            nrm = math.sqrt(norm2[n])
+            terms = {}
+            for occ, a in sectors[n]:
+                emptied = list(occ)
+                for i in ports:
+                    emptied[i] = 0
+                terms[tuple(emptied)] = a / nrm
+            post = psi.replace_terms(terms)
+            for mode in flips:
+                post = apply_phase(post, mode, math.pi)
+            built[n, flips] = post
+        named = tuple(zip(detector_ids, clicks))
+        key = (post.key(), named, det, n_lost)
+        old = merged.get(key)
+        if old is not None:
+            p, post = old.prob + p, old.state
+        merged[key] = RoundBranch(p, post, named, det, n_lost)
     branches = tuple(merged.values())
-    return RoundDistribution(sum(b.prob for b in branches), branches)
+    return RoundDistribution(sum(b.prob for b in branches), branches, rejected, dropped)
 
 
 def connect_round(
@@ -491,7 +529,7 @@ def connect_round(
     unless ``symmetric_port_only`` rejects it (the maximizing round).
     """
     if cfg.p_e <= 0.0:
-        return RoundDistribution(0.0, ())
+        return RoundDistribution(0.0, (), rejected=1.0)  # no pair, no click
     st_i, st_j = layout.stokes_of(i), layout.stokes_of(j)
     psi = pump_excite(
         state,
@@ -504,13 +542,13 @@ def connect_round(
         cfg.second_order_pump,
     )
     psi = normalize(apply_beam_splitter(psi, BeamSplitterSpec(st_i, st_j)))
+    fix_j = (layout.ensemble(j),)
 
-    def herald(clicks: Tuple[bool, ...], s: FockState) -> FockState | None:
+    def herald(clicks: Tuple[bool, ...]) -> Tuple[Mode, ...] | None:
         c1, c2 = clicks
         if c1 == c2 or (c2 and symmetric_port_only):
             return None  # zero or two clicks, or the rejected port
-        post = normalize(s)
-        return apply_phase(post, layout.ensemble(j), math.pi) if c2 else post
+        return fix_j if c2 else ()
 
     ops = ((st_i, True), (st_j, True), (st_i, False), (st_j, False))
     return _heralded(psi, ops, detector_ids, cfg.eta, herald)
@@ -533,10 +571,10 @@ def merge_round(
     dist = count_excitations(state, [mode])
     p_click = sum(p * (1.0 - cfg.eta**k) for k, p in dist.items() if k >= 1)
     if p_click <= 0.0:
-        return RoundDistribution(0.0, ())
+        return RoundDistribution(0.0, (), rejected=1.0)
     post = normalize(annihilate(state, mode))
     branch = RoundBranch(p_click, post, ((detector_id, True),), (1,), 0)
-    return RoundDistribution(p_click, (branch,))
+    return RoundDistribution(p_click, (branch,), rejected=1.0 - p_click)
 
 
 def teleport_round(
@@ -558,19 +596,17 @@ def teleport_round(
     psi = apply_beam_splitter(psi, BeamSplitterSpec(layout.phot_r, layout.phot[3]))
     psi = normalize(psi)
     ports = (layout.phot_l, layout.phot[0], layout.phot_r, layout.phot[3])
+    ens = layout.ensembles
 
-    def herald(clicks: Tuple[bool, ...], s: FockState) -> FockState | None:
+    def herald(clicks: Tuple[bool, ...]) -> Tuple[Mode, ...] | None:
         if sum(clicks[:2]) != 1 or sum(clicks[2:]) != 1:
             return None
-        # normalized twice on purpose: once alone moves the states' last bits
-        post = normalize(normalize(s))
+        flips = ()
         if clicks[1]:  # D2: photon came through the ensemble-1 port
-            post = apply_phase(post, layout.ensembles[4], math.pi)
-            post = apply_phase(post, layout.ensembles[5], math.pi)
+            flips += (ens[4], ens[5])
         if clicks[3]:  # D4: photon came through the ensemble-4 port
-            post = apply_phase(post, layout.ensembles[1], math.pi)
-            post = apply_phase(post, layout.ensembles[2], math.pi)
-        return post
+            flips += (ens[1], ens[2])
+        return flips
 
     ops = tuple((port, lossy) for port in ports for lossy in (True, False))
     return _heralded(psi, ops, ("D1", "D2", "D3", "D4"), cfg.eta, herald)

@@ -17,6 +17,7 @@ from wclass_sim.fock import (
     create,
     debug_serialize,
     equal_up_to_global_phase,
+    fidelity,
     inner_product,
     normalize,
     superpose,
@@ -353,3 +354,22 @@ def test_operator_results_pass_the_public_constructor_unchanged(
         )
         assert _bits(rebuilt) == _bits(result)
         assert rebuilt.overflow == result.overflow
+
+
+def test_fidelity_stays_within_the_unit_interval():
+    # |<w|w>|^2 / |w|^4 rounds above 1 for some W states (n = 3: 1 + 4e-16);
+    # a fidelity is a probability, so it is clamped
+    above = 0
+    for n in range(2, 9):
+        layout = make_chain_layout(ProtocolConfig(n=n, p_e=0.0))
+        w = as_state(layout, w_m_amplitudes(n, (0.0,) * n))
+        occ, a = next(iter(w.items()))
+        nudged = w.replace_terms(
+            {**dict(w.items()), occ: complex(math.nextafter(a.real, 2.0), a.imag)}
+        )
+        above += abs(inner_product(w, w)) ** 2 / w.norm() ** 4 > 1.0
+        for other in (w, nudged):
+            for f in (fidelity(w, other), fidelity(other, w)):
+                assert 0.0 <= f <= 1.0
+                assert f == pytest.approx(1.0, abs=1e-15)
+    assert above > 0

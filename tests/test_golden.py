@@ -13,10 +13,17 @@ purpose.  To rewrite the files after such a change (and say why in
 CHANGES.md), run
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints every value that changed in a rewritten file, old and new,
+with the distance between them in ulps (floats) or units (integers).
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import struct
 import sys
 from pathlib import Path
 
@@ -117,8 +124,69 @@ def test_budget_is_part_of_the_table_key(tmp_path):
     assert out.read_bytes() == golden_path("w3_exhausted").read_bytes()
 
 
+def _fields(name: str, data: bytes):
+    """A golden file's values: the JSON document, or the CSV rows as dicts
+    with the numbers parsed."""
+    text = data.decode("utf-8")
+    if name in JSON_CASES:
+        return json.loads(text)
+    rows = csv.DictReader(io.StringIO(text))
+    return [{k: _number(v) for k, v in row.items()} for row in rows]
+
+
+def _number(cell: str):
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+def _changes(old, new, path: str = ""):
+    """``(path, old value, new value)`` for every leaf that differs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for k in [*old, *(k for k in new if k not in old)]:
+            yield from _changes(old.get(k), new.get(k), f"{path}.{k}" if path else str(k))
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for k, (a, b) in enumerate(zip(old, new)):
+            yield from _changes(a, b, f"{path}[{k}]")
+    elif type(old) is not type(new) or old != new:
+        yield path, old, new
+
+
+def _ulps(a: float, b: float) -> int:
+    """How many floats apart ``a`` and ``b`` are."""
+
+    def ordinal(x: float) -> int:
+        bits = struct.unpack("<q", struct.pack("<d", x))[0]
+        return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+    return abs(ordinal(a) - ordinal(b))
+
+
+def _distance(a, b) -> str:
+    if isinstance(a, float) and isinstance(b, float):
+        return f" ({_ulps(a, b)} ulps)"
+    if type(a) is int and type(b) is int:
+        return f" ({b - a:+d})"
+    return ""
+
+
 if __name__ == "__main__":
+    # rewrite every golden file, and print each changed field of those that
+    # change: old value, new value and their distance
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
-        code = _run(case, golden_path(case))
+        path = golden_path(case)
+        old = path.read_bytes() if path.exists() else None
+        code = _run(case, path)
         print(f"{case}: exit {code}", file=sys.stderr)
+        new = path.read_bytes()
+        if old is None or old == new:
+            continue
+        changes = list(_changes(_fields(case, old), _fields(case, new)))
+        for field, a, b in changes:
+            print(f"  {field}: {a!r} -> {b!r}{_distance(a, b)}", file=sys.stderr)
+        if not changes:
+            print("  bytes changed, no value did", file=sys.stderr)
