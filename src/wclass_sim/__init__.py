@@ -61,8 +61,6 @@ from .protocol import (
     ideal_w_state,
     make_chain_layout,
     make_teleport_layout,
-    maximize_w,
-    merge_repump,
     phase_compensate,
     prepare_epr,
     receiver_localize,

@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import re
 import secrets
 import sys
@@ -29,8 +28,6 @@ from .montecarlo import run_batch, run_epr_batch, run_teleport_batch
 from .protocol import ProtocolConfig, TeleportConfig
 
 SCHEMA_VERSION = 1
-
-WORKERS_ENV = "WCLASS_SIM_WORKERS"
 
 _FORMATS = ("json", "csv-summary")
 
@@ -203,18 +200,11 @@ _CONVERT = {
 
 
 def _resolve_workers(flag: int | None) -> int:
-    if flag is not None:
-        value = flag
-    elif os.environ.get(WORKERS_ENV):
-        try:
-            value = int(os.environ[WORKERS_ENV])
-        except ValueError as exc:
-            raise UsageError(f"{WORKERS_ENV} must be an integer") from exc
-    else:
-        value = 1  # a process pool costs more than it saves below ~10**4 trials
-    if value < 1:
+    if flag is None:
+        return 1  # a process pool costs more than it saves below ~10**4 trials
+    if flag < 1:
         raise UsageError("--workers must be at least 1")
-    return value
+    return flag
 
 
 def _complex(pair: tuple[float, float], re_flag, im_flag) -> complex:

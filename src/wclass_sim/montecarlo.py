@@ -4,8 +4,8 @@ Trials are independent and reproducible: trial ``t`` of a batch draws from
 PCG64 seeded by ``SeedSequence(seed mod 2**64, spawn_key=(t,))``
 (:func:`rng_for_trial`), and aggregates are reduced in trial order, so
 reports are bit-identical for a fixed configuration no matter how many
-workers executed the batch.  A chain batch derives all of its trials'
-generator states at once (:func:`trial_rngs`), bit for bit the same.
+workers executed the batch.  A batch derives its trials' generator states
+a block at a time (:func:`trial_rngs`), bit for bit the same.
 
 A process keeps the node tables of its last 8 chain configurations
 (:func:`_chain_engine`), so batches of one configuration at different seeds
@@ -470,8 +470,7 @@ def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
     carol_target = qubit_state(tcfg, vac, layout.carol)
     bob_target = qubit_state(tcfg, vac, layout.bob)
     out = []
-    for t in range(lo, hi):
-        rng = rng_for_trial(tcfg.base.seed, t)
+    for t, rng in zip(range(lo, hi), trial_rngs(tcfg.base.seed, lo, hi)):
         try:
             res = teleport(tcfg, rng, sim)
         except AttemptsExhaustedError:

@@ -16,9 +16,8 @@ Two code paths cover every protocol state:
   table of nodes linked stage to stage, so trials reduce to categorical
   draws along those links plus geometric / multinomial fast-forwarding of
   the repeat-until-success loop; simulated attempt counts stay exact while
-  wall time stays flat.  Trace trials and :meth:`ChainSimulator.attempt`
-  (the single steps ``merge_repump`` and ``maximize_w``) walk the same
-  links round by round with one walker and one conditioned draw per round.
+  wall time stays flat.  Trace trials walk the same links round by round,
+  one conditioned draw per round.
   Connect and teleport rounds are enumerated by one pass over the
   photon-number sectors of their ports (loss before an absorbing detector
   only reweights each sector), with one ``_PROB_FLOOR`` cut and one merge
@@ -61,11 +60,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    AttemptsExhaustedError,
-    PreconditionError,
-    ProtocolSequencingError,
-)
+from .errors import AttemptsExhaustedError, PreconditionError
 from .fock import (
     DEFAULT_TRUNCATION_CAP,
     CollectiveModeModel,
@@ -75,7 +70,6 @@ from .fock import (
     annihilate,
     count_excitations,
     create,
-    fidelity,
     normalize,
     superpose,
 )
@@ -89,6 +83,7 @@ from .optics import (
     repump_convert,
 )
 # unused here; bench/spans.py wraps these bindings
+from .fock import fidelity
 from .optics import detection_outcomes, loss_outcomes
 
 
@@ -170,7 +165,7 @@ class TeleportConfig:
 
 @dataclass
 class StepOutcome:
-    """Result of one conditioned protocol step (or a whole chain build)."""
+    """Result of a chain build or of one teleport round."""
 
     succeeded: bool
     attempts: int
@@ -754,11 +749,9 @@ class ChainSimulator:
     trial from the vacuum computes no state key.  The default fast path
     samples the number of passes geometrically, allots the failed passes to
     their failure stages multinomially, and walks one success-weighted pass
-    for the final state.  Everything else walks passes round by round with
-    one walker, one conditioned draw per round: ``trace=True`` repeats
-    passes from the root until one completes or the budget runs out
-    (slower, used for distributional checks), and :meth:`attempt` runs a
-    single pass, which is how the step functions run their rounds.
+    for the final state.  ``trace=True`` instead walks the passes round by
+    round, one conditioned draw per round, until one completes or the budget
+    runs out (slower, used for distributional checks).
     """
 
     def __init__(
@@ -874,55 +867,36 @@ class ChainSimulator:
         counts, through = _spend_budget(rng, root, budget)
         return ChainTrialResult(False, budget, *_tally(counts, through), None, ())
 
-    def _pass(
-        self, rng: np.random.Generator, node: _Node, left: int
-    ) -> Tuple[int, int, RoundBranch | None, List[Tuple[str, bool]]]:
-        """One pass from ``node``, round by round, of at most ``left``
-        rounds: ``(stages got through, rounds used, last accepted branch,
-        clicks of the accepted rounds)``.  A pass that fails used one round
-        more than it got through; one cut short by ``left`` used as many."""
-        br, log = None, []
-        for used in range(1, left + 1):
-            link = _draw(rng, node.dist, node.links)
-            if link is None:
-                return used - 1, used, br, log
-            br, node = link
-            log.extend(br.clicks)
-            if node is None:
-                break
-        return used, used, br, log
-
-    def attempt(self, rng: np.random.Generator, state: FockState) -> StepOutcome:
-        """One pass of the stage list from ``state``, with no restart.  On
-        failure the state handed back is ``state`` and the click log holds
-        the clicks of the rounds accepted before the failing one."""
-        through, used, br, log = self._pass(rng, self._node(0, state), len(self.stages))
-        done = through == len(self.stages)
-        return StepOutcome(done, used, br.state if done else state, tuple(log))
-
     def _run_trial_trace(
         self, rng: np.random.Generator, root: _Node
     ) -> ChainTrialResult:
+        """Rounds from ``root``, each one conditioned draw, until a pass
+        completes or the budget runs out; a failed round restarts the pass
+        at ``root``."""
         n_stages = len(self.stages)
         attempts = [0] * n_stages
         successes = [0] * n_stages
         first = [0] * n_stages
-        budget, rounds = self.cfg.max_attempts, 0
-        while rounds < budget:
-            through, used, br, log = self._pass(rng, root, budget - rounds)
-            rounds += used
-            for k in range(used):
-                attempts[k] += 1
-            for k in range(through):
-                successes[k] += 1
-                first[k] = first[k] or attempts[k]
-            if through == n_stages:
+        budget = self.cfg.max_attempts
+        node, k, log = root, 0, []
+        for rounds in range(1, budget + 1):
+            attempts[k] += 1
+            link = _draw(rng, node.dist, node.links)
+            if link is None:
+                node, k, log = root, 0, []
+                continue
+            successes[k] += 1
+            first[k] = first[k] or attempts[k]
+            br, node = link
+            log.extend(br.clicks)
+            k += 1
+            if node is None:
                 return ChainTrialResult(
                     True, rounds, tuple(attempts), tuple(successes), br.state,
                     tuple(log), tuple(first),
                 )
         return ChainTrialResult(
-            False, rounds, tuple(attempts), tuple(successes), None, ()
+            False, budget, tuple(attempts), tuple(successes), None, ()
         )
 
 
@@ -945,50 +919,6 @@ def prepare_epr(
     ``max_attempts``: the one-stage chain ``(epr_stage(i, j),)``.
     """
     return build_w_chain(cfg, rng, layout, stages=(epr_stage(i, j),))
-
-
-def merge_repump(
-    cfg: ProtocolConfig,
-    state: FockState,
-    i: int,
-    rng: np.random.Generator,
-    layout: ChainLayout | None = None,
-    detector_id: str = "D3",
-) -> StepOutcome:
-    """One repump-readout round on ensemble ``i`` (single attempt); a failed
-    round logs ``detector_id`` as not clicking."""
-    stage = StageSpec(f"merge({i})", "merge", i, None, (detector_id,))
-    out = ChainSimulator(cfg, layout, (stage,)).attempt(rng, state)
-    if not out.succeeded:
-        out.click_log = ((detector_id, False),)
-    return out
-
-
-def maximize_w(
-    cfg: ProtocolConfig,
-    state: FockState,
-    rng: np.random.Generator,
-    layout: ChainLayout | None = None,
-) -> StepOutcome:
-    """Turn the chain intermediate into the maximally entangled W state.
-
-    Connects ensembles 1 and ``n`` (symmetric-port click, D4), then repumps
-    ensemble 1 (D6): the last two stages of :func:`chain_stages`, as one
-    pass with no restart.  Raises :class:`ProtocolSequencingError` when the
-    input already looks like a maximized W state, which would mean the chain
-    was sequenced wrongly.
-    """
-    layout = layout or make_chain_layout(cfg)
-    n = cfg.n
-    target_w = ideal_w_state(n, cfg.phases, layout)
-    target_wp = normalize(w_prime_state(n, cfg.phases, layout))
-    if not state.is_zero():
-        if fidelity(state, target_w) > fidelity(state, target_wp):
-            raise ProtocolSequencingError(
-                "input is already W-like; the maximizing step expects the "
-                "unmaximized chain state"
-            )
-    return ChainSimulator(cfg, layout, chain_stages(n)[-2:]).attempt(rng, state)
 
 
 def build_w_chain(

@@ -339,7 +339,7 @@ def pick_reference(branches, u: float, weights):
 
 
 # ---------------------------------------------------------------------------
-# single-step references: one round straight from its enumerator
+# round-by-round references: each round one conditioned draw
 # ---------------------------------------------------------------------------
 
 
@@ -358,30 +358,35 @@ def _conditioned(dist, rng):
     return dist.branches[-1]
 
 
-def merge_repump_reference(cfg, state, i, rng, layout, detector_id="D3"):
-    """One repump-readout round on ensemble ``i``, drawn from ``merge_round``."""
-    from wclass_sim.protocol import StepOutcome, merge_round
+def run_trial_trace_reference(sim, rng, state):
+    """A trace trial of the ``ChainSimulator`` ``sim`` from ``state``: every
+    round drawn from ``sim.round_distribution`` by :func:`_conditioned`, a
+    failed round restarting the pass from ``state``, until a pass completes
+    or ``max_attempts`` rounds are spent.  Only for stage lists whose passes
+    can complete (the engine spends a hopeless budget at once)."""
+    from wclass_sim.protocol import ChainTrialResult
 
-    br = _conditioned(merge_round(state, layout, i, cfg, detector_id), rng)
-    if br is None:
-        return StepOutcome(False, 1, state, ((detector_id, False),))
-    return StepOutcome(True, 1, br.state, br.clicks)
-
-
-def maximize_w_reference(cfg, state, rng, layout):
-    """The maximizing connect(1, n) round, then merge(1) on its outcome,
-    each drawn from its enumerator; no restart and no sequencing guard."""
-    from wclass_sim.protocol import StepOutcome, connect_round, merge_round
-
-    n = cfg.n
-    dist1 = connect_round(state, layout, 1, n, cfg, ("D4", "D5"), symmetric_port_only=True)
-    br1 = _conditioned(dist1, rng)
-    if br1 is None:
-        return StepOutcome(False, 1, state, ())
-    br2 = _conditioned(merge_round(br1.state, layout, 1, cfg, "D6"), rng)
-    if br2 is None:
-        return StepOutcome(False, 2, state, br1.clicks)
-    return StepOutcome(True, 2, br2.state, br1.clicks + br2.clicks)
+    n_stages = len(sim.stages)
+    attempts, successes, first = [0] * n_stages, [0] * n_stages, [0] * n_stages
+    budget, rounds = sim.cfg.max_attempts, 0
+    while rounds < budget:
+        k, cur, log = 0, state, []
+        while rounds < budget:
+            rounds += 1
+            attempts[k] += 1
+            br = _conditioned(sim.round_distribution(k, cur), rng)
+            if br is None:
+                break  # restart from ``state``
+            successes[k] += 1
+            first[k] = first[k] or attempts[k]
+            log.extend(br.clicks)
+            cur, k = br.state, k + 1
+            if k == n_stages:
+                return ChainTrialResult(
+                    True, rounds, tuple(attempts), tuple(successes), cur,
+                    tuple(log), tuple(first),
+                )
+    return ChainTrialResult(False, rounds, tuple(attempts), tuple(successes), None, ())
 
 
 def teleport_from_states_reference(tcfg, rng, layout, joint_w_state):

@@ -242,20 +242,11 @@ def test_sweep_json_round_trip_and_csv_columns(tmp_path):
     assert lines[1].split(",")[0] == "3"
 
 
-def test_workers_env_fallback(monkeypatch):
-    monkeypatch.setenv("WCLASS_SIM_WORKERS", "2")
-    spec = parse_args(["w-state", "--n", "3", "--seed", "1"])
-    assert spec.workers == 2
-    spec = parse_args(["w-state", "--n", "3", "--seed", "1", "--workers", "1"])
-    assert spec.workers == 1  # flag wins
-    monkeypatch.setenv("WCLASS_SIM_WORKERS", "zero")
+def test_workers_default_to_one():
+    argv = ["w-state", "--n", "3", "--seed", "1"]
+    assert parse_args(argv).workers == 1
     with pytest.raises(UsageError):
-        parse_args(["w-state", "--n", "3", "--seed", "1"])
-
-
-def test_workers_default_to_one(monkeypatch):
-    monkeypatch.delenv("WCLASS_SIM_WORKERS", raising=False)
-    assert parse_args(["w-state", "--n", "3", "--seed", "1"]).workers == 1
+        parse_args(argv + ["--workers", "0"])
 
 
 def test_one_worker_run_never_imports_multiprocessing(tmp_path):

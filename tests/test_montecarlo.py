@@ -336,12 +336,13 @@ def test_teleport_batch_enumerates_each_round_once(monkeypatch):
             repeats.append((trial[0], first_seen[key]))
         first_seen.setdefault(key, trial[0])
 
-    real_rng, real_connect, real_teleport_round = (
-        montecarlo.rng_for_trial, protocol.connect_round, protocol.teleport_round)
+    real_rngs, real_connect, real_teleport_round = (
+        montecarlo.trial_rngs, protocol.connect_round, protocol.teleport_round)
 
-    def numbered_rng(seed, t):
-        trial[0] = t
-        return real_rng(seed, t)
+    def numbered_rngs(seed, lo, hi):
+        for t, rng in zip(range(lo, hi), real_rngs(seed, lo, hi)):
+            trial[0] = t
+            yield rng
 
     def connect_round(state, layout, i, j, *args):
         record(("connect", layout.ensembles, i, j, state.key()))
@@ -351,7 +352,7 @@ def test_teleport_batch_enumerates_each_round_once(monkeypatch):
         record(("teleport", state.key()))
         return real_teleport_round(state, layout, cfg)
 
-    monkeypatch.setattr(montecarlo, "rng_for_trial", numbered_rng)
+    monkeypatch.setattr(montecarlo, "trial_rngs", numbered_rngs)
     monkeypatch.setattr(protocol, "connect_round", connect_round)
     monkeypatch.setattr(protocol, "teleport_round", teleport_round)
     assert run_teleport_batch(tcfg, 3).successes == 3

@@ -1,5 +1,5 @@
 import math
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wclass_sim import protocol
-from wclass_sim.errors import (
-    AttemptsExhaustedError,
-    PreconditionError,
-    ProtocolSequencingError,
-)
+from wclass_sim.errors import AttemptsExhaustedError, PreconditionError
 from wclass_sim.fock import (
     FockState,
     count_excitations,
@@ -37,8 +33,6 @@ from wclass_sim.protocol import (
     ideal_w_state,
     make_chain_layout,
     make_teleport_layout,
-    maximize_w,
-    merge_repump,
     merge_round,
     phase_compensate,
     prepare_epr,
@@ -61,14 +55,13 @@ from oracle_helpers import (
     epr_state_reference,
     exact_double_w_state_reference,
     ideal_w_state_reference,
-    maximize_w_reference,
-    merge_repump_reference,
     merged_amplitudes,
     pick_reference,
     receiver_amplitudes,
     step2_amplitudes,
     teleport_from_states_reference,
     receiver_targets_reference,
+    run_trial_trace_reference,
     teleport_round_reference,
     teleport_target_state_reference,
     unknown_prepared_reference,
@@ -371,40 +364,34 @@ def test_merge_on_pair_consumes_the_excitation():
 def test_merge_on_vacuum_never_clicks():
     cfg = ProtocolConfig(n=3, p_e=0.01, eta=0.0, seed=1)
     layout = make_chain_layout(cfg)
-    out = merge_repump(cfg, layout.vacuum(), 2, np.random.default_rng(0), layout)
-    assert not out.succeeded
+    vac = layout.vacuum()
+    dist = merge_round(vac, layout, 2, cfg)
+    assert (dist.p_accept, dist.branches, dist.rejected) == (0.0, (), 1.0)
+    merge_2 = chain_stages(3)[2:3]
+    assert ChainSimulator(cfg, layout, merge_2).completion(0, vac) == (0.0, (1.0,))
 
 
-def test_maximize_w_reaches_the_w_state():
-    rng = np.random.default_rng(11)
-    for n in (3, 4):
-        cfg = ProtocolConfig(
-            n=n, p_e=0.05, eta=0.0, seed=1, phases=random_phases(n, rng)
-        )
-        layout = make_chain_layout(cfg)
-        wp = normalize(w_prime_state(n, cfg.phases, layout))
-        target = ideal_w_state(n, cfg.phases, layout)
-        hits = 0
-        for _ in range(400):
-            out = maximize_w(cfg, wp, rng, layout)
-            if out.succeeded:
-                # the genuine herald is exact; double-pair fakes are rare
-                if fidelity(out.state, target) > 0.9:
-                    assert fidelity(out.state, target) == pytest.approx(
-                        1.0, abs=1e-10
-                    )
-                    hits += 1
-                if hits >= 3:
-                    break
-        assert hits >= 3
-
-
-def test_maximize_w_flags_wrong_sequencing():
-    cfg = ProtocolConfig(n=3, p_e=0.01, eta=0.0, seed=1)
-    layout = make_chain_layout(cfg)
-    w = ideal_w_state(3, cfg.phases, layout)
-    with pytest.raises(ProtocolSequencingError):
-        maximize_w(cfg, w, np.random.default_rng(0), layout)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_maximizing_stages_reach_the_w_state(n):
+    # connect(1,n) then merge(1) on the chain intermediate, as a stage slice
+    p_complete = {3: 5 / 134, 4: 7 / 222, 5: 9 / 310}[n]  # at p_e = 0.05, eta = 0
+    phases = random_phases(n, np.random.default_rng(11 + n))
+    for eta in (0.0, 0.3):
+        for double_pair in (True, False):
+            cfg = ProtocolConfig(
+                n=n, p_e=0.05, eta=eta, phases=phases, second_order_pump=double_pair
+            )
+            layout = make_chain_layout(cfg)
+            wp = normalize(w_prime_state(n, cfg.phases, layout))
+            sim = ChainSimulator(cfg, layout, chain_stages(n)[-2:])
+            pc, fails = sim.completion(0, wp)
+            assert (pc, fails) == completion_reference(sim.stages, layout, cfg, wp)
+            if eta == 0.0:
+                # the genuine herald is exact and the only way through
+                assert pc == pytest.approx(p_complete, rel=1e-12, abs=0)
+                (w,) = _terminal_states(sim, [wp])
+                target = ideal_w_state(n, cfg.phases, layout)
+                assert fidelity(w, target) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chain_stage_list_and_small_n_rejected():
@@ -493,6 +480,43 @@ def test_phase_covariance_of_the_sampled_chain():
         # lift the zero-phase result into the phased registry to compare rays
         lifted = comp.replace_terms(dict(r_0.final_state.items()))
         assert equal_up_to_global_phase(comp, lifted, 1e-10)
+
+
+def _terminal_links(sim):
+    return [
+        br for node in sim._nodes.values() for br, child in node.links if child is None
+    ]
+
+
+@pytest.mark.parametrize("n", [None, 3, 4, 5])  # None: the one-stage EPR chain
+@pytest.mark.parametrize("cap", [3, 4, 5])
+def test_channel_phases_leave_the_chain_table_unchanged(n, cap):
+    # the phases are a gauge: the table has the same shape and odds, and
+    # each terminal state is as close to its phase-matched W state
+    stages = (epr_stage(1, 2),) if n is None else chain_stages(n)
+    m = n or 2
+    phases = random_phases(m, np.random.default_rng(100 * m + cap))
+    for eta, p_e, double_pair, finite in product(
+        (0.0, 0.3), (0.01, 0.05), (True, False), ({}, {"n_a": 100.0, "finite_size": True})
+    ):
+        tables = []
+        for ph in ((0.0,) * m, phases):
+            cfg = ProtocolConfig(
+                n=m, p_e=p_e, eta=eta, phases=ph, truncation_cap=cap,
+                second_order_pump=double_pair, **finite,
+            )
+            sim = ChainSimulator(cfg, stages=stages)
+            p_pass, fails = sim.completion(0, sim.initial_state())
+            target = ideal_w_state(m, ph, sim.layout)
+            terminals = [(br.prob, fidelity(br.state, target)) for br in _terminal_links(sim)]
+            tables.append((len(sim._nodes), (p_pass, *fails), terminals))
+        (nodes_0, odds_0, ends_0), (nodes, odds, ends) = tables
+        assert nodes == nodes_0
+        assert odds == pytest.approx(odds_0, rel=1e-14, abs=0)
+        assert len(ends) == len(ends_0)
+        for (prob, fid), (prob_0, fid_0) in zip(ends, ends_0):
+            assert prob == pytest.approx(prob_0, rel=1e-14, abs=0)
+            assert abs(fid - fid_0) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -853,10 +877,7 @@ def _terminal_states(sim, roots):
     """The states a completed pass of ``sim`` can end in, from ``roots``."""
     for state in roots:
         sim.completion(0, state)
-    return [
-        br.state for node in sim._nodes.values() for br, child in node.links
-        if child is None
-    ]
+    return [br.state for br in _terminal_links(sim)]
 
 
 def test_teleport_rounds_match_reference_walk():
@@ -911,6 +932,30 @@ def test_exhausted_trace_trials_log_no_clicks():
     assert exhausted > 250
 
 
+@pytest.mark.parametrize(
+    "n, eta, budget",
+    [(None, 0.3, 12), (3, 0.3, 1000), (4, 0.1, 2500), (5, 0.0, 4000)],
+)  # None: the one-stage EPR chain
+def test_trace_trials_match_the_scalar_round_loop(n, eta, budget):
+    # bitwise: the same rounds, counts, clicks and final state, and the
+    # generator left in the same place; the budgets cut some trials short
+    stages = (epr_stage(1, 2),) if n is None else chain_stages(n)
+    cfg = ProtocolConfig(
+        n=n or 2, p_e=0.1, eta=eta, max_attempts=budget,
+        phases=random_phases(n or 2, np.random.default_rng(7)),
+    )
+    sim = ChainSimulator(cfg, stages=stages)
+    completed = 0
+    for seed in range(200):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        res = sim.run_trial(rng, trace=True)
+        ref = run_trial_trace_reference(sim, ref_rng, sim.initial_state())
+        assert res == ref  # final states compare by identity: the same branch
+        assert rng.random() == ref_rng.random()
+        completed += res.succeeded
+    assert 0 < completed < 200
+
+
 def test_trace_trials_that_cannot_complete_spend_the_budget_at_once():
     # at cap 2 no pass gets through; round by round, the default budget of
     # 10**15 rounds would take decades
@@ -945,36 +990,6 @@ def _outcomes_against_reference(step, reference):
         assert rng.random() == ref_rng.random()
         seen.add((out.succeeded, out.attempts))
     return seen
-
-
-def test_merge_repump_matches_reference_round():
-    cfg = ProtocolConfig(n=3, p_e=0.01, eta=0.3, phases=(0.0, 0.7, -0.2))
-    layout = make_chain_layout(cfg)
-    pair = epr_state(layout, 1, 2, cfg.phases[1])
-    for state, i, det, want in (
-        (layout.vacuum(), 2, "D3", {(False, 1)}),
-        (pair, 2, "D3", {(True, 1), (False, 1)}),
-        (pair, 1, "D6", {(True, 1), (False, 1)}),
-    ):
-        seen = _outcomes_against_reference(
-            lambda rng: merge_repump(cfg, state, i, rng, layout, det),
-            lambda rng: merge_repump_reference(cfg, state, i, rng, layout, det),
-        )
-        assert seen == want
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_maximize_w_matches_reference_rounds(n):
-    cfg = ProtocolConfig(
-        n=n, p_e=0.1, eta=0.3, phases=random_phases(n, np.random.default_rng(n))
-    )
-    layout = make_chain_layout(cfg)
-    wp = normalize(w_prime_state(n, cfg.phases, layout))
-    seen = _outcomes_against_reference(
-        lambda rng: maximize_w(cfg, wp, rng, layout),
-        lambda rng: maximize_w_reference(cfg, wp, rng, layout),
-    )
-    assert seen == {(False, 1), (False, 2), (True, 2)}
 
 
 def test_teleport_from_states_matches_reference_round():
