@@ -32,8 +32,9 @@ from .errors import ModeError, NormalizationError, RegistryError
 #: Amplitudes below this magnitude are dropped to keep states sparse.
 PRUNE_THRESHOLD = 1e-15
 
-#: Default cap on the total occupation across all modes.  The protocol never
-#: legitimately exceeds 3; cap 4 keeps the double-pair noise branches.
+#: Default cap on the total occupation across all modes.  It keeps the EPR
+#: round's double pairs, but a later connect round needs 1 + 2 + 2 = 5 quanta
+#: for a pair from each ensemble, so cap 4 truncates those branches.
 DEFAULT_TRUNCATION_CAP = 4
 
 Occupation = Tuple[int, ...]

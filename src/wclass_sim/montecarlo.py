@@ -215,7 +215,6 @@ class TrialRecord:
     stage_successes: Tuple[int, ...]
     fidelity: float | None
     classification: str | None  # "w" | "vacuum" | "other"
-    first_success_attempts: Tuple[int, ...] | None = None
 
 
 class _Report:
@@ -292,13 +291,13 @@ def _chain_engine(
 
 
 def _run_chain_trials(
-    cfg: ProtocolConfig, stages: Tuple[StageSpec, ...], lo: int, hi: int, trace: bool
+    cfg: ProtocolConfig, stages: Tuple[StageSpec, ...], lo: int, hi: int
 ) -> List[TrialRecord]:
     sim, target, finals = _chain_engine(replace(cfg, seed=0), stages)
     epr = len(stages) == 1
     out: List[TrialRecord] = []
     for t, rng in zip(range(lo, hi), trial_rngs(cfg.seed, lo, hi)):
-        res = sim.run_trial(rng, trace=trace)
+        res = sim.run_trial(rng)
         fid, cls = None, None
         if res.succeeded:
             state = res.final_state
@@ -320,7 +319,6 @@ def _run_chain_trials(
                 res.stage_successes,
                 fid,
                 cls,
-                res.first_success_attempts,
             )
         )
     return out
@@ -346,7 +344,6 @@ def run_batch(
     cfg: ProtocolConfig,
     trials: int,
     workers: int = 1,
-    trace: bool = False,
     stages: Tuple[StageSpec, ...] | None = None,
 ) -> RunReport:
     """Run ``trials`` independent seeded chain builds and aggregate them.
@@ -362,7 +359,7 @@ def run_batch(
     if workers > 1:  # built before the pool starts, so forked workers inherit it
         _chain_engine(replace(cfg, seed=0), stages)
     records = _collect_records(
-        _run_chain_trials, lambda lo, hi: (cfg, stages, lo, hi, trace), trials, workers
+        _run_chain_trials, lambda lo, hi: (cfg, stages, lo, hi), trials, workers
     )
     return _aggregate_chain(cfg, stages, records)
 

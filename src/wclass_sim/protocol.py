@@ -16,8 +16,7 @@ Two code paths cover every protocol state:
   table of nodes linked stage to stage, so trials reduce to categorical
   draws along those links plus geometric / multinomial fast-forwarding of
   the repeat-until-success loop; simulated attempt counts stay exact while
-  wall time stays flat.  Trace trials walk the same links round by round,
-  one conditioned draw per round.
+  wall time stays flat.
   Connect and teleport rounds are enumerated by one pass over the
   photon-number sectors of their ports (loss before an absorbing detector
   only reweights each sector), with one ``_PROB_FLOOR`` cut and one merge
@@ -660,7 +659,6 @@ class ChainTrialResult:
     stage_successes: Tuple[int, ...]
     final_state: FockState | None
     click_log: Tuple[Tuple[str, bool], ...]
-    first_success_attempts: Tuple[int, ...] | None = None
 
 
 def _tally(counts: List[int], through: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -711,17 +709,6 @@ def _spend_budget(
     return counts, 0
 
 
-def _draw(rng: np.random.Generator, dist: RoundDistribution, options: Sequence = ()):
-    """One conditioned round of ``dist``: ``u = rng.random()`` fails it when
-    ``u >= p_accept`` (None), and otherwise picks, by the branch
-    probabilities and the same ``u``, the accepted branch or its entry of
-    ``options`` (one per branch, in branch order)."""
-    u = rng.random()
-    if u >= dist.p_accept:
-        return None
-    return pick(options or dist.branches, u, dist.cum)
-
-
 @dataclass(eq=False, slots=True)
 class _Node:
     """One reached ``(stage, state)`` of a pass: its round, the node each
@@ -746,12 +733,10 @@ class ChainSimulator:
     a trial is a sequence of independent passes.  Each reached ``(stage,
     state)`` is enumerated once into a node of one table, linked to the
     nodes its branches lead to; a pass is a walk along those links, so a
-    trial from the vacuum computes no state key.  The default fast path
-    samples the number of passes geometrically, allots the failed passes to
-    their failure stages multinomially, and walks one success-weighted pass
-    for the final state.  ``trace=True`` instead walks the passes round by
-    round, one conditioned draw per round, until one completes or the budget
-    runs out (slower, used for distributional checks).
+    trial from the vacuum computes no state key.  A trial samples the number
+    of passes geometrically, allots the failed passes to their failure
+    stages multinomially, and walks one success-weighted pass for the final
+    state.
     """
 
     def __init__(
@@ -831,7 +816,6 @@ class ChainSimulator:
         self,
         rng: np.random.Generator,
         initial_state: FockState | None = None,
-        trace: bool = False,
     ) -> ChainTrialResult:
         """One trial within ``max_attempts`` rounds.
 
@@ -843,8 +827,6 @@ class ChainSimulator:
         """
         root = self._vacuum_root if initial_state is None else self._node(0, initial_state)
         p_pass, cond = root.p_complete, root.law[0]
-        if trace and p_pass > 0.0:  # else every pass fails: spend the budget at once
-            return self._run_trial_trace(rng, root)
         n_stages = len(self.stages)
         budget = self.cfg.max_attempts
         if p_pass > 0.0:
@@ -866,38 +848,6 @@ class ChainSimulator:
                 )
         counts, through = _spend_budget(rng, root, budget)
         return ChainTrialResult(False, budget, *_tally(counts, through), None, ())
-
-    def _run_trial_trace(
-        self, rng: np.random.Generator, root: _Node
-    ) -> ChainTrialResult:
-        """Rounds from ``root``, each one conditioned draw, until a pass
-        completes or the budget runs out; a failed round restarts the pass
-        at ``root``."""
-        n_stages = len(self.stages)
-        attempts = [0] * n_stages
-        successes = [0] * n_stages
-        first = [0] * n_stages
-        budget = self.cfg.max_attempts
-        node, k, log = root, 0, []
-        for rounds in range(1, budget + 1):
-            attempts[k] += 1
-            link = _draw(rng, node.dist, node.links)
-            if link is None:
-                node, k, log = root, 0, []
-                continue
-            successes[k] += 1
-            first[k] = first[k] or attempts[k]
-            br, node = link
-            log.extend(br.clicks)
-            k += 1
-            if node is None:
-                return ChainTrialResult(
-                    True, rounds, tuple(attempts), tuple(successes), br.state,
-                    tuple(log), tuple(first),
-                )
-        return ChainTrialResult(
-            False, budget, tuple(attempts), tuple(successes), None, ()
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -925,13 +875,12 @@ def build_w_chain(
     cfg: ProtocolConfig,
     rng: np.random.Generator,
     layout: ChainLayout | None = None,
-    trace: bool = False,
     stages: Sequence[StageSpec] | None = None,
 ) -> StepOutcome:
     """Build the ``n``-party W state (or run another stage list), restarting
     from the first stage on any failure."""
     sim = ChainSimulator(cfg, layout, stages)
-    result = sim.run_trial(rng, trace=trace)
+    result = sim.run_trial(rng)
     stage_attempts = {
         spec.label: a for spec, a in zip(sim.stages, result.stage_attempts)
     }
@@ -967,11 +916,14 @@ def exact_double_w_state(tcfg: TeleportConfig, layout: TeleportLayout) -> FockSt
 def _retrieve(
     rng: np.random.Generator, dist: RoundDistribution, rounds: int
 ) -> StepOutcome | None:
-    """One teleport round drawn from ``dist``: the accepted outcome, after
-    ``rounds`` rounds in all, or None when the clicks are rejected."""
-    br = _draw(rng, dist)
-    if br is None:
+    """One teleport round drawn from ``dist``: ``u = rng.random()`` rejects
+    the clicks when ``u >= p_accept`` (None), and otherwise picks the
+    accepted branch by the same ``u``; its outcome counts ``rounds`` rounds
+    in all."""
+    u = rng.random()
+    if u >= dist.p_accept:
         return None
+    br = pick(dist.branches, u, dist.cum)
     info = {"correct_clicks": correct_teleport_clicks(br)}
     return StepOutcome(True, rounds, br.state, br.clicks, info=info)
 

@@ -4,15 +4,18 @@ Everything here is written directly from the closed forms: literal
 amplitude dictionaries for the protocol states, a polynomial beam-splitter
 expansion, the two-mode-squeezer power series, and the repeat-until-success
 expected-round formula over analytically derived stage probabilities.
-None of it calls back into the code paths it verifies.
+None of it calls back into the code paths it verifies; where a helper reads
+the library's rounds, streams or aggregation, its docstring says so.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass, replace
 
 from wclass_sim.fock import FockState
+from wclass_sim.montecarlo import TrialRecord
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +361,19 @@ def _conditioned(dist, rng):
     return dist.branches[-1]
 
 
-def run_trial_trace_reference(sim, rng, state):
+def run_trial_trace_reference(sim, rng, state, round_distribution=None):
     """A trace trial of the ``ChainSimulator`` ``sim`` from ``state``: every
-    round drawn from ``sim.round_distribution`` by :func:`_conditioned`, a
-    failed round restarting the pass from ``state``, until a pass completes
-    or ``max_attempts`` rounds are spent.  Only for stage lists whose passes
-    can complete (the engine spends a hopeless budget at once)."""
+    round drawn by :func:`_conditioned` from ``round_distribution(stage,
+    state)`` (``sim.round_distribution`` by default), a failed round
+    restarting the pass from ``state``, until a pass completes or
+    ``max_attempts`` rounds are spent.  Returns the ``ChainTrialResult`` and
+    each stage's attempts up to its first success (None for an exhausted
+    trial).  Only for stage lists whose passes can complete (the engine
+    spends a hopeless budget at once)."""
     from wclass_sim.protocol import ChainTrialResult
 
+    round_distribution = round_distribution or sim.round_distribution
+    first_round = round_distribution(0, state)  # where every pass starts
     n_stages = len(sim.stages)
     attempts, successes, first = [0] * n_stages, [0] * n_stages, [0] * n_stages
     budget, rounds = sim.cfg.max_attempts, 0
@@ -374,7 +382,7 @@ def run_trial_trace_reference(sim, rng, state):
         while rounds < budget:
             rounds += 1
             attempts[k] += 1
-            br = _conditioned(sim.round_distribution(k, cur), rng)
+            br = _conditioned(round_distribution(k, cur) if k else first_round, rng)
             if br is None:
                 break  # restart from ``state``
             successes[k] += 1
@@ -382,11 +390,77 @@ def run_trial_trace_reference(sim, rng, state):
             log.extend(br.clicks)
             cur, k = br.state, k + 1
             if k == n_stages:
-                return ChainTrialResult(
-                    True, rounds, tuple(attempts), tuple(successes), cur,
-                    tuple(log), tuple(first),
+                result = ChainTrialResult(
+                    True, rounds, tuple(attempts), tuple(successes), cur, tuple(log)
                 )
-    return ChainTrialResult(False, rounds, tuple(attempts), tuple(successes), None, ())
+                return result, tuple(first)
+    result = ChainTrialResult(False, rounds, tuple(attempts), tuple(successes), None, ())
+    return result, None
+
+
+@dataclass
+class TracedTrialRecord(TrialRecord):
+    """A chain batch's trial record that also holds each stage's attempts up
+    to its first success (None for an exhausted trial)."""
+
+    first_success_attempts: tuple | None = None
+
+
+def run_batch_trace_reference(cfg, trials: int, stages=None):
+    """The report of ``run_batch(cfg, trials, stages=stages)`` with every
+    trial walked round by round by :func:`run_trial_trace_reference`, on the
+    batch's own per-trial streams (``trial_rngs``) and node table, then
+    classified by the same Born draw; its records are
+    :class:`TracedTrialRecord`.
+
+    A root whose passes never complete spends the budget at once through
+    ``sim.run_trial``, as the engine does.  Rounds are looked up by ``(stage,
+    id(state))``: the table keeps every state alive, so an id is never
+    reused, and the walk computes no state key.
+    """
+    from wclass_sim import montecarlo
+    from wclass_sim.protocol import chain_stages
+
+    stages = chain_stages(cfg.n) if stages is None else tuple(stages)
+    sim, target, _ = montecarlo._chain_engine(replace(cfg, seed=0), stages)
+    memo = {}
+
+    def round_distribution(k, state):
+        key = (k, id(state))
+        if key not in memo:
+            memo[key] = sim.round_distribution(k, state)
+        return memo[key]
+
+    root = sim.initial_state()
+    hopeless = sim.completion(0, root)[0] <= 0.0
+    epr = len(stages) == 1
+    finals = {}  # id of a final state: (fidelity, P(tail empty))
+    records = []
+    for t, rng in zip(range(trials), montecarlo.trial_rngs(cfg.seed, 0, trials)):
+        if hopeless:
+            res, first = sim.run_trial(rng), None
+        else:
+            res, first = run_trial_trace_reference(sim, rng, root, round_distribution)
+        fid = cls = None
+        if res.succeeded:
+            state = res.final_state
+            if id(state) not in finals:
+                finals[id(state)] = montecarlo._final_outcome(
+                    state, target, sim.layout, not epr
+                )
+            fid, p_empty = finals[id(state)]
+            if not epr:
+                if p_empty is None:
+                    cls = "w"
+                else:
+                    cls = "vacuum" if rng.random() < p_empty else "other"
+        records.append(
+            TracedTrialRecord(
+                t, res.succeeded, res.rounds, res.stage_attempts,
+                res.stage_successes, fid, cls, first,
+            )
+        )
+    return montecarlo._aggregate_chain(cfg, stages, records)
 
 
 def teleport_from_states_reference(tcfg, rng, layout, joint_w_state):

@@ -37,6 +37,7 @@ from oracle_helpers import (
     chain_stage_probabilities,
     epr_reference_records,
     expected_rounds_with_restart,
+    run_batch_trace_reference,
 )
 
 
@@ -131,10 +132,10 @@ def test_predicted_time_brackets_measured_time_with_loss():
 
 
 def test_stage_attempts_are_geometric():
-    # trace mode records attempts-to-first-success per stage; the entangling
-    # stage is an iid Bernoulli round, so the count is geometric
+    # the round-by-round oracle records attempts-to-first-success per stage;
+    # the entangling stage is an iid Bernoulli round, so the count is geometric
     cfg = ProtocolConfig(n=3, p_e=0.09, eta=0.0, seed=41)
-    report = run_batch(cfg, 1200, trace=True)
+    report = run_batch_trace_reference(cfg, 1200)
     firsts = np.array(
         [r.first_success_attempts[0] for r in report.records if r.succeeded]
     )
@@ -155,14 +156,23 @@ def test_stage_attempts_are_geometric():
 
 
 def test_trace_and_fast_paths_agree():
+    # the engine against the round-by-round oracle, and both against the
+    # exact E[rounds] of the node table: len(stages) + sum_k (k+1) fail_k / p_pass
     cfg = ProtocolConfig(n=3, p_e=0.05, eta=0.1, seed=61)
     fast = run_batch(cfg, 4000)
-    slow = run_batch(cfg, 4000, trace=True)
+    slow = run_batch_trace_reference(cfg, 4000)
     se = math.hypot(
         fast.confidence["mean_time_s_se"], slow.confidence["mean_time_s_se"]
     )
     assert abs(fast.mean_time_s - slow.mean_time_s) < 4 * se
     assert fast.fidelity_mean == pytest.approx(slow.fidelity_mean, abs=0.02)
+    sim = ChainSimulator(cfg)
+    p_pass, fail = sim.completion(0, sim.initial_state())
+    exact = len(sim.stages) + sum((k + 1) * f for k, f in enumerate(fail)) / p_pass
+    for report in (fast, slow):
+        rounds = np.array([r.rounds for r in report.records], dtype=float)
+        se = rounds.std(ddof=1) / math.sqrt(len(rounds))
+        assert abs(rounds.mean() - exact) < 4 * se
 
 
 def test_standard_errors_shrink_like_root_trials():
@@ -274,7 +284,7 @@ def test_exhausted_trials_fast_path_matches_trace():
     # spread them over the stages the way round-by-round simulation does
     cfg = ProtocolConfig(n=3, p_e=0.02, seed=4, max_attempts=200)
     fast = run_batch(cfg, 200)
-    slow = run_batch(cfg, 200, trace=True)
+    slow = run_batch_trace_reference(cfg, 200)
     assert fast.successes < 10
     for k in range(len(fast.stage_labels)):
         a = np.array([r.stage_attempts[k] for r in fast.records])
@@ -289,7 +299,7 @@ def test_exhausted_trials_count_the_pass_the_budget_cut(seed):
     # ignoring the last, cut-short pass would miss (z of about -4.5)
     cfg = ProtocolConfig(n=3, p_e=0.02, seed=seed, max_attempts=200)
     fast = run_batch(cfg, 3000)
-    slow = run_batch(cfg, 3000, trace=True)
+    slow = run_batch_trace_reference(cfg, 3000)
     for r in fast.records:
         if not r.succeeded:
             assert sum(r.stage_attempts) == r.rounds == cfg.max_attempts
@@ -417,14 +427,15 @@ def test_trial_rngs_raise_no_warnings(seed):
     ids=["w3", "w4-exhausted", "epr"],
 )
 def test_chain_table_is_closed_once_built(cfg, stages):
-    # a batch served from a cached table adds no node to it, fast or traced
+    # a batch served from a cached table adds no node to it, whether the
+    # engine samples it or the round-by-round oracle walks it
     montecarlo._chain_engine.cache_clear()
     stages = chain_stages(cfg.n) if stages is None else stages
     sim = montecarlo._chain_engine(replace(cfg, seed=0), stages)[0]
     built = len(sim._nodes)
     run_batch(cfg, 300, stages=stages)
     assert len(sim._nodes) == built
-    run_batch(cfg, 100, trace=True, stages=stages)
+    run_batch_trace_reference(cfg, 100, stages=stages)
     assert len(sim._nodes) == built
     assert montecarlo._chain_engine.cache_info().misses == 1
 

@@ -61,7 +61,6 @@ from oracle_helpers import (
     step2_amplitudes,
     teleport_from_states_reference,
     receiver_targets_reference,
-    run_trial_trace_reference,
     teleport_round_reference,
     teleport_target_state_reference,
     unknown_prepared_reference,
@@ -914,60 +913,34 @@ def test_warm_trials_hash_no_state(monkeypatch):
     rng = np.random.default_rng(1)
     assert all(in_budget.run_trial(rng).succeeded for _ in range(300))
     assert sum(exhausted.run_trial(rng).succeeded for _ in range(50)) < 50
-    assert all(in_budget.run_trial(rng, trace=True).succeeded for _ in range(50))
 
 
 def test_exhausted_trace_trials_log_no_clicks():
-    # like the fast path, a trial that runs out of rounds reports no clicks,
-    # not those of a pass it abandoned
+    # a trial that runs out of rounds reports no clicks, not those of a pass
+    # it abandoned
     sim = ChainSimulator(ProtocolConfig(n=3, p_e=0.05, max_attempts=30))
     exhausted = 0
     for seed in range(300):
-        for trace in (False, True):
-            res = sim.run_trial(np.random.default_rng(seed), trace=trace)
-            if not res.succeeded:
-                exhausted += trace
-                assert res.click_log == ()
-                assert res.rounds == sum(res.stage_attempts) == 30
+        res = sim.run_trial(np.random.default_rng(seed))
+        if not res.succeeded:
+            exhausted += 1
+            assert res.click_log == ()
+            assert res.rounds == sum(res.stage_attempts) == 30
     assert exhausted > 250
 
 
-@pytest.mark.parametrize(
-    "n, eta, budget",
-    [(None, 0.3, 12), (3, 0.3, 1000), (4, 0.1, 2500), (5, 0.0, 4000)],
-)  # None: the one-stage EPR chain
-def test_trace_trials_match_the_scalar_round_loop(n, eta, budget):
-    # bitwise: the same rounds, counts, clicks and final state, and the
-    # generator left in the same place; the budgets cut some trials short
-    stages = (epr_stage(1, 2),) if n is None else chain_stages(n)
-    cfg = ProtocolConfig(
-        n=n or 2, p_e=0.1, eta=eta, max_attempts=budget,
-        phases=random_phases(n or 2, np.random.default_rng(7)),
-    )
-    sim = ChainSimulator(cfg, stages=stages)
-    completed = 0
-    for seed in range(200):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        res = sim.run_trial(rng, trace=True)
-        ref = run_trial_trace_reference(sim, ref_rng, sim.initial_state())
-        assert res == ref  # final states compare by identity: the same branch
-        assert rng.random() == ref_rng.random()
-        completed += res.succeeded
-    assert 0 < completed < 200
-
-
 def test_trace_trials_that_cannot_complete_spend_the_budget_at_once():
-    # at cap 2 no pass gets through; round by round, the default budget of
-    # 10**15 rounds would take decades
+    # at cap 2 no pass gets through; walked round by round, the default
+    # budget of 10**15 rounds would take decades, so it is spent at once
     for n in (3, 4, 5, 6):
         cfg = ProtocolConfig(n=n, p_e=0.1, eta=0.3, truncation_cap=2)
         sim = ChainSimulator(cfg)
         assert sim.completion(0, sim.initial_state())[0] == 0.0
-        res = sim.run_trial(np.random.default_rng(n), trace=True)
+        res = sim.run_trial(np.random.default_rng(n))
         assert not res.succeeded
         assert res.rounds == sum(res.stage_attempts) == cfg.max_attempts == 10**15
         with pytest.raises(AttemptsExhaustedError):
-            build_w_chain(cfg, np.random.default_rng(n), trace=True)
+            build_w_chain(cfg, np.random.default_rng(n))
 
 
 # ---------------------------------------------------------------------------
