@@ -300,12 +300,8 @@ def _run_sweep(spec: ExperimentSpec) -> tuple[dict, int]:
     rows = []
     prev_time = None
     attempts_total = 0
-    base_phases = spec.config.phases
     for n in range(spec.n_min, spec.n_max + 1):
-        phases = tuple(
-            base_phases[k] if k < len(base_phases) else 0.0 for k in range(n)
-        )
-        cfg = dataclasses.replace(spec.config, n=n, phases=phases)
+        cfg = dataclasses.replace(spec.config, n=n, phases=None)
         report = run_batch(cfg, spec.trials, workers=spec.workers)
         ratio = None if prev_time is None else report.mean_time_s / prev_time
         prev_time = report.mean_time_s

@@ -9,7 +9,9 @@ a block at a time (:func:`trial_rngs`), bit for bit the same.
 
 A process keeps the node tables of its last 8 chain configurations
 (:func:`_chain_engine`), so batches of one configuration at different seeds
-build its table once.  A chain table is closed once it is built and
+build its table once.  Batches take their config with ``phases=None`` (the
+phases are a gauge), so no table or report depends on them.  A chain table
+is closed once it is built and
 batches only read it, so a batch's bytes never depend on what ran before
 it.  Teleport batches build their own tables: the W456 table grows during
 trials from W123 outcomes, and ``FockState.key`` rounds amplitudes, so the
@@ -271,8 +273,9 @@ def _chain_engine(
     cfg: ProtocolConfig, stages: Tuple[StageSpec, ...]
 ) -> Tuple[ChainSimulator, FockState, Dict[int, Tuple[float, float | None]]]:
     """``(simulator with its node table built, target state, memo of final
-    states)`` of a chain configuration, called with ``seed=0``: batches that
-    differ only in their seed share one.
+    states)`` of a chain configuration, called with ``seed=0`` and
+    ``phases=None``: batches that differ only in seed or phases share one.
+    The target is the zero-phase EPR pair or W state, as are the table's.
 
     The table is closed once built (every node reachable from the vacuum
     root is built with it) and batches only read it, so a batch draws on
@@ -283,17 +286,16 @@ def _chain_engine(
     sim = ChainSimulator(cfg, stages=stages)
     sim._vacuum_root  # builds the table
     if len(stages) == 1:  # a one-stage chain ends in the EPR pair
-        i, j = stages[0].i, stages[0].j
-        target = epr_state(sim.layout, i, j, cfg.phases[j - 1] - cfg.phases[i - 1])
+        target = epr_state(sim.layout, stages[0].i, stages[0].j, 0.0)
     else:
-        target = ideal_w_state(cfg.n, cfg.phases, sim.layout)
+        target = ideal_w_state(cfg.n, layout=sim.layout)
     return sim, target, {}
 
 
 def _run_chain_trials(
     cfg: ProtocolConfig, stages: Tuple[StageSpec, ...], lo: int, hi: int
 ) -> List[TrialRecord]:
-    sim, target, finals = _chain_engine(replace(cfg, seed=0), stages)
+    sim, target, finals = _chain_engine(replace(cfg, seed=0, phases=None), stages)
     epr = len(stages) == 1
     out: List[TrialRecord] = []
     for t, rng in zip(range(lo, hi), trial_rngs(cfg.seed, lo, hi)):
@@ -357,7 +359,7 @@ def run_batch(
         raise ValueError("need at least one trial")
     stages = chain_stages(cfg.n) if stages is None else tuple(stages)
     if workers > 1:  # built before the pool starts, so forked workers inherit it
-        _chain_engine(replace(cfg, seed=0), stages)
+        _chain_engine(replace(cfg, seed=0, phases=None), stages)
     records = _collect_records(
         _run_chain_trials, lambda lo, hi: (cfg, stages, lo, hi), trials, workers
     )
@@ -460,6 +462,8 @@ class TeleportReport(_Report):
 
 
 def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
+    # the phases are a gauge: run and score in the zero-phase frame
+    tcfg = replace(tcfg, base=replace(tcfg.base, phases=None))
     sim = TeleportSimulator(tcfg)
     layout = sim.layout
     target = teleport_target_state(tcfg, layout)

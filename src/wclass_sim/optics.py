@@ -50,15 +50,14 @@ class BeamSplitterSpec:
 class PumpSpec:
     """One weak Raman pump pulse on one ensemble.
 
-    ``emission_prob`` is the per-pulse pair-emission probability and
-    ``channel_phase`` the phase picked up in the optical channel of this
-    ensemble's Stokes light.
+    ``emission_prob`` is the per-pulse pair-emission probability.  A channel
+    phase of the Stokes light is ``apply_phase`` on the Stokes mode after the
+    pulse: a gauge (see :mod:`wclass_sim.protocol`), so the pump has none.
     """
 
     ensemble: Mode
     stokes: Mode
     emission_prob: float
-    channel_phase: float = 0.0
 
     def __post_init__(self) -> None:
         if self.ensemble.kind is not ModeKind.ATOMIC:
@@ -71,7 +70,7 @@ class PumpSpec:
             warnings.warn(
                 f"emission_prob={self.emission_prob} is outside the weak-pump "
                 "regime; the truncated expansion loses accuracy",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
 
 
@@ -131,17 +130,18 @@ def pump_excite(
 ) -> FockState:
     """Weak-pump squeezing expansion on (ensemble, stokes).
 
-    Applies ``1 + lam S+A+ + (lam^2 / 2)(S+A+)^2`` with
-    ``lam = sqrt(p_e) exp(i phi)``; the second-order (double-pair) term is
-    kept when ``second_order`` is set and the truncation cap permits.
-    Renormalization is deferred to the conditioning step.
+    Applies ``1 + lam S+A+ + (lam^2 / 2)(S+A+)^2`` with the real
+    ``lam = sqrt(p_e)`` (no channel phase, see :class:`PumpSpec`); the
+    second-order (double-pair) term is kept when ``second_order`` is set and
+    the truncation cap permits.  Renormalization is deferred to the
+    conditioning step.
     """
     for occ, _ in state.items():
         if occ[p.stokes.index] != 0:
             raise ProtocolSequencingError(
                 f"stokes mode {p.stokes.name} is occupied; pump applied out of order"
             )
-    lam = math.sqrt(p.emission_prob) * cmath.rect(1.0, p.channel_phase)
+    lam = math.sqrt(p.emission_prob)
     if lam == 0:
         return state
     pair = create(create(state, p.ensemble), p.stokes)

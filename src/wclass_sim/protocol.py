@@ -12,22 +12,30 @@ Two code paths cover every protocol state:
 
 * **Sampled engine** (:class:`ChainSimulator`): Monte Carlo trajectories
   over pump, beam splitter, loss, and detection, conditioned on single
-  clicks.  Each reached (stage, state) is enumerated exactly, once, into a
-  table of nodes linked stage to stage, so trials reduce to categorical
-  draws along those links plus geometric / multinomial fast-forwarding of
-  the repeat-until-success loop; simulated attempt counts stay exact while
-  wall time stays flat.
+  clicks, in the zero-phase frame.  Each reached (stage, state) is
+  enumerated exactly, once, into a table of nodes linked stage to stage, so
+  trials reduce to categorical draws along those links plus geometric /
+  multinomial fast-forwarding of the repeat-until-success loop; simulated
+  attempt counts stay exact while wall time stays flat.
   Connect and teleport rounds are enumerated by one pass over the
   photon-number sectors of their ports (loss before an absorbing detector
   only reweights each sector), with one ``_PROB_FLOOR`` cut and one merge
   of equal branches; the repump round has a closed form.
 
+The channel phases ``phi_1i`` are a gauge: each Stokes photon is born with
+an excitation of its own ensemble, so a phase on its light is
+``U_phi = prod_i exp(i phi_1i n_i)`` on the atoms, which every later step
+commutes with up to a global phase.  The engine runs at zero phase; only the
+exact constructors and the step outcomes (:func:`build_w_chain`,
+:func:`teleport`) apply the phases.
+
 Conditioning conventions (all fixed here, once):
 
 * A connect round accepts exactly one click.  A click on the antisymmetric
-  beam-splitter port heralds the ``s_i+ - e^{i phi} s_j+`` combination; when
-  the newly pumped ensemble ``j`` is fresh this is repaired by a known
-  feed-forward pi shift on ``j``, so either detector yields the same state.
+  beam-splitter port heralds the ``s_i+ - s_j+`` combination (in the
+  zero-phase frame); when the newly pumped ensemble ``j`` is fresh this is
+  repaired by a known feed-forward pi shift on ``j``, so either detector
+  yields the same state.
   In the final (maximizing) connect both ensembles are already occupied and
   the antisymmetric click cancels the ``s_1+ s_n+`` cross term outright, so
   that round accepts the symmetric port only.
@@ -53,7 +61,7 @@ import functools
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, product
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -96,8 +104,9 @@ class ProtocolConfig:
     """Parameters of one chain-preparation experiment.
 
     ``phases[i]`` is the channel phase of ensemble ``i+1`` relative to
-    ensemble 1 (so ``phases[0]`` must be zero); ``t0`` is the duration of one
-    light-atom interaction attempt.
+    ensemble 1 (so ``phases[0]`` must be zero): a gauge that the sampled
+    engine never reads (see the module docstring).  ``t0`` is the duration
+    of one light-atom interaction attempt.
     """
 
     n: int
@@ -191,7 +200,6 @@ class ChainLayout:
     registry: ModeRegistry
     ensembles: Tuple[Mode, ...]  # party i (1-based) -> ensembles[i - 1]
     stokes: Tuple[Mode, ...]
-    phases: Tuple[float, ...]
     truncation_cap: int
 
     def ensemble(self, party: int) -> Mode:
@@ -199,9 +207,6 @@ class ChainLayout:
 
     def stokes_of(self, party: int) -> Mode:
         return self.stokes[party - 1]
-
-    def phase(self, party: int) -> float:
-        return self.phases[party - 1]
 
     def vacuum(self) -> FockState:
         return FockState.vacuum(self.registry, self.truncation_cap)
@@ -213,7 +218,7 @@ def make_chain_layout(cfg: ProtocolConfig) -> ChainLayout:
     ens = tuple(reg.add_atomic(f"ens{i}") for i in range(1, cfg.n + 1))
     stokes = tuple(reg.add_photonic(f"st{i}") for i in range(1, cfg.n + 1))
     reg.seal()
-    return ChainLayout(reg, ens, stokes, cfg.phases, cfg.truncation_cap)
+    return ChainLayout(reg, ens, stokes, cfg.truncation_cap)
 
 
 @dataclass(frozen=True)
@@ -228,18 +233,12 @@ class TeleportLayout:
     phot_l: Mode
     phot_r: Mode
     phot: Tuple[Mode, ...]  # retrieval/stokes mode per ensemble 1..6
-    phases: Tuple[float, ...]  # phi_11..phi_13 (chain phases, shared)
     truncation_cap: int
 
     def chain_layout(self, first_party: int) -> ChainLayout:
         k = first_party - 1
-        return ChainLayout(
-            self.registry,
-            self.ensembles[k : k + 3],
-            self.phot[k : k + 3],
-            self.phases,
-            self.truncation_cap,
-        )
+        ens, phot = self.ensembles[k : k + 3], self.phot[k : k + 3]
+        return ChainLayout(self.registry, ens, phot, self.truncation_cap)
 
     @property
     def carol(self) -> Tuple[Mode, Mode]:
@@ -265,9 +264,7 @@ def make_teleport_layout(tcfg: TeleportConfig) -> TeleportLayout:
     phot_r = reg.add_photonic("aR")
     phot = tuple(reg.add_photonic(f"a{i}") for i in range(1, 7))
     reg.seal()
-    return TeleportLayout(
-        reg, mode_l, mode_r, ens, phot_l, phot_r, phot, cfg.phases, cfg.truncation_cap
-    )
+    return TeleportLayout(reg, mode_l, mode_r, ens, phot_l, phot_r, phot, cfg.truncation_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +379,8 @@ def qubit_state(
 def teleport_target_state(tcfg: TeleportConfig, layout: TeleportLayout) -> FockState:
     """Normalized receiver state
     ``[e^{i phi_13}(a s_3+ + b s_6+) + e^{i phi_12}(a s_2+ + b s_5+)]/sqrt(2)``."""
-    e12 = cmath.rect(1.0, layout.phases[1])
-    e13 = cmath.rect(1.0, layout.phases[2])
+    e12 = cmath.rect(1.0, tcfg.base.phases[1])
+    e13 = cmath.rect(1.0, tcfg.base.phases[2])
     a, b = tcfg.alpha, tcfg.beta
     coeffs = [e13 * a, e13 * b, e12 * a, e12 * b]
     return normalize(_excite(layout.vacuum(), layout.carol + layout.bob, coeffs))
@@ -516,7 +513,8 @@ def connect_round(
     detector_ids: Tuple[str, str] = ("D1", "D2"),
     symmetric_port_only: bool = False,
 ) -> RoundDistribution:
-    """Enumerate one pump-interfere-detect round on parties ``i`` and ``j``.
+    """Enumerate one pump-interfere-detect round on parties ``i`` and ``j``,
+    in the zero-phase frame (``cfg.phases`` is not read).
 
     Accepts exactly one click.  A click on the antisymmetric port is folded
     back onto the symmetric outcome by a pi feed-forward on ensemble ``j``
@@ -525,17 +523,10 @@ def connect_round(
     if cfg.p_e <= 0.0:
         return RoundDistribution(0.0, (), rejected=1.0)  # no pair, no click
     st_i, st_j = layout.stokes_of(i), layout.stokes_of(j)
-    psi = pump_excite(
-        state,
-        PumpSpec(layout.ensemble(i), st_i, cfg.p_e, layout.phase(i)),
-        cfg.second_order_pump,
-    )
-    psi = pump_excite(
-        psi,
-        PumpSpec(layout.ensemble(j), st_j, cfg.p_e, layout.phase(j)),
-        cfg.second_order_pump,
-    )
-    psi = normalize(apply_beam_splitter(psi, BeamSplitterSpec(st_i, st_j)))
+    for party, stokes in ((i, st_i), (j, st_j)):
+        pump = PumpSpec(layout.ensemble(party), stokes, cfg.p_e)
+        state = pump_excite(state, pump, cfg.second_order_pump)
+    psi = normalize(apply_beam_splitter(state, BeamSplitterSpec(st_i, st_j)))
     fix_j = (layout.ensemble(j),)
 
     def herald(clicks: Tuple[bool, ...]) -> Tuple[Mode, ...] | None:
@@ -736,7 +727,7 @@ class ChainSimulator:
     trial from the vacuum computes no state key.  A trial samples the number
     of passes geometrically, allots the failed passes to their failure
     stages multinomially, and walks one success-weighted pass for the final
-    state.
+    state.  States in and out are in the zero-phase frame.
     """
 
     def __init__(
@@ -878,7 +869,8 @@ def build_w_chain(
     stages: Sequence[StageSpec] | None = None,
 ) -> StepOutcome:
     """Build the ``n``-party W state (or run another stage list), restarting
-    from the first stage on any failure."""
+    from the first stage on any failure.  The channel phases are put on the
+    final state."""
     sim = ChainSimulator(cfg, layout, stages)
     result = sim.run_trial(rng)
     stage_attempts = {
@@ -892,10 +884,11 @@ def build_w_chain(
             stage=worst,
             attempts=cfg.max_attempts,
         )
+    put_on = [-ph for ph in cfg.phases]  # phase_compensate takes its phases off
     return StepOutcome(
         True,
         result.rounds,
-        result.final_state,
+        phase_compensate(result.final_state, put_on, sim.layout.ensembles),
         result.click_log,
         stage_attempts=stage_attempts,
     )
@@ -942,8 +935,9 @@ def teleport_from_states(
 
 class TeleportSimulator:
     """The two W-chain simulators and the retrieval round of
-    :func:`teleport`, with their memo tables; share one across the trials of
-    a batch so that each reached state is enumerated once."""
+    :func:`teleport`, with their memo tables, in the zero-phase frame; share
+    one across the trials of a batch so that each reached state is
+    enumerated once."""
 
     def __init__(self, tcfg: TeleportConfig):
         self.tcfg = tcfg
@@ -1006,14 +1000,16 @@ def teleport(
     rng: np.random.Generator,
     sim: TeleportSimulator | None = None,
 ) -> StepOutcome:
-    """One trial of :meth:`TeleportSimulator.run_trial`.  ``sim`` must be
-    built from this very ``tcfg`` (a fresh one by default); pass one to every
-    trial of a batch."""
+    """One trial of :meth:`TeleportSimulator.run_trial`, with the channel
+    phases put on its state.  ``sim`` must be built from this very ``tcfg``
+    (a fresh one by default); pass one to every trial of a batch."""
     if sim is None:
         sim = TeleportSimulator(tcfg)
     elif sim.tcfg is not tcfg:
         raise ValueError("the teleport simulator was built from another config")
-    return sim.run_trial(rng)
+    out = sim.run_trial(rng)
+    put_on = [-ph for ph in tcfg.base.phases * 2]  # W123 on 1..3, W456 on 4..6
+    return replace(out, state=phase_compensate(out.state, put_on, sim.layout.ensembles))
 
 
 def receiver_localize(

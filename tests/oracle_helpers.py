@@ -251,7 +251,8 @@ def epr_reference_records(cfg, lo: int, hi: int) -> list:
 
     The round itself comes from ``connect_round`` and the per-trial streams
     from ``rng_for_trial``; only the repeat-until-success sampling is
-    independent of the engine it checks.
+    independent of the engine it checks.  Fidelities are to the zero-phase
+    pair, as the round is in the zero-phase frame.
     """
     from wclass_sim.fock import fidelity
     from wclass_sim.montecarlo import rng_for_trial
@@ -259,7 +260,7 @@ def epr_reference_records(cfg, lo: int, hi: int) -> list:
 
     layout = make_chain_layout(cfg)
     dist = connect_round(layout.vacuum(), layout, 1, 2, cfg, ("D1", "D2"))
-    target = epr_state(layout, 1, 2, cfg.phases[1])
+    target = epr_state(layout, 1, 2, 0.0)
     exhausted = (cfg.max_attempts, (cfg.max_attempts,), (0,), None, None)
     out = []
     for t in range(lo, hi):
@@ -422,7 +423,7 @@ def run_batch_trace_reference(cfg, trials: int, stages=None):
     from wclass_sim.protocol import chain_stages
 
     stages = chain_stages(cfg.n) if stages is None else tuple(stages)
-    sim, target, _ = montecarlo._chain_engine(replace(cfg, seed=0), stages)
+    sim, target, _ = montecarlo._chain_engine(replace(cfg, seed=0, phases=None), stages)
     memo = {}
 
     def round_distribution(k, state):
@@ -509,7 +510,13 @@ def connect_round_reference(
     state, layout, i, j, cfg, detector_ids=("D1", "D2"), symmetric_port_only=False
 ):
     """``connect_round`` as a four-deep loop: loss on port i, loss on port j,
-    detection on i, detection on j, with the floor cut at each level."""
+    detection on i, detection on j, with the floor cut at each level.
+
+    Unlike the engine, it reads the channel phases: after the pump, each
+    Stokes mode (empty before it) gets its ensemble's phase ``cfg.phases``.
+    So on ``U_phi |state>`` it gives ``U_phi`` times the engine's branches,
+    ``U_phi = prod_i exp(i phi_1i n_i)``.
+    """
     from wclass_sim.fock import normalize
     from wclass_sim.optics import (
         BeamSplitterSpec,
@@ -525,16 +532,11 @@ def connect_round_reference(
     if cfg.p_e <= 0.0:
         return RoundDistribution(0.0, ())
     st_i, st_j = layout.stokes_of(i), layout.stokes_of(j)
-    psi = pump_excite(
-        state,
-        PumpSpec(layout.ensemble(i), st_i, cfg.p_e, layout.phase(i)),
-        cfg.second_order_pump,
-    )
-    psi = pump_excite(
-        psi,
-        PumpSpec(layout.ensemble(j), st_j, cfg.p_e, layout.phase(j)),
-        cfg.second_order_pump,
-    )
+    psi = state
+    for party, stokes in ((i, st_i), (j, st_j)):
+        pump = PumpSpec(layout.ensemble(party), stokes, cfg.p_e)
+        psi = pump_excite(psi, pump, cfg.second_order_pump)
+        psi = apply_phase(psi, stokes, cfg.phases[party - 1])
     psi = normalize(apply_beam_splitter(psi, BeamSplitterSpec(st_i, st_j)))
     accepted = []
     for lb1 in loss_outcomes(psi, st_i, cfg.eta):
@@ -740,8 +742,9 @@ def teleport_target_state_reference(tcfg, layout):
     from wclass_sim.fock import create, normalize, superpose
 
     vac = layout.vacuum()
-    e12 = complex(math.cos(layout.phases[1]), math.sin(layout.phases[1]))
-    e13 = complex(math.cos(layout.phases[2]), math.sin(layout.phases[2]))
+    phases = tcfg.base.phases
+    e12 = complex(math.cos(phases[1]), math.sin(phases[1]))
+    e13 = complex(math.cos(phases[2]), math.sin(phases[2]))
     a, b = tcfg.alpha, tcfg.beta
     parts = [
         create(vac, layout.ensembles[2]),  # ensemble 3

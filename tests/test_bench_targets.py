@@ -2,23 +2,33 @@
 the outside, by attribute; a refactor that drops or moves one of them, or
 that calls past the wrapped binding, breaks every traced benchmark run.
 This checks the names, and that one small call reaches the enumerators
-through them."""
+through them.  Its report checker (``bench/checks.py``) calls into the
+program too; small reports must pass it."""
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 import wclass_sim
 import wclass_sim.cli  # noqa: F401  (the tracer wraps names bound in cli)
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+CHECKS = SPANS.with_name("checks.py")
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def _spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return _load(SPANS)
 
 
 def test_every_name_the_benchmark_wraps_exists():
@@ -70,3 +80,24 @@ def test_unused_imports_in_src_are_bindings_the_benchmark_wraps():
         if extra:
             unused[path.stem] = sorted(extra)
     assert unused == {}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["epr", "--eta", "0.3", "--trials", "200", "--seed", "3"],
+        ["w-state", "--n", "4", "--eta", "0.3", "--trials", "200", "--seed", "4"],
+        ["teleport", "--cap", "5", "--eta", "0.1", "--trials", "3", "--seed", "5"],
+    ],
+    ids=["epr", "w4", "teleport"],
+)
+def test_the_benchmark_checker_passes_small_reports(argv, capsys):
+    # the benchmark scores every report with bench/checks.py, which calls
+    # into cli and protocol: if those entry points drift, every call of a
+    # benchmark run reads "incorrect"
+    checks = _load(CHECKS)
+    assert wclass_sim.cli.main(argv) == 0
+    report = capsys.readouterr().out
+    problems, z = checks.Checker(wclass_sim.cli, wclass_sim.protocol).check(argv, report)
+    assert problems == []
+    assert (z is None) == (argv[0] == "teleport")

@@ -371,3 +371,68 @@ def test_seed_beyond_64_bits_is_a_usage_error(tmp_path, seed):
     assert main(["w-state", "--seed", seed, "--trials", "3", "--workers", "1",
                  "-o", str(out)]) == 2
     assert not out.exists()
+
+
+_CHAIN = ["--pe", "0.05", "--trials", "50"]
+_FINITE = ["--na", "100", "--finite-size"]
+_TELEPORT = ["teleport", "--cap", "5", "--alpha-re", "0.6", "--beta-im", "0.8",
+             "--trials", "10"]
+
+
+@pytest.mark.parametrize(
+    "argv, phases",
+    [
+        pytest.param(
+            ["epr", "--n", "2", "--eta", "0.3", "--cap", "3", *_CHAIN, "--seed", "5"],
+            "0,5.5936", id="epr-cap3",
+        ),
+        pytest.param(
+            ["epr", "--n", "2", "--eta", "0.3", "--cap", "4", "--no-double-pair", *_CHAIN,
+             "--seed", "39"],
+            "0,5.6685", id="epr-cap4-single-pair",
+        ),
+        pytest.param(
+            ["w-state", "--n", "3", "--eta", "0.3", "--cap", "3", *_FINITE, *_CHAIN,
+             "--seed", "66"],
+            "0,6.0734,2.9971", id="w3-cap3-finite",
+        ),
+        pytest.param(
+            ["w-state", "--n", "4", "--eta", "0.3", "--cap", "4", "--no-double-pair", *_CHAIN,
+             "--seed", "45"],
+            "0,4.1484,6.2597,5.7613", id="w4-cap4-single-pair",
+        ),
+        pytest.param(
+            ["w-state", "--n", "5", "--eta", "0.1", "--cap", "4", *_CHAIN, "--seed", "26"],
+            "0,0.1359,6.0383,1.1622,0.7785", id="w5-cap4",
+        ),
+        pytest.param(
+            ["w-state", "--n", "5", "--eta", "0.1", "--cap", "3", *_FINITE, *_CHAIN,
+             "--seed", "89"],
+            "0,2.0894,5.1265,0.6321,0.9196", id="w5-cap3-finite",
+        ),
+        pytest.param(
+            ["w-state", "--n", "6", "--eta", "0.1", "--cap", "4", *_FINITE, *_CHAIN,
+             "--seed", "62"],
+            "0,4.4548,1.041,0.4014,4.4078,2.8046", id="w6-cap4-finite",
+        ),
+        pytest.param(
+            [*_TELEPORT, "--eta", "0.1", "--seed", "12"],
+            "0,4.0941,4.9557", id="teleport-eta0.1",
+        ),
+        pytest.param(
+            [*_TELEPORT, "--eta", "0.2", "--seed", "55"],
+            "0,0.1781,5.2513", id="teleport-eta0.2",
+        ),
+    ],
+)
+def test_channel_phases_change_no_report_byte_outside_the_config(tmp_path, argv, phases):
+    # the phases are a gauge: a phased report equals the zero-phase one in
+    # every field but the echoed phases
+    plain, phased = tmp_path / "plain.json", tmp_path / "phased.json"
+    assert main([*argv, "-o", str(plain)]) == 0
+    assert main([*argv, "--phases", phases, "-o", str(phased)]) == 0
+    plain, phased = json.loads(plain.read_text()), json.loads(phased.read_text())
+    echoed = [float(x) for x in phases.split(",")]
+    assert phased["config"].pop("phases") == echoed
+    assert plain["config"].pop("phases") == [0.0] * len(echoed)
+    assert json.dumps(phased) == json.dumps(plain)

@@ -440,22 +440,23 @@ def test_chain_table_is_closed_once_built(cfg, stages):
     assert montecarlo._chain_engine.cache_info().misses == 1
 
 
-def test_chain_engines_are_keyed_by_everything_but_the_seed():
+def test_chain_engines_are_keyed_by_everything_but_seed_and_phases():
+    # the channel phases are a gauge, so batches take their config without them
     montecarlo._chain_engine.cache_clear()
     base = ProtocolConfig(n=3, p_e=0.02, eta=0.1, seed=1)
     run_batch(base, 5)
     run_batch(replace(base, seed=2), 5)
+    run_batch(replace(base, phases=(0.0, 0.5, 0.0)), 5)
     info = montecarlo._chain_engine.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    assert (info.hits, info.misses) == (2, 1)
     for cfg in (
         replace(base, eta=0.2),
-        replace(base, phases=(0.0, 0.5, 0.0)),
         replace(base, truncation_cap=3),
         replace(base, max_attempts=50),
     ):
         run_batch(cfg, 5)
     info = montecarlo._chain_engine.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 5, 5)
+    assert (info.hits, info.misses, info.currsize) == (2, 4, 4)
 
 
 def test_signed_zero_phases_give_the_same_report():

@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import accumulate, product
 
@@ -73,6 +74,11 @@ from oracle_helpers import (
 
 def random_phases(n, rng):
     return (0.0,) + tuple(rng.uniform(-math.pi, math.pi, n - 1))
+
+
+def _phased(state, phases, ensembles):
+    """``U_phi |state>``: the channel phases put on a zero-frame state."""
+    return phase_compensate(state, [-ph for ph in phases], ensembles)
 
 
 def test_config_rejects_finite_size_below_two_atoms():
@@ -304,26 +310,29 @@ def test_connect_round_click_rate_with_loss():
 
 
 def test_connect_step_on_vacuum_reduces_to_epr():
+    # the round is in the zero-phase frame; the phases give the phased pair
     cfg = ProtocolConfig(n=3, p_e=0.01, eta=0.0, seed=1, phases=(0.0, 0.2, 1.1))
     layout = make_chain_layout(cfg)
     dist = connect_round(layout.vacuum(), layout, 2, 3, cfg)
     top = max(dist.branches, key=lambda b: b.prob)
     want = as_state(layout, epr_amplitudes(3, 2, 3, cfg.phases[2] - cfg.phases[1]))
-    assert equal_up_to_global_phase(top.state, want, 1e-10)
+    phased = _phased(top.state, cfg.phases, layout.ensembles)
+    assert equal_up_to_global_phase(phased, want, 1e-10)
 
 
 def test_connect_on_pair_reproduces_three_party_state_both_ports():
     cfg = ProtocolConfig(n=3, p_e=0.01, eta=0.0, seed=1, phases=(0.0, -0.8, 0.5))
     layout = make_chain_layout(cfg)
-    pair = epr_state(layout, 1, 2, cfg.phases[1])
+    pair = epr_state(layout, 1, 2, 0.0)  # the zero-phase frame
     dist = connect_round(pair, layout, 2, 3, cfg)
     want = as_state(layout, step2_amplitudes(cfg.phases[1], cfg.phases[2] - cfg.phases[1]))
     # every single-photon click branch (either detector) matches after the
-    # feed-forward correction
+    # feed-forward correction, once the phases are put on
     singles = [b for b in dist.branches if sum(b.detected) == 1]
     assert len(singles) == 2
     for br in singles:
-        assert equal_up_to_global_phase(br.state, want, 1e-10)
+        phased = _phased(br.state, cfg.phases, layout.ensembles)
+        assert equal_up_to_global_phase(phased, want, 1e-10)
 
 
 def test_connect_rejects_two_click_double_pair_events():
@@ -381,7 +390,7 @@ def test_maximizing_stages_reach_the_w_state(n):
                 n=n, p_e=0.05, eta=eta, phases=phases, second_order_pump=double_pair
             )
             layout = make_chain_layout(cfg)
-            wp = normalize(w_prime_state(n, cfg.phases, layout))
+            wp = normalize(w_prime_state(n, None, layout))  # the zero-phase frame
             sim = ChainSimulator(cfg, layout, chain_stages(n)[-2:])
             pc, fails = sim.completion(0, wp)
             assert (pc, fails) == completion_reference(sim.stages, layout, cfg, wp)
@@ -390,6 +399,7 @@ def test_maximizing_stages_reach_the_w_state(n):
                 assert pc == pytest.approx(p_complete, rel=1e-12, abs=0)
                 (w,) = _terminal_states(sim, [wp])
                 target = ideal_w_state(n, cfg.phases, layout)
+                w = _phased(w, cfg.phases, layout.ensembles)
                 assert fidelity(w, target) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -440,6 +450,8 @@ def test_genuine_branch_walk_matches_operator_algebra():
         for idx in range(len(sim.stages)):
             dist = sim.round_distribution(idx, state)
             state = max(dist.branches, key=lambda b: b.prob).state
+        # the walk is in the zero-phase frame; the phases give the phased W
+        state = _phased(state, cfg.phases, layout.ensembles)
         assert equal_up_to_global_phase(
             state, ideal_w_state(n, cfg.phases, layout), 1e-10
         )
@@ -448,6 +460,7 @@ def test_genuine_branch_walk_matches_operator_algebra():
         for idx in range(len(sim.stages) - 2):
             dist = sim.round_distribution(idx, pre_max)
             pre_max = max(dist.branches, key=lambda b: b.prob).state
+        pre_max = _phased(pre_max, cfg.phases, layout.ensembles)
         assert equal_up_to_global_phase(pre_max, wp, 1e-10)
 
 
@@ -465,20 +478,19 @@ def test_phase_compensation():
 
 
 def test_phase_covariance_of_the_sampled_chain():
-    # same seed, phases on vs off: compensating the phased run reproduces
-    # the zero-phase run exactly (branch topology is phase independent)
+    # same seed, phases on vs off: compensating the phased step outcome
+    # reproduces the zero-phase one (branch topology is phase independent)
     phases = (0.0, 0.7, -1.1)
     cfg_ph = ProtocolConfig(n=3, p_e=0.01, eta=0.2, seed=33, phases=phases)
     cfg_0 = ProtocolConfig(n=3, p_e=0.01, eta=0.2, seed=33)
-    sim_ph, sim_0 = ChainSimulator(cfg_ph), ChainSimulator(cfg_0)
-    for t in range(10):
-        r_ph = sim_ph.run_trial(np.random.default_rng(t))
-        r_0 = sim_0.run_trial(np.random.default_rng(t))
-        assert r_ph.rounds == r_0.rounds
-        comp = phase_compensate(r_ph.final_state, phases, sim_ph.layout.ensembles)
-        # lift the zero-phase result into the phased registry to compare rays
-        lifted = comp.replace_terms(dict(r_0.final_state.items()))
-        assert equal_up_to_global_phase(comp, lifted, 1e-10)
+    layout = make_chain_layout(cfg_0)
+    for step in (build_w_chain, lambda cfg, rng, lay: prepare_epr(cfg, 1, 2, rng, lay)):
+        for t in range(10):
+            r_ph = step(cfg_ph, np.random.default_rng(t), layout)
+            r_0 = step(cfg_0, np.random.default_rng(t), layout)
+            assert (r_ph.attempts, r_ph.click_log) == (r_0.attempts, r_0.click_log)
+            comp = phase_compensate(r_ph.state, phases, layout.ensembles)
+            assert equal_up_to_global_phase(comp, r_0.state, 1e-10)
 
 
 def _terminal_links(sim):
@@ -489,21 +501,25 @@ def _terminal_links(sim):
 
 @pytest.mark.parametrize("n", [None, 3, 4, 5])  # None: the one-stage EPR chain
 @pytest.mark.parametrize("cap", [3, 4, 5])
-def test_channel_phases_leave_the_chain_table_unchanged(n, cap):
-    # the phases are a gauge: the table has the same shape and odds, and
-    # each terminal state is as close to its phase-matched W state
+def test_channel_phases_leave_the_chain_table_unchanged(n, cap, monkeypatch):
+    # the phases are a gauge: a table whose connect rounds put the channel
+    # phases on the Stokes light (the reference loop) has the zero-frame
+    # engine's shape and odds, and each terminal state is as close to its
+    # phase-matched W state
     stages = (epr_stage(1, 2),) if n is None else chain_stages(n)
     m = n or 2
     phases = random_phases(m, np.random.default_rng(100 * m + cap))
+    engine = protocol.connect_round
     for eta, p_e, double_pair, finite in product(
         (0.0, 0.3), (0.01, 0.05), (True, False), ({}, {"n_a": 100.0, "finite_size": True})
     ):
+        cfg = ProtocolConfig(
+            n=m, p_e=p_e, eta=eta, phases=phases, truncation_cap=cap,
+            second_order_pump=double_pair, **finite,
+        )
         tables = []
-        for ph in ((0.0,) * m, phases):
-            cfg = ProtocolConfig(
-                n=m, p_e=p_e, eta=eta, phases=ph, truncation_cap=cap,
-                second_order_pump=double_pair, **finite,
-            )
+        for connect, ph in ((engine, (0.0,) * m), (connect_round_reference, phases)):
+            monkeypatch.setattr(protocol, "connect_round", connect)
             sim = ChainSimulator(cfg, stages=stages)
             p_pass, fails = sim.completion(0, sim.initial_state())
             target = ideal_w_state(m, ph, sim.layout)
@@ -581,6 +597,28 @@ def test_teleport_matches_oracle_receiver_state():
             assert equal_up_to_global_phase(out.state, want, 1e-10)
             return
     pytest.fail("no correct-click acceptance in 120 rounds")
+
+
+def test_teleport_outcome_carries_the_channel_phases():
+    # same seed, phases on vs off: the pipeline runs in the zero-phase frame
+    # and puts each W state's phases on its ensembles (1..3 and 4..6)
+    phases = (0.0, 0.6, -0.9)
+    tcfg_0, tcfg_ph = (
+        TeleportConfig(0.6, 0.8, ProtocolConfig(n=3, p_e=0.05, eta=0.1, truncation_cap=5,
+                                                phases=ph))
+        for ph in (None, phases)
+    )
+    sim_0, sim_ph = TeleportSimulator(tcfg_0), TeleportSimulator(tcfg_ph)
+    for t in range(10):
+        r_0 = teleport(tcfg_0, np.random.default_rng(t), sim_0)
+        r_ph = teleport(tcfg_ph, np.random.default_rng(t), sim_ph)
+        assert (r_ph.attempts, r_ph.click_log, r_ph.info) == (
+            r_0.attempts, r_0.click_log, r_0.info
+        )
+        comp = phase_compensate(r_ph.state, phases * 2, sim_ph.layout.ensembles)
+        # lift the zero-phase outcome into the phased registry to compare rays
+        lifted = comp.replace_terms(dict(r_0.state.items()))
+        assert equal_up_to_global_phase(comp, lifted, 1e-10)
 
 
 def test_teleport_excitation_evenly_split_between_receivers():
@@ -732,27 +770,33 @@ def test_completion_table_matches_plain_recursion(n, cap, double_pair, eta):
         assert abs(p_pass + sum(fails) - 1.0) < 1e-12
 
 
-def _assert_same_round(dist, ref):
+def _assert_same_round(dist, ref, frame=lambda state: state):
     # the oracles walk loss and detection one mode at a time, normalizing
-    # at every level; the sector law rounds less, so only last bits differ
+    # at every level; the sector law rounds less, so only last bits differ.
+    # ``frame`` takes the engine's states to the reference's frame.
     assert [(b.clicks, b.detected, b.lost) for b in dist.branches] == [
         (b.clicks, b.detected, b.lost) for b in ref.branches
     ]
     assert dist.p_accept == pytest.approx(ref.p_accept, rel=1e-14, abs=0)
     for got, want in zip(dist.branches, ref.branches):
         assert got.prob == pytest.approx(want.prob, rel=1e-14, abs=0)
-        occs = {occ for occ, _ in got.state.items()} | {occ for occ, _ in want.state.items()}
-        assert max(abs(got.state.amplitude(o) - want.state.amplitude(o)) for o in occs) <= 1e-14
+        got, want = frame(got.state), want.state
+        occs = {occ for occ, _ in got.items()} | {occ for occ, _ in want.items()}
+        assert max(abs(got.amplitude(o) - want.amplitude(o)) for o in occs) <= 1e-14
 
 
 def test_connect_rounds_match_reference_loop(monkeypatch):
-    # every connect node of the chain tables, against the four-deep loop
+    # every connect node of the chain tables, against the four-deep loop;
+    # the loop puts the channel phases on the Stokes light, so on
+    # U_phi |state> it must give U_phi times the engine's branches
     real = protocol.connect_round
     inputs = []
 
     def checked(state, layout, i, j, cfg, *args):
         dist = real(state, layout, i, j, cfg, *args)
-        _assert_same_round(dist, connect_round_reference(state, layout, i, j, cfg, *args))
+        phased = functools.partial(_phased, phases=cfg.phases, ensembles=layout.ensembles)
+        ref = connect_round_reference(phased(state), layout, i, j, cfg, *args)
+        _assert_same_round(dist, ref, phased)
         inputs.append(cfg)
         return dist
 
@@ -766,6 +810,11 @@ def test_connect_rounds_match_reference_loop(monkeypatch):
     ]
     grid.append(dict(n=4, eta=0.3, n_a=100.0, finite_size=True))
     grid.append(dict(n=3, truncation_cap=5, eta=0.5, p_e=1e-9))  # paths cut by the floor
+    rng = np.random.default_rng(5)
+    for n, cap in ((3, 5), (4, 4), (5, 3), (6, 4)):  # the phased reference
+        grid.append(dict(n=n, truncation_cap=cap, eta=0.3, phases=random_phases(n, rng)))
+    finite = dict(n_a=100.0, finite_size=True)
+    grid.append(dict(n=4, eta=0.1, phases=random_phases(4, rng), **finite))
     for kw in grid:
         sim = ChainSimulator(ProtocolConfig(**{"p_e": 0.01, **kw}))
         sim.completion(0, sim.initial_state())
