@@ -32,7 +32,9 @@ from .errors import ModeError, NormalizationError, RegistryError
 #: Amplitudes below this magnitude are dropped to keep states sparse.
 PRUNE_THRESHOLD = 1e-15
 
-#: Default cap on the total occupation across all modes.  It keeps the EPR
+#: Default cap on the total occupation across all modes.  Within a connect
+#: round it counts atoms + 2 * pairs: each pumped pair holds an excitation
+#: and a Stokes photon until the photon is detected.  It keeps the EPR
 #: round's double pairs, but a later connect round needs 1 + 2 + 2 = 5 quanta
 #: for a pair from each ensemble, so cap 4 truncates those branches.
 DEFAULT_TRUNCATION_CAP = 4

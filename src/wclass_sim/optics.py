@@ -7,6 +7,11 @@ loss has one law, :func:`loss_weights`: ``loss_outcomes`` reads it mode by
 mode, and the protocol engine reads it once per photon-number sector when it
 enumerates a heralded round (loss before an absorbing detector only
 reweights each sector).
+
+The engine enumerates its rounds on the atoms alone, with
+:func:`loss_weights` and :func:`_splitter_expansion`; the per-mode photonic
+operators (pump, splitter, retrieval, loss and detection outcomes) are the
+tests' reference for those rounds and bindings the benchmark's tracer wraps.
 """
 
 from __future__ import annotations

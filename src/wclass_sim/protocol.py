@@ -11,16 +11,20 @@ Two code paths cover every protocol state:
   spread ``sum_k c_k m_k+`` of creation operators applied to a state.
 
 * **Sampled engine** (:class:`ChainSimulator`): Monte Carlo trajectories
-  over pump, beam splitter, loss, and detection, conditioned on single
-  clicks, in the zero-phase frame.  Each reached (stage, state) is
-  enumerated exactly, once, into a table of nodes linked stage to stage, so
-  trials reduce to categorical draws along those links plus geometric /
-  multinomial fast-forwarding of the repeat-until-success loop; simulated
-  attempt counts stay exact while wall time stays flat.
-  Connect and teleport rounds are enumerated by one pass over the
-  photon-number sectors of their ports (loss before an absorbing detector
-  only reweights each sector), with one ``_PROB_FLOOR`` cut and one merge
-  of equal branches; the repump round has a closed form.
+  of heralded rounds, conditioned on single clicks, in the zero-phase
+  frame.  Each reached (stage, state) is enumerated exactly, once, into a
+  table of nodes linked stage to stage, so trials reduce to categorical
+  draws along those links plus geometric / multinomial fast-forwarding of
+  the repeat-until-success loop; simulated attempt counts stay exact while
+  wall time stays flat.
+  Rounds are enumerated on the atoms alone.  Stokes and retrieved photons
+  are only ever detected, so no registry holds a mode for them: a connect
+  round maps the pumped pairs, and a teleport round the retrieved
+  excitations, through the splitters to the photon-number sectors of the
+  ports, each sector carrying the atomic state it heralds.  Loss before an
+  absorbing detector only reweights each sector, so each round takes one
+  pass over its sectors, with one ``_PROB_FLOOR`` cut and one merge of
+  equal branches; the repump round has a closed form.
 
 The channel phases ``phi_1i`` are a gauge: each Stokes photon is born with
 an excitation of its own ensemble, so a phase on its light is
@@ -60,6 +64,7 @@ import enum
 import functools
 import math
 import operator
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, product
@@ -67,31 +72,31 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AttemptsExhaustedError, PreconditionError
+from .errors import AttemptsExhaustedError, NormalizationError, PreconditionError
 from .fock import (
     DEFAULT_TRUNCATION_CAP,
+    PRUNE_THRESHOLD,
     CollectiveModeModel,
     FockState,
     Mode,
     ModeRegistry,
+    Occupation,
     annihilate,
     count_excitations,
     create,
     normalize,
     superpose,
 )
+from .optics import _splitter_expansion, apply_phase, loss_weights
+# unused here; bench/spans.py wraps these bindings
+from .fock import fidelity
 from .optics import (
-    BeamSplitterSpec,
-    PumpSpec,
     apply_beam_splitter,
-    apply_phase,
-    loss_weights,
+    detection_outcomes,
+    loss_outcomes,
     pump_excite,
     repump_convert,
 )
-# unused here; bench/spans.py wraps these bindings
-from .fock import fidelity
-from .optics import detection_outcomes, loss_outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -199,46 +204,38 @@ class ChainLayout:
 
     registry: ModeRegistry
     ensembles: Tuple[Mode, ...]  # party i (1-based) -> ensembles[i - 1]
-    stokes: Tuple[Mode, ...]
     truncation_cap: int
 
     def ensemble(self, party: int) -> Mode:
         return self.ensembles[party - 1]
-
-    def stokes_of(self, party: int) -> Mode:
-        return self.stokes[party - 1]
 
     def vacuum(self) -> FockState:
         return FockState.vacuum(self.registry, self.truncation_cap)
 
 
 def make_chain_layout(cfg: ProtocolConfig) -> ChainLayout:
-    """Standard registry: one atomic + one Stokes mode per ensemble."""
+    """Standard registry: one atomic mode per ensemble.  Stokes light is
+    only ever detected, so no round needs a mode for it."""
     reg = ModeRegistry(CollectiveModeModel(cfg.n_a, cfg.finite_size))
     ens = tuple(reg.add_atomic(f"ens{i}") for i in range(1, cfg.n + 1))
-    stokes = tuple(reg.add_photonic(f"st{i}") for i in range(1, cfg.n + 1))
     reg.seal()
-    return ChainLayout(reg, ens, stokes, cfg.truncation_cap)
+    return ChainLayout(reg, ens, cfg.truncation_cap)
 
 
 @dataclass(frozen=True)
 class TeleportLayout:
     """Registry for the three-party teleportation: sender pair L/R plus the
-    six W-chain ensembles, each with a retrieval photon mode."""
+    six W-chain ensembles, atomic modes only."""
 
     registry: ModeRegistry
     mode_l: Mode
     mode_r: Mode
     ensembles: Tuple[Mode, ...]  # ensembles 1..6
-    phot_l: Mode
-    phot_r: Mode
-    phot: Tuple[Mode, ...]  # retrieval/stokes mode per ensemble 1..6
     truncation_cap: int
 
     def chain_layout(self, first_party: int) -> ChainLayout:
         k = first_party - 1
-        ens, phot = self.ensembles[k : k + 3], self.phot[k : k + 3]
-        return ChainLayout(self.registry, ens, phot, self.truncation_cap)
+        return ChainLayout(self.registry, self.ensembles[k : k + 3], self.truncation_cap)
 
     @property
     def carol(self) -> Tuple[Mode, Mode]:
@@ -260,11 +257,8 @@ def make_teleport_layout(tcfg: TeleportConfig) -> TeleportLayout:
     mode_l = reg.add_atomic("ensL")
     mode_r = reg.add_atomic("ensR")
     ens = tuple(reg.add_atomic(f"ens{i}") for i in range(1, 7))
-    phot_l = reg.add_photonic("aL")
-    phot_r = reg.add_photonic("aR")
-    phot = tuple(reg.add_photonic(f"a{i}") for i in range(1, 7))
     reg.seal()
-    return TeleportLayout(reg, mode_l, mode_r, ens, phot_l, phot_r, phot, cfg.truncation_cap)
+    return TeleportLayout(reg, mode_l, mode_r, ens, cfg.truncation_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +402,9 @@ class RoundDistribution:
     # outcomes below ``_PROB_FLOOR``; with ``p_accept`` they sum to one
     rejected: float = field(default=0.0, compare=False)
     dropped: float = field(default=0.0, compare=False)
+    # the pumped norm the truncation cap dropped over the pumped norm
+    # before the cap (connect rounds; zero for the others)
+    truncated: float = field(default=0.0, compare=False)
     # running sums of the branch probabilities, for :func:`pick`
     cum: List[float] = field(init=False, repr=False, compare=False)
 
@@ -417,50 +414,81 @@ class RoundDistribution:
 
 _PROB_FLOOR = 1e-18
 
+Sectors = Dict[Tuple[int, ...], Dict[Occupation, complex]]
+
+
+@functools.lru_cache(maxsize=1024)
+def _ladder(collective: CollectiveModeModel, n: int, most: int) -> Tuple[float, ...]:
+    """``f_m`` in ``(s+)^m |n> = f_m |n + m>`` on an atomic mode, for
+    ``m = 0..most``: the rungs of :func:`~wclass_sim.fock.create`, finite-size
+    factor included."""
+    out = [1.0]
+    for k in range(n, n + most):
+        out.append(out[-1] * (math.sqrt(k + 1) * collective.create_scale(k)))
+    return tuple(out)
+
+
+def _split(sectors: Sectors, key: tuple, na: int, nb: int, terms) -> None:
+    """Add ``terms``, (atomic occupation, amplitude) pairs whose photons
+    enter a 50/50 splitter as ``|na, nb>``, to the port sectors
+    ``key + (p, q)`` that the splitter takes them to."""
+    scale, outs = _splitter_expansion(na, nb)
+    for occ, a in terms:
+        base = a / scale
+        for p, q, c in outs:
+            sec = sectors.setdefault(key + (p, q), {})
+            sec[occ] = sec.get(occ, 0j) + base * c
+
 
 def _heralded(
-    psi: FockState,
-    ops: Sequence[Tuple[Mode, bool]],
+    state: FockState,
+    sectors: Sectors,
+    order: Sequence[int],
     detector_ids: Sequence[str],
     eta: float,
     herald: Callable[[Tuple[bool, ...]], Tuple[Mode, ...] | None],
+    cut: float = 0.0,
 ) -> RoundDistribution:
-    """Enumerate one heralded round of the normalized ``psi``.
+    """Enumerate one heralded round from its port sectors.
 
-    ``ops`` names, for each port, a transmission-``1 - eta`` loss channel
-    ``(mode, True)`` and, after it, an absorbing detection ``(mode, False)``,
-    which ``detector_ids`` name in order.  Loss before an absorbing detector
-    only reweights each photon-number sector of the ports, so losing ``l``
-    and detecting ``d`` photons per port happens in the sector ``l + d``
-    alone, with probability ``prod C(l + d, l) eta^l (1 - eta)^d`` times
-    the sector's share of ``psi`` (:func:`~wclass_sim.optics.loss_weights`),
-    and leaves that sector, normalized, with the ports emptied.
+    ``sectors`` maps the photon numbers on the detected ports to the atomic
+    terms left with them, unnormalized; each port passes a
+    transmission-``1 - eta`` loss channel and then an absorbing detector,
+    named by ``detector_ids`` in order.  Loss before an absorbing detector
+    only reweights each sector, so losing ``l`` and detecting ``d`` photons
+    per port happens in the sector ``l + d`` alone, with probability
+    ``prod C(l + d, l) eta^l (1 - eta)^d`` times the sector's share of the
+    total norm (:func:`~wclass_sim.optics.loss_weights`), and leaves that
+    sector, normalized, as a state of ``state``'s registry and cap.  ``cut``
+    is the norm the truncation cap dropped before the sectors were formed;
+    if any, it sets the heralded states' ``overflow`` flag.
 
     An outcome below ``_PROB_FLOOR`` is dropped; since no outcome is more
-    likely than any prefix of it along ``ops``, this is the cut a walk one
-    op at a time would make.  ``herald(clicks)`` returns the modes that get
-    a pi feed-forward, or None to reject, and only accepted sectors are
-    built.  Branches come in the lexicographic order of the outcomes along
-    ``ops``, and those equal in state key, clicks, detected and lost
-    photons are merged onto the first.
+    likely than any prefix of it along the ports' loss and detection steps,
+    this is the cut a walk one step at a time would make.
+    ``herald(clicks)`` returns the modes that get a pi feed-forward, or None
+    to reject, and only accepted sectors are built.  Branches come in the
+    lexicographic order of the outcomes along the steps (``order`` says
+    where each step's count sits in ``lost + detected``), and those equal in
+    state key, clicks, detected and lost photons are merged onto the first.
     """
-    ports = [mode.index for mode, lossy in ops if not lossy]
-    slot = {index: k for k, index in enumerate(ports)}
-    # where each op's count sits in ``lost + detected``
-    order = [slot[mode.index] + (0 if lossy else len(ports)) for mode, lossy in ops]
-    sectors: Dict[Tuple[int, ...], List[Tuple[tuple, complex]]] = {}
-    norm2: Dict[Tuple[int, ...], float] = {}
-    for occ, amp in psi.items():
-        n = tuple(map(occ.__getitem__, ports))
-        sectors.setdefault(n, []).append((occ, amp))
-        norm2[n] = norm2.get(n, 0.0) + abs(amp) ** 2
-    total = psi.norm_squared()
+    norm2 = {}
+    for n, terms in sectors.items():
+        # what a state of the split light would prune
+        terms = {occ: a for occ, a in terms.items() if abs(a) >= PRUNE_THRESHOLD}
+        sectors[n] = terms
+        if terms:
+            norm2[n] = sum(abs(a) ** 2 for a in terms.values())
+    total = sum(norm2.values())
+    if total <= 0.0:
+        raise NormalizationError("a heralded round of the zero state")
     leaves = []
     rejected = dropped = 0.0
     for n, n2 in norm2.items():
         share = n2 / total
         weights = [loss_weights(k, eta) for k in n]
-        for lost in product(*[range(k + 1) for k in n]):  # photons lost per port
+        # photons lost per port; with no loss, only none has any weight
+        for lost in product(*[range(k + 1 if eta else 1) for k in n]):
             p = share
             for w, l in zip(weights, lost):
                 p *= w[l]
@@ -474,9 +502,10 @@ def _heralded(
                 rejected += p
                 continue
             outcome = lost + det
-            along_ops = tuple([outcome[k] for k in order])
-            leaves.append((along_ops, n, sum(lost), det, clicks, flips, p))
+            along = tuple([outcome[k] for k in order])
+            leaves.append((along, n, sum(lost), det, clicks, flips, p))
     leaves.sort(key=operator.itemgetter(0))
+    overflow = state.overflow or cut > 0.0
 
     built: Dict[tuple, FockState] = {}
     merged: Dict[tuple, RoundBranch] = {}
@@ -484,13 +513,9 @@ def _heralded(
         post = built.get((n, flips))
         if post is None:
             nrm = math.sqrt(norm2[n])
-            terms = {}
-            for occ, a in sectors[n]:
-                emptied = list(occ)
-                for i in ports:
-                    emptied[i] = 0
-                terms[tuple(emptied)] = a / nrm
-            post = psi.replace_terms(terms)
+            post = state.replace_terms(
+                {occ: a / nrm for occ, a in sectors[n].items()}, overflow
+            )
             for mode in flips:
                 post = apply_phase(post, mode, math.pi)
             built[n, flips] = post
@@ -501,7 +526,8 @@ def _heralded(
             p, post = old.prob + p, old.state
         merged[key] = RoundBranch(p, post, named, det, n_lost)
     branches = tuple(merged.values())
-    return RoundDistribution(sum(b.prob for b in branches), branches, rejected, dropped)
+    p_accept = sum(b.prob for b in branches)
+    return RoundDistribution(p_accept, branches, rejected, dropped, cut / (cut + total))
 
 
 def connect_round(
@@ -516,18 +542,56 @@ def connect_round(
     """Enumerate one pump-interfere-detect round on parties ``i`` and ``j``,
     in the zero-phase frame (``cfg.phases`` is not read).
 
+    Each ensemble emits ``m`` pairs (up to two with
+    ``cfg.second_order_pump``) with amplitude ``lam^m / sqrt(m!)``,
+    ``lam = sqrt(p_e)``.  The Stokes photons are only detected, so the
+    splitter takes the ``(m_i, m_j)`` photons to port sectors ``(n_1, n_2)``
+    (:func:`~wclass_sim.optics._splitter_expansion`), and each sector
+    heralds ``sum c (s_i+)^m_i (s_j+)^m_j |state>`` on the atoms, term by
+    term (:func:`_ladder`).  Until they are detected the photons count
+    against the cap: a term is kept while its atoms plus twice its pairs
+    fit, a dropped one sets ``overflow`` as :func:`~wclass_sim.fock.create`
+    would, and ``truncated`` is the pumped norm dropped over the pumped norm
+    before the cap.
+
     Accepts exactly one click.  A click on the antisymmetric port is folded
     back onto the symmetric outcome by a pi feed-forward on ensemble ``j``
     unless ``symmetric_port_only`` rejects it (the maximizing round).
     """
     if cfg.p_e <= 0.0:
         return RoundDistribution(0.0, (), rejected=1.0)  # no pair, no click
-    st_i, st_j = layout.stokes_of(i), layout.stokes_of(j)
-    for party, stokes in ((i, st_i), (j, st_j)):
-        pump = PumpSpec(layout.ensemble(party), stokes, cfg.p_e)
-        state = pump_excite(state, pump, cfg.second_order_pump)
-    psi = normalize(apply_beam_splitter(state, BeamSplitterSpec(st_i, st_j)))
-    fix_j = (layout.ensemble(j),)
+    if cfg.p_e > 0.1:
+        warnings.warn(
+            f"emission_prob={cfg.p_e} is outside the weak-pump regime; "
+            "the truncated expansion loses accuracy",
+            stacklevel=2,
+        )
+    lam = math.sqrt(cfg.p_e)
+    most = 2 if cfg.second_order_pump else 1  # pairs per ensemble
+    amp = [lam**m / math.sqrt(math.factorial(m)) for m in range(most + 1)]
+    ens_i, ens_j = layout.ensemble(i), layout.ensemble(j)
+    ii, ij = ens_i.index, ens_j.index
+    collective = state.registry.collective
+    blocks: Dict[Tuple[int, int], list] = {}  # (m_i, m_j) -> kept terms
+    cut = 0.0
+    for occ, a in state.items():
+        room = state.truncation_cap - sum(occ)  # each pair takes two quanta
+        fi = [x * f for x, f in zip(amp, _ladder(collective, occ[ii], most))]
+        fj = [x * f for x, f in zip(amp, _ladder(collective, occ[ij], most))]
+        new = list(occ)
+        for mi, f in enumerate(fi):
+            new[ii], new[ij] = occ[ii] + mi, occ[ij]
+            for mj, g in enumerate(fj):
+                x = a * (f * g)
+                if 2 * (mi + mj) > room:
+                    cut += abs(x) ** 2
+                else:
+                    blocks.setdefault((mi, mj), []).append((tuple(new), x))
+                new[ij] += 1
+    sectors: Sectors = {}
+    for (mi, mj), terms in blocks.items():
+        _split(sectors, (), mi, mj, terms)
+    fix_j = (ens_j,)
 
     def herald(clicks: Tuple[bool, ...]) -> Tuple[Mode, ...] | None:
         c1, c2 = clicks
@@ -535,8 +599,8 @@ def connect_round(
             return None  # zero or two clicks, or the rejected port
         return fix_j if c2 else ()
 
-    ops = ((st_i, True), (st_j, True), (st_i, False), (st_j, False))
-    return _heralded(psi, ops, detector_ids, cfg.eta, herald)
+    order = (0, 1, 2, 3)  # loss on both ports, then detection on both
+    return _heralded(state, sectors, order, detector_ids, cfg.eta, herald, cut)
 
 
 def merge_round(
@@ -567,21 +631,28 @@ def teleport_round(
 ) -> RoundDistribution:
     """Enumerate the synchronous four-ensemble retrieval of the teleport step.
 
-    Accepts exactly one click behind each beam splitter (one in D1/D2, one in
-    D3/D4).  Feed-forward: a D2 click flips the sign of the component carried
-    by ensembles 5 and 6, a D4 click the one carried by 2 and 3.  ``detected``
-    records the true photon numbers so callers can tell bunched two-photon
-    accepts from correct single-photon ones.
+    Retrieval maps every excitation of ensembles L, 1, R and 4 to a photon,
+    and the splitters (L, 1) and (R, 4) take those photons to the ports of
+    D1, D2 and D3, D4; the photons are only detected, so each port sector
+    heralds the atoms the retrieval leaves.  Accepts exactly one click
+    behind each beam splitter (one in D1/D2, one in D3/D4).  Feed-forward: a
+    D2 click flips the sign of the component carried by ensembles 5 and 6,
+    a D4 click the one carried by 2 and 3.  ``detected`` records the true
+    photon numbers so callers can tell bunched two-photon accepts from
+    correct single-photon ones.
     """
-    psi = repump_convert(state, layout.mode_l, layout.phot_l)
-    psi = repump_convert(psi, layout.ensembles[0], layout.phot[0])
-    psi = repump_convert(psi, layout.mode_r, layout.phot_r)
-    psi = repump_convert(psi, layout.ensembles[3], layout.phot[3])
-    psi = apply_beam_splitter(psi, BeamSplitterSpec(layout.phot_l, layout.phot[0]))
-    psi = apply_beam_splitter(psi, BeamSplitterSpec(layout.phot_r, layout.phot[3]))
-    psi = normalize(psi)
-    ports = (layout.phot_l, layout.phot[0], layout.phot_r, layout.phot[3])
     ens = layout.ensembles
+    retrieved = [m.index for m in (layout.mode_l, ens[0], layout.mode_r, ens[3])]
+    sectors: Sectors = {}
+    for occ, a in state.items():
+        n_l, n_1, n_r, n_4 = map(occ.__getitem__, retrieved)
+        rest = list(occ)
+        for k in retrieved:
+            rest[k] = 0
+        rest = tuple(rest)
+        scale, left = _splitter_expansion(n_l, n_1)
+        for p, q, c in left:
+            _split(sectors, (p, q), n_r, n_4, [(rest, a / scale * c)])
 
     def herald(clicks: Tuple[bool, ...]) -> Tuple[Mode, ...] | None:
         if sum(clicks[:2]) != 1 or sum(clicks[2:]) != 1:
@@ -593,8 +664,9 @@ def teleport_round(
             flips += (ens[1], ens[2])
         return flips
 
-    ops = tuple((port, lossy) for port in ports for lossy in (True, False))
-    return _heralded(psi, ops, ("D1", "D2", "D3", "D4"), cfg.eta, herald)
+    # loss then detection on each port in turn
+    order = (0, 4, 1, 5, 2, 6, 3, 7)
+    return _heralded(state, sectors, order, ("D1", "D2", "D3", "D4"), cfg.eta, herald)
 
 
 def correct_teleport_clicks(branch: RoundBranch) -> bool:

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from wclass_sim.fock import FockState
 from wclass_sim.montecarlo import TrialRecord
@@ -347,19 +350,24 @@ def pick_reference(branches, u: float, weights):
 # ---------------------------------------------------------------------------
 
 
-def _conditioned(dist, rng):
-    """``u = rng.random()``: None when ``u >= p_accept``, else the branch at
-    which the running sum of branch probabilities first exceeds ``u`` (the
-    last one when rounding leaves ``u`` beyond it)."""
-    u = rng.random()
-    if u >= dist.p_accept:
-        return None
+def _branch_at(dist, u):
+    """The branch at which the running sum of branch probabilities first
+    exceeds ``u`` (the last one when rounding leaves ``u`` beyond it)."""
     acc = 0.0
     for br in dist.branches:
         acc += br.prob
         if u < acc:
             return br
     return dist.branches[-1]
+
+
+def _conditioned(dist, rng):
+    """``u = rng.random()``: None when ``u >= p_accept``, else
+    :func:`_branch_at` ``u``."""
+    u = rng.random()
+    if u >= dist.p_accept:
+        return None
+    return _branch_at(dist, u)
 
 
 def run_trial_trace_reference(sim, rng, state, round_distribution=None):
@@ -399,6 +407,68 @@ def run_trial_trace_reference(sim, rng, state, round_distribution=None):
     return result, None
 
 
+def run_trial_block_reference(sim, rng, state, round_distribution=None, block=4096):
+    """:func:`run_trial_trace_reference`, with the uniforms drawn ``block``
+    at a time: ``rng.random(size=k)`` yields the doubles of ``k`` scalar
+    calls, so each round reads the same ``u`` as the scalar walk, and the
+    failed first-stage rounds before the next first-stage success are
+    counted at once (the first stage always sees the root's round).  At the
+    end the generator is put back to just after the last uniform read, by
+    restoring its state at the last block and advancing it by the uniforms
+    read from that block, so its next draw is the scalar walk's too."""
+    from wclass_sim.protocol import ChainTrialResult
+
+    round_distribution = round_distribution or sim.round_distribution
+    root = round_distribution(0, state)  # where every pass starts
+    n_stages = len(sim.stages)
+    attempts, successes, first = [0] * n_stages, [0] * n_stages, [0] * n_stages
+    budget, rounds = sim.cfg.max_attempts, 0
+    bitgen = rng.bit_generator
+    us, hits, pos, saved = [], [], 0, None  # the block, its root accepts, next u
+    k, cur, log, done = 0, state, [], False
+    while rounds < budget:
+        if pos == len(us):
+            saved = bitgen.state
+            draws = rng.random(block)
+            us, pos = draws.tolist(), 0
+            hits = np.flatnonzero(draws < root.p_accept).tolist()
+        if k == 0:
+            h = bisect_left(hits, pos)
+            end = hits[h] + 1 if h < len(hits) else len(us)  # through the next accept
+            take = min(end - pos, budget - rounds)
+            rounds += take
+            attempts[0] += take
+            pos += take
+            if pos < end or h == len(hits):
+                continue  # the budget or the block ran out first
+            dist, u = root, us[pos - 1]
+        else:
+            dist, u = round_distribution(k, cur), us[pos]
+            rounds += 1
+            attempts[k] += 1
+            pos += 1
+            if u >= dist.p_accept:
+                k, cur, log = 0, state, []  # restart from ``state``
+                continue
+        br = _branch_at(dist, u)
+        successes[k] += 1
+        first[k] = first[k] or attempts[k]
+        log.extend(br.clicks)
+        cur, k = br.state, k + 1
+        if k == n_stages:
+            done = True
+            break
+    bitgen.state = saved
+    bitgen.advance(pos)
+    if done:
+        result = ChainTrialResult(
+            True, rounds, tuple(attempts), tuple(successes), cur, tuple(log)
+        )
+        return result, tuple(first)
+    result = ChainTrialResult(False, rounds, tuple(attempts), tuple(successes), None, ())
+    return result, None
+
+
 @dataclass
 class TracedTrialRecord(TrialRecord):
     """A chain batch's trial record that also holds each stage's attempts up
@@ -409,7 +479,8 @@ class TracedTrialRecord(TrialRecord):
 
 def run_batch_trace_reference(cfg, trials: int, stages=None):
     """The report of ``run_batch(cfg, trials, stages=stages)`` with every
-    trial walked round by round by :func:`run_trial_trace_reference`, on the
+    trial walked round by round by :func:`run_trial_block_reference` (the
+    block scan of :func:`run_trial_trace_reference`), on the
     batch's own per-trial streams (``trial_rngs``) and node table, then
     classified by the same Born draw; its records are
     :class:`TracedTrialRecord`.
@@ -441,7 +512,7 @@ def run_batch_trace_reference(cfg, trials: int, stages=None):
         if hopeless:
             res, first = sim.run_trial(rng), None
         else:
-            res, first = run_trial_trace_reference(sim, rng, root, round_distribution)
+            res, first = run_trial_block_reference(sim, rng, root, round_distribution)
         fid = cls = None
         if res.succeeded:
             state = res.final_state
@@ -506,11 +577,40 @@ def _dedup(branches):
     return tuple(merged.values())
 
 
+def _with_photonic_modes(state, names):
+    """``state`` on a registry of its own modes (same order, names and
+    finite-size model) followed by one empty photonic mode per name: the
+    engine's registries hold atomic modes only, so the photonic references
+    below build their Stokes and retrieval modes here.  Returns the
+    embedded state, the new registry's copy of each old mode (by index) and
+    the photonic modes."""
+    from wclass_sim.fock import ModeRegistry
+
+    reg = ModeRegistry(state.registry.collective)
+    copies = [reg.add_atomic(mode.name) for mode in state.registry.modes]
+    photonic = [reg.add_photonic(name) for name in names]
+    reg.seal()
+    pad = (0,) * len(photonic)
+    terms = {occ + pad: a for occ, a in state.items()}
+    return FockState(reg, terms, state.truncation_cap, state.overflow), copies, photonic
+
+
+def _atoms_only(post, state):
+    """``post``, whose photonic modes are emptied, back on ``state``'s
+    registry with those modes dropped."""
+    width = state.registry.n_modes
+    assert not any(any(occ[width:]) for occ, _ in post.items())
+    return state.replace_terms({occ[:width]: a for occ, a in post.items()}, post.overflow)
+
+
 def connect_round_reference(
     state, layout, i, j, cfg, detector_ids=("D1", "D2"), symmetric_port_only=False
 ):
-    """``connect_round`` as a four-deep loop: loss on port i, loss on port j,
-    detection on i, detection on j, with the floor cut at each level.
+    """``connect_round`` on a registry with a Stokes mode for ensembles
+    ``i`` and ``j``, as a four-deep loop: pump both ensembles, split the
+    Stokes light, then loss on port i, loss on port j, detection on i,
+    detection on j, with the floor cut at each level.  Branch states come
+    back on ``layout``'s registry.
 
     Unlike the engine, it reads the channel phases: after the pump, each
     Stokes mode (empty before it) gets its ensemble's phase ``cfg.phases``.
@@ -531,11 +631,10 @@ def connect_round_reference(
 
     if cfg.p_e <= 0.0:
         return RoundDistribution(0.0, ())
-    st_i, st_j = layout.stokes_of(i), layout.stokes_of(j)
-    psi = state
-    for party, stokes in ((i, st_i), (j, st_j)):
-        pump = PumpSpec(layout.ensemble(party), stokes, cfg.p_e)
-        psi = pump_excite(psi, pump, cfg.second_order_pump)
+    psi, copies, (st_i, st_j) = _with_photonic_modes(state, (f"st{i}", f"st{j}"))
+    ens_i, ens_j = (copies[layout.ensemble(party).index] for party in (i, j))
+    for ens, stokes, party in ((ens_i, st_i, i), (ens_j, st_j, j)):
+        psi = pump_excite(psi, PumpSpec(ens, stokes, cfg.p_e), cfg.second_order_pump)
         psi = apply_phase(psi, stokes, cfg.phases[party - 1])
     psi = normalize(apply_beam_splitter(psi, BeamSplitterSpec(st_i, st_j)))
     accepted = []
@@ -563,11 +662,11 @@ def connect_round_reference(
                         continue
                     post = normalize(d2.state)
                     if c2:
-                        post = apply_phase(post, layout.ensemble(j), math.pi)
+                        post = apply_phase(post, ens_j, math.pi)
                     accepted.append(
                         RoundBranch(
                             prob,
-                            post,
+                            _atoms_only(post, state),
                             ((detector_ids[0], c1), (detector_ids[1], c2)),
                             (d1.photons, d2.photons),
                             lb1.lost + lb2.lost,
@@ -578,8 +677,11 @@ def connect_round_reference(
 
 
 def teleport_round_reference(state, layout, cfg):
-    """``teleport_round`` as a recursive walk: loss then detection on each
-    of the four retrieval ports, one click accepted behind each splitter."""
+    """``teleport_round`` on a registry with a retrieval mode for
+    ensembles L, 1, R and 4, as a recursive walk: retrieve, split (L, 1)
+    and (R, 4), then loss and detection on each of the four ports, one
+    click accepted behind each splitter.  Branch states come back on
+    ``layout``'s registry."""
     from wclass_sim.fock import normalize
     from wclass_sim.optics import (
         BeamSplitterSpec,
@@ -591,14 +693,15 @@ def teleport_round_reference(state, layout, cfg):
     )
     from wclass_sim.protocol import _PROB_FLOOR, RoundBranch, RoundDistribution
 
-    psi = repump_convert(state, layout.mode_l, layout.phot_l)
-    psi = repump_convert(psi, layout.ensembles[0], layout.phot[0])
-    psi = repump_convert(psi, layout.mode_r, layout.phot_r)
-    psi = repump_convert(psi, layout.ensembles[3], layout.phot[3])
-    psi = apply_beam_splitter(psi, BeamSplitterSpec(layout.phot_l, layout.phot[0]))
-    psi = apply_beam_splitter(psi, BeamSplitterSpec(layout.phot_r, layout.phot[3]))
+    psi, copies, ports = _with_photonic_modes(state, ("aL", "a1", "aR", "a4"))
+    ens = [copies[m.index] for m in layout.ensembles]
+    retrieved = [copies[m.index] for m in (layout.mode_l, layout.ensembles[0])]
+    retrieved += [copies[m.index] for m in (layout.mode_r, layout.ensembles[3])]
+    for mode, port in zip(retrieved, ports):
+        psi = repump_convert(psi, mode, port)
+    psi = apply_beam_splitter(psi, BeamSplitterSpec(ports[0], ports[1]))
+    psi = apply_beam_splitter(psi, BeamSplitterSpec(ports[2], ports[3]))
     psi = normalize(psi)
-    ports = (layout.phot_l, layout.phot[0], layout.phot_r, layout.phot[3])
     names = ("D1", "D2", "D3", "D4")
     accepted = []
 
@@ -611,12 +714,13 @@ def teleport_round_reference(state, layout, cfg):
                 return
             post = normalize(s)
             if clicks[1]:  # D2: photon came through the ensemble-1 port
-                post = apply_phase(post, layout.ensembles[4], math.pi)
-                post = apply_phase(post, layout.ensembles[5], math.pi)
+                post = apply_phase(post, ens[4], math.pi)
+                post = apply_phase(post, ens[5], math.pi)
             if clicks[3]:  # D4: photon came through the ensemble-4 port
-                post = apply_phase(post, layout.ensembles[1], math.pi)
-                post = apply_phase(post, layout.ensembles[2], math.pi)
-            accepted.append(RoundBranch(prob, post, tuple(zip(names, clicks)), ks, lost))
+                post = apply_phase(post, ens[1], math.pi)
+                post = apply_phase(post, ens[2], math.pi)
+            named = tuple(zip(names, clicks))
+            accepted.append(RoundBranch(prob, _atoms_only(post, state), named, ks, lost))
             return
         for lb in loss_outcomes(s, ports[k], cfg.eta):
             if lb.prob * prob < _PROB_FLOOR:

@@ -205,6 +205,22 @@ def test_teleport_command_holder_split(tmp_path):
     assert doc["results"]["localize_fidelity_mean"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_strong_pump_warns_outside_the_weak_pump_regime(tmp_path):
+    # p_e above 0.1: the truncated pump expansion loses accuracy, and the
+    # command says so; the table is built afresh so that its rounds run
+    from wclass_sim.montecarlo import _chain_engine
+
+    _chain_engine.cache_clear()
+    argv = ["w-state", "--n", "3", "--pe", "0.2", "--eta", "0.1", "--trials", "5",
+            "--seed", "1", "--workers", "1", "-o", str(tmp_path / "r.json")]
+    with pytest.warns(UserWarning, match="outside the weak-pump regime") as caught:
+        assert main(argv) == 0
+    assert str(caught[0].message) == (
+        "emission_prob=0.2 is outside the weak-pump regime; "
+        "the truncated expansion loses accuracy"
+    )
+
+
 def test_report_rerun_is_byte_identical(tmp_path):
     args = ["w-state", "--n", "3", "--pe", "0.02", "--eta", "0.2",
             "--trials", "40", "--seed", "123"]

@@ -130,8 +130,8 @@ def test_normalize_examples():
     layout = make_chain_layout(ProtocolConfig(n=3, p_e=0.01))
     wp = normalize(w_prime_state(3, (0.0, 0.0, 0.0), layout))
     # (1/sqrt 6)(s1+ + 2 s2+ + s3+)|vac>
-    assert wp.amplitude((1, 0, 0, 0, 0, 0)) == pytest.approx(1 / math.sqrt(6))
-    assert wp.amplitude((0, 1, 0, 0, 0, 0)) == pytest.approx(2 / math.sqrt(6))
+    assert wp.amplitude((1, 0, 0)) == pytest.approx(1 / math.sqrt(6))
+    assert wp.amplitude((0, 1, 0)) == pytest.approx(2 / math.sqrt(6))
     zero = superpose([0.0], [FockState.vacuum(reg)])
     with pytest.raises(NormalizationError):
         normalize(zero)
@@ -143,7 +143,7 @@ def test_superpose_builds_epr_and_w3():
     ones = [create(vac, m) for m in layout.ensembles]
     epr = superpose([1 / math.sqrt(2)] * 2, ones[:2])
     assert epr.norm() == pytest.approx(1.0)
-    assert epr.amplitude((1, 0, 0, 0, 0, 0)) == pytest.approx(1 / math.sqrt(2))
+    assert epr.amplitude((1, 0, 0)) == pytest.approx(1 / math.sqrt(2))
     w3 = superpose([1 / math.sqrt(3)] * 3, ones)
     oracle = as_state(layout, w_m_amplitudes(3, (0, 0, 0)))
     assert equal_up_to_global_phase(w3, oracle, 1e-12)

@@ -38,6 +38,8 @@ from oracle_helpers import (
     epr_reference_records,
     expected_rounds_with_restart,
     run_batch_trace_reference,
+    run_trial_block_reference,
+    run_trial_trace_reference,
 )
 
 
@@ -173,6 +175,38 @@ def test_trace_and_fast_paths_agree():
         rounds = np.array([r.rounds for r in report.records], dtype=float)
         se = rounds.std(ddof=1) / math.sqrt(len(rounds))
         assert abs(rounds.mean() - exact) < 4 * se
+
+
+@pytest.mark.parametrize(
+    "cfg, stages, block",
+    [
+        (ProtocolConfig(n=3, p_e=0.05, eta=0.1, seed=61), None, 4096),
+        (ProtocolConfig(n=3, p_e=0.05, eta=0.1, seed=62), None, 7),
+        (ProtocolConfig(n=3, p_e=0.02, seed=4, max_attempts=200), None, 64),
+        (ProtocolConfig(n=4, p_e=0.1, seed=5, max_attempts=5000), None, 100),
+        (ProtocolConfig(n=5, p_e=0.1, seed=6, max_attempts=2500), None, 4096),
+        (ProtocolConfig(n=3, p_e=0.1, eta=0.3, seed=3, max_attempts=12), (epr_stage(1, 2),), 5),
+    ],
+    ids=["w3", "w3-block7", "w3-exhausted", "w4-budget", "w5-budget", "epr-budget"],
+)
+def test_block_scan_matches_the_scalar_round_walk(cfg, stages, block):
+    # the batch oracle's block scan against the scalar walk it stands for:
+    # the same result, attempts to first success and next draw, trial by
+    # trial, including trials that a block boundary or the budget cuts
+    stages = chain_stages(cfg.n) if stages is None else stages
+    sim = montecarlo._chain_engine(replace(cfg, seed=0, phases=None), stages)[0]
+    root = sim.initial_state()
+    trials = 150
+    scalar_rngs = trial_rngs(cfg.seed, 0, trials)
+    block_rngs = trial_rngs(cfg.seed, 0, trials)
+    outcomes = set()
+    for a, b in zip(scalar_rngs, block_rngs):
+        want = run_trial_trace_reference(sim, a, root)
+        got = run_trial_block_reference(sim, b, root, block=block)
+        assert got == want
+        assert b.random() == a.random()
+        outcomes.add(want[0].succeeded)
+    assert outcomes == ({True, False} if cfg.max_attempts < 10**15 else {True})
 
 
 def test_standard_errors_shrink_like_root_trials():

@@ -11,6 +11,7 @@ from wclass_sim import protocol
 from wclass_sim.errors import AttemptsExhaustedError, PreconditionError
 from wclass_sim.fock import (
     FockState,
+    ModeKind,
     count_excitations,
     debug_serialize,
     equal_up_to_global_phase,
@@ -186,9 +187,8 @@ def test_w_state_by_operators_normalization_and_form():
 def test_ideal_w_state_examples():
     layout = make_chain_layout(ProtocolConfig(n=3, p_e=0.01))
     w3 = ideal_w_state(3, (0.0, 0.0, 0.0), layout)
-    for occ in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-        full = occ + (0, 0, 0)
-        assert w3.amplitude(full) == pytest.approx(1 / math.sqrt(3))
+    for occ in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:  # the registry is atoms only
+        assert w3.amplitude(occ) == pytest.approx(1 / math.sqrt(3))
     assert ideal_w_state(1).norm() == pytest.approx(1.0)
     for n in range(2, 9):
         assert ideal_w_state(n).norm() == pytest.approx(1.0, abs=1e-12)
@@ -773,9 +773,10 @@ def test_completion_table_matches_plain_recursion(n, cap, double_pair, eta):
 def _assert_same_round(dist, ref, frame=lambda state: state):
     # the oracles walk loss and detection one mode at a time, normalizing
     # at every level; the sector law rounds less, so only last bits differ.
+    # The truncation flag must agree, since it is part of a node's key.
     # ``frame`` takes the engine's states to the reference's frame.
-    assert [(b.clicks, b.detected, b.lost) for b in dist.branches] == [
-        (b.clicks, b.detected, b.lost) for b in ref.branches
+    assert [(b.clicks, b.detected, b.lost, b.state.overflow) for b in dist.branches] == [
+        (b.clicks, b.detected, b.lost, b.state.overflow) for b in ref.branches
     ]
     assert dist.p_accept == pytest.approx(ref.p_accept, rel=1e-14, abs=0)
     for got, want in zip(dist.branches, ref.branches):
@@ -819,6 +820,114 @@ def test_connect_rounds_match_reference_loop(monkeypatch):
         sim = ChainSimulator(ProtocolConfig(**{"p_e": 0.01, **kw}))
         sim.completion(0, sim.initial_state())
     assert len(set(inputs)) == len(grid)
+
+
+# the grid of the atoms-only rewrite: every connect round its tables reach
+ROUND_GRID = list(product(
+    (0.0, 0.1, 0.3),  # eta
+    (0.01, 0.05),  # p_e
+    (True, False),  # pump order two
+    ({}, {"n_a": 100.0, "finite_size": True}),
+))
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_atoms_only_rounds_match_the_photonic_reference(n, cap, monkeypatch):
+    # the engine pumps, splits and detects with no photonic mode; the
+    # reference builds its Stokes modes on its own registry. Every connect
+    # round a table reaches agrees branch for branch, and a table built from
+    # the reference's rounds has the engine table's nodes and odds
+    real = protocol.connect_round
+    rounds = 0
+
+    def checked(state, layout, i, j, cfg, *args):
+        nonlocal rounds
+        ref = connect_round_reference(state, layout, i, j, cfg, *args)
+        _assert_same_round(real(state, layout, i, j, cfg, *args), ref)
+        rounds += 1
+        return ref
+
+    for eta, p_e, double_pair, finite in ROUND_GRID:
+        cfg = ProtocolConfig(
+            n=n, p_e=p_e, eta=eta, truncation_cap=cap,
+            second_order_pump=double_pair, **finite,
+        )
+        tables = []
+        for connect in (real, checked):
+            monkeypatch.setattr(protocol, "connect_round", connect)
+            sim = ChainSimulator(cfg)
+            p_pass, fails = sim.completion(0, sim.initial_state())
+            tables.append((len(sim._nodes), (p_pass, *fails)))
+        (nodes, odds), (ref_nodes, ref_odds) = tables
+        assert nodes == ref_nodes
+        assert odds == pytest.approx(ref_odds, rel=1e-14, abs=0)
+    assert rounds > len(ROUND_GRID)
+
+
+def test_registries_hold_atomic_modes_only():
+    # Stokes and retrieved photons are only ever detected: no registry of a
+    # layout holds a mode for them
+    base = ProtocolConfig(n=3, p_e=0.01)
+    teleport_registry = make_teleport_layout(TeleportConfig(1.0, 0.0, base)).registry
+    assert teleport_registry.n_modes == 8
+    for n in (2, 3, 6):
+        registry = make_chain_layout(ProtocolConfig(n=n, p_e=0.01)).registry
+        assert registry.n_modes == n
+        for mode in (*registry.modes, *teleport_registry.modes):
+            assert mode.kind is ModeKind.ATOMIC
+
+
+def _reached_rounds(sim, root):
+    """``(stage, input state, round)`` of every node of ``sim``'s table
+    below the one of ``root``, each once."""
+    seen = set()
+    todo = [(0, root, sim._node(0, root))]
+    while todo:
+        idx, state, node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield idx, state, node.dist
+        todo += [(idx + 1, br.state, child) for br, child in node.links if child]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.sampled_from(ROUND_GRID),
+    n=st.integers(3, 6),
+    cap=st.integers(3, 6),
+    theta=st.floats(0.0, math.pi),
+)
+def test_reached_rounds_account_for_all_their_mass(grid, n, cap, theta):
+    # every connect, merge and teleport round the tables reach: accepted,
+    # rejected and dropped mass sum to one, and the cap truncates pumped
+    # mass exactly when some term has no room for every pumped pair
+    eta, p_e, double_pair, finite = grid
+    cfg = ProtocolConfig(
+        n=n, p_e=p_e, eta=eta, truncation_cap=cap, second_order_pump=double_pair,
+        **finite,
+    )
+    pairs = 2 * (2 if double_pair else 1)  # pumped on the two ensembles at most
+    sim = ChainSimulator(cfg)
+    rounds = [
+        (sim.stages[idx].kind, state, dist)
+        for idx, state, dist in _reached_rounds(sim, sim.initial_state())
+    ]
+    if n == 3:
+        tsim = TeleportSimulator(TeleportConfig(math.cos(theta), math.sin(theta), cfg))
+        w123 = _terminal_states(tsim.w123, [tsim.w123.initial_state()])
+        for joint in _terminal_states(tsim.w456, w123):
+            rounds.append(("teleport", joint, tsim.round_distribution(joint)))
+    for kind, state, dist in rounds:
+        assert dist.p_accept + dist.rejected + dist.dropped == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= dist.truncated < 1.0
+        room = max(sum(occ) for occ, _ in state.items()) + 2 * pairs <= cap
+        if kind != "connect" or room:
+            assert dist.truncated == 0.0
+        else:
+            assert dist.truncated > 0.0
+            assert all(br.state.overflow for br in dist.branches)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.1, 0.3, 0.7])
