@@ -6,11 +6,12 @@ any state is created, so occupation tuples are canonical and states from the
 same registry compare term by term.
 
 Everything is exact up to double precision.  The only modelling knobs are the
-total-occupation truncation cap (operators drop overflowing terms and set an
-``overflow`` flag instead of erroring) and the optional finite-atom-number
-correction that rescales the collective-mode ladder elements by
-``sqrt(1 - n / n_a)`` so that ``annihilate(create(create(vac))) ==
-2 (n_a - 1) / n_a * create(vac)``.
+total-occupation truncation cap (operators drop the terms past it instead of
+erroring; a state keeps no record of them, and each heralded round reports
+the norm it lost as ``RoundDistribution.truncated``) and the optional
+finite-atom-number correction that rescales the collective-mode ladder
+elements by ``sqrt(1 - n / n_a)`` so that ``annihilate(create(create(vac)))
+== 2 (n_a - 1) / n_a * create(vac)``.
 
 Validation happens once, at the public boundary: ``FockState(...)`` (and
 ``FockState.vacuum``) check the registry, the cap and every occupation.
@@ -155,14 +156,13 @@ class FockState:
     :meth:`replace_terms`, which trusts its terms.
     """
 
-    __slots__ = ("registry", "truncation_cap", "overflow", "_terms", "_key")
+    __slots__ = ("registry", "truncation_cap", "_terms", "_key")
 
     def __init__(
         self,
         registry: ModeRegistry,
         terms: Mapping[Occupation, complex],
         truncation_cap: int = DEFAULT_TRUNCATION_CAP,
-        overflow: bool = False,
     ):
         if not registry.sealed:
             raise RegistryError("registry must be sealed before creating states")
@@ -179,18 +179,16 @@ class FockState:
             if sum(occ) > truncation_cap:
                 raise ValueError(f"occupation {occ} exceeds cap {truncation_cap}")
             checked[occ] = checked.get(occ, 0j) + complex(amp)
-        self._init(registry, checked, truncation_cap, bool(overflow))
+        self._init(registry, checked, truncation_cap)
 
     def _init(
         self,
         registry: ModeRegistry,
         terms: Mapping[Occupation, complex],
         truncation_cap: int,
-        overflow: bool,
     ) -> None:
         self.registry = registry
         self.truncation_cap = truncation_cap
-        self.overflow = overflow
         # ``0j + amp`` makes -0.0 parts +0.0, which debug_serialize would show
         self._terms = {
             occ: 0j + amp for occ, amp in terms.items() if abs(amp) >= PRUNE_THRESHOLD
@@ -203,12 +201,11 @@ class FockState:
         registry: ModeRegistry,
         terms: Mapping[Occupation, complex],
         truncation_cap: int,
-        overflow: bool,
     ) -> "FockState":
         """Trusted construction: ``terms`` must already be canonical
         occupation tuples within the cap of a sealed registry."""
         state = cls.__new__(cls)
-        state._init(registry, terms, truncation_cap, overflow)
+        state._init(registry, terms, truncation_cap)
         return state
 
     # -- constructors ------------------------------------------------------
@@ -219,9 +216,7 @@ class FockState:
     ) -> "FockState":
         return cls(registry, {(0,) * registry.n_modes: 1.0 + 0j}, truncation_cap)
 
-    def replace_terms(
-        self, terms: Mapping[Occupation, complex], overflow: bool | None = None
-    ) -> "FockState":
+    def replace_terms(self, terms: Mapping[Occupation, complex]) -> "FockState":
         """New state over the same registry/cap with different terms.
 
         The terms are trusted, not validated: they must be occupation tuples
@@ -229,12 +224,7 @@ class FockState:
         them from this state's own.  Amplitudes below ``PRUNE_THRESHOLD``
         are dropped.
         """
-        return FockState._from_terms(
-            self.registry,
-            terms,
-            self.truncation_cap,
-            self.overflow if overflow is None else overflow,
-        )
+        return FockState._from_terms(self.registry, terms, self.truncation_cap)
 
     # -- inspection --------------------------------------------------------
 
@@ -268,7 +258,6 @@ class FockState:
                     )
                 ),
                 self.truncation_cap,
-                self.overflow,
             )
         return self._key
 
@@ -286,8 +275,8 @@ class FockState:
 def create(state: FockState, m: Mode) -> FockState:
     """Bosonic creation on mode ``m``: ``|n> -> sqrt(n+1)|n+1>``.
 
-    Terms whose total occupation would exceed the truncation cap are dropped
-    and the result is flagged with ``overflow=True``.  On atomic modes with
+    Terms whose total occupation would exceed the truncation cap are dropped;
+    the result keeps no record of them.  On atomic modes with
     the finite-size correction enabled the matrix element is additionally
     scaled by ``sqrt(1 - n / n_a)``.
     """
@@ -295,11 +284,9 @@ def create(state: FockState, m: Mode) -> FockState:
     collective = state.registry.collective
     atomic = m.kind is ModeKind.ATOMIC
     out: Dict[Occupation, complex] = {}
-    overflow = state.overflow
     for occ, amp in state.items():
         n = occ[m.index]
         if sum(occ) + 1 > state.truncation_cap:
-            overflow = True
             continue
         factor = math.sqrt(n + 1)
         if atomic:
@@ -308,7 +295,7 @@ def create(state: FockState, m: Mode) -> FockState:
             continue
         new = occ[: m.index] + (n + 1,) + occ[m.index + 1 :]
         out[new] = out.get(new, 0j) + amp * factor
-    return state.replace_terms(out, overflow=overflow)
+    return state.replace_terms(out)
 
 
 def annihilate(state: FockState, m: Mode) -> FockState:
@@ -356,14 +343,13 @@ def superpose(coeffs: Sequence[complex], states: Sequence[FockState]) -> FockSta
         raise ValueError("need one coefficient per state, at least one of each")
     reg = states[0].registry
     cap = max(s.truncation_cap for s in states)
-    overflow = any(s.overflow for s in states)
     out: Dict[Occupation, complex] = {}
     for c, s in zip(coeffs, states):
         if s.registry is not reg:
             raise RegistryError("states live on different registries")
         for occ, amp in s.items():
             out[occ] = out.get(occ, 0j) + complex(c) * amp
-    return FockState._from_terms(reg, out, cap, overflow)
+    return FockState._from_terms(reg, out, cap)
 
 
 def count_excitations(state: FockState, modes: Iterable[Mode]) -> Dict[int, float]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterator, List, Tuple
 
@@ -327,6 +328,8 @@ def _run_chain_trials(
 
 
 def _collect_records(fn, args_builder, trials: int, workers: int) -> list:
+    # a forking pool starts all its workers at the first submit, spans or not
+    workers = min(workers, trials, os.cpu_count() or 1)
     if workers <= 1:
         return fn(*args_builder(0, trials))
     # imported here: a one-worker run need not load multiprocessing

@@ -461,7 +461,8 @@ def _heralded(
     total norm (:func:`~wclass_sim.optics.loss_weights`), and leaves that
     sector, normalized, as a state of ``state``'s registry and cap.  ``cut``
     is the norm the truncation cap dropped before the sectors were formed;
-    if any, it sets the heralded states' ``overflow`` flag.
+    the round reports ``cut / (cut + total)`` as ``truncated``, the cap's
+    only record.
 
     An outcome below ``_PROB_FLOOR`` is dropped; since no outcome is more
     likely than any prefix of it along the ports' loss and detection steps,
@@ -505,7 +506,6 @@ def _heralded(
             along = tuple([outcome[k] for k in order])
             leaves.append((along, n, sum(lost), det, clicks, flips, p))
     leaves.sort(key=operator.itemgetter(0))
-    overflow = state.overflow or cut > 0.0
 
     built: Dict[tuple, FockState] = {}
     merged: Dict[tuple, RoundBranch] = {}
@@ -513,9 +513,7 @@ def _heralded(
         post = built.get((n, flips))
         if post is None:
             nrm = math.sqrt(norm2[n])
-            post = state.replace_terms(
-                {occ: a / nrm for occ, a in sectors[n].items()}, overflow
-            )
+            post = state.replace_terms({occ: a / nrm for occ, a in sectors[n].items()})
             for mode in flips:
                 post = apply_phase(post, mode, math.pi)
             built[n, flips] = post
@@ -550,9 +548,8 @@ def connect_round(
     heralds ``sum c (s_i+)^m_i (s_j+)^m_j |state>`` on the atoms, term by
     term (:func:`_ladder`).  Until they are detected the photons count
     against the cap: a term is kept while its atoms plus twice its pairs
-    fit, a dropped one sets ``overflow`` as :func:`~wclass_sim.fock.create`
-    would, and ``truncated`` is the pumped norm dropped over the pumped norm
-    before the cap.
+    fit, and ``truncated``, the pumped norm dropped over the pumped norm
+    before the cap, is the only record of the dropped ones.
 
     Accepts exactly one click.  A click on the antisymmetric port is folded
     back onto the symmetric outcome by a pi feed-forward on ensemble ``j``

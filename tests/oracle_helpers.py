@@ -592,7 +592,7 @@ def _with_photonic_modes(state, names):
     reg.seal()
     pad = (0,) * len(photonic)
     terms = {occ + pad: a for occ, a in state.items()}
-    return FockState(reg, terms, state.truncation_cap, state.overflow), copies, photonic
+    return FockState(reg, terms, state.truncation_cap), copies, photonic
 
 
 def _atoms_only(post, state):
@@ -600,7 +600,7 @@ def _atoms_only(post, state):
     registry with those modes dropped."""
     width = state.registry.n_modes
     assert not any(any(occ[width:]) for occ, _ in post.items())
-    return state.replace_terms({occ[:width]: a for occ, a in post.items()}, post.overflow)
+    return state.replace_terms({occ[:width]: a for occ, a in post.items()})
 
 
 def connect_round_reference(
@@ -610,7 +610,9 @@ def connect_round_reference(
     ``i`` and ``j``, as a four-deep loop: pump both ensembles, split the
     Stokes light, then loss on port i, loss on port j, detection on i,
     detection on j, with the floor cut at each level.  Branch states come
-    back on ``layout``'s registry.
+    back on ``layout``'s registry.  The pumps run on a cap with room for
+    every pair (two quanta each, two pairs per ensemble at most: + 8), and
+    ``truncated`` is the pumped norm past the round's cap over the whole.
 
     Unlike the engine, it reads the channel phases: after the pump, each
     Stokes mode (empty before it) gets its ensemble's phase ``cfg.phases``.
@@ -633,9 +635,14 @@ def connect_round_reference(
         return RoundDistribution(0.0, ())
     psi, copies, (st_i, st_j) = _with_photonic_modes(state, (f"st{i}", f"st{j}"))
     ens_i, ens_j = (copies[layout.ensemble(party).index] for party in (i, j))
+    cap = state.truncation_cap
+    psi = FockState(psi.registry, dict(psi.items()), cap + 8)
     for ens, stokes, party in ((ens_i, st_i, i), (ens_j, st_j, j)):
         psi = pump_excite(psi, PumpSpec(ens, stokes, cfg.p_e), cfg.second_order_pump)
         psi = apply_phase(psi, stokes, cfg.phases[party - 1])
+    full = psi.norm_squared()
+    psi = FockState(psi.registry, {occ: a for occ, a in psi.items() if sum(occ) <= cap}, cap)
+    truncated = (full - psi.norm_squared()) / full
     psi = normalize(apply_beam_splitter(psi, BeamSplitterSpec(st_i, st_j)))
     accepted = []
     for lb1 in loss_outcomes(psi, st_i, cfg.eta):
@@ -673,7 +680,7 @@ def connect_round_reference(
                         )
                     )
     branches = _dedup(accepted)
-    return RoundDistribution(sum(b.prob for b in branches), branches)
+    return RoundDistribution(sum(b.prob for b in branches), branches, truncated=truncated)
 
 
 def teleport_round_reference(state, layout, cfg):

@@ -234,14 +234,20 @@ def test_pruning_norm_bound():
     assert abs(state.norm() - full_norm) <= PRUNE_THRESHOLD * 3
 
 
-def test_truncation_sets_overflow_flag():
+def test_create_drops_exactly_the_terms_past_the_cap():
+    # cap 3: the total-3 terms have no room for another quantum and go; the
+    # others gain it with their usual sqrt(n + 1), and the result keys like
+    # a state built from the kept terms alone, with no record of the cut
     reg = small_registry()
     m = reg.modes[0]
-    state = FockState.vacuum(reg, truncation_cap=2)
-    state = create(create(state, m), m)
-    assert not state.overflow
-    clipped = create(state, m)
-    assert clipped.overflow and clipped.is_zero()
+    room = {(1, 0, 0): 0.5 + 0.1j, (0, 0, 1): -0.3j, (0, 1, 0): 0.2}
+    full = {(2, 1, 0): 0.4, (1, 1, 1): -0.6 + 0.2j, (0, 0, 3): 0.1j}
+    state = FockState(reg, {**room, **full}, truncation_cap=3)
+    want = {(2, 0, 0): (0.5 + 0.1j) * math.sqrt(2), (1, 0, 1): -0.3j, (1, 1, 0): 0.2 + 0j}
+    got = create(state, m)
+    assert dict(got.items()) == want
+    assert got.key() == FockState(reg, want, truncation_cap=3).key()
+    assert create(FockState(reg, full, truncation_cap=3), m).is_zero()
 
 
 def test_unregistered_mode_raises():
@@ -349,11 +355,8 @@ def test_operator_results_pass_the_public_constructor_unchanged(
         *(b.state for b in detection_outcomes(state, port)),
     ]
     for result in results:
-        rebuilt = FockState(
-            result.registry, dict(result.items()), result.truncation_cap, result.overflow
-        )
+        rebuilt = FockState(result.registry, dict(result.items()), result.truncation_cap)
         assert _bits(rebuilt) == _bits(result)
-        assert rebuilt.overflow == result.overflow
 
 
 def test_fidelity_stays_within_the_unit_interval():

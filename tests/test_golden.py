@@ -63,6 +63,9 @@ CASES = {
     "teleport_cap5": (["teleport", "--cap", "5", "--alpha-re", "0.6", "--beta-re", "0.8",
                        "--pe", "0.05", "--eta", "0.1", "--trials", "4", "--seed", "11",
                        "--workers", "1"], 0),
+    "teleport_cap5_single_pair": (["teleport", "--cap", "5", "--no-double-pair",
+                                   "--alpha-re", "0.6", "--beta-re", "0.8", "--eta", "0.1",
+                                   "--trials", "4", "--seed", "1", "--workers", "1"], 0),
     "w3_exhausted": (["w-state", "--n", "3", "--pe", "0.02", "--max-attempts", "200",
                       "--trials", "200", "--seed", "4", "--workers", "1"], 0),
     "teleport_cap4_exhausted": (["teleport", "--alpha-re", "0.6", "--beta-re", "0.8",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import warnings
@@ -523,6 +524,38 @@ def test_pool_workers_start_from_the_parents_table():
     run_batch(cfg, 40, workers=2)
     info = montecarlo._chain_engine.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "cpus, trials, pool", [(8, 1, None), (8, 3, 3), (8, 50, 8), (None, 50, None)]
+)
+def test_pool_size_is_clamped_to_trials_and_cpus(monkeypatch, cpus, trials, pool):
+    # a forking pool starts all its workers at the first submit, so a huge
+    # worker count must not reach it; the stand-in pool records its size and
+    # runs each span inline, and the report is the serial one
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    cfg = ProtocolConfig(n=3, p_e=0.02, eta=0.1, seed=6)
+    pooled = run_batch(cfg, trials, workers=100_000)
+    assert sizes == ([] if pool is None else [pool])
+    assert pooled.to_dict() == run_batch(cfg, trials).to_dict()
 
 
 def test_teleport_batches_build_their_own_simulator(monkeypatch):
