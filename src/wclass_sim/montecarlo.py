@@ -7,6 +7,13 @@ reports are bit-identical for a fixed configuration no matter how many
 workers executed the batch.  A batch derives its trials' generator states
 a block at a time (:func:`trial_rngs`), bit for bit the same.
 
+A chain batch samples ``_BLOCK`` trials at a time
+(:meth:`ChainSimulator.sample`) and keeps them as columns
+(:class:`ChainColumns`), from which it scores, classifies and aggregates
+the whole block at once.  Integer sums are exact Python ints for any
+budget, float sums run over the trials in order, and per-trial records are
+built only when read.
+
 A process keeps the node tables of its last 8 chain configurations
 (:func:`_chain_engine`), so batches of one configuration at different seeds
 build its table once.  Batches take their config with ``phases=None`` (the
@@ -25,6 +32,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -220,13 +228,54 @@ class TrialRecord:
     classification: str | None  # "w" | "vacuum" | "other"
 
 
+_CLASSES = (None, "w", "vacuum", "other")  # the classification column's codes
+_W, _VACUUM, _OTHER = 1, 2, 3
+
+
+@dataclass
+class ChainColumns:
+    """The trials of a chain batch as columns, in trial order from trial
+    ``start``: per trial, whether it succeeded and its per-stage counts as
+    rows of ``attempts`` and ``successes`` (int64, or Python ints when the
+    budget passes int64); per successful trial, its fidelity and its
+    classification as a ``_CLASSES`` code."""
+
+    start: int
+    succeeded: np.ndarray
+    attempts: np.ndarray
+    successes: np.ndarray
+    fidelity: np.ndarray
+    classification: np.ndarray
+
+    @classmethod
+    def concat(cls, parts: List[ChainColumns]) -> ChainColumns:
+        if len(parts) == 1:
+            return parts[0]
+        return cls(
+            parts[0].start,
+            *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)[1:]),
+        )
+
+    def records(self) -> List[TrialRecord]:
+        done = iter(zip(self.fidelity.tolist(), self.classification.tolist()))
+        out = []
+        for t, (ok, att, succ) in enumerate(
+            zip(self.succeeded.tolist(), self.attempts.tolist(), self.successes.tolist())
+        ):
+            fid, code = next(done) if ok else (None, 0)
+            out.append(TrialRecord(
+                self.start + t, ok, sum(att), tuple(att), tuple(succ), fid, _CLASSES[code]
+            ))
+        return out
+
+
 class _Report:
     def to_dict(self) -> dict:
-        """Every field but ``rounds_total`` and ``records``, in field order."""
+        """Every field but ``rounds_total`` and ``columns``, in field order."""
         return {
             f.name: getattr(self, f.name)
             for f in fields(self)
-            if f.name not in ("rounds_total", "records")
+            if f.name not in ("rounds_total", "columns")
         }
 
 
@@ -247,14 +296,19 @@ class RunReport(_Report):
     vacuum_fraction: float
     confidence: Dict[str, object]
     rounds_total: int  # exact sum of the trials' rounds; not in to_dict
-    records: List[TrialRecord] = field(default_factory=list, repr=False)
+    columns: ChainColumns | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def records(self) -> List[TrialRecord]:
+        """The trials as records, built on first read."""
+        return self.columns.records()
 
 
 def _final_outcome(
     state: FockState, target: FockState, layout, classify: bool
-) -> Tuple[float, float | None]:
+) -> Tuple[float, float]:
     """``(fidelity with target, P(the last two ensembles hold nothing))`` of
-    a final state; the second is None when the state is never classified
+    a final state; the second is NaN when the state is never classified
     (an EPR pair, or a W outcome).
 
     A success counts as a W outcome when it overlaps the ideal W state by
@@ -265,24 +319,24 @@ def _final_outcome(
     """
     fid = fidelity(state, target)
     if not classify or fid > 0.5:
-        return fid, None
+        return fid, math.nan
     return fid, count_excitations(state, layout.ensembles[-2:]).get(0, 0.0)
 
 
 @functools.lru_cache(maxsize=8)
 def _chain_engine(
     cfg: ProtocolConfig, stages: Tuple[StageSpec, ...]
-) -> Tuple[ChainSimulator, FockState, Dict[int, Tuple[float, float | None]]]:
-    """``(simulator with its node table built, target state, memo of final
-    states)`` of a chain configuration, called with ``seed=0`` and
+) -> Tuple[ChainSimulator, FockState, np.ndarray]:
+    """``(simulator with its node table built, target state, scores of its
+    final branches)`` of a chain configuration, called with ``seed=0`` and
     ``phases=None``: batches that differ only in seed or phases share one.
     The target is the zero-phase EPR pair or W state, as are the table's.
 
     The table is closed once built (every node reachable from the vacuum
     root is built with it) and batches only read it, so a batch draws on
-    the same nodes and states whatever ran before it.  The memo maps ``id``
-    of a final state, which the table keeps alive (so the id is never
-    reused), to :func:`_final_outcome`.
+    the same nodes and states whatever ran before it.  The scores hold
+    :func:`_final_outcome` per walk slot, filled in when a batch first ends
+    a walk there (NaN rows before).
     """
     sim = ChainSimulator(cfg, stages=stages)
     sim._vacuum_root  # builds the table
@@ -290,46 +344,44 @@ def _chain_engine(
         target = epr_state(sim.layout, stages[0].i, stages[0].j, 0.0)
     else:
         target = ideal_w_state(cfg.n, layout=sim.layout)
-    return sim, target, {}
+    return sim, target, np.full((len(sim._slots), 2), math.nan)
 
 
 def _run_chain_trials(
     cfg: ProtocolConfig, stages: Tuple[StageSpec, ...], lo: int, hi: int
-) -> List[TrialRecord]:
-    sim, target, finals = _chain_engine(replace(cfg, seed=0, phases=None), stages)
-    epr = len(stages) == 1
-    out: List[TrialRecord] = []
-    for t, rng in zip(range(lo, hi), trial_rngs(cfg.seed, lo, hi)):
-        res = sim.run_trial(rng)
-        fid, cls = None, None
-        if res.succeeded:
-            state = res.final_state
-            seen = finals.get(id(state))
-            if seen is None:
-                seen = finals[id(state)] = _final_outcome(state, target, sim.layout, not epr)
-            fid, p_empty = seen
-            if not epr:
-                if p_empty is None:
-                    cls = "w"
-                else:  # the Born draw of the tail's excitation number
-                    cls = "vacuum" if rng.random() < p_empty else "other"
-        out.append(
-            TrialRecord(
-                t,
-                res.succeeded,
-                res.rounds,
-                res.stage_attempts,
-                res.stage_successes,
-                fid,
-                cls,
-            )
-        )
+) -> List[ChainColumns]:
+    """The columns of trials ``[lo, hi)``, sampled ``_BLOCK`` at a time.  A
+    W-chain trial that completes draws one uniform after its walk, for the
+    Born draw that classifies an outcome that is not W."""
+    sim, target, scores = _chain_engine(replace(cfg, seed=0, phases=None), stages)
+    classify = len(stages) > 1
+    rngs = trial_rngs(cfg.seed, lo, hi)
+    out = []
+    for start in range(lo, hi, _BLOCK):
+        size = min(_BLOCK, hi - start)
+        s = sim.sample(islice(rngs, size), size, extra=int(classify))
+        ends = s.path[-1][s.succeeded]
+        fid, p_empty = scores[ends].T
+        new = np.isnan(fid)
+        if new.any():  # final branches no batch has ended in yet
+            for slot in set(ends[new].tolist()):
+                state = sim.branch(slot).state
+                scores[slot] = _final_outcome(state, target, sim.layout, classify)
+            fid, p_empty = scores[ends].T
+        classes = np.zeros(len(ends), int)  # an EPR pair is not classified
+        if classify:
+            drawn = np.where(s.extra[s.succeeded, 0] < p_empty, _VACUUM, _OTHER)
+            classes = np.where(np.isnan(p_empty), _W, drawn)
+        out.append(ChainColumns(start, s.succeeded, s.attempts, s.successes, fid, classes))
     return out
 
 
-def _collect_records(fn, args_builder, trials: int, workers: int) -> list:
-    # a forking pool starts all its workers at the first submit, spans or not
-    workers = min(workers, trials, os.cpu_count() or 1)
+def _collect_spans(fn, args_builder, trials: int, workers: int) -> list:
+    """``fn(*args_builder(lo, hi))`` over spans ``[lo, hi)`` of the trials,
+    one span per worker process, with the lists they return joined in
+    trial order."""
+    if workers > 1:  # a forking pool starts all its workers at the first submit
+        workers = min(workers, trials, os.cpu_count() or 1)
     if workers <= 1:
         return fn(*args_builder(0, trials))
     # imported here: a one-worker run need not load multiprocessing
@@ -337,12 +389,12 @@ def _collect_records(fn, args_builder, trials: int, workers: int) -> list:
 
     chunk = (trials + workers - 1) // workers
     spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    records: list = []
+    out: list = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args_builder(lo, hi)) for lo, hi in spans]
         for fut in futures:  # submission order == trial order
-            records.extend(fut.result())
-    return records
+            out.extend(fut.result())
+    return out
 
 
 def run_batch(
@@ -363,33 +415,39 @@ def run_batch(
     stages = chain_stages(cfg.n) if stages is None else tuple(stages)
     if workers > 1:  # built before the pool starts, so forked workers inherit it
         _chain_engine(replace(cfg, seed=0, phases=None), stages)
-    records = _collect_records(
+    parts = _collect_spans(
         _run_chain_trials, lambda lo, hi: (cfg, stages, lo, hi), trials, workers
     )
-    return _aggregate_chain(cfg, stages, records)
+    return _aggregate_chain(cfg, stages, ChainColumns.concat(parts))
+
+
+def _column_sums(counts: np.ndarray) -> List[int]:
+    """Exact column sums of a matrix of non-negative counts, as Python ints:
+    int64 sums when no sum can pass int64, else Python sums."""
+    if counts.dtype != object and len(counts) * int(counts.max(initial=0)) < 2**63:
+        return counts.sum(axis=0).tolist()
+    return [sum(col) for col in counts.T.tolist()]
 
 
 def _aggregate_chain(
-    cfg: ProtocolConfig, stages: Tuple[StageSpec, ...], records: List[TrialRecord]
+    cfg: ProtocolConfig, stages: Tuple[StageSpec, ...], cols: ChainColumns
 ) -> RunReport:
     labels = tuple(s.label for s in stages)
     connect_idx = [k for k, s in enumerate(stages) if s.kind == "connect"]
-    trials = len(records)
-    # exact integer column sums, so their order does not matter
-    att_sum = [sum(col) for col in zip(*(r.stage_attempts for r in records))]
-    succ_sum = [sum(col) for col in zip(*(r.stage_successes for r in records))]
+    trials = len(cols.succeeded)
+    att_sum = _column_sums(cols.attempts)
+    succ_sum = _column_sums(cols.successes)
     conn_att = sum(att_sum[k] for k in connect_idx)
     conn_succ = sum(succ_sum[k] for k in connect_idx)
-    rounds = [r.rounds for r in records]
-    done = [r for r in records if r.succeeded]
-    successes = len(done)
-    fids = [r.fidelity for r in done]  # trial order: float sums depend on it
-    classes = [r.classification for r in done]
-    w_count = classes.count("w")
-    vac_count = classes.count("vacuum")
+    rounds_total = sum(att_sum)  # every round is one stage's attempt
+    rounds = cols.attempts.sum(axis=1).tolist()  # each at most the budget
+    fids = cols.fidelity.tolist()  # trial order: float sums depend on it
+    successes = len(fids)
+    w_count = int(np.count_nonzero(cols.classification == _W))
+    vac_count = int(np.count_nonzero(cols.classification == _VACUUM))
     mean_attempts = tuple(s / trials for s in att_sum)
     p_c_hat = conn_succ / conn_att if conn_att else 0.0
-    mean_rounds = sum(rounds) / trials
+    mean_rounds = rounds_total / trials
     mean_time = mean_rounds * cfg.t0
     sd_rounds = math.sqrt(
         sum((x - mean_rounds) ** 2 for x in rounds) / max(1, trials - 1)
@@ -430,8 +488,8 @@ def _aggregate_chain(
         w_fraction=w_count / successes if successes else 0.0,
         vacuum_fraction=vac_count / successes if successes else 0.0,
         confidence=confidence,
-        rounds_total=sum(rounds),
-        records=records,
+        rounds_total=rounds_total,
+        columns=cols,
     )
 
 
@@ -499,7 +557,7 @@ def run_teleport_batch(
 ) -> TeleportReport:
     if trials < 1:
         raise ValueError("need at least one trial")
-    rows = _collect_records(
+    rows = _collect_spans(
         _run_teleport_trials, lambda lo, hi: (tcfg, lo, hi), trials, workers
     )
     successes = sum(1 for r in rows if r[1])

@@ -721,15 +721,23 @@ class ChainTrialResult:
     click_log: Tuple[Tuple[str, bool], ...]
 
 
-def _tally(counts: List[int], through: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Per-stage ``(attempts, successes)`` of ``counts[k]`` passes failed at
-    stage ``k``, plus one pass that got through the first ``through`` stages
-    (all of them for a completed pass, fewer for one cut by the budget)."""
-    ended = list(counts)
-    if through:
-        ended[through - 1] += 1  # the last pass, as if it ended there
-    reached = list(accumulate(reversed(ended)))[::-1]  # passes ended at k or later
-    return tuple(reached), tuple(map(operator.sub, reached, counts))
+@dataclass
+class ChainSample:
+    """Columns of a block of chain trials, in trial order.
+
+    ``attempts`` and ``successes`` hold a row of per-stage counts per trial:
+    int64, or Python ints when the budget passes int64.  ``path`` holds, per
+    stage, the slot each trial's walk chose there
+    (:meth:`ChainSimulator.branch`), and ``extra`` a row per trial of the
+    uniforms it drew after the walk's; both mean something for succeeded
+    trials only.
+    """
+
+    succeeded: np.ndarray
+    attempts: np.ndarray
+    successes: np.ndarray
+    path: List[np.ndarray]
+    extra: np.ndarray
 
 
 def pick(branches: Sequence, u: float, cum: Sequence[float]):
@@ -740,6 +748,20 @@ def pick(branches: Sequence, u: float, cum: Sequence[float]):
     return branches[k] if k < len(branches) else branches[-1]
 
 
+def choose(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """:func:`pick` for many draws at once: the slot that each query
+    ``complex(row, x)`` picks among the branches of node ``row``.
+
+    ``keys`` holds the slots of every node in row order: ``complex(row,
+    running sum)`` per branch, then a sentinel ``complex(row, inf)`` that
+    stands for the last branch again.  numpy orders complex numbers by real
+    part, then imaginary part, so the search counts the row's running sums
+    at or below ``x``: bisect_right, with ``x`` at or beyond the total
+    landing on the sentinel.
+    """
+    return keys.searchsorted(queries, side="right")
+
+
 def _spend_budget(
     rng: np.random.Generator, root: _Node, budget: int
 ) -> Tuple[List[int], int]:
@@ -748,14 +770,15 @@ def _spend_budget(
     stages got through by a last pass that the budget cut short)``.
 
     A pass failing at stage ``k`` costs ``k + 1 <= max_cost`` rounds, so a
-    block of ``left // max_cost`` passes always fits in the ``left`` rounds
-    still to spend and can be drawn at once; the last few are drawn singly.
+    block of ``left // max_cost`` passes (at most ``2**63 - 1``, the most
+    ``multinomial`` takes) always fits in the ``left`` rounds still to spend
+    and can be drawn at once; the last few are drawn singly.
     """
     cond, max_cost, cum = root.law
     counts = [0] * len(cond)
     left = budget
     while left >= max_cost:
-        block = rng.multinomial(left // max_cost, cond).tolist()
+        block = rng.multinomial(min(left // max_cost, 2**63 - 1), cond).tolist()
         for k, c in enumerate(block):
             counts[k] += c
             left -= (k + 1) * c
@@ -772,14 +795,14 @@ def _spend_budget(
 @dataclass(eq=False, slots=True)
 class _Node:
     """One reached ``(stage, state)`` of a pass: its round, the node each
-    branch leads to (``None`` past the last stage), and the exact odds of
-    the rest of the pass from here."""
+    branch leads to (``None`` past the last stage), the exact odds of the
+    rest of the pass from here, and its row in the table's walk columns."""
 
     dist: RoundDistribution
     links: Tuple[Tuple[RoundBranch, _Node | None], ...]
-    cum: List[float]  # running sums of branch prob x P(pass then completes)
-    p_complete: float  # cum[-1], or 0
+    p_complete: float  # sum of branch prob x P(pass then completes)
     fail: Tuple[float, ...]  # P(pass fails at stage k)
+    row: int  # its row in the walk columns
     # stage-0 nodes only: (failure-stage law of a failed pass, its largest
     # cost, its running sums); a pass failing at stage k costs k + 1 rounds
     law: Tuple[np.ndarray, int, List[float]] | None = None
@@ -793,10 +816,15 @@ class ChainSimulator:
     a trial is a sequence of independent passes.  Each reached ``(stage,
     state)`` is enumerated once into a node of one table, linked to the
     nodes its branches lead to; a pass is a walk along those links, so a
-    trial from the vacuum computes no state key.  A trial samples the number
-    of passes geometrically, allots the failed passes to their failure
-    stages multinomially, and walks one success-weighted pass for the final
-    state.  States in and out are in the zero-phase frame.
+    trial from the vacuum computes no state key.  States in and out are in
+    the zero-phase frame.
+
+    Trials are sampled in two phases (:meth:`sample`).  Phase one takes each
+    trial's draws from its own generator: the number of passes
+    geometrically, the failed passes' stages multinomially, then the success
+    walk's uniforms.  Phase two works on the block's columns: it walks the
+    links for every completed trial at once (:func:`choose`) and tallies
+    each stage's attempts and successes.
     """
 
     def __init__(
@@ -810,6 +838,21 @@ class ChainSimulator:
         self.stages = chain_stages(cfg.n) if stages is None else tuple(stages)
         self._vacuum = self.layout.vacuum()
         self._nodes: Dict[tuple, _Node] = {}
+        # the walk columns, per slot (each node's branches, then its
+        # sentinel; see choose): the node's row, the running sum,
+        # ``complex(row, p_complete)`` of the node the branch leads to (0
+        # past the last stage), and the branch
+        self._owner: List[int] = []
+        self._cum: List[float] = []
+        self._ahead: List[complex] = []
+        self._slots: List[RoundBranch | None] = []
+        self._columns: Tuple[np.ndarray, np.ndarray] | None = None
+        # the tally's tables: (counts @ _failed_later)[k] sums the passes
+        # failed at stage k or later, and _last_pass[h] marks the stages
+        # that a last pass getting through h stages attempted
+        n_stages = len(self.stages)
+        self._failed_later = np.tri(n_stages, dtype=np.int64)
+        self._last_pass = np.tri(n_stages + 1, n_stages, -1, dtype=np.int64)
 
     # -- exact per-round machinery ----------------------------------------
 
@@ -823,6 +866,10 @@ class ChainSimulator:
         """``(P(pass completes from here), P(pass fails at stage k))``."""
         node = self._node(stage_idx, state)
         return node.p_complete, node.fail
+
+    def branch(self, slot: int) -> RoundBranch:
+        """The branch a walk slot stands for."""
+        return self._slots[slot]
 
     def _node(self, idx: int, state: FockState) -> _Node:
         """The node of ``(idx, state)``, built on first reach together with
@@ -850,14 +897,21 @@ class ChainSimulator:
         fail = [0.0] * len(self.stages)
         fail[idx] = 1.0 - dist.p_accept
         p_complete = 0.0
-        cum = []
+        cum, ahead = [], []
         for br, child in links:
             pc, fv = (1.0, ()) if child is None else (child.p_complete, child.fail)
             p_complete += br.prob * pc
             cum.append(p_complete)
+            ahead.append(0j if child is None else complex(child.row, pc))
             for k, x in enumerate(fv):
                 fail[k] += br.prob * x
-        node = self._nodes[key] = _Node(dist, links, cum, p_complete, tuple(fail))
+        row = len(self._nodes)
+        node = self._nodes[key] = _Node(dist, links, p_complete, tuple(fail), row)
+        # the branches' slots, then the sentinel's, which repeats the last branch
+        self._owner += [row] * (len(cum) + 1)
+        self._cum += cum + [math.inf]
+        self._ahead += ahead + (ahead[-1:] or [0j])
+        self._slots += dist.branches + (dist.branches[-1:] or (None,))
         if idx == 0:  # a root: a pass may start here
             q = (1.0 - p_complete) or 1.0  # a pass that never fails: any law will do
             cond = np.clip(np.asarray(fail) / q, 0.0, None)
@@ -870,44 +924,112 @@ class ChainSimulator:
     def _vacuum_root(self) -> _Node:
         return self._node(0, self._vacuum)
 
+    def _walk_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(keys, complex(row, p_complete) ahead)`` per slot as arrays,
+        remade when the table has grown since they were last made."""
+        if self._columns is None or len(self._columns[0]) < len(self._cum):
+            keys = np.empty(len(self._cum), complex)
+            keys.real, keys.imag = self._owner, self._cum
+            self._columns = (keys, np.array(self._ahead))
+        return self._columns
+
     # -- trial sampling ----------------------------------------------------
+
+    def _draw(
+        self, rngs: Iterable[np.random.Generator], trials: int, root: _Node, width: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Phase one: each trial's draws from its generator, in order.  A
+        trial draws its passes (geometric; none when a pass always
+        completes), then its failed passes' stages (multinomial; none for a
+        one-stage chain or no failure), then, when its rounds fit the
+        budget, ``width`` uniforms: one per stage for the walk, then any
+        the caller asked for.  A trial that overruns the budget spends it
+        instead (:func:`_spend_budget`).
+
+        Returns ``(failed passes per stage, stages the last pass got
+        through, uniforms)`` as arrays of ``trials`` rows; a trial got through
+        every stage exactly when it completed, and an exhausted trial's
+        uniforms are zeros.
+        """
+        n_stages = len(self.stages)
+        budget = self.cfg.max_attempts
+        p_pass, cond = root.p_complete, root.law[0]
+        # no count of a trial exceeds its rounds, which do not exceed the budget
+        counts = np.zeros((trials, n_stages), np.int64 if budget < 2**63 else object)
+        through = np.full(trials, n_stages)
+        uniforms = np.zeros((trials, width))
+        costs = range(1, n_stages + 1)  # a pass failed at stage k cost k + 1 rounds
+        for t, rng in enumerate(rngs):
+            if p_pass > 0.0:
+                fails = 0 if p_pass >= 1.0 else int(rng.geometric(p_pass)) - 1
+                if fails and n_stages == 1:
+                    counts[t, 0] = fails  # what multinomial returns, without its cost
+                elif fails:
+                    counts[t] = rng.multinomial(fails, cond)
+                # the rounds are at most (fails + 1) n_stages; count them
+                # exactly only when that bound passes the budget
+                if (fails + 1) * n_stages <= budget or (
+                    sum(map(operator.mul, counts[t].tolist(), costs)) + n_stages <= budget
+                ):
+                    rng.random(out=uniforms[t])
+                    continue
+            counts[t], through[t] = _spend_budget(rng, root, budget)
+        return counts, through, uniforms
+
+    def sample(
+        self,
+        rngs: Iterable[np.random.Generator],
+        trials: int,
+        initial_state: FockState | None = None,
+        extra: int = 0,
+    ) -> ChainSample:
+        """``trials`` trials within ``max_attempts`` rounds each, the
+        ``t``-th drawing from the ``t``-th generator of ``rngs`` (which may
+        yield one generator reset to each trial's state in turn); each
+        completed trial draws ``extra`` more uniforms after its walk's.
+
+        A trial that exhausts its budget spends it on failed passes drawn
+        from the failure law until their rounds reach the budget; a last pass
+        cut short by the budget counts the stages it got through.  So its
+        rounds equal the budget, its stage attempts sum to it, and a
+        one-stage chain records ``(budget,)`` attempts and no success.
+        """
+        root = self._vacuum_root if initial_state is None else self._node(0, initial_state)
+        n_stages = len(self.stages)
+        counts, through, uniforms = self._draw(rngs, trials, root, n_stages + extra)
+        # phase two: the success walk, a stage at a time, from each trial's
+        # complex(row, p_complete) of its node (an exhausted trial walks on
+        # zeros, and its walk is never read)
+        keys, ahead = self._walk_columns()
+        node = np.full(trials, complex(root.row, root.p_complete))
+        path = []
+        for k in range(n_stages):
+            node.imag *= uniforms[:, k]  # complex(row, u * p_complete): the query
+            path.append(choose(keys, node))
+            node = ahead[path[-1]]
+        # the tally: a stage is attempted by every pass that failed there or
+        # later, and by the last pass when it got that far
+        attempts = counts @ self._failed_later + self._last_pass[through]
+        return ChainSample(
+            through == n_stages, attempts, attempts - counts, path, uniforms[:, n_stages:]
+        )
 
     def run_trial(
         self,
         rng: np.random.Generator,
         initial_state: FockState | None = None,
     ) -> ChainTrialResult:
-        """One trial within ``max_attempts`` rounds.
-
-        A trial that exhausts its budget spends it on failed passes drawn
-        from the failure law until their rounds reach the budget; a last pass
-        cut short by the budget counts the stages it got through.  So
-        ``rounds`` equals the budget, the stage attempts sum to it, and a
-        one-stage chain records ``(budget,)`` attempts and no success.
-        """
-        root = self._vacuum_root if initial_state is None else self._node(0, initial_state)
-        p_pass, cond = root.p_complete, root.law[0]
-        n_stages = len(self.stages)
-        budget = self.cfg.max_attempts
-        if p_pass > 0.0:
-            fails = 0 if p_pass >= 1.0 else int(rng.geometric(p_pass)) - 1
-            counts = [0] * n_stages
-            if n_stages == 1:
-                counts = [fails]  # what multinomial returns, without its cost
-            elif fails > 0:
-                counts = rng.multinomial(fails, cond).tolist()
-            # a pass failed at stage k cost k + 1 rounds, the completed one n_stages
-            rounds = sum(map(operator.mul, counts, range(1, n_stages + 1))) + n_stages
-            if rounds <= budget:
-                node, log = root, []
-                for u in rng.random(n_stages).tolist():  # one per stage of the walk
-                    br, node = pick(node.links, u * node.p_complete, node.cum)
-                    log.extend(br.clicks)
-                return ChainTrialResult(
-                    True, rounds, *_tally(counts, n_stages), br.state, tuple(log)
-                )
-        counts, through = _spend_budget(rng, root, budget)
-        return ChainTrialResult(False, budget, *_tally(counts, through), None, ())
+        """One trial of :meth:`sample`, from the vacuum or ``initial_state``."""
+        s = self.sample((rng,), 1, initial_state)
+        attempts = tuple(s.attempts[0].tolist())
+        successes = tuple(s.successes[0].tolist())
+        if not s.succeeded[0]:
+            return ChainTrialResult(False, sum(attempts), attempts, successes, None, ())
+        walk = [self._slots[slots[0]] for slots in s.path]
+        log = tuple(click for br in walk for click in br.clicks)
+        return ChainTrialResult(
+            True, sum(attempts), attempts, successes, walk[-1].state, log
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -480,9 +482,7 @@ class TracedTrialRecord(TrialRecord):
 def run_batch_trace_reference(cfg, trials: int, stages=None):
     """The report of ``run_batch(cfg, trials, stages=stages)`` with every
     trial walked round by round by :func:`run_trial_block_reference` (the
-    block scan of :func:`run_trial_trace_reference`), on the
-    batch's own per-trial streams (``trial_rngs``) and node table, then
-    classified by the same Born draw; its records are
+    block scan of :func:`run_trial_trace_reference`); its records are
     :class:`TracedTrialRecord`.
 
     A root whose passes never complete spends the budget at once through
@@ -490,29 +490,160 @@ def run_batch_trace_reference(cfg, trials: int, stages=None):
     id(state))``: the table keeps every state alive, so an id is never
     reused, and the walk computes no state key.
     """
+    memo = {}
+
+    def trace_trial(sim, rng, root):
+        def round_distribution(k, state):
+            key = (k, id(state))
+            if key not in memo:
+                memo[key] = sim.round_distribution(k, state)
+            return memo[key]
+
+        if sim._vacuum_root.p_complete <= 0.0:
+            return sim.run_trial(rng), None
+        return run_trial_block_reference(sim, rng, root, round_distribution)
+
+    return _chain_batch_reference(cfg, trials, stages, trace_trial, TracedTrialRecord)
+
+
+# ---------------------------------------------------------------------------
+# the per-trial sampler: each trial's walk and tally in Python
+# ---------------------------------------------------------------------------
+
+
+def tally_reference(counts, through):
+    """Per-stage ``(attempts, successes)`` of ``counts[k]`` passes failed at
+    stage ``k``, plus one pass that got through the first ``through`` stages
+    (all of them for a completed pass, fewer for one cut by the budget)."""
+    ended = list(counts)
+    if through:
+        ended[through - 1] += 1  # the last pass, as if it ended there
+    reached = list(accumulate(reversed(ended)))[::-1]  # passes ended at k or later
+    return tuple(reached), tuple(map(operator.sub, reached, counts))
+
+
+def run_trial_reference(sim, rng, initial_state=None):
+    """``sim.run_trial(rng, initial_state)`` with the success walk and tally
+    written per trial, as the engine sampled before its columnar phases:
+    draws the passes (geometric), the failed passes' stages (multinomial),
+    then walks the node table's links with one uniform per stage, picking
+    (``protocol.pick``) among each node's running sums of branch prob x
+    P(completion), which it recomputes from the links.  A trial past the
+    budget spends it through the engine's ``_spend_budget``."""
+    from wclass_sim.protocol import ChainTrialResult, _spend_budget, pick
+
+    root = sim._vacuum_root if initial_state is None else sim._node(0, initial_state)
+    p_pass, cond = root.p_complete, root.law[0]
+    n_stages = len(sim.stages)
+    budget = sim.cfg.max_attempts
+    if p_pass > 0.0:
+        fails = 0 if p_pass >= 1.0 else int(rng.geometric(p_pass)) - 1
+        counts = [0] * n_stages
+        if n_stages == 1:
+            counts = [fails]
+        elif fails > 0:
+            counts = rng.multinomial(fails, cond).tolist()
+        rounds = sum(map(operator.mul, counts, range(1, n_stages + 1))) + n_stages
+        if rounds <= budget:
+            node, log = root, []
+            for u in rng.random(n_stages).tolist():
+                cum = list(accumulate(
+                    br.prob * (1.0 if child is None else child.p_complete)
+                    for br, child in node.links
+                ))
+                br, node = pick(node.links, u * node.p_complete, cum)
+                log.extend(br.clicks)
+            return ChainTrialResult(
+                True, rounds, *tally_reference(counts, n_stages), br.state, tuple(log)
+            )
+    counts, through = _spend_budget(rng, root, budget)
+    return ChainTrialResult(False, budget, *tally_reference(counts, through), None, ())
+
+
+def aggregate_chain_reference(cfg, stages, records):
+    """The ``RunReport`` of a chain batch's ``records``, aggregated record by
+    record as the engine did before its columns (with the library's
+    ``wilson_interval`` and ``predicted_generation_time``); its ``records``
+    are the given ones."""
+    from wclass_sim.montecarlo import (
+        RunReport,
+        predicted_generation_time,
+        wilson_interval,
+    )
+
+    labels = tuple(s.label for s in stages)
+    connect_idx = [k for k, s in enumerate(stages) if s.kind == "connect"]
+    trials = len(records)
+    att_sum = [sum(col) for col in zip(*(r.stage_attempts for r in records))]
+    succ_sum = [sum(col) for col in zip(*(r.stage_successes for r in records))]
+    conn_att = sum(att_sum[k] for k in connect_idx)
+    conn_succ = sum(succ_sum[k] for k in connect_idx)
+    rounds = [r.rounds for r in records]
+    done = [r for r in records if r.succeeded]
+    successes = len(done)
+    fids = [r.fidelity for r in done]
+    classes = [r.classification for r in done]
+    w_count = classes.count("w")
+    vac_count = classes.count("vacuum")
+    p_c_hat = conn_succ / conn_att if conn_att else 0.0
+    mean_rounds = sum(rounds) / trials
+    sd_rounds = math.sqrt(
+        sum((x - mean_rounds) ** 2 for x in rounds) / max(1, trials - 1)
+    )
+    predicted = None
+    if p_c_hat > 0.0:
+        predicted = predicted_generation_time(cfg.n, cfg.eta, min(1.0, p_c_hat), cfg.t0)
+    fid_mean = sum(fids) / len(fids) if fids else None
+    fid_se = None
+    if len(fids) > 1:
+        fid_se = math.sqrt(
+            sum((x - fid_mean) ** 2 for x in fids) / (len(fids) - 1) / len(fids)
+        )
+    c_n = c_n_se = None
+    if w_count > 0:
+        c_n = vac_count / w_count
+        if vac_count > 0:
+            c_n_se = c_n * math.sqrt(1.0 / vac_count + 1.0 / w_count)
+    report = RunReport(
+        trials=trials,
+        successes=successes,
+        stage_labels=labels,
+        mean_attempts_per_stage=tuple(s / trials for s in att_sum),
+        p_c_hat=p_c_hat,
+        mean_time_s=mean_rounds * cfg.t0,
+        predicted_time_s=predicted,
+        c_n_hat=c_n,
+        fidelity_mean=fid_mean,
+        w_fraction=w_count / successes if successes else 0.0,
+        vacuum_fraction=vac_count / successes if successes else 0.0,
+        confidence={
+            "p_c_hat_wilson95": list(wilson_interval(conn_succ, conn_att)),
+            "mean_time_s_se": sd_rounds / math.sqrt(trials) * cfg.t0,
+            "fidelity_mean_se": fid_se,
+            "c_n_hat_se": c_n_se,
+        },
+        rounds_total=sum(rounds),
+    )
+    report.records = records
+    return report
+
+
+def _chain_batch_reference(cfg, trials, stages, run_trial, record=TrialRecord):
+    """A chain batch on the engine's per-trial streams and node table, each
+    trial sampled by ``run_trial(sim, rng, root) -> (ChainTrialResult,
+    extra record fields)`` and classified by the Born draw that follows it,
+    aggregated by :func:`aggregate_chain_reference`."""
     from wclass_sim import montecarlo
     from wclass_sim.protocol import chain_stages
 
     stages = chain_stages(cfg.n) if stages is None else tuple(stages)
     sim, target, _ = montecarlo._chain_engine(replace(cfg, seed=0, phases=None), stages)
-    memo = {}
-
-    def round_distribution(k, state):
-        key = (k, id(state))
-        if key not in memo:
-            memo[key] = sim.round_distribution(k, state)
-        return memo[key]
-
     root = sim.initial_state()
-    hopeless = sim.completion(0, root)[0] <= 0.0
     epr = len(stages) == 1
-    finals = {}  # id of a final state: (fidelity, P(tail empty))
+    finals = {}  # id of a final state: (fidelity, P(tail empty) or NaN)
     records = []
     for t, rng in zip(range(trials), montecarlo.trial_rngs(cfg.seed, 0, trials)):
-        if hopeless:
-            res, first = sim.run_trial(rng), None
-        else:
-            res, first = run_trial_block_reference(sim, rng, root, round_distribution)
+        res, *more = run_trial(sim, rng, root)
         fid = cls = None
         if res.succeeded:
             state = res.final_state
@@ -522,17 +653,23 @@ def run_batch_trace_reference(cfg, trials: int, stages=None):
                 )
             fid, p_empty = finals[id(state)]
             if not epr:
-                if p_empty is None:
+                if math.isnan(p_empty):
                     cls = "w"
                 else:
                     cls = "vacuum" if rng.random() < p_empty else "other"
         records.append(
-            TracedTrialRecord(
-                t, res.succeeded, res.rounds, res.stage_attempts,
-                res.stage_successes, fid, cls, first,
-            )
+            record(t, res.succeeded, res.rounds, res.stage_attempts,
+                   res.stage_successes, fid, cls, *more)
         )
-    return montecarlo._aggregate_chain(cfg, stages, records)
+    return aggregate_chain_reference(cfg, stages, records)
+
+
+def run_batch_reference(cfg, trials: int, stages=None):
+    """The report of ``run_batch(cfg, trials, stages=stages)`` with every
+    trial sampled by :func:`run_trial_reference`."""
+    return _chain_batch_reference(
+        cfg, trials, stages, lambda sim, rng, root: (run_trial_reference(sim, rng),)
+    )
 
 
 def teleport_from_states_reference(tcfg, rng, layout, joint_w_state):

@@ -38,6 +38,7 @@ from oracle_helpers import (
     chain_stage_probabilities,
     epr_reference_records,
     expected_rounds_with_restart,
+    run_batch_reference,
     run_batch_trace_reference,
     run_trial_block_reference,
     run_trial_trace_reference,
@@ -356,6 +357,46 @@ def test_attempts_total_is_the_exact_sum_of_rounds(tmp_path):
     exact = sum(r.rounds for r in report.records)
     assert report.rounds_total == exact
     assert json.loads(out.read_text())["timing"]["attempts_total"] == exact
+    # hopeless trials of 2**62 rounds each, whose total passes int64, and of
+    # 2**64, more passes than one multinomial draw takes
+    for budget, trials in ((2**62, 3), (2**64, 2)):
+        for stages in ((epr_stage(1, 2),), None):
+            cfg = ProtocolConfig(n=4, p_e=0.0, seed=1, max_attempts=budget)
+            report = run_batch(cfg, trials, stages=stages)
+            assert report.rounds_total == trials * budget
+            assert report.mean_attempts_per_stage[0] == budget
+
+
+def test_budgets_past_int64_change_no_report():
+    # a budget of 2**64 keeps per-trial counts as Python ints; trials that
+    # fit the default budget draw and report the same
+    cfg = ProtocolConfig(n=3, p_e=0.05, eta=0.1, seed=12)
+    wide = run_batch(replace(cfg, max_attempts=2**64), 300)
+    plain = run_batch(cfg, 300)
+    assert wide.to_dict() == plain.to_dict()
+    assert wide.records == plain.records
+    assert wide.columns.attempts.dtype == object
+
+
+@pytest.mark.parametrize(
+    "cfg, stages, trials",
+    [
+        (ProtocolConfig(n=3, p_e=0.05, eta=0.1, seed=21), None, montecarlo._BLOCK + 100),
+        (ProtocolConfig(n=3, p_e=0.1, eta=0.3, seed=22), (epr_stage(1, 2),), 300),
+        (ProtocolConfig(n=3, p_e=0.02, seed=4, max_attempts=200), None, 200),
+        (ProtocolConfig(n=4, p_e=0.0, seed=23, max_attempts=40), None, 20),
+        (ProtocolConfig(n=5, p_e=0.05, eta=0.3, n_a=100, finite_size=True, seed=24), None, 300),
+    ],
+    ids=["w3-past-a-block", "epr", "w3-exhausted", "hopeless", "w5-finite"],
+)
+def test_run_batch_matches_the_per_trial_reference(cfg, stages, trials):
+    # the columnar batch against per-trial walks, tallies and classifications
+    # aggregated record by record: the same records and report bytes
+    got = run_batch(cfg, trials, stages=stages)
+    want = run_batch_reference(cfg, trials, stages=stages)
+    assert got.records == want.records
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert got.rounds_total == want.rounds_total
 
 
 def test_teleport_batch_propagates_program_errors(monkeypatch):
@@ -556,6 +597,14 @@ def test_pool_size_is_clamped_to_trials_and_cpus(monkeypatch, cpus, trials, pool
     pooled = run_batch(cfg, trials, workers=100_000)
     assert sizes == ([] if pool is None else [pool])
     assert pooled.to_dict() == run_batch(cfg, trials).to_dict()
+
+
+def test_one_worker_batches_do_not_ask_for_the_cpu_count(monkeypatch):
+    def refuse():
+        raise AssertionError("os.cpu_count called by a one-worker batch")
+
+    monkeypatch.setattr(montecarlo.os, "cpu_count", refuse)
+    run_batch(ProtocolConfig(n=3, p_e=0.02, eta=0.1, seed=6), 5)
 
 
 def test_teleport_batches_build_their_own_simulator(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wclass_sim import protocol
 from wclass_sim.errors import AttemptsExhaustedError, PreconditionError
+from wclass_sim.montecarlo import trial_rngs
 from wclass_sim.fock import (
     FockState,
     ModeKind,
@@ -63,6 +64,7 @@ from oracle_helpers import (
     step2_amplitudes,
     teleport_from_states_reference,
     receiver_targets_reference,
+    run_trial_reference,
     teleport_round_reference,
     teleport_target_state_reference,
     unknown_prepared_reference,
@@ -1100,6 +1102,54 @@ def test_trace_trials_that_cannot_complete_spend_the_budget_at_once():
             build_w_chain(cfg, np.random.default_rng(n))
 
 
+def _assert_trials_match_reference(sim, seed, initial_state=None, trials=200):
+    """``sim.run_trial`` against the per-trial reference on trials 0..trials-1
+    of ``seed``: the same result field for field, and the same next draw.
+    Returns the set of outcomes seen."""
+    outcomes = set()
+    for a, b in zip(trial_rngs(seed, 0, trials), trial_rngs(seed, 0, trials)):
+        got = sim.run_trial(a, initial_state)
+        assert got == run_trial_reference(sim, b, initial_state)
+        assert a.random() == b.random()
+        outcomes.add(got.succeeded)
+    return outcomes
+
+
+CHAIN_CASES = [
+    (ProtocolConfig(n=3, p_e=0.1, eta=0.3, seed=1), (epr_stage(1, 2),), {True}),
+    *(
+        (ProtocolConfig(n=n, p_e=0.05, eta=0.1, truncation_cap=cap, seed=n + cap), None, {True})
+        for n in (3, 4, 5, 6)
+        for cap in (3, 4, 5)
+    ),
+    (ProtocolConfig(n=3, p_e=0.02, seed=4, max_attempts=200), None, {True, False}),
+    (ProtocolConfig(n=4, p_e=0.0, seed=5, max_attempts=40), None, {False}),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, stages, outcomes",
+    CHAIN_CASES,
+    ids=["epr", *(f"w{n}-cap{cap}" for n in (3, 4, 5, 6) for cap in (3, 4, 5)),
+         "w3-exhausted", "hopeless"],
+)
+def test_run_trial_matches_the_per_trial_reference(cfg, stages, outcomes):
+    # the columnar sampler, one trial at a time, against the walk and tally
+    # it replaced
+    sim = ChainSimulator(cfg, stages=stages)
+    assert _assert_trials_match_reference(sim, cfg.seed) == outcomes
+
+
+def test_run_trial_from_w456_roots_matches_the_per_trial_reference():
+    # the W456 table of a cap-5 teleport grows from every W123 outcome
+    tcfg = TeleportConfig(0.6, 0.8, ProtocolConfig(n=3, p_e=0.05, eta=0.1, truncation_cap=5))
+    sim = TeleportSimulator(tcfg)
+    roots = _terminal_states(sim.w123, [sim.w123.initial_state()])
+    assert len(roots) > 1
+    for k, root in enumerate(roots):
+        assert _assert_trials_match_reference(sim.w456, k, root, trials=50) == {True}
+
+
 # ---------------------------------------------------------------------------
 # single-step functions against rounds drawn straight from their enumerators
 # ---------------------------------------------------------------------------
@@ -1147,5 +1197,13 @@ def test_pick_matches_the_running_sum_loop(weights, u):
     cum = list(accumulate(weights))
     total = cum[-1]
     # random points, every running sum exactly, and the total and beyond
-    for x in (u, u * total, *cum, total, math.nextafter(total, 2.0), 2.0):
+    xs = (u, u * total, *cum, total, math.nextafter(total, 2.0), 2.0)
+    for x in xs:
         assert protocol.pick(branches, x, cum) == pick_reference(branches, x, weights)
+    # the vectorized choice on a table of one node (row 0), whose last slot
+    # is the sentinel that stands for the last branch again
+    keys = np.array([complex(0, c) for c in cum] + [complex(0, math.inf)])
+    slots = protocol.choose(keys, np.array([complex(0, x) for x in xs]))
+    assert [min(s, len(branches) - 1) for s in slots.tolist()] == [
+        pick_reference(branches, x, weights) for x in xs
+    ]
