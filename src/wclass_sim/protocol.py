@@ -17,14 +17,20 @@ Two code paths cover every protocol state:
   draws along those links plus geometric / multinomial fast-forwarding of
   the repeat-until-success loop; simulated attempt counts stay exact while
   wall time stays flat.
-  Rounds are enumerated on the atoms alone.  Stokes and retrieved photons
-  are only ever detected, so no registry holds a mode for them: a connect
-  round maps the pumped pairs, and a teleport round the retrieved
-  excitations, through the splitters to the photon-number sectors of the
-  ports, each sector carrying the atomic state it heralds.  Loss before an
-  absorbing detector only reweights each sector, so each round takes one
-  pass over its sectors, with one ``_PROB_FLOOR`` cut and one merge of
-  equal branches; the repump round has a closed form.
+  Rounds are enumerated on the atoms alone, one pass per round.  Stokes
+  and retrieved photons are only ever detected, so no registry holds a mode
+  for them: a connect round maps the pumped pairs, and a teleport round the
+  retrieved excitations, through the splitters to the photon-number sectors
+  of the ports, each sector carrying the atomic state it heralds; a connect
+  round sums its sectors from pump factors kept per configuration.  Loss
+  before an absorbing detector only reweights each sector, so a sector's
+  outcomes come from a leaf table kept per (port photon numbers, eta,
+  herald rule): each leaf holds its loss factors, detections, clicks, the
+  herald's verdict and its feed-forward.  One pass over the leaves makes
+  the ``_PROB_FLOOR`` cut and the merge of equal branches, and each accepted
+  sector becomes one state, normalized with its pi feed-forward applied in
+  the same pass.  A repump round takes its click probability and its
+  annihilated, normalized state in one pass over the terms.
 
 The channel phases ``phi_1i`` are a gauge: each Stokes photon is born with
 an excitation of its own ensemble, so a phase on its light is
@@ -82,14 +88,13 @@ from .fock import (
     ModeRegistry,
     Occupation,
     annihilate,
-    count_excitations,
     create,
     normalize,
     superpose,
 )
 from .optics import _splitter_expansion, apply_phase, loss_weights
 # unused here; bench/spans.py wraps these bindings
-from .fock import fidelity
+from .fock import count_excitations, fidelity
 from .optics import (
     apply_beam_splitter,
     detection_outcomes,
@@ -417,36 +422,128 @@ _PROB_FLOOR = 1e-18
 Sectors = Dict[Tuple[int, ...], Dict[Occupation, complex]]
 
 
-@functools.lru_cache(maxsize=1024)
-def _ladder(collective: CollectiveModeModel, n: int, most: int) -> Tuple[float, ...]:
-    """``f_m`` in ``(s+)^m |n> = f_m |n + m>`` on an atomic mode, for
-    ``m = 0..most``: the rungs of :func:`~wclass_sim.fock.create`, finite-size
-    factor included."""
-    out = [1.0]
-    for k in range(n, n + most):
-        out.append(out[-1] * (math.sqrt(k + 1) * collective.create_scale(k)))
-    return tuple(out)
+class _Table(dict):
+    """A dict that makes each missing entry, ``make(key)``, on first use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
-def _split(sectors: Sectors, key: tuple, na: int, nb: int, terms) -> None:
-    """Add ``terms``, (atomic occupation, amplitude) pairs whose photons
-    enter a 50/50 splitter as ``|na, nb>``, to the port sectors
-    ``key + (p, q)`` that the splitter takes them to."""
-    scale, outs = _splitter_expansion(na, nb)
-    for occ, a in terms:
-        base = a / scale
-        for p, q, c in outs:
-            sec = sectors.setdefault(key + (p, q), {})
-            sec[occ] = sec.get(occ, 0j) + base * c
+@functools.lru_cache(maxsize=None)
+def _pair_blocks(most: int) -> Tuple[Tuple[int, int], ...]:
+    """The pair blocks ``(m_i, m_j)`` of a connect round, ``m <= most``
+    pairs per ensemble, in lexicographic order."""
+    return tuple([(mi, mj) for mi in range(most + 1) for mj in range(most + 1)])
+
+
+@functools.lru_cache(maxsize=64)
+def _pump_factors(collective: CollectiveModeModel, p_e: float, most: int) -> _Table:
+    """``(n_i, n_j, pairs) -> (f_mi g_mj per pair block, the same for the
+    blocks of more than ``pairs`` pairs)``, blocks in the order of
+    :func:`_pair_blocks`: the amplitude of ``m_i`` and ``m_j`` pairs pumped
+    on two atomic modes that hold ``n_i`` and ``n_j`` excitations, of which
+    a term with room for ``pairs`` pairs keeps the first blocks and cuts the
+    second.  ``f_m = lam^m / sqrt(m!) r_m``, ``lam = sqrt(p_e)``, with
+    ``r_m`` the rungs in ``(s+)^m |n> = r_m |n + m>`` of
+    :func:`~wclass_sim.fock.create`, finite-size factor included."""
+    lam = math.sqrt(p_e)
+    amp = [lam**m / math.sqrt(math.factorial(m)) for m in range(most + 1)]
+    blocks = _pair_blocks(most)
+
+    def one_mode(n: int) -> List[float]:
+        rungs = [1.0]
+        for k in range(n, n + most):
+            rungs.append(rungs[-1] * (math.sqrt(k + 1) * collective.create_scale(k)))
+        return [x * r for x, r in zip(amp, rungs)]
+
+    def factors(key: Tuple[int, int, int]) -> Tuple[tuple, tuple]:
+        ni, nj, pairs = key
+        fi, fj = one_mode(ni), one_mode(nj)
+        fg = tuple([fi[mi] * fj[mj] for mi, mj in blocks])
+        return fg, tuple([x for x, (mi, mj) in zip(fg, blocks) if mi + mj > pairs])
+
+    return _Table(factors)
+
+
+@dataclass(frozen=True)
+class _Herald:
+    """The herald rule of a round: each accepted click pattern (one flag per
+    detector of ``detectors``) with the registry indices of the modes its
+    pi feed-forward flips, in the order they are flipped; every other
+    pattern is rejected.  ``order`` says where each outcome step's count
+    sits in ``lost + detected``: branches come in the lexicographic order of
+    their outcomes along the steps."""
+
+    detectors: Tuple[str, ...]
+    accept: Tuple[Tuple[Tuple[bool, ...], Tuple[int, ...]], ...]
+    order: Tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=256)
+def _leaf_table(herald: _Herald, eta: float) -> _Table:
+    """``ports -> leaves`` of ``herald`` behind transmission-``1 - eta``
+    channels: the outcomes of a sector that holds ``ports`` photons on the
+    detected ports, one leaf per split of each port's photons into lost and
+    detected, in the lexicographic order of the photons lost.  A leaf is
+    ``(loss factor per port, flips or None when rejected, position along
+    the steps, photons detected per port, named clicks, photons lost)``."""
+    accept = dict(herald.accept)
+
+    def leaves(ports: Tuple[int, ...]) -> tuple:
+        weights = [loss_weights(k, eta) for k in ports]
+        out = []
+        # photons lost per port; with no loss, only none has any weight
+        for lost in product(*[range(k + 1 if eta else 1) for k in ports]):
+            det = tuple(map(operator.sub, ports, lost))
+            clicks = tuple([d > 0 for d in det])  # one photon or more clicks
+            outcome = lost + det
+            out.append((
+                tuple(map(operator.getitem, weights, lost)),
+                accept.get(clicks),
+                tuple([outcome[k] for k in herald.order]),
+                det,
+                tuple(zip(herald.detectors, clicks)),
+                sum(lost),
+            ))
+        return tuple(out)
+
+    return _Table(leaves)
+
+
+def _conditioned(
+    state: FockState, terms: Dict[Occupation, complex], n2: float, flips: Tuple[int, ...]
+) -> FockState:
+    """The sector ``terms`` of squared norm ``n2``, normalized, with a pi
+    feed-forward on each mode of ``flips``: :func:`~wclass_sim.fock.normalize`
+    and then :func:`~wclass_sim.optics.apply_phase` per flipped mode, with
+    their factors and prunes, in one pass."""
+    nrm = math.sqrt(n2)
+    out = {}
+    for occ, a in terms.items():
+        a = 0j + a / nrm
+        if abs(a) < PRUNE_THRESHOLD:
+            continue
+        for k in flips:
+            a = 0j + a * cmath.rect(1.0, math.pi * occ[k])
+            if abs(a) < PRUNE_THRESHOLD:
+                break
+        else:
+            out[occ] = a
+    return state.replace_terms(out)
 
 
 def _heralded(
     state: FockState,
     sectors: Sectors,
-    order: Sequence[int],
-    detector_ids: Sequence[str],
+    herald: _Herald,
     eta: float,
-    herald: Callable[[Tuple[bool, ...]], Tuple[Mode, ...] | None],
     cut: float = 0.0,
 ) -> RoundDistribution:
     """Enumerate one heralded round from its port sectors.
@@ -454,76 +551,70 @@ def _heralded(
     ``sectors`` maps the photon numbers on the detected ports to the atomic
     terms left with them, unnormalized; each port passes a
     transmission-``1 - eta`` loss channel and then an absorbing detector,
-    named by ``detector_ids`` in order.  Loss before an absorbing detector
-    only reweights each sector, so losing ``l`` and detecting ``d`` photons
-    per port happens in the sector ``l + d`` alone, with probability
-    ``prod C(l + d, l) eta^l (1 - eta)^d`` times the sector's share of the
-    total norm (:func:`~wclass_sim.optics.loss_weights`), and leaves that
-    sector, normalized, as a state of ``state``'s registry and cap.  ``cut``
-    is the norm the truncation cap dropped before the sectors were formed;
-    the round reports ``cut / (cut + total)`` as ``truncated``, the cap's
-    only record.
+    named by ``herald.detectors`` in order.  Loss before an absorbing
+    detector only reweights each sector, so losing ``l`` and detecting ``d``
+    photons per port happens in the sector ``l + d`` alone, with probability
+    the sector's share of the total norm times ``C(l + d, l) eta^l
+    (1 - eta)^d`` per port (:func:`~wclass_sim.optics.loss_weights`); these
+    outcomes, with their clicks and the herald's verdict, are the sector's
+    leaves (:func:`_leaf_table`), made once per (ports, eta, herald).  An
+    accepted outcome leaves its sector, normalized and with the herald's
+    feed-forward, as a state of ``state``'s registry and cap; each sector is
+    built once per feed-forward.  ``cut`` is the norm the truncation cap
+    dropped before the sectors were formed; the round reports
+    ``cut / (cut + total)`` as ``truncated``, the cap's only record.
 
     An outcome below ``_PROB_FLOOR`` is dropped; since no outcome is more
     likely than any prefix of it along the ports' loss and detection steps,
-    this is the cut a walk one step at a time would make.
-    ``herald(clicks)`` returns the modes that get a pi feed-forward, or None
-    to reject, and only accepted sectors are built.  Branches come in the
-    lexicographic order of the outcomes along the steps (``order`` says
-    where each step's count sits in ``lost + detected``), and those equal in
-    state key, clicks, detected and lost photons are merged onto the first.
+    this is the cut a walk one step at a time would make.  Branches come in
+    the order along the steps (``herald.order``), and those equal in state
+    key, clicks, detected and lost photons are merged onto the first.
     """
-    norm2 = {}
+    parts = {}  # ports -> (squared norm, terms), of the sectors left nonzero
     for n, terms in sectors.items():
-        # what a state of the split light would prune
-        terms = {occ: a for occ, a in terms.items() if abs(a) >= PRUNE_THRESHOLD}
-        sectors[n] = terms
-        if terms:
-            norm2[n] = sum(abs(a) ** 2 for a in terms.values())
-    total = sum(norm2.values())
+        kept = {}
+        n2 = 0
+        for occ, a in terms.items():
+            w = abs(a)
+            if w >= PRUNE_THRESHOLD:  # what a state of the split light would prune
+                kept[occ] = a
+                n2 += w**2
+        if kept:
+            parts[n] = (n2, kept)
+    total = sum(n2 for n2, _ in parts.values())
     if total <= 0.0:
         raise NormalizationError("a heralded round of the zero state")
+    table = _leaf_table(herald, eta)
     leaves = []
     rejected = dropped = 0.0
-    for n, n2 in norm2.items():
+    for n, (n2, _) in parts.items():
         share = n2 / total
-        weights = [loss_weights(k, eta) for k in n]
-        # photons lost per port; with no loss, only none has any weight
-        for lost in product(*[range(k + 1 if eta else 1) for k in n]):
+        for factors, flips, along, det, named, lost in table[n]:
             p = share
-            for w, l in zip(weights, lost):
-                p *= w[l]
+            for w in factors:
+                p *= w
             if p < _PROB_FLOOR:
                 dropped += p
-                continue
-            det = tuple(map(operator.sub, n, lost))
-            clicks = tuple([d > 0 for d in det])  # one photon or more clicks
-            flips = herald(clicks)
-            if flips is None:
+            elif flips is None:
                 rejected += p
-                continue
-            outcome = lost + det
-            along = tuple([outcome[k] for k in order])
-            leaves.append((along, n, sum(lost), det, clicks, flips, p))
+            else:
+                leaves.append((along, n, flips, det, named, lost, p))
     leaves.sort(key=operator.itemgetter(0))
 
     built: Dict[tuple, FockState] = {}
-    merged: Dict[tuple, RoundBranch] = {}
-    for _, n, n_lost, det, clicks, flips, p in leaves:
+    merged: Dict[tuple, list] = {}
+    for _, n, flips, det, named, lost, p in leaves:
         post = built.get((n, flips))
         if post is None:
-            nrm = math.sqrt(norm2[n])
-            post = state.replace_terms({occ: a / nrm for occ, a in sectors[n].items()})
-            for mode in flips:
-                post = apply_phase(post, mode, math.pi)
-            built[n, flips] = post
-        named = tuple(zip(detector_ids, clicks))
-        key = (post.key(), named, det, n_lost)
+            n2, terms = parts[n]
+            post = built[n, flips] = _conditioned(state, terms, n2, flips)
+        key = (post.key(), named, det, lost)
         old = merged.get(key)
-        if old is not None:
-            p, post = old.prob + p, old.state
-        merged[key] = RoundBranch(p, post, named, det, n_lost)
-    branches = tuple(merged.values())
+        if old is None:
+            merged[key] = [p, post, named, det, lost]
+        else:
+            old[0] += p
+    branches = tuple([RoundBranch(*b) for b in merged.values()])
     p_accept = sum(b.prob for b in branches)
     return RoundDistribution(p_accept, branches, rejected, dropped, cut / (cut + total))
 
@@ -546,10 +637,12 @@ def connect_round(
     splitter takes the ``(m_i, m_j)`` photons to port sectors ``(n_1, n_2)``
     (:func:`~wclass_sim.optics._splitter_expansion`), and each sector
     heralds ``sum c (s_i+)^m_i (s_j+)^m_j |state>`` on the atoms, term by
-    term (:func:`_ladder`).  Until they are detected the photons count
-    against the cap: a term is kept while its atoms plus twice its pairs
-    fit, and ``truncated``, the pumped norm dropped over the pumped norm
-    before the cap, is the only record of the dropped ones.
+    term, from the pump factors of the configuration (:func:`_pump_factors`).
+    Until they are detected the photons count against the cap: a term is
+    kept while its atoms plus twice its pairs fit, and ``truncated``, the
+    pumped norm dropped over the pumped norm before the cap, is the only
+    record of the dropped ones.  The sectors are summed pair block by pair
+    block, in lexicographic order, and term by term within a block.
 
     Accepts exactly one click.  A click on the antisymmetric port is folded
     back onto the symmetric outcome by a pi feed-forward on ensemble ``j``
@@ -563,41 +656,43 @@ def connect_round(
             "the truncated expansion loses accuracy",
             stacklevel=2,
         )
-    lam = math.sqrt(cfg.p_e)
     most = 2 if cfg.second_order_pump else 1  # pairs per ensemble
-    amp = [lam**m / math.sqrt(math.factorial(m)) for m in range(most + 1)]
-    ens_i, ens_j = layout.ensemble(i), layout.ensemble(j)
-    ii, ij = ens_i.index, ens_j.index
-    collective = state.registry.collective
-    blocks: Dict[Tuple[int, int], list] = {}  # (m_i, m_j) -> kept terms
+    pump = _pump_factors(state.registry.collective, cfg.p_e, most)
+    blocks = _pair_blocks(most)
+    ii, ij = layout.ensemble(i).index, layout.ensemble(j).index
+    cap = state.truncation_cap
+    rows = []  # (occupation, amplitude, pump factor per block, pairs it has room for)
     cut = 0.0
+    room = -1  # the most pairs any term has room for
     for occ, a in state.items():
-        room = state.truncation_cap - sum(occ)  # each pair takes two quanta
-        fi = [x * f for x, f in zip(amp, _ladder(collective, occ[ii], most))]
-        fj = [x * f for x, f in zip(amp, _ladder(collective, occ[ij], most))]
-        new = list(occ)
-        for mi, f in enumerate(fi):
-            new[ii], new[ij] = occ[ii] + mi, occ[ij]
-            for mj, g in enumerate(fj):
-                x = a * (f * g)
-                if 2 * (mi + mj) > room:
-                    cut += abs(x) ** 2
-                else:
-                    blocks.setdefault((mi, mj), []).append((tuple(new), x))
-                new[ij] += 1
+        pairs = (cap - sum(occ)) // 2  # each pair takes two quanta
+        fg, over = pump[occ[ii], occ[ij], pairs]
+        for x in over:
+            cut += abs(a * x) ** 2
+        rows.append((occ, a, fg, pairs))
+        room = max(room, pairs)
     sectors: Sectors = {}
-    for (mi, mj), terms in blocks.items():
-        _split(sectors, (), mi, mj, terms)
-    fix_j = (ens_j,)
-
-    def herald(clicks: Tuple[bool, ...]) -> Tuple[Mode, ...] | None:
-        c1, c2 = clicks
-        if c1 == c2 or (c2 and symmetric_port_only):
-            return None  # zero or two clicks, or the rejected port
-        return fix_j if c2 else ()
-
-    order = (0, 1, 2, 3)  # loss on both ports, then detection on both
-    return _heralded(state, sectors, order, detector_ids, cfg.eta, herald, cut)
+    for b, (mi, mj) in enumerate(blocks):
+        if mi + mj > room:
+            continue
+        scale, outs = _splitter_expansion(mi, mj)
+        ports = [(sectors.setdefault((p, q), {}), c) for p, q, c in outs]
+        for occ, a, fg, pairs in rows:
+            if pairs < mi + mj:
+                continue
+            new = list(occ)
+            new[ii] += mi
+            new[ij] += mj
+            new = tuple(new)
+            base = a * fg[b] / scale
+            for sec, c in ports:
+                sec[new] = sec.get(new, 0j) + base * c
+    accept = [((True, False), ())]
+    if not symmetric_port_only:  # the antisymmetric port, fixed on j
+        accept.append(((False, True), (ij,)))
+    # loss on both ports, then detection on both
+    herald = _Herald(tuple(detector_ids), tuple(accept), (0, 1, 2, 3))
+    return _heralded(state, sectors, herald, cfg.eta, cut)
 
 
 def merge_round(
@@ -611,14 +706,40 @@ def merge_round(
 
     Registering one excitation applies ``s_i`` once; the click probability is
     the Born weight of at least one retrieved photon reaching the detector,
-    ``sum_k P(n_i = k) (1 - eta^k)``.
+    ``sum_k P(n_i = k) (1 - eta^k)``.  One pass over the terms takes their
+    Born weights and the annihilated terms; the arithmetic is that of
+    :func:`~wclass_sim.fock.count_excitations`,
+    :func:`~wclass_sim.fock.annihilate` and
+    :func:`~wclass_sim.fock.normalize`, in their order.
     """
-    mode = layout.ensemble(i)
-    dist = count_excitations(state, [mode])
+    idx = state.registry.check_mode(layout.ensemble(i)).index
+    down = state.registry.collective.annihilate_scale
+    total = 0
+    weights = []  # (n_i, Born weight) per term
+    kept = {}  # the annihilated terms past the prune
+    n2 = 0
+    for occ, a in state.items():
+        w = abs(a) ** 2
+        total += w
+        k = occ[idx]
+        weights.append((k, w))
+        if k:
+            a = 0j + a * (math.sqrt(k) * down(k))
+            if abs(a) >= PRUNE_THRESHOLD:
+                kept[occ[:idx] + (k - 1,) + occ[idx + 1 :]] = a
+                n2 += abs(a) ** 2
+    if total <= 0.0:
+        raise NormalizationError("cannot measure an empty state")
+    dist: Dict[int, float] = {}
+    for k, w in weights:
+        dist[k] = dist.get(k, 0.0) + w / total
     p_click = sum(p * (1.0 - cfg.eta**k) for k, p in dist.items() if k >= 1)
     if p_click <= 0.0:
         return RoundDistribution(0.0, (), rejected=1.0)
-    post = normalize(annihilate(state, mode))
+    nrm = math.sqrt(n2)
+    if nrm <= 0.0:
+        raise NormalizationError("cannot normalize the zero state")
+    post = state.replace_terms({occ: a / nrm for occ, a in kept.items()})
     branch = RoundBranch(p_click, post, ((detector_id, True),), (1,), 0)
     return RoundDistribution(p_click, (branch,), rejected=1.0 - p_click)
 
@@ -638,8 +759,8 @@ def teleport_round(
     photon numbers so callers can tell bunched two-photon accepts from
     correct single-photon ones.
     """
-    ens = layout.ensembles
-    retrieved = [m.index for m in (layout.mode_l, ens[0], layout.mode_r, ens[3])]
+    ens = [m.index for m in layout.ensembles]
+    retrieved = [layout.mode_l.index, ens[0], layout.mode_r.index, ens[3]]
     sectors: Sectors = {}
     for occ, a in state.items():
         n_l, n_1, n_r, n_4 = map(occ.__getitem__, retrieved)
@@ -648,22 +769,23 @@ def teleport_round(
             rest[k] = 0
         rest = tuple(rest)
         scale, left = _splitter_expansion(n_l, n_1)
+        scale_right, right = _splitter_expansion(n_r, n_4)
         for p, q, c in left:
-            _split(sectors, (p, q), n_r, n_4, [(rest, a / scale * c)])
-
-    def herald(clicks: Tuple[bool, ...]) -> Tuple[Mode, ...] | None:
-        if sum(clicks[:2]) != 1 or sum(clicks[2:]) != 1:
-            return None
-        flips = ()
-        if clicks[1]:  # D2: photon came through the ensemble-1 port
-            flips += (ens[4], ens[5])
-        if clicks[3]:  # D4: photon came through the ensemble-4 port
-            flips += (ens[1], ens[2])
-        return flips
-
+            base = a / scale * c / scale_right
+            for r, s, d in right:
+                sec = sectors.setdefault((p, q, r, s), {})
+                sec[rest] = sec.get(rest, 0j) + base * d
+    d2 = (ens[4], ens[5])  # D2: the photon came through the ensemble-1 port
+    d4 = (ens[1], ens[2])  # D4: the photon came through the ensemble-4 port
+    accept = (
+        ((True, False, True, False), ()),
+        ((True, False, False, True), d4),
+        ((False, True, True, False), d2),
+        ((False, True, False, True), d2 + d4),
+    )
     # loss then detection on each port in turn
-    order = (0, 4, 1, 5, 2, 6, 3, 7)
-    return _heralded(state, sectors, order, ("D1", "D2", "D3", "D4"), cfg.eta, herald)
+    herald = _Herald(("D1", "D2", "D3", "D4"), accept, (0, 4, 1, 5, 2, 6, 3, 7))
+    return _heralded(state, sectors, herald, cfg.eta)
 
 
 def correct_teleport_clicks(branch: RoundBranch) -> bool:
@@ -875,8 +997,9 @@ class ChainSimulator:
         """The node of ``(idx, state)``, built on first reach together with
         every node it links to."""
         key = (idx, state.key())
-        if key in self._nodes:
-            return self._nodes[key]
+        node = self._nodes.get(key)
+        if node is not None:
+            return node
         spec = self.stages[idx]
         if spec.kind == "connect":
             dist = connect_round(
@@ -903,8 +1026,8 @@ class ChainSimulator:
             p_complete += br.prob * pc
             cum.append(p_complete)
             ahead.append(0j if child is None else complex(child.row, pc))
-            for k, x in enumerate(fv):
-                fail[k] += br.prob * x
+            for k in range(idx + 1, len(fv)):  # a child fails at no stage before its own
+                fail[k] += br.prob * fv[k]
         row = len(self._nodes)
         node = self._nodes[key] = _Node(dist, links, p_complete, tuple(fail), row)
         # the branches' slots, then the sentinel's, which repeats the last branch

@@ -298,8 +298,9 @@ def epr_reference_records(cfg, lo: int, hi: int) -> list:
 def completion_reference(stages, layout, cfg, state, idx: int = 0, seen=None):
     """``(P(pass completes), P(pass fails at stage k))`` from stage ``idx``
     on ``state``, by recursing into every branch of every round with no memo
-    of results: each path of the pass is enumerated anew with
-    ``connect_round`` or ``merge_round`` and summed in branch order.
+    of results: each path of the pass is enumerated anew with the library's
+    ``connect_round`` or with :func:`merge_round_reference` and summed in
+    branch order.
 
     States reached by different paths can share a ``key()`` (amplitudes
     rounded to 12 digits) while differing in the last bits.  With ``seen``
@@ -307,7 +308,7 @@ def completion_reference(stages, layout, cfg, state, idx: int = 0, seen=None):
     the later ones, as it does in the simulator's node table; without it
     every path keeps its own state.
     """
-    from wclass_sim.protocol import connect_round, merge_round
+    from wclass_sim.protocol import connect_round
 
     if idx == len(stages):
         return 1.0, (0.0,) * len(stages)
@@ -319,7 +320,7 @@ def completion_reference(stages, layout, cfg, state, idx: int = 0, seen=None):
             state, layout, spec.i, spec.j, cfg, spec.detectors, spec.symmetric_port_only
         )
     else:
-        dist = merge_round(state, layout, spec.i, cfg, spec.detectors[0])
+        dist = merge_round_reference(state, layout, spec.i, cfg, spec.detectors[0])
     fail = [0.0] * len(stages)
     fail[idx] = 1.0 - dist.p_accept
     p_complete = 0.0
@@ -818,6 +819,24 @@ def connect_round_reference(
                     )
     branches = _dedup(accepted)
     return RoundDistribution(sum(b.prob for b in branches), branches, truncated=truncated)
+
+
+def merge_round_reference(state, layout, i, cfg, detector_id="D3"):
+    """``merge_round`` in three passes over the state: the Born law of the
+    excitations on ensemble ``i`` (``count_excitations``), then the
+    annihilation ``s_i`` (``annihilate``), then ``normalize``.  The click
+    probability is ``sum_k P(n_i = k) (1 - eta^k)``."""
+    from wclass_sim.fock import annihilate, count_excitations, normalize
+    from wclass_sim.protocol import RoundBranch, RoundDistribution
+
+    mode = layout.ensemble(i)
+    dist = count_excitations(state, [mode])
+    p_click = sum(p * (1.0 - cfg.eta**k) for k, p in dist.items() if k >= 1)
+    if p_click <= 0.0:
+        return RoundDistribution(0.0, (), rejected=1.0)
+    post = normalize(annihilate(state, mode))
+    branch = RoundBranch(p_click, post, ((detector_id, True),), (1,), 0)
+    return RoundDistribution(p_click, (branch,), rejected=1.0 - p_click)
 
 
 def teleport_round_reference(state, layout, cfg):

@@ -15,7 +15,9 @@ CHANGES.md), run
     PYTHONPATH=src python tests/test_golden.py
 
 which prints every value that changed in a rewritten file, old and new,
-with the distance between them in ulps (floats) or units (integers).
+with the distance between them in ulps (floats) or units (integers).  With
+``--check`` it writes no file: it prints every value that a rewrite would
+change, the same way, and exits with status 1 if there is one.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import io
 import json
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -176,20 +179,40 @@ def _distance(a, b) -> str:
     return ""
 
 
+def _rewrite(check: bool) -> int:
+    """Run every case into its golden file (into a scratch file with
+    ``check``) and print each changed field of the files that change: old
+    value, new value and their distance.  Returns how many files change."""
+    changed = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for case in sorted(CASES):
+            path = golden_path(case)
+            old = path.read_bytes() if path.exists() else None
+            out = Path(scratch) / path.name if check else path
+            code = _run(case, out)
+            print(f"{case}: exit {code}", file=sys.stderr)
+            new = out.read_bytes()
+            if old == new:
+                continue
+            changed += 1
+            if old is None:
+                print("  new file", file=sys.stderr)
+                continue
+            changes = list(_changes(_fields(case, old), _fields(case, new)))
+            for field, a, b in changes:
+                print(f"  {field}: {a!r} -> {b!r}{_distance(a, b)}", file=sys.stderr)
+            if not changes:
+                print("  bytes changed, no value did", file=sys.stderr)
+    return changed
+
+
 if __name__ == "__main__":
-    # rewrite every golden file, and print each changed field of those that
-    # change: old value, new value and their distance
-    GOLDEN.mkdir(exist_ok=True)
-    for case in sorted(CASES):
-        path = golden_path(case)
-        old = path.read_bytes() if path.exists() else None
-        code = _run(case, path)
-        print(f"{case}: exit {code}", file=sys.stderr)
-        new = path.read_bytes()
-        if old is None or old == new:
-            continue
-        changes = list(_changes(_fields(case, old), _fields(case, new)))
-        for field, a, b in changes:
-            print(f"  {field}: {a!r} -> {b!r}{_distance(a, b)}", file=sys.stderr)
-        if not changes:
-            print("  bytes changed, no value did", file=sys.stderr)
+    check = sys.argv[1:] == ["--check"]
+    if sys.argv[1:] and not check:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
+    if not check:
+        GOLDEN.mkdir(exist_ok=True)
+    changed = _rewrite(check)
+    print(f"{changed} of {len(CASES)} golden files {'would change' if check else 'changed'}",
+          file=sys.stderr)
+    sys.exit(1 if check and changed else 0)

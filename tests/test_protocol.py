@@ -58,6 +58,7 @@ from oracle_helpers import (
     epr_state_reference,
     exact_double_w_state_reference,
     ideal_w_state_reference,
+    merge_round_reference,
     merged_amplitudes,
     pick_reference,
     receiver_amplitudes,
@@ -865,6 +866,112 @@ def test_atoms_only_rounds_match_the_photonic_reference(n, cap, monkeypatch):
         assert nodes == ref_nodes
         assert odds == pytest.approx(ref_odds, rel=1e-14, abs=0)
     assert rounds > len(ROUND_GRID)
+
+
+def _round_bits(dist):
+    """Every float of a round as its bits, with each branch state's terms in
+    their order."""
+    return (
+        [x.hex() for x in (dist.p_accept, dist.rejected, dist.dropped, dist.truncated)],
+        [
+            (b.prob.hex(), b.clicks, b.detected, b.lost, b.state.truncation_cap,
+             [(occ, a.real.hex(), a.imag.hex()) for occ, a in b.state.items()])
+            for b in dist.branches
+        ],
+    )
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_merge_rounds_match_the_three_pass_reference(n, cap, monkeypatch):
+    # the one-pass merge keeps the float operations of count_excitations,
+    # annihilate and normalize, in their order: every merge node of the
+    # grid's tables agrees with them bit for bit, term order included
+    real = protocol.merge_round
+    rounds = 0
+
+    def checked(state, layout, i, cfg, *args):
+        nonlocal rounds
+        dist = real(state, layout, i, cfg, *args)
+        ref = merge_round_reference(state, layout, i, cfg, *args)
+        assert _round_bits(dist) == _round_bits(ref)
+        rounds += 1
+        return dist
+
+    monkeypatch.setattr(protocol, "merge_round", checked)
+    for eta, p_e, double_pair, finite in ROUND_GRID:
+        cfg = ProtocolConfig(
+            n=n, p_e=p_e, eta=eta, truncation_cap=cap,
+            second_order_pump=double_pair, **finite,
+        )
+        sim = ChainSimulator(cfg)
+        sim.completion(0, sim.initial_state())
+    assert rounds > len(ROUND_GRID)
+
+
+def _stage_acceptances(sim):
+    """``{stage label: acceptance}`` read from ``sim``'s table: the mass of
+    the passes that get through a stage over the mass of those that reach
+    it."""
+    root = sim._vacuum_root
+    reach = {id(root): [root, 1.0]}
+    out = {}
+    for spec in sim.stages:
+        into = passed = 0.0
+        ahead = {}
+        for node, mass in reach.values():
+            into += mass
+            passed += mass * node.dist.p_accept
+            for br, child in node.links:
+                if child is not None:
+                    ahead.setdefault(id(child), [child, 0.0])[1] += mass * br.prob
+        out[spec.label] = passed / into
+        reach = ahead
+    return out
+
+
+def _leading_order_laws(n, eta, p_e):
+    """Each stage's acceptance to leading order in ``p_e`` (ROADMAP item
+    11). A connect clicks on one pumped pair, with ``p_e (1 - eta)`` times
+    ``2 + <n_i>`` on the normalized chain intermediate (``(2n - 2)/(2n - 3)``
+    for the maximizing round, symmetric port only); a merge clicks with the
+    Born weight of one or more excitations on its ensemble."""
+    c = p_e * (1 - eta)
+    laws = {
+        "epr(1,2)": 2 * c,
+        "connect(2,3)": 5 / 2 * c,
+        "connect(3,4)": 13 / 6 * c,
+        "connect(4,5)": 21 / 10 * c,
+        "merge(2)": 2 / 5 * (1 - eta) + 2 / 5 * (1 - eta**2),
+    }
+    if n in (4, 5):
+        laws[f"connect(1,{n})"] = {4: 6 / 5, 5: 8 / 7}[n] * c
+    if eta == 0.0:
+        laws.update({"merge(3)": 8 / 13, "merge(4)": 4 / 7})
+        if n in (4, 5):
+            laws["merge(1)"] = {4: 7 / 12, 5: 9 / 16}[n]
+    return laws
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_stage_acceptances_follow_their_leading_order_laws(n, eta):
+    # zero variance: the exact acceptances of the table against closed
+    # forms, table / law - 1 = O(p_e) at three decades of p_e and any cap
+    # that holds the one-pair outcomes
+    checked = set()
+    for cap in (4, 5, 6):
+        for p_e in (1e-4, 1e-5, 1e-6):
+            sim = ChainSimulator(ProtocolConfig(n=n, p_e=p_e, eta=eta, truncation_cap=cap))
+            table = _stage_acceptances(sim)
+            for label, law in _leading_order_laws(n, eta, p_e).items():
+                if label in table:
+                    assert abs(table[label] / law - 1) <= 5 * p_e, (label, cap, p_e)
+                    checked.add(label)
+    connects = {"epr(1,2)", *(f"connect({i},{i + 1})" for i in range(2, min(n, 5)))}
+    merges = {"merge(2)"} | ({f"merge({i})" for i in range(3, min(n, 5))} if eta == 0 else set())
+    maximizing = {f"connect(1,{n})"} | ({"merge(1)"} if eta == 0 else set())
+    assert checked == connects | merges | (maximizing if n in (4, 5) else set())
 
 
 def test_registries_hold_atomic_modes_only():
