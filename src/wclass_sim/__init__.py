@@ -32,7 +32,6 @@ from .fock import (
     count_excitations,
     create,
     debug_serialize,
-    equal_up_to_global_phase,
     fidelity,
     inner_product,
     normalize,
@@ -72,7 +71,6 @@ from .protocol import (
 from .montecarlo import (
     NoisyStateMixture,
     RunReport,
-    TrialRecord,
     estimate_vacuum_coefficient,
     fidelity_mixture,
     predicted_generation_time,

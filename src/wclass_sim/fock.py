@@ -378,19 +378,6 @@ def fidelity(a: FockState, b: FockState) -> float:
     return min(1.0, abs(inner_product(a, b)) ** 2 / (na**2 * nb**2))
 
 
-def equal_up_to_global_phase(a: FockState, b: FockState, tol: float = 1e-10) -> bool:
-    """Whether ``a`` and ``b`` are the same ray (same state up to e^{i phi})."""
-    na, nb = a.norm(), b.norm()
-    if na <= 0.0 or nb <= 0.0:
-        return na == nb
-    ip = inner_product(a, b)
-    if abs(ip) < tol * na * nb:
-        return False
-    phase = ip / abs(ip)
-    diff = superpose([1.0 / na, -phase.conjugate() / nb], [a, b])
-    return diff.norm() < tol
-
-
 def debug_serialize(state: FockState) -> str:
     """One term per line: ``amp_re amp_im : n1 n2 ... nk`` in registry order.
 

@@ -11,8 +11,8 @@ A chain batch samples ``_BLOCK`` trials at a time
 (:meth:`ChainSimulator.sample`) and keeps them as columns
 (:class:`ChainColumns`), from which it scores, classifies and aggregates
 the whole block at once.  Integer sums are exact Python ints for any
-budget, float sums run over the trials in order, and per-trial records are
-built only when read.
+budget, float sums run over the trials in order, and a report keeps the
+aggregates only: the columns are dropped once they are reduced.
 
 A process keeps the node tables of its last 8 chain configurations
 (:func:`_chain_engine`), so batches of one configuration at different seeds
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import islice
 from typing import Dict, Iterator, List, Tuple
 
@@ -215,32 +215,16 @@ def predicted_generation_time(n: int, eta: float, p_c: float, t0: float) -> floa
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrialRecord:
-    """Per-trial summary of one chain build."""
-
-    index: int
-    succeeded: bool
-    rounds: int
-    stage_attempts: Tuple[int, ...]
-    stage_successes: Tuple[int, ...]
-    fidelity: float | None
-    classification: str | None  # "w" | "vacuum" | "other"
-
-
-_CLASSES = (None, "w", "vacuum", "other")  # the classification column's codes
-_W, _VACUUM, _OTHER = 1, 2, 3
+_W, _VACUUM, _OTHER = 1, 2, 3  # classification codes; 0 for an EPR pair
 
 
 @dataclass
 class ChainColumns:
-    """The trials of a chain batch as columns, in trial order from trial
-    ``start``: per trial, whether it succeeded and its per-stage counts as
-    rows of ``attempts`` and ``successes`` (int64, or Python ints when the
-    budget passes int64); per successful trial, its fidelity and its
-    classification as a ``_CLASSES`` code."""
+    """The trials of a chain batch as columns, in trial order: per trial,
+    whether it succeeded and its per-stage counts as rows of ``attempts``
+    and ``successes`` (int64, or Python ints when the budget passes int64);
+    per successful trial, its fidelity and its classification code."""
 
-    start: int
     succeeded: np.ndarray
     attempts: np.ndarray
     successes: np.ndarray
@@ -251,37 +235,19 @@ class ChainColumns:
     def concat(cls, parts: List[ChainColumns]) -> ChainColumns:
         if len(parts) == 1:
             return parts[0]
-        return cls(
-            parts[0].start,
-            *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)[1:]),
-        )
-
-    def records(self) -> List[TrialRecord]:
-        done = iter(zip(self.fidelity.tolist(), self.classification.tolist()))
-        out = []
-        for t, (ok, att, succ) in enumerate(
-            zip(self.succeeded.tolist(), self.attempts.tolist(), self.successes.tolist())
-        ):
-            fid, code = next(done) if ok else (None, 0)
-            out.append(TrialRecord(
-                self.start + t, ok, sum(att), tuple(att), tuple(succ), fid, _CLASSES[code]
-            ))
-        return out
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
 
 class _Report:
     def to_dict(self) -> dict:
-        """Every field but ``rounds_total`` and ``columns``, in field order."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("rounds_total", "columns")
-        }
+        """Every field but ``rounds_total``, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rounds_total"}
 
 
 @dataclass
 class RunReport(_Report):
-    """Aggregates of one batch; every estimate carries a standard error."""
+    """Aggregates of one batch, without its per-trial columns; every
+    estimate carries a standard error."""
 
     trials: int
     successes: int
@@ -296,12 +262,6 @@ class RunReport(_Report):
     vacuum_fraction: float
     confidence: Dict[str, object]
     rounds_total: int  # exact sum of the trials' rounds; not in to_dict
-    columns: ChainColumns | None = field(default=None, repr=False, compare=False)
-
-    @functools.cached_property
-    def records(self) -> List[TrialRecord]:
-        """The trials as records, built on first read."""
-        return self.columns.records()
 
 
 def _final_outcome(
@@ -372,7 +332,7 @@ def _run_chain_trials(
         if classify:
             drawn = np.where(s.extra[s.succeeded, 0] < p_empty, _VACUUM, _OTHER)
             classes = np.where(np.isnan(p_empty), _W, drawn)
-        out.append(ChainColumns(start, s.succeeded, s.attempts, s.successes, fid, classes))
+        out.append(ChainColumns(s.succeeded, s.attempts, s.successes, fid, classes))
     return out
 
 
@@ -489,7 +449,6 @@ def _aggregate_chain(
         vacuum_fraction=vac_count / successes if successes else 0.0,
         confidence=confidence,
         rounds_total=rounds_total,
-        columns=cols,
     )
 
 

@@ -410,11 +410,6 @@ class RoundDistribution:
     # the pumped norm the truncation cap dropped over the pumped norm
     # before the cap (connect rounds; zero for the others)
     truncated: float = field(default=0.0, compare=False)
-    # running sums of the branch probabilities, for :func:`pick`
-    cum: List[float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cum", list(accumulate(b.prob for b in self.branches)))
 
 
 _PROB_FLOOR = 1e-18
@@ -916,12 +911,12 @@ def _spend_budget(
 
 @dataclass(eq=False, slots=True)
 class _Node:
-    """One reached ``(stage, state)`` of a pass: its round, the node each
-    branch leads to (``None`` past the last stage), the exact odds of the
-    rest of the pass from here, and its row in the table's walk columns."""
+    """One reached ``(stage, state)`` of a pass: its round, the exact odds
+    of the rest of the pass from here, and its row in the table's walk
+    columns.  The node a branch leads to is the table's ``(stage + 1,
+    branch state)``; the walk columns hold its row."""
 
     dist: RoundDistribution
-    links: Tuple[Tuple[RoundBranch, _Node | None], ...]
     p_complete: float  # sum of branch prob x P(pass then completes)
     fail: Tuple[float, ...]  # P(pass fails at stage k)
     row: int  # its row in the walk columns
@@ -1014,14 +1009,12 @@ class ChainSimulator:
         else:
             dist = merge_round(state, self.layout, spec.i, self.cfg, spec.detectors[0])
         last = idx + 1 == len(self.stages)
-        links = tuple(
-            (br, None if last else self._node(idx + 1, br.state)) for br in dist.branches
-        )
+        children = [None if last else self._node(idx + 1, br.state) for br in dist.branches]
         fail = [0.0] * len(self.stages)
         fail[idx] = 1.0 - dist.p_accept
         p_complete = 0.0
         cum, ahead = [], []
-        for br, child in links:
+        for br, child in zip(dist.branches, children):
             pc, fv = (1.0, ()) if child is None else (child.p_complete, child.fail)
             p_complete += br.prob * pc
             cum.append(p_complete)
@@ -1029,7 +1022,7 @@ class ChainSimulator:
             for k in range(idx + 1, len(fv)):  # a child fails at no stage before its own
                 fail[k] += br.prob * fv[k]
         row = len(self._nodes)
-        node = self._nodes[key] = _Node(dist, links, p_complete, tuple(fail), row)
+        node = self._nodes[key] = _Node(dist, p_complete, tuple(fail), row)
         # the branches' slots, then the sentinel's, which repeats the last branch
         self._owner += [row] * (len(cum) + 1)
         self._cum += cum + [math.inf]
@@ -1230,7 +1223,7 @@ def _retrieve(
     u = rng.random()
     if u >= dist.p_accept:
         return None
-    br = pick(dist.branches, u, dist.cum)
+    br = pick(dist.branches, u, list(accumulate(b.prob for b in dist.branches)))
     info = {"correct_clicks": correct_teleport_clicks(br)}
     return StepOutcome(True, rounds, br.state, br.clicks, info=info)
 

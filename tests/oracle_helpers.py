@@ -19,8 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from wclass_sim.fock import FockState
-from wclass_sim.montecarlo import TrialRecord
+from wclass_sim.fock import FockState, inner_product, superpose
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +106,19 @@ def as_state(layout, amplitudes: dict, parties=None) -> FockState:
             full[mode.index] = x
         terms[tuple(full)] = amp
     return FockState(layout.registry, terms, layout.truncation_cap)
+
+
+def equal_up_to_global_phase(a: FockState, b: FockState, tol: float = 1e-10) -> bool:
+    """Whether ``a`` and ``b`` are the same ray (same state up to e^{i phi})."""
+    na, nb = a.norm(), b.norm()
+    if na <= 0.0 or nb <= 0.0:
+        return na == nb
+    ip = inner_product(a, b)
+    if abs(ip) < tol * na * nb:
+        return False
+    phase = ip / abs(ip)
+    diff = superpose([1.0 / na, -phase.conjugate() / nb], [a, b])
+    return diff.norm() < tol
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +485,48 @@ def run_trial_block_reference(sim, rng, state, round_distribution=None, block=40
 
 
 @dataclass
+class TrialRecord:
+    """Per-trial summary of one chain build."""
+
+    index: int
+    succeeded: bool
+    rounds: int
+    stage_attempts: tuple
+    stage_successes: tuple
+    fidelity: float | None
+    classification: str | None  # "w" | "vacuum" | "other"
+
+
+def chain_columns(cfg, trials: int, stages=None):
+    """The ``ChainColumns`` that ``run_batch(cfg, trials, stages=stages)``
+    aggregates: ``montecarlo._run_chain_trials`` over every trial, joined."""
+    from wclass_sim import montecarlo
+    from wclass_sim.protocol import chain_stages
+
+    stages = chain_stages(cfg.n) if stages is None else tuple(stages)
+    parts = montecarlo._run_chain_trials(cfg, stages, 0, trials)
+    return montecarlo.ChainColumns.concat(parts)
+
+
+def chain_records(cfg, trials: int, stages=None) -> list:
+    """The trials of ``run_batch(cfg, trials, stages=stages)`` as
+    :class:`TrialRecord`, read from :func:`chain_columns`."""
+    from wclass_sim import montecarlo
+
+    names = {0: None, montecarlo._W: "w", montecarlo._VACUUM: "vacuum",
+             montecarlo._OTHER: "other"}
+    cols = chain_columns(cfg, trials, stages)
+    done = iter(zip(cols.fidelity.tolist(), cols.classification.tolist()))
+    out = []
+    for t, (ok, att, succ) in enumerate(
+        zip(cols.succeeded.tolist(), cols.attempts.tolist(), cols.successes.tolist())
+    ):
+        fid, code = next(done) if ok else (None, 0)
+        out.append(TrialRecord(t, ok, sum(att), tuple(att), tuple(succ), fid, names[code]))
+    return out
+
+
+@dataclass
 class TracedTrialRecord(TrialRecord):
     """A chain batch's trial record that also holds each stage's attempts up
     to its first success (None for an exhausted trial)."""
@@ -481,9 +535,10 @@ class TracedTrialRecord(TrialRecord):
 
 
 def run_batch_trace_reference(cfg, trials: int, stages=None):
-    """The report of ``run_batch(cfg, trials, stages=stages)`` with every
-    trial walked round by round by :func:`run_trial_block_reference` (the
-    block scan of :func:`run_trial_trace_reference`); its records are
+    """``(report, records)`` of ``run_batch(cfg, trials, stages=stages)``
+    with every trial walked round by round by
+    :func:`run_trial_block_reference` (the block scan of
+    :func:`run_trial_trace_reference`); the records are
     :class:`TracedTrialRecord`.
 
     A root whose passes never complete spends the budget at once through
@@ -527,10 +582,11 @@ def run_trial_reference(sim, rng, initial_state=None):
     """``sim.run_trial(rng, initial_state)`` with the success walk and tally
     written per trial, as the engine sampled before its columnar phases:
     draws the passes (geometric), the failed passes' stages (multinomial),
-    then walks the node table's links with one uniform per stage, picking
+    then walks the node table with one uniform per stage, picking
     (``protocol.pick``) among each node's running sums of branch prob x
-    P(completion), which it recomputes from the links.  A trial past the
-    budget spends it through the engine's ``_spend_budget``."""
+    P(completion), which it recomputes from the nodes the branches lead to
+    (``sim._node(stage + 1, branch state)``).  A trial past the budget spends
+    it through the engine's ``_spend_budget``."""
     from wclass_sim.protocol import ChainTrialResult, _spend_budget, pick
 
     root = sim._vacuum_root if initial_state is None else sim._node(0, initial_state)
@@ -547,12 +603,17 @@ def run_trial_reference(sim, rng, initial_state=None):
         rounds = sum(map(operator.mul, counts, range(1, n_stages + 1))) + n_stages
         if rounds <= budget:
             node, log = root, []
-            for u in rng.random(n_stages).tolist():
+            for k, u in enumerate(rng.random(n_stages).tolist()):
+                last = k + 1 == n_stages
+                links = [
+                    (br, None if last else sim._node(k + 1, br.state))
+                    for br in node.dist.branches
+                ]
                 cum = list(accumulate(
                     br.prob * (1.0 if child is None else child.p_complete)
-                    for br, child in node.links
+                    for br, child in links
                 ))
-                br, node = pick(node.links, u * node.p_complete, cum)
+                br, node = pick(links, u * node.p_complete, cum)
                 log.extend(br.clicks)
             return ChainTrialResult(
                 True, rounds, *tally_reference(counts, n_stages), br.state, tuple(log)
@@ -564,8 +625,7 @@ def run_trial_reference(sim, rng, initial_state=None):
 def aggregate_chain_reference(cfg, stages, records):
     """The ``RunReport`` of a chain batch's ``records``, aggregated record by
     record as the engine did before its columns (with the library's
-    ``wilson_interval`` and ``predicted_generation_time``); its ``records``
-    are the given ones."""
+    ``wilson_interval`` and ``predicted_generation_time``)."""
     from wclass_sim.montecarlo import (
         RunReport,
         predicted_generation_time,
@@ -605,7 +665,7 @@ def aggregate_chain_reference(cfg, stages, records):
         c_n = vac_count / w_count
         if vac_count > 0:
             c_n_se = c_n * math.sqrt(1.0 / vac_count + 1.0 / w_count)
-    report = RunReport(
+    return RunReport(
         trials=trials,
         successes=successes,
         stage_labels=labels,
@@ -625,15 +685,14 @@ def aggregate_chain_reference(cfg, stages, records):
         },
         rounds_total=sum(rounds),
     )
-    report.records = records
-    return report
 
 
 def _chain_batch_reference(cfg, trials, stages, run_trial, record=TrialRecord):
-    """A chain batch on the engine's per-trial streams and node table, each
-    trial sampled by ``run_trial(sim, rng, root) -> (ChainTrialResult,
-    extra record fields)`` and classified by the Born draw that follows it,
-    aggregated by :func:`aggregate_chain_reference`."""
+    """``(report, records)`` of a chain batch on the engine's per-trial
+    streams and node table, each trial sampled by ``run_trial(sim, rng,
+    root) -> (ChainTrialResult, extra record fields)`` and classified by the
+    Born draw that follows it, aggregated by
+    :func:`aggregate_chain_reference`."""
     from wclass_sim import montecarlo
     from wclass_sim.protocol import chain_stages
 
@@ -662,12 +721,12 @@ def _chain_batch_reference(cfg, trials, stages, run_trial, record=TrialRecord):
             record(t, res.succeeded, res.rounds, res.stage_attempts,
                    res.stage_successes, fid, cls, *more)
         )
-    return aggregate_chain_reference(cfg, stages, records)
+    return aggregate_chain_reference(cfg, stages, records), records
 
 
 def run_batch_reference(cfg, trials: int, stages=None):
-    """The report of ``run_batch(cfg, trials, stages=stages)`` with every
-    trial sampled by :func:`run_trial_reference`."""
+    """``(report, records)`` of ``run_batch(cfg, trials, stages=stages)``
+    with every trial sampled by :func:`run_trial_reference`."""
     return _chain_batch_reference(
         cfg, trials, stages, lambda sim, rng, root: (run_trial_reference(sim, rng),)
     )

@@ -17,7 +17,6 @@ from wclass_sim.fock import (
     ModeRegistry,
     annihilate,
     create,
-    equal_up_to_global_phase,
     fidelity,
     inner_product,
     normalize,
@@ -49,6 +48,7 @@ from wclass_sim.protocol import (
 from oracle_helpers import (
     as_state,
     epr_amplitudes,
+    equal_up_to_global_phase,
     merged_amplitudes,
     step2_amplitudes,
     w_m_amplitudes,

@@ -82,6 +82,32 @@ def test_unused_imports_in_src_are_bindings_the_benchmark_wraps():
     assert unused == {}
 
 
+def test_every_export_is_run_by_the_program_or_wrapped_by_the_benchmark():
+    # a name the package exports must be read by another module of src/, a
+    # demo or the benchmark, or be a binding the tracer wraps; a name only
+    # the tests read belongs with them, in tests/oracle_helpers.py
+    package = Path(wclass_sim.__file__).parent
+    root = package.parents[1]
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    sources = [p for p in package.glob("*.py") if p.stem != "__init__"]
+    sources += [*root.joinpath("demos").glob("*.py"), *root.joinpath("bench").glob("*.py")]
+    referenced = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    wrapped = {attr for _, attr, _ in _spans()._targets(wclass_sim)}
+    assert sorted(exported - referenced - wrapped) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

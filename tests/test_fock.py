@@ -16,7 +16,6 @@ from wclass_sim.fock import (
     count_excitations,
     create,
     debug_serialize,
-    equal_up_to_global_phase,
     fidelity,
     inner_product,
     normalize,
@@ -31,7 +30,12 @@ from wclass_sim.optics import (
 )
 from wclass_sim.protocol import ProtocolConfig, make_chain_layout, w_prime_state
 
-from oracle_helpers import as_state, receiver_amplitudes, w_m_amplitudes
+from oracle_helpers import (
+    as_state,
+    equal_up_to_global_phase,
+    receiver_amplitudes,
+    w_m_amplitudes,
+)
 
 
 def small_registry(n_atomic=2, collective=None):

@@ -35,6 +35,8 @@ from wclass_sim.protocol import (
 )
 
 from oracle_helpers import (
+    chain_columns,
+    chain_records,
     chain_stage_probabilities,
     epr_reference_records,
     expected_rounds_with_restart,
@@ -72,8 +74,8 @@ def test_run_batch_is_deterministic():
     a = run_batch(cfg, 200)
     b = run_batch(cfg, 200)
     assert a.to_dict() == b.to_dict()
-    assert [(r.rounds, r.fidelity) for r in a.records] == [
-        (r.rounds, r.fidelity) for r in b.records
+    assert [(r.rounds, r.fidelity) for r in chain_records(cfg, 200)] == [
+        (r.rounds, r.fidelity) for r in chain_records(cfg, 200)
     ]
     single_a = run_batch(cfg, 1)
     single_b = run_batch(cfg, 1)
@@ -139,9 +141,9 @@ def test_stage_attempts_are_geometric():
     # the round-by-round oracle records attempts-to-first-success per stage;
     # the entangling stage is an iid Bernoulli round, so the count is geometric
     cfg = ProtocolConfig(n=3, p_e=0.09, eta=0.0, seed=41)
-    report = run_batch_trace_reference(cfg, 1200)
+    _, records = run_batch_trace_reference(cfg, 1200)
     firsts = np.array(
-        [r.first_success_attempts[0] for r in report.records if r.succeeded]
+        [r.first_success_attempts[0] for r in records if r.succeeded]
     )
     sim = ChainSimulator(cfg)
     p_stage = sim.round_distribution(0, sim.initial_state()).p_accept
@@ -164,7 +166,7 @@ def test_trace_and_fast_paths_agree():
     # exact E[rounds] of the node table: len(stages) + sum_k (k+1) fail_k / p_pass
     cfg = ProtocolConfig(n=3, p_e=0.05, eta=0.1, seed=61)
     fast = run_batch(cfg, 4000)
-    slow = run_batch_trace_reference(cfg, 4000)
+    slow, slow_records = run_batch_trace_reference(cfg, 4000)
     se = math.hypot(
         fast.confidence["mean_time_s_se"], slow.confidence["mean_time_s_se"]
     )
@@ -173,8 +175,8 @@ def test_trace_and_fast_paths_agree():
     sim = ChainSimulator(cfg)
     p_pass, fail = sim.completion(0, sim.initial_state())
     exact = len(sim.stages) + sum((k + 1) * f for k, f in enumerate(fail)) / p_pass
-    for report in (fast, slow):
-        rounds = np.array([r.rounds for r in report.records], dtype=float)
+    for records in (chain_records(cfg, 4000), slow_records):
+        rounds = np.array([r.rounds for r in records], dtype=float)
         se = rounds.std(ddof=1) / math.sqrt(len(rounds))
         assert abs(rounds.mean() - exact) < 4 * se
 
@@ -294,7 +296,7 @@ def test_epr_batch_reports_high_fidelity():
     ids=["in-budget", "n2", "exhausted", "pe0"],
 )
 def test_epr_batch_matches_reference_loop(cfg):
-    records = run_epr_batch(cfg, 300).records
+    records = chain_records(cfg, 300, (epr_stage(1, 2),))
     got = [
         (r.index, r.succeeded, r.rounds, r.stage_attempts, r.stage_successes,
          r.fidelity, r.classification)
@@ -320,11 +322,12 @@ def test_exhausted_trials_fast_path_matches_trace():
     # spread them over the stages the way round-by-round simulation does
     cfg = ProtocolConfig(n=3, p_e=0.02, seed=4, max_attempts=200)
     fast = run_batch(cfg, 200)
-    slow = run_batch_trace_reference(cfg, 200)
+    fast_records = chain_records(cfg, 200)
+    _, slow_records = run_batch_trace_reference(cfg, 200)
     assert fast.successes < 10
     for k in range(len(fast.stage_labels)):
-        a = np.array([r.stage_attempts[k] for r in fast.records])
-        b = np.array([r.stage_attempts[k] for r in slow.records])
+        a = np.array([r.stage_attempts[k] for r in fast_records])
+        b = np.array([r.stage_attempts[k] for r in slow_records])
         se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(len(a))
         assert abs(a.mean() - b.mean()) <= 4 * se, fast.stage_labels[k]
 
@@ -334,17 +337,18 @@ def test_exhausted_trials_count_the_pass_the_budget_cut(seed):
     # 3000 trials resolve the one stage-0 attempt per trial that a rule
     # ignoring the last, cut-short pass would miss (z of about -4.5)
     cfg = ProtocolConfig(n=3, p_e=0.02, seed=seed, max_attempts=200)
-    fast = run_batch(cfg, 3000)
-    slow = run_batch_trace_reference(cfg, 3000)
-    for r in fast.records:
+    fast = chain_records(cfg, 3000)
+    _, slow = run_batch_trace_reference(cfg, 3000)
+    for r in fast:
         if not r.succeeded:
             assert sum(r.stage_attempts) == r.rounds == cfg.max_attempts
+    labels = [s.label for s in chain_stages(cfg.n)]
     for name in ("stage_attempts", "stage_successes"):
-        for k in range(len(fast.stage_labels)):
-            a = np.array([getattr(r, name)[k] for r in fast.records])
-            b = np.array([getattr(r, name)[k] for r in slow.records])
+        for k in range(len(labels)):
+            a = np.array([getattr(r, name)[k] for r in fast])
+            b = np.array([getattr(r, name)[k] for r in slow])
             se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(len(a))
-            assert abs(a.mean() - b.mean()) <= 3 * se, (name, fast.stage_labels[k])
+            assert abs(a.mean() - b.mean()) <= 3 * se, (name, labels[k])
 
 
 def test_attempts_total_is_the_exact_sum_of_rounds(tmp_path):
@@ -353,8 +357,9 @@ def test_attempts_total_is_the_exact_sum_of_rounds(tmp_path):
             "--trials", "1000", "--workers", "1"]
     out = tmp_path / "w6.json"
     assert main(argv + ["-o", str(out)]) == 0
-    report = run_batch(ProtocolConfig(n=6, p_e=0.01, eta=0.3, seed=11), 1000)
-    exact = sum(r.rounds for r in report.records)
+    cfg = ProtocolConfig(n=6, p_e=0.01, eta=0.3, seed=11)
+    report = run_batch(cfg, 1000)
+    exact = sum(r.rounds for r in chain_records(cfg, 1000))
     assert report.rounds_total == exact
     assert json.loads(out.read_text())["timing"]["attempts_total"] == exact
     # hopeless trials of 2**62 rounds each, whose total passes int64, and of
@@ -374,8 +379,8 @@ def test_budgets_past_int64_change_no_report():
     wide = run_batch(replace(cfg, max_attempts=2**64), 300)
     plain = run_batch(cfg, 300)
     assert wide.to_dict() == plain.to_dict()
-    assert wide.records == plain.records
-    assert wide.columns.attempts.dtype == object
+    assert chain_records(replace(cfg, max_attempts=2**64), 300) == chain_records(cfg, 300)
+    assert chain_columns(replace(cfg, max_attempts=2**64), 300).attempts.dtype == object
 
 
 @pytest.mark.parametrize(
@@ -393,8 +398,8 @@ def test_run_batch_matches_the_per_trial_reference(cfg, stages, trials):
     # the columnar batch against per-trial walks, tallies and classifications
     # aggregated record by record: the same records and report bytes
     got = run_batch(cfg, trials, stages=stages)
-    want = run_batch_reference(cfg, trials, stages=stages)
-    assert got.records == want.records
+    want, want_records = run_batch_reference(cfg, trials, stages=stages)
+    assert chain_records(cfg, trials, stages) == want_records
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
     assert got.rounds_total == want.rounds_total
 

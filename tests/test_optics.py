@@ -11,7 +11,6 @@ from wclass_sim.fock import (
     FockState,
     ModeRegistry,
     create,
-    equal_up_to_global_phase,
     normalize,
     superpose,
 )
@@ -26,7 +25,12 @@ from wclass_sim.optics import (
     repump_convert,
 )
 
-from oracle_helpers import bs_output_amplitudes, binomial_pmf, squeezer_amplitude
+from oracle_helpers import (
+    bs_output_amplitudes,
+    binomial_pmf,
+    equal_up_to_global_phase,
+    squeezer_amplitude,
+)
 
 
 @pytest.fixture

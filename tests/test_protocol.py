@@ -15,7 +15,6 @@ from wclass_sim.fock import (
     ModeKind,
     count_excitations,
     debug_serialize,
-    equal_up_to_global_phase,
     fidelity,
     inner_product,
     normalize,
@@ -56,6 +55,7 @@ from oracle_helpers import (
     connect_round_reference,
     epr_amplitudes,
     epr_state_reference,
+    equal_up_to_global_phase,
     exact_double_w_state_reference,
     ideal_w_state_reference,
     merge_round_reference,
@@ -497,9 +497,10 @@ def test_phase_covariance_of_the_sampled_chain():
 
 
 def _terminal_links(sim):
-    return [
-        br for node in sim._nodes.values() for br, child in node.links if child is None
-    ]
+    # the branches of the last stage's nodes; a table is keyed by (stage, state key)
+    last = len(sim.stages) - 1
+    finals = [node for (idx, _), node in sim._nodes.items() if idx == last]
+    return [br for node in finals for br in node.dist.branches]
 
 
 @pytest.mark.parametrize("n", [None, 3, 4, 5])  # None: the one-stage EPR chain
@@ -916,14 +917,15 @@ def _stage_acceptances(sim):
     root = sim._vacuum_root
     reach = {id(root): [root, 1.0]}
     out = {}
-    for spec in sim.stages:
+    for idx, spec in enumerate(sim.stages):
         into = passed = 0.0
         ahead = {}
         for node, mass in reach.values():
             into += mass
             passed += mass * node.dist.p_accept
-            for br, child in node.links:
-                if child is not None:
+            if idx + 1 < len(sim.stages):
+                for br in node.dist.branches:
+                    child = sim._node(idx + 1, br.state)
                     ahead.setdefault(id(child), [child, 0.0])[1] += mass * br.prob
         out[spec.label] = passed / into
         reach = ahead
@@ -974,6 +976,33 @@ def test_stage_acceptances_follow_their_leading_order_laws(n, eta):
     assert checked == connects | merges | (maximizing if n in (4, 5) else set())
 
 
+def test_a4_growth_splits_into_the_added_pair_and_the_maximizing_pair():
+    # zero variance, the attribution of the A4 gap (test_acceptance.py) at
+    # its config and cap: the exact growth E[R](n+1)/E[R](n) is
+    # p_pass(n)/p_pass(n+1), the stages the chains share before the
+    # maximizing pair cancel bit for bit, and what is left is the added pair
+    # connect(n,n+1) x merge(n) times the acceptance the maximizing pair
+    # connect(1,n) x merge(1) loses
+    exact = {}
+    for n in range(3, 7):
+        sim = ChainSimulator(ProtocolConfig(n=n, p_e=0.01, eta=0.3, truncation_cap=4))
+        p_pass, fail = sim.completion(0, sim.initial_state())
+        rounds = len(sim.stages) + sum((k + 1) * f for k, f in enumerate(fail)) / p_pass
+        exact[n] = rounds, p_pass, _stage_acceptances(sim)
+    added, lost = [], []
+    for n in range(3, 6):
+        (rounds, p_pass, acc), (rounds_next, p_next, acc_next) = exact[n], exact[n + 1]
+        assert rounds_next / rounds == pytest.approx(p_pass / p_next, rel=1e-5, abs=0)
+        maximizing = acc[f"connect(1,{n})"] * acc["merge(1)"]
+        shared = [label for label in acc if label not in (f"connect(1,{n})", "merge(1)")]
+        assert [acc_next[label] for label in shared] == [acc[label] for label in shared]
+        added.append(1 / (acc_next[f"connect({n},{n + 1})"] * acc_next[f"merge({n})"]))
+        lost.append(maximizing / (acc_next[f"connect(1,{n + 1})"] * acc_next["merge(1)"]))
+        assert added[-1] * lost[-1] == pytest.approx(p_pass / p_next, rel=1e-12, abs=0)
+    assert added == pytest.approx([145.39, 165.34, 175.66], rel=1e-4, abs=0)
+    assert lost == pytest.approx([1.2045, 1.0962, 1.0565], rel=1e-4, abs=0)
+
+
 def test_registries_hold_atomic_modes_only():
     # Stokes and retrieved photons are only ever detected: no registry of a
     # layout holds a mode for them
@@ -998,7 +1027,10 @@ def _reached_rounds(sim, root):
             continue
         seen.add(id(node))
         yield idx, state, node.dist
-        todo += [(idx + 1, br.state, child) for br, child in node.links if child]
+        if idx + 1 < len(sim.stages):
+            todo += [
+                (idx + 1, br.state, sim._node(idx + 1, br.state)) for br in node.dist.branches
+            ]
 
 
 @settings(max_examples=40, deadline=None)
