@@ -87,9 +87,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The argument parser, built on first use and reused by every later
-    parse: building it costs more than a parse."""
+def _parsers() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each command's, built on first use and
+    reused by every later parse: building them costs more than a parse."""
     p = _Parser(prog="wclass-sim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("epr", "w-state", "teleport", "scaling-sweep"):
@@ -103,7 +103,7 @@ def _parser() -> _Parser:
         if name == "scaling-sweep":
             sp.add_argument("--n-min", type=int, default=None)
             sp.add_argument("--n-max", type=int, default=None)
-    return p
+    return p, sub.choices
 
 
 def _load_config_file(path: str) -> dict:
@@ -222,7 +222,12 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
     required (the literal ``auto`` draws one, prints it, and embeds it in the
     report).
     """
-    ns = _parser().parse_args(list(argv))
+    argv = list(argv)
+    top, commands = _parsers()
+    if argv and argv[0] in commands:  # the top level would only pass the rest on
+        ns = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:  # -h, or no command or an unknown one where it should be
+        ns = top.parse_args(argv)
     raw = {
         **_DEFAULTS,
         **(_load_config_file(ns.config) if ns.config else {}),
@@ -365,7 +370,7 @@ def run(spec: ExperimentSpec) -> int:
     if spec.fmt == "csv-summary":
         payload = _sweep_csv(results)
     else:
-        payload = json.dumps(document, indent=2) + "\n"
+        payload = json.dumps(document, indent=2, check_circular=False) + "\n"
 
     try:
         if spec.output_path:

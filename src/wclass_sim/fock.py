@@ -201,11 +201,18 @@ class FockState:
         registry: ModeRegistry,
         terms: Mapping[Occupation, complex],
         truncation_cap: int,
+        rows: list | None = None,
     ) -> "FockState":
         """Trusted construction: ``terms`` must already be canonical
-        occupation tuples within the cap of a sealed registry."""
+        occupation tuples within the cap of a sealed registry.  With
+        ``rows``, the terms must also be pruned and free of -0.0 parts, and
+        ``rows`` are their key rows, rounded as :meth:`key` rounds them."""
         state = cls.__new__(cls)
-        state._init(registry, terms, truncation_cap)
+        if rows is None:
+            state._init(registry, terms, truncation_cap)
+        else:
+            state.registry, state.truncation_cap, state._terms = registry, truncation_cap, terms
+            state._key = (tuple(sorted(rows)), truncation_cap)
         return state
 
     # -- constructors ------------------------------------------------------
@@ -248,7 +255,8 @@ class FockState:
         return not self._terms
 
     def key(self) -> tuple:
-        """Hashable fingerprint for memoisation (rounded amplitudes)."""
+        """Hashable fingerprint for memoisation (rounded amplitudes), made
+        on first use unless the state was built with it."""
         if self._key is None:
             self._key = (
                 tuple(

@@ -125,22 +125,7 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _entropy_pool(seed: int) -> List[int]:
-    """The pool of ``SeedSequence(seed mod 2**64, spawn_key=(t,))`` once its
-    entropy words are mixed in, which is the same for every ``t``."""
-    e = seed & (2**64 - 1)
-    words = [e & _M32, e >> 32] if e >> 32 else [e]
-    words += [0] * (_POOL - len(words))  # a spawn key pads entropy to the pool
-    keys = iter(_MIX_KEYS)
-    pool = [_hash(w, *next(keys)) for w in words]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(keys)))
-    return pool
-
-
-def _pcg_seeds(pool: List[int], lo: int, hi: int) -> List[list]:
+def _pcg_seeds(pool: np.ndarray, lo: int, hi: int) -> List[list]:
     """PCG64's ``(state high, state low, inc high, inc low)`` seed words, as
     lists of ints, of the trials ``[lo, hi)`` (all below or all from 2**32,
     whose spawn key is then one or two words)."""
@@ -166,7 +151,10 @@ def trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
     """
     if not 0 <= lo <= hi <= 2**64:
         raise ValueError("trial indices must lie in [0, 2**64)")
-    pool = _entropy_pool(seed)
+    # the pool of SeedSequence(seed mod 2**64, spawn_key=(t,)) once its
+    # entropy words are mixed in, which is the same for every t: the spawn
+    # key pads the entropy with zeros, which the pool hashes in anyway
+    pool = np.random.SeedSequence(seed & (2**64 - 1)).pool
     rng = np.random.Generator(np.random.PCG64(0))
     bitgen = rng.bit_generator
     for start in range(lo, hi, _BLOCK):

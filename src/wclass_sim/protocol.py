@@ -297,8 +297,12 @@ def ideal_w_state(
     phases = _phases_for(n, phases)
     if layout is None:
         layout = make_chain_layout(ProtocolConfig(n=max(n, 2), p_e=0.0))
-    coeffs = [cmath.rect(1.0, ph) / math.sqrt(n) for ph in phases[:n]]
-    return _excite(layout.vacuum(), layout.ensembles[:n], coeffs)
+    terms = {}
+    for m, ph in zip(layout.ensembles[:n], phases[:n], strict=True):
+        occ = [0] * layout.registry.n_modes
+        occ[m.index] = 1
+        terms[tuple(occ)] = cmath.rect(1.0, ph) / math.sqrt(n)
+    return FockState._from_terms(layout.registry, terms, layout.truncation_cap)
 
 
 def epr_state(layout: ChainLayout, i: int, j: int, phase_ij: float) -> FockState:
@@ -518,9 +522,11 @@ def _conditioned(
     """The sector ``terms`` of squared norm ``n2``, normalized, with a pi
     feed-forward on each mode of ``flips``: :func:`~wclass_sim.fock.normalize`
     and then :func:`~wclass_sim.optics.apply_phase` per flipped mode, with
-    their factors and prunes, in one pass."""
+    their factors and prunes, in one pass that also makes the state's key.
+    Every branch state of a round is made here."""
     nrm = math.sqrt(n2)
     out = {}
+    rows = []
     for occ, a in terms.items():
         a = 0j + a / nrm
         if abs(a) < PRUNE_THRESHOLD:
@@ -531,7 +537,8 @@ def _conditioned(
                 break
         else:
             out[occ] = a
-    return state.replace_terms(out)
+            rows.append((occ, round(a.real, 12), round(a.imag, 12)))
+    return FockState._from_terms(state.registry, out, state.truncation_cap, rows)
 
 
 def _heralded(
@@ -705,7 +712,8 @@ def merge_round(
     Born weights and the annihilated terms; the arithmetic is that of
     :func:`~wclass_sim.fock.count_excitations`,
     :func:`~wclass_sim.fock.annihilate` and
-    :func:`~wclass_sim.fock.normalize`, in their order.
+    :func:`~wclass_sim.fock.normalize` (in :func:`_conditioned`), in their
+    order.
     """
     idx = state.registry.check_mode(layout.ensemble(i)).index
     down = state.registry.collective.annihilate_scale
@@ -731,10 +739,9 @@ def merge_round(
     p_click = sum(p * (1.0 - cfg.eta**k) for k, p in dist.items() if k >= 1)
     if p_click <= 0.0:
         return RoundDistribution(0.0, (), rejected=1.0)
-    nrm = math.sqrt(n2)
-    if nrm <= 0.0:
+    if n2 <= 0.0:
         raise NormalizationError("cannot normalize the zero state")
-    post = state.replace_terms({occ: a / nrm for occ, a in kept.items()})
+    post = _conditioned(state, kept, n2, ())
     branch = RoundBranch(p_click, post, ((detector_id, True),), (1,), 0)
     return RoundDistribution(p_click, (branch,), rejected=1.0 - p_click)
 

@@ -121,6 +121,13 @@ def equal_up_to_global_phase(a: FockState, b: FockState, tol: float = 1e-10) -> 
     return diff.norm() < tol
 
 
+def key_reference(state: FockState) -> tuple:
+    """``FockState.key`` as it is made on first use: each term's occupation
+    with its amplitude's parts rounded to 12 digits, sorted, and the cap."""
+    rows = [(occ, round(a.real, 12), round(a.imag, 12)) for occ, a in state.items()]
+    return tuple(sorted(rows)), state.truncation_cap
+
+
 # ---------------------------------------------------------------------------
 # beam splitter via explicit polynomial multiplication
 # ---------------------------------------------------------------------------

@@ -131,17 +131,62 @@ def test_every_flag_stores_to_its_config_file_key(tmp_path):
     # the report's echo use, so one table serves both
     not_keys = {"command", "config", "workers", "output",
                 "alpha_re", "alpha_im", "beta_re", "beta_im"}
-    subparsers = next(a for a in cli._parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
+    _, commands = cli._parsers()
     dests = {
         action.dest
-        for sub in subparsers.choices.values()
+        for sub in commands.values()
         for action in sub._actions
         if not isinstance(action, argparse._HelpAction)
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict.fromkeys(sorted(dests - not_keys))))
     cli._load_config_file(str(cfg_path))  # raises on a key it does not take
+
+
+# one argv per command, beyond the golden cases: the flags only one command takes
+DISPATCH_ARGVS = [
+    ["epr", "--n", "2", "--seed", "3", "--pe", "0.02"],
+    ["w-state", "--n", "4", "--na", "50", "--finite-size", "--t0", "2e-6", "--cap", "5",
+     "--max-attempts", "90", "--trials", "7", "--seed", "-5", "--workers", "2"],
+    ["teleport", "--alpha-re=-3.7e-05", "--alpha-im", "0", "--beta-re",
+     repr(math.sqrt(1.0 - 3.7e-05**2)), "--beta-im", "-0.0", "--seed", "8", "-o", "out.json"],
+    ["scaling-sweep", "--n-min", "4", "--n-max", "6", "--format", "csv-summary",
+     "--seed", "9"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in CASES.values()] + DISPATCH_ARGVS,
+    ids=[*CASES, *(argv[0] for argv in DISPATCH_ARGVS)],
+)
+def test_parsing_by_command_matches_the_top_level_parser(argv, monkeypatch):
+    # the named command's parser alone gives the spec the top-level parser,
+    # which passes everything after the command on to it, gives
+    by_command = parse_args(argv)
+    top, _ = cli._parsers()
+    monkeypatch.setattr(cli, "_parsers", lambda: (top, {}))
+    assert parse_args(argv) == by_command
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ([], 2, "usage error: the following arguments are required: command\n"),
+    (["-h"], 0, ""),
+    (["bogus"], 2, "usage error: argument command: invalid choice: 'bogus' (choose from "
+                   "'epr', 'w-state', 'teleport', 'scaling-sweep')\n"),
+    (["--n", "3", "w-state", "--seed", "1"], 2,
+     "usage error: argument command: invalid choice: '3' (choose from "
+     "'epr', 'w-state', 'teleport', 'scaling-sweep')\n"),
+])
+def test_argv_without_a_leading_command_goes_to_the_top_level_parser(
+    argv, code, message, capsys
+):
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # -h prints the usage and exits
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert (got, err) == (code, message)
+    assert out.startswith("usage: wclass-sim") == (argv == ["-h"])
 
 
 def test_usage_error_exit_code_and_no_report(tmp_path, capsys):

@@ -11,6 +11,7 @@ from wclass_sim import protocol
 from wclass_sim.errors import AttemptsExhaustedError, PreconditionError
 from wclass_sim.montecarlo import trial_rngs
 from wclass_sim.fock import (
+    PRUNE_THRESHOLD,
     FockState,
     ModeKind,
     count_excitations,
@@ -58,6 +59,7 @@ from oracle_helpers import (
     equal_up_to_global_phase,
     exact_double_w_state_reference,
     ideal_w_state_reference,
+    key_reference,
     merge_round_reference,
     merged_amplitudes,
     pick_reference,
@@ -1031,6 +1033,64 @@ def _reached_rounds(sim, root):
             todo += [
                 (idx + 1, br.state, sim._node(idx + 1, br.state)) for br in node.dist.branches
             ]
+
+
+def _branch_states(dists):
+    return [br.state for dist in dists for br in dist.branches]
+
+
+def _assert_born_keyed(states):
+    """Each state carries the key its terms give, and no term below the
+    prune or with a -0.0 part."""
+    for state in states:
+        assert state.key() == key_reference(state)
+        for _, a in state.items():
+            assert abs(a) >= PRUNE_THRESHOLD
+            assert not any(x == 0.0 and math.copysign(1.0, x) < 0 for x in (a.real, a.imag))
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_branch_states_are_born_pruned_with_their_key(n, cap):
+    # a round makes each branch state pruned and keyed in one pass: the key
+    # it stores is the one its terms give, for every branch of the grid's
+    # tables
+    states = []
+    for eta, p_e, double_pair, finite in ROUND_GRID:
+        cfg = ProtocolConfig(
+            n=n, p_e=p_e, eta=eta, truncation_cap=cap,
+            second_order_pump=double_pair, **finite,
+        )
+        sim = ChainSimulator(cfg)
+        sim.completion(0, sim.initial_state())
+        states += _branch_states(node.dist for node in sim._nodes.values())
+    _assert_born_keyed(states)
+    assert len(states) > len(ROUND_GRID)
+
+
+@pytest.mark.parametrize("cap", [4, 5])
+@pytest.mark.parametrize("eta", [0.0, 0.2])
+def test_teleport_branch_states_are_born_pruned_with_their_key(eta, cap):
+    # the same for the two chain tables of a teleport trial and its rounds
+    base = ProtocolConfig(n=3, p_e=0.05, eta=eta, truncation_cap=cap, phases=(0.0, 0.6, -0.9))
+    sim = TeleportSimulator(TeleportConfig(complex(0.3, 0.5), complex(math.sqrt(0.66), 0), base))
+    w123 = _terminal_states(sim.w123, [sim.w123.initial_state()])
+    joints = _terminal_states(sim.w456, w123)
+    nodes = [*sim.w123._nodes.values(), *sim.w456._nodes.values()]
+    dists = [node.dist for node in nodes] + [sim.round_distribution(j) for j in joints]
+    states = _branch_states(dists)
+    _assert_born_keyed(states)
+    assert len(states) > len(nodes) + len(joints)
+
+
+def test_conditioned_prunes_what_normalizing_takes_below_the_threshold():
+    # a term at the threshold before normalizing falls below it after
+    layout = make_chain_layout(ProtocolConfig(n=3, p_e=0.0))
+    big, small = (1, 0, 0), (0, 1, 0)
+    terms = {big: 1.0 + 0j, small: PRUNE_THRESHOLD + 0j}
+    post = protocol._conditioned(layout.vacuum(), terms, 4.0, ())
+    assert dict(post.items()) == {big: 0.5 + 0j}
+    assert post.key() == key_reference(post)
 
 
 @settings(max_examples=40, deadline=None)
