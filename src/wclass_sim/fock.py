@@ -43,6 +43,46 @@ DEFAULT_TRUNCATION_CAP = 4
 Occupation = Tuple[int, ...]
 
 
+def left_sum(values: Iterable, start=0.0):
+    """``start + values[0] + values[1] + ...``, added left to right.
+
+    This is what ``sum()`` does on Python 3.11 and older.  From 3.12 on,
+    ``sum()`` of floats is compensated, so every float or complex sum that
+    feeds a report is a left fold, and the reports do not depend on the
+    Python version.
+    """
+    total = start
+    for x in values:
+        total += x
+    return total
+
+
+#: ``y + _RINT - _RINT`` is ``y`` rounded to an integer for ``|y| < 2**51``:
+#: the sum lies in [2**52, 2**53), where doubles are the integers
+_RINT = 1.5 * 2.0**52
+
+
+def _round12(x: float) -> float:
+    """``round(x, 12)``, exactly, at a fraction of its cost for ``|x| <= 1``.
+
+    There ``y = x * 1e12`` is within ``ulp(y) / 2 <= 2**-13`` of the exact
+    product, so when ``y`` lies within 0.499 of the integer ``r`` nearest
+    it, the exact product rounds to ``r`` (no tie), and ``r / 1e12`` is the
+    correctly rounded quotient that ``round`` returns.  Anything else (a
+    near-tie, ``|x| > 1``, NaN, inf) takes ``round`` itself.  Values
+    rounding to zero give ``0.0``, which equals ``round``'s ``-0.0`` for a
+    small negative.
+    """
+    if -4.9e-13 < x < 4.9e-13:
+        return 0.0
+    if -1.0 <= x <= 1.0:
+        y = x * 1e12
+        r = y + _RINT - _RINT
+        if -0.499 < y - r < 0.499:
+            return r / 1e12
+    return round(x, 12)
+
+
 class ModeKind(enum.Enum):
     ATOMIC = "atomic-collective"
     PHOTONIC = "photonic"
@@ -201,18 +241,18 @@ class FockState:
         registry: ModeRegistry,
         terms: Mapping[Occupation, complex],
         truncation_cap: int,
-        rows: list | None = None,
+        pruned: bool = False,
     ) -> "FockState":
         """Trusted construction: ``terms`` must already be canonical
         occupation tuples within the cap of a sealed registry.  With
-        ``rows``, the terms must also be pruned and free of -0.0 parts, and
-        ``rows`` are their key rows, rounded as :meth:`key` rounds them."""
+        ``pruned``, the terms must also be pruned and free of -0.0 parts,
+        and are kept as they are."""
         state = cls.__new__(cls)
-        if rows is None:
-            state._init(registry, terms, truncation_cap)
-        else:
+        if pruned:
             state.registry, state.truncation_cap, state._terms = registry, truncation_cap, terms
-            state._key = (tuple(sorted(rows)), truncation_cap)
+            state._key = None
+        else:
+            state._init(registry, terms, truncation_cap)
         return state
 
     # -- constructors ------------------------------------------------------
@@ -246,7 +286,7 @@ class FockState:
         return len(self._terms)
 
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self._terms.values())
+        return left_sum(abs(a) ** 2 for a in self._terms.values())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
@@ -255,16 +295,19 @@ class FockState:
         return not self._terms
 
     def key(self) -> tuple:
-        """Hashable fingerprint for memoisation (rounded amplitudes), made
-        on first use unless the state was built with it."""
+        """Hashable fingerprint for memoisation, made on first use:
+        ``(frozenset(rows), cap)``, one row ``(occ, round(a.real, 12),
+        round(a.imag, 12))`` per term, rounded by :func:`_round12`.  The
+        occupations of a state are distinct, so the set groups states as
+        sorted rows would; a frozenset needs no sort and caches its hash,
+        so a key costs one rounding pass and one hash however often it is
+        looked up."""
         if self._key is None:
             self._key = (
-                tuple(
-                    sorted(
-                        (occ, round(a.real, 12), round(a.imag, 12))
-                        for occ, a in self._terms.items()
-                    )
-                ),
+                frozenset([
+                    (occ, _round12(a.real), _round12(a.imag))
+                    for occ, a in self._terms.items()
+                ]),
                 self.truncation_cap,
             )
         return self._key
@@ -329,12 +372,8 @@ def inner_product(a: FockState, b: FockState) -> complex:
     if a.registry is not b.registry:
         raise RegistryError("states live on different registries")
     if a.n_terms <= b.n_terms:
-        return complex(
-            sum(amp.conjugate() * b.amplitude(occ) for occ, amp in a.items())
-        )
-    return complex(
-        sum(a.amplitude(occ).conjugate() * amp for occ, amp in b.items())
-    )
+        return left_sum((amp.conjugate() * b.amplitude(occ) for occ, amp in a.items()), 0j)
+    return left_sum((a.amplitude(occ).conjugate() * amp for occ, amp in b.items()), 0j)
 
 
 def normalize(state: FockState) -> FockState:

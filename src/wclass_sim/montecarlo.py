@@ -49,6 +49,7 @@ from .fock import (
     create,  # unused here; bench/spans.py wraps this binding
     fidelity,
     inner_product,
+    left_sum,
     normalize,
     superpose,  # unused here; bench/spans.py wraps this binding
 )
@@ -377,6 +378,15 @@ def _column_sums(counts: np.ndarray) -> List[int]:
     return [sum(col) for col in counts.T.tolist()]
 
 
+def _squared_deviations(xs: List[float], mean: float) -> float:
+    """``sum((x - mean) ** 2 for x in xs)``, folded left (see
+    :func:`~wclass_sim.fock.left_sum`) in one loop."""
+    total = 0.0
+    for x in xs:
+        total += (x - mean) ** 2
+    return total
+
+
 def _aggregate_chain(
     cfg: ProtocolConfig, stages: Tuple[StageSpec, ...], cols: ChainColumns
 ) -> RunReport:
@@ -397,20 +407,16 @@ def _aggregate_chain(
     p_c_hat = conn_succ / conn_att if conn_att else 0.0
     mean_rounds = rounds_total / trials
     mean_time = mean_rounds * cfg.t0
-    sd_rounds = math.sqrt(
-        sum((x - mean_rounds) ** 2 for x in rounds) / max(1, trials - 1)
-    )
+    sd_rounds = math.sqrt(_squared_deviations(rounds, mean_rounds) / max(1, trials - 1))
     predicted = None
     if p_c_hat > 0.0:
         predicted = predicted_generation_time(
             cfg.n, cfg.eta, min(1.0, p_c_hat), cfg.t0
         )
-    fid_mean = sum(fids) / len(fids) if fids else None
+    fid_mean = left_sum(fids) / len(fids) if fids else None
     fid_se = None
     if len(fids) > 1:
-        fid_se = math.sqrt(
-            sum((x - fid_mean) ** 2 for x in fids) / (len(fids) - 1) / len(fids)
-        )
+        fid_se = math.sqrt(_squared_deviations(fids, fid_mean) / (len(fids) - 1) / len(fids))
     c_n = None
     c_n_se = None
     if w_count > 0:
@@ -514,9 +520,9 @@ def run_teleport_batch(
     loc_fids = [r[6] for r in rows if r[6] is not None]
     rounds = [r[2] for r in rows]
     mean_rounds = sum(rounds) / len(rows)
-    fid_mean = sum(fids) / len(fids) if fids else None
+    fid_mean = left_sum(fids) / len(fids) if fids else None
     holder_frac = sum(holders) / len(holders) if holders else None
-    loc_mean = sum(loc_fids) / len(loc_fids) if loc_fids else None
+    loc_mean = left_sum(loc_fids) / len(loc_fids) if loc_fids else None
     return TeleportReport(
         trials=trials,
         successes=successes,
@@ -551,7 +557,7 @@ class NoisyStateMixture:
         weights = [w for w, _ in self.components]
         if any(w < 0 for w in weights):
             raise PreconditionError("mixture weights must be non-negative")
-        if abs(sum(weights) - 1.0) > 1e-12:
+        if abs(left_sum(weights) - 1.0) > 1e-12:
             raise PreconditionError("mixture weights must sum to one")
 
 
@@ -559,7 +565,7 @@ def fidelity_mixture(mix: NoisyStateMixture, target: FockState) -> float:
     """``sum_k w_k |<target|psi_k>|^2`` for a normalized target."""
     if abs(target.norm() - 1.0) > 1e-9:
         raise PreconditionError("target must be normalized")
-    return sum(w * abs(inner_product(target, normalize(s))) ** 2 for w, s in mix.components)
+    return left_sum(w * abs(inner_product(target, normalize(s))) ** 2 for w, s in mix.components)
 
 
 def estimate_vacuum_coefficient(

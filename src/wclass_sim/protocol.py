@@ -72,9 +72,9 @@ import math
 import operator
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate, product
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -89,6 +89,7 @@ from .fock import (
     Occupation,
     annihilate,
     create,
+    left_sum,
     normalize,
     superpose,
 )
@@ -394,8 +395,11 @@ def teleport_target_state(tcfg: TeleportConfig, layout: TeleportLayout) -> FockS
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoundBranch:
+class RoundBranch(NamedTuple):
+    """One accepted outcome of a round.  Rounds and their branches are
+    immutable tuples: tables share them, and a tuple is made at a fraction
+    of a frozen dataclass's cost."""
+
     prob: float  # joint probability of this accepted outcome
     state: FockState  # normalized conditioned state, corrections applied
     clicks: Tuple[Tuple[str, bool], ...]
@@ -403,17 +407,19 @@ class RoundBranch:
     lost: int  # photons lost to the channel this round
 
 
-@dataclass(frozen=True)
-class RoundDistribution:
+class RoundDistribution(NamedTuple):
+    """The accepted branches of a round and where the rest of its mass
+    went."""
+
     p_accept: float
     branches: Tuple[RoundBranch, ...]
     # the rest of the round's mass: outcomes the herald rejects, and
     # outcomes below ``_PROB_FLOOR``; with ``p_accept`` they sum to one
-    rejected: float = field(default=0.0, compare=False)
-    dropped: float = field(default=0.0, compare=False)
+    rejected: float = 0.0
+    dropped: float = 0.0
     # the pumped norm the truncation cap dropped over the pumped norm
     # before the cap (connect rounds; zero for the others)
-    truncated: float = field(default=0.0, compare=False)
+    truncated: float = 0.0
 
 
 _PROB_FLOOR = 1e-18
@@ -516,29 +522,35 @@ def _leaf_table(herald: _Herald, eta: float) -> _Table:
     return _Table(leaves)
 
 
+#: ``n -> cmath.rect(1.0, math.pi * n)``: the factor a pi phase shift puts
+#: on ``n`` excitations, as :func:`~wclass_sim.optics.apply_phase` makes it
+_PI_SHIFTS = _Table(lambda n: cmath.rect(1.0, math.pi * n))
+
+
 def _conditioned(
     state: FockState, terms: Dict[Occupation, complex], n2: float, flips: Tuple[int, ...]
 ) -> FockState:
     """The sector ``terms`` of squared norm ``n2``, normalized, with a pi
     feed-forward on each mode of ``flips``: :func:`~wclass_sim.fock.normalize`
     and then :func:`~wclass_sim.optics.apply_phase` per flipped mode, with
-    their factors and prunes, in one pass that also makes the state's key.
-    Every branch state of a round is made here."""
+    their factors and prunes, in one pass.  Every branch state of a round is
+    made here.  It is keyed (:meth:`~wclass_sim.fock.FockState.key`, one
+    rounding pass and one hash) when first looked up: :func:`_heralded`
+    keys each of its states once to merge branches, and a table keys the
+    states it reaches, so a chain's final states are never keyed."""
     nrm = math.sqrt(n2)
     out = {}
-    rows = []
     for occ, a in terms.items():
         a = 0j + a / nrm
         if abs(a) < PRUNE_THRESHOLD:
             continue
         for k in flips:
-            a = 0j + a * cmath.rect(1.0, math.pi * occ[k])
+            a = 0j + a * _PI_SHIFTS[occ[k]]
             if abs(a) < PRUNE_THRESHOLD:
                 break
         else:
             out[occ] = a
-            rows.append((occ, round(a.real, 12), round(a.imag, 12)))
-    return FockState._from_terms(state.registry, out, state.truncation_cap, rows)
+    return FockState._from_terms(state.registry, out, state.truncation_cap, pruned=True)
 
 
 def _heralded(
@@ -570,9 +582,12 @@ def _heralded(
     likely than any prefix of it along the ports' loss and detection steps,
     this is the cut a walk one step at a time would make.  Branches come in
     the order along the steps (``herald.order``), and those equal in state
-    key, clicks, detected and lost photons are merged onto the first.
+    key, clicks, detected and lost photons are merged onto the first, which
+    keeps its own state.  Each built state is keyed once: it gets the index
+    of its key among the round's, and the merge compares indices.
     """
     parts = {}  # ports -> (squared norm, terms), of the sectors left nonzero
+    total = 0.0  # their squared norms, folded left
     for n, terms in sectors.items():
         kept = {}
         n2 = 0
@@ -583,7 +598,7 @@ def _heralded(
                 n2 += w**2
         if kept:
             parts[n] = (n2, kept)
-    total = sum(n2 for n2, _ in parts.values())
+            total += n2
     if total <= 0.0:
         raise NormalizationError("a heralded round of the zero state")
     table = _leaf_table(herald, eta)
@@ -603,21 +618,25 @@ def _heralded(
                 leaves.append((along, n, flips, det, named, lost, p))
     leaves.sort(key=operator.itemgetter(0))
 
-    built: Dict[tuple, FockState] = {}
+    built: Dict[tuple, Tuple[FockState, int]] = {}  # (ports, flips) -> (post, its index)
+    index: Dict[tuple, int] = {}  # state key -> index, keyed once per post
     merged: Dict[tuple, list] = {}
     for _, n, flips, det, named, lost, p in leaves:
-        post = built.get((n, flips))
-        if post is None:
+        got = built.get((n, flips))
+        if got is None:
             n2, terms = parts[n]
-            post = built[n, flips] = _conditioned(state, terms, n2, flips)
-        key = (post.key(), named, det, lost)
-        old = merged.get(key)
-        if old is None:
-            merged[key] = [p, post, named, det, lost]
+            post = _conditioned(state, terms, n2, flips)
+            got = built[n, flips] = (post, index.setdefault(post.key(), len(index)))
+        post, i = got
+        old = merged.get((i, named, det, lost))
+        if old is None:  # a merged branch keeps the post of its first leaf
+            merged[i, named, det, lost] = [p, post, named, det, lost]
         else:
             old[0] += p
     branches = tuple([RoundBranch(*b) for b in merged.values()])
-    p_accept = sum(b.prob for b in branches)
+    p_accept = 0.0  # the branches' probabilities, folded left
+    for b in branches:
+        p_accept += b.prob
     return RoundDistribution(p_accept, branches, rejected, dropped, cut / (cut + total))
 
 
@@ -689,12 +708,29 @@ def connect_round(
             base = a * fg[b] / scale
             for sec, c in ports:
                 sec[new] = sec.get(new, 0j) + base * c
+    herald = _connect_herald(tuple(detector_ids), ij, symmetric_port_only)
+    return _heralded(state, sectors, herald, cfg.eta, cut)
+
+
+@functools.lru_cache(maxsize=256)
+def _connect_herald(
+    detector_ids: Tuple[str, str], ij: int, symmetric_port_only: bool
+) -> _Herald:
+    """The herald of a connect round (see :func:`connect_round`), made once
+    per detector pair, fixed mode and port rule."""
     accept = [((True, False), ())]
     if not symmetric_port_only:  # the antisymmetric port, fixed on j
         accept.append(((False, True), (ij,)))
     # loss on both ports, then detection on both
-    herald = _Herald(tuple(detector_ids), tuple(accept), (0, 1, 2, 3))
-    return _heralded(state, sectors, herald, cfg.eta, cut)
+    return _Herald(detector_ids, tuple(accept), (0, 1, 2, 3))
+
+
+@functools.lru_cache(maxsize=64)
+def _down_rungs(collective: CollectiveModeModel) -> _Table:
+    """``k -> sqrt(k) * collective.annihilate_scale(k)``: the factor
+    :func:`~wclass_sim.fock.annihilate` puts on a term with ``k``
+    excitations on an atomic mode."""
+    return _Table(lambda k: math.sqrt(k) * collective.annihilate_scale(k))
 
 
 def merge_round(
@@ -716,7 +752,7 @@ def merge_round(
     order.
     """
     idx = state.registry.check_mode(layout.ensemble(i)).index
-    down = state.registry.collective.annihilate_scale
+    rungs = _down_rungs(state.registry.collective)
     total = 0
     weights = []  # (n_i, Born weight) per term
     kept = {}  # the annihilated terms past the prune
@@ -727,7 +763,7 @@ def merge_round(
         k = occ[idx]
         weights.append((k, w))
         if k:
-            a = 0j + a * (math.sqrt(k) * down(k))
+            a = 0j + a * rungs[k]
             if abs(a) >= PRUNE_THRESHOLD:
                 kept[occ[:idx] + (k - 1,) + occ[idx + 1 :]] = a
                 n2 += abs(a) ** 2
@@ -736,7 +772,10 @@ def merge_round(
     dist: Dict[int, float] = {}
     for k, w in weights:
         dist[k] = dist.get(k, 0.0) + w / total
-    p_click = sum(p * (1.0 - cfg.eta**k) for k, p in dist.items() if k >= 1)
+    p_click = 0.0  # a left fold, as every sum that feeds a report
+    for k, p in dist.items():
+        if k >= 1:
+            p_click += p * (1.0 - cfg.eta**k)
     if p_click <= 0.0:
         return RoundDistribution(0.0, (), rejected=1.0)
     if n2 <= 0.0:
@@ -820,8 +859,10 @@ def epr_stage(i: int, j: int) -> StageSpec:
     return StageSpec(f"epr({i},{j})", "connect", i, j, ("D1", "D2"))
 
 
+@functools.lru_cache(maxsize=64)
 def chain_stages(n: int) -> Tuple[StageSpec, ...]:
-    """EPR, then connect/merge pairs, then the maximizing pair."""
+    """EPR, then connect/merge pairs, then the maximizing pair (made once
+    per ``n``)."""
     if n < 3:
         raise PreconditionError("the W chain needs n >= 3 ensembles")
     stages = [epr_stage(1, 2)]
@@ -1347,7 +1388,7 @@ def receiver_localize(
     idx = [state.registry.check_mode(m).index for m in modes]
     total = state.norm_squared()
     p_here = (
-        sum(
+        left_sum(
             abs(a) ** 2
             for occ, a in state.items()
             if sum(occ[i] for i in idx) == 1

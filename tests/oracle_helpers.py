@@ -122,8 +122,16 @@ def equal_up_to_global_phase(a: FockState, b: FockState, tol: float = 1e-10) -> 
 
 
 def key_reference(state: FockState) -> tuple:
-    """``FockState.key`` as it is made on first use: each term's occupation
-    with its amplitude's parts rounded to 12 digits, sorted, and the cap."""
+    """``FockState.key`` as it is made on first use: the set of each term's
+    occupation with its amplitude's parts rounded to 12 digits by ``round``
+    itself, and the cap."""
+    rows = [(occ, round(a.real, 12), round(a.imag, 12)) for occ, a in state.items()]
+    return frozenset(rows), state.truncation_cap
+
+
+def sorted_key_reference(state: FockState) -> tuple:
+    """The key states had before keys became sets: the same rows, sorted
+    into a tuple, and the cap."""
     rows = [(occ, round(a.real, 12), round(a.imag, 12)) for occ, a in state.items()]
     return tuple(sorted(rows)), state.truncation_cap
 

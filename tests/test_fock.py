@@ -21,6 +21,7 @@ from wclass_sim.fock import (
     normalize,
     superpose,
 )
+from wclass_sim.fock import _round12, left_sum
 from wclass_sim.optics import (
     BeamSplitterSpec,
     apply_beam_splitter,
@@ -380,3 +381,65 @@ def test_fidelity_stays_within_the_unit_interval():
                 assert 0.0 <= f <= 1.0
                 assert f == pytest.approx(1.0, abs=1e-15)
     assert above > 0
+
+
+def _near_tie(k: int, step: int) -> float:
+    """``(k + 1/2) 1e-12``, or the float one ulp below or above it: the
+    near-ties of the 12-digit rounding."""
+    x = (k + 0.5) * 1e-12
+    return x if step == 0 else math.nextafter(x, step * math.inf)
+
+
+_NEAR_TIES = st.builds(_near_tie, st.integers(-(10**13), 10**13), st.sampled_from([-1, 0, 1]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    x=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1.0, 1.0),
+        st.floats(-1e-11, 1e-11),
+        st.floats(-(2.0**-1020), 2.0**-1020),  # subnormals and +-0
+        st.floats(-1e3, 1e3),
+        _NEAR_TIES,
+    )
+)
+def test_round12_is_round_to_12_digits(x):
+    # the keys' fast rounding is exact: its fast path is taken only where
+    # x * 1e12 is provably within 0.499 of the integer it rounds to
+    assert _round12(x) == round(x, 12)
+    assert _round12(-x) == round(-x, 12)
+
+
+def test_round12_at_its_edges():
+    for x in (0.0, -0.0, 5e-324, -5e-324, 4.9e-13, -4.9e-13, 5e-13, 1.0, -1.0,
+              math.nextafter(1.0, 2.0), 0.5e-12, 1.5e-12, 2.5e-12, 1e300, -1e300):
+        assert _round12(x) == round(x, 12)
+    for x in (math.inf, -math.inf):
+        assert _round12(x) == x
+    assert math.isnan(_round12(math.nan))
+
+
+def test_keys_are_row_sets_that_ignore_term_order():
+    # the key is (frozenset of rounded rows, cap): states with the same
+    # terms in another order, or amplitudes equal to 12 digits, share it
+    reg = small_registry()
+    terms = {(1, 0, 0): 0.6 + 0.2j, (0, 1, 0): -0.3j, (0, 0, 1): 0.1}
+    state = FockState(reg, terms, truncation_cap=3)
+    backwards = FockState(reg, dict(reversed(terms.items())), truncation_cap=3)
+    nudged = state.replace_terms({**terms, (0, 0, 1): 0.1 + 1e-14})
+    assert state.key() == backwards.key() == nudged.key()
+    assert state.key() == (
+        frozenset((occ, round(a.real, 12), round(a.imag, 12)) for occ, a in terms.items()),
+        3,
+    )
+    assert state.key() != FockState(reg, terms, truncation_cap=4).key()
+    assert state.key() != state.replace_terms({**terms, (0, 0, 1): 0.1 + 1e-11}).key()
+
+
+def test_left_sum_folds_left_to_right():
+    # what sum() of floats gave up to Python 3.11, whatever Python runs it
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([], 0j) == 0j and left_sum([]) == 0.0
+    assert left_sum([0.1j] * 10, 0j) == 0.9999999999999999j

@@ -1,6 +1,8 @@
 import concurrent.futures
+import functools
 import json
 import math
+import operator
 import warnings
 from dataclasses import replace
 
@@ -67,6 +69,23 @@ def test_wilson_interval_brackets_the_rate():
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
     assert wilson_interval(0, 0) == (0.0, 1.0)
+
+
+def test_report_sums_fold_left_whatever_the_python():
+    # sum() of floats is compensated from Python 3.12 on; the reports add
+    # left to right, so ten fidelities of 0.1 average to the left fold's
+    # 0.9999999999999999 / 10 on every Python
+    cfg = ProtocolConfig(n=3, p_e=0.01)
+    stages = chain_stages(3)
+    ones = np.ones((10, len(stages)), np.int64)
+    cols = montecarlo.ChainColumns(
+        np.ones(10, bool), ones, ones, np.full(10, 0.1), np.full(10, montecarlo._W)
+    )
+    report = montecarlo._aggregate_chain(cfg, stages, cols)
+    assert report.fidelity_mean == 0.9999999999999999 / 10 != 0.1
+    residues = [(0.1 - report.fidelity_mean) ** 2] * 10
+    se = math.sqrt(functools.reduce(operator.add, residues, 0.0) / 9 / 10)
+    assert report.confidence["fidelity_mean_se"] == se
 
 
 def test_run_batch_is_deterministic():

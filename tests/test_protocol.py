@@ -14,6 +14,7 @@ from wclass_sim.fock import (
     PRUNE_THRESHOLD,
     FockState,
     ModeKind,
+    ModeRegistry,
     count_excitations,
     debug_serialize,
     fidelity,
@@ -68,6 +69,7 @@ from oracle_helpers import (
     teleport_from_states_reference,
     receiver_targets_reference,
     run_trial_reference,
+    sorted_key_reference,
     teleport_round_reference,
     teleport_target_state_reference,
     unknown_prepared_reference,
@@ -1039,22 +1041,28 @@ def _branch_states(dists):
     return [br.state for dist in dists for br in dist.branches]
 
 
-def _assert_born_keyed(states):
+def _assert_pruned_and_keyed(states):
     """Each state carries the key its terms give, and no term below the
-    prune or with a -0.0 part."""
+    prune or with a -0.0 part; and the keys, sets of rows, group the states
+    exactly as the sorted rows of the keys before them did."""
     for state in states:
         assert state.key() == key_reference(state)
         for _, a in state.items():
             assert abs(a) >= PRUNE_THRESHOLD
             assert not any(x == 0.0 and math.copysign(1.0, x) < 0 for x in (a.real, a.imag))
+    keys = [state.key() for state in states]
+    sorted_keys = [sorted_key_reference(state) for state in states]
+    # equal keys exactly when equal sorted keys: each set of keys maps one
+    # to one onto the other
+    assert len(set(keys)) == len(set(sorted_keys)) == len(set(zip(keys, sorted_keys)))
+    assert len(set(keys)) < len(keys)  # some states do share a key
 
 
 @pytest.mark.parametrize("cap", [3, 4, 5, 6])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_branch_states_are_born_pruned_with_their_key(n, cap):
-    # a round makes each branch state pruned and keyed in one pass: the key
-    # it stores is the one its terms give, for every branch of the grid's
-    # tables
+    # a round makes each branch state pruned in one pass, and its key is
+    # the one its terms give, for every branch of the grid's tables
     states = []
     for eta, p_e, double_pair, finite in ROUND_GRID:
         cfg = ProtocolConfig(
@@ -1064,7 +1072,7 @@ def test_branch_states_are_born_pruned_with_their_key(n, cap):
         sim = ChainSimulator(cfg)
         sim.completion(0, sim.initial_state())
         states += _branch_states(node.dist for node in sim._nodes.values())
-    _assert_born_keyed(states)
+    _assert_pruned_and_keyed(states)
     assert len(states) > len(ROUND_GRID)
 
 
@@ -1079,8 +1087,31 @@ def test_teleport_branch_states_are_born_pruned_with_their_key(eta, cap):
     nodes = [*sim.w123._nodes.values(), *sim.w456._nodes.values()]
     dists = [node.dist for node in nodes] + [sim.round_distribution(j) for j in joints]
     states = _branch_states(dists)
-    _assert_born_keyed(states)
+    _assert_pruned_and_keyed(states)
     assert len(states) > len(nodes) + len(joints)
+
+
+def test_merged_branches_keep_the_post_of_their_own_first_leaf():
+    # two sectors herald the same state to 12 digits, in different last
+    # bits. The (2, 0) sector's post is keyed first, through its no-loss
+    # leaf; the one-loss branch first reaches the (1, 1) sector's post, and
+    # keeps it when the (2, 0) sector's one-loss leaf merges into it
+    reg = ModeRegistry()
+    reg.add_atomic("a")
+    reg.seal()
+    state = FockState.vacuum(reg, 3)
+    sectors = {(1, 1): {(1,): 2.0 + 0j}, (2, 0): {(1,): 3.0 + 1e-17j}}
+    herald = protocol._Herald(("D1", "D2"), (((True, False), ()),), (0, 1, 2, 3))
+    dist = protocol._heralded(state, sectors, herald, 0.5)
+    no_loss, one_loss = dist.branches
+    assert (no_loss.detected, no_loss.lost) == ((2, 0), 0)
+    assert (one_loss.detected, one_loss.lost) == ((1, 0), 1)
+    assert no_loss.state.key() == one_loss.state.key()
+    assert dict(no_loss.state.items()) == {(1,): (3.0 + 1e-17j) / 3.0}
+    assert dict(one_loss.state.items()) == {(1,): 1.0 + 0j}
+    # shares 4/13 and 9/13; per port C(l + d, l) 0.5^l 0.5^d
+    assert one_loss.prob == 4 / 13 * (1.0 * 0.5) * (0.5 * 1.0) + 9 / 13 * (2 * 0.5 * 0.5) * 1.0
+    assert no_loss.prob == 9 / 13 * (0.5 * 0.5) * 1.0
 
 
 def test_conditioned_prunes_what_normalizing_takes_below_the_threshold():
