@@ -36,7 +36,7 @@ for _ in range(600):
     out = teleport_from_states(tcfg, rng, layout, joint)
     if out.succeeded:
         accepted += 1
-        correct += out.info["correct_clicks"]
+        correct += out.correct_clicks
 print(f"\naccepted {accepted}/600 rounds; {correct} were true single-photon")
 print("heralds (the rest are bunched two-photon fakes the detectors cannot")
 print("resolve; they leave the receivers empty-handed)")

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InsufficientDataError, UsageError, WClassError
+from .errors import UsageError, WClassError
 from .montecarlo import run_batch, run_epr_batch, run_teleport_batch
 from .protocol import ProtocolConfig, TeleportConfig
 
@@ -340,22 +340,18 @@ def run(spec: ExperimentSpec) -> int:
     started = time.monotonic()
     if spec.seed_was_auto:
         print(f"seed: {spec.config.seed}", file=sys.stderr)
-    try:
-        if spec.command == "scaling-sweep":
-            results, attempts_total = _run_sweep(spec)
-            starved = any(row["successes"] == 0 for row in results["sweep"])
+    if spec.command == "scaling-sweep":
+        results, attempts_total = _run_sweep(spec)
+        starved = any(row["successes"] == 0 for row in results["sweep"])
+    else:
+        if spec.command == "teleport":
+            report = run_teleport_batch(spec.teleport, spec.trials, workers=spec.workers)
         else:
-            if spec.command == "teleport":
-                report = run_teleport_batch(spec.teleport, spec.trials, workers=spec.workers)
-            else:
-                batch = run_epr_batch if spec.command == "epr" else run_batch
-                report = batch(spec.config, spec.trials, workers=spec.workers)
-            results = report.to_dict()
-            attempts_total = report.rounds_total
-            starved = report.successes == 0
-    except InsufficientDataError as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return 1
+            batch = run_epr_batch if spec.command == "epr" else run_batch
+            report = batch(spec.config, spec.trials, workers=spec.workers)
+        results = report.to_dict()
+        attempts_total = report.rounds_total
+        starved = report.successes == 0
 
     document = {
         "schema_version": SCHEMA_VERSION,

@@ -37,12 +37,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .errors import (
-    AttemptsExhaustedError,
-    DomainError,
-    InsufficientDataError,
-    PreconditionError,
-)
+from .errors import DomainError, InsufficientDataError, PreconditionError
 from .fock import (
     FockState,
     count_excitations,
@@ -55,6 +50,7 @@ from .fock import (
 )
 from .protocol import (
     ChainSimulator,
+    Holder,
     ProtocolConfig,
     StageSpec,
     TeleportConfig,
@@ -64,6 +60,7 @@ from .protocol import (
     epr_stage,
     epr_state,
     ideal_w_state,
+    localizable,
     make_chain_layout,
     make_teleport_layout,  # unused here; bench/spans.py wraps this binding
     qubit_state,
@@ -476,6 +473,11 @@ class TeleportReport(_Report):
 
 
 def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
+    """A row per trial of ``[lo, hi)``: ``(succeeded, rounds, correct
+    clicks, fidelity or None, this receiver holds or None, localized
+    fidelity or None)``.  A fidelity is taken on correct clicks only, and
+    localization on a :func:`~wclass_sim.protocol.localizable` state only (a
+    vacuum-faking accept is not)."""
     # the phases are a gauge: run and score in the zero-phase frame
     tcfg = replace(tcfg, base=replace(tcfg.base, phases=None))
     sim = TeleportSimulator(tcfg)
@@ -485,23 +487,16 @@ def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
     carol_target = qubit_state(tcfg, vac, layout.carol)
     bob_target = qubit_state(tcfg, vac, layout.bob)
     out = []
-    for t, rng in zip(range(lo, hi), trial_rngs(tcfg.base.seed, lo, hi)):
-        try:
-            res = teleport(tcfg, rng, sim)
-        except AttemptsExhaustedError:
-            out.append((t, False, tcfg.base.max_attempts, False, None, None, None))
-            continue
-        correct = bool(res.info and res.info.get("correct_clicks"))
+    for rng in trial_rngs(tcfg.base.seed, lo, hi):
+        res = teleport(tcfg, rng, sim)
+        correct = bool(res.correct_clicks)
         fid = fidelity(res.state, target) if correct else None
-        holder = None
-        loc_fid = None
-        try:
+        holder = loc_fid = None
+        if res.succeeded and localizable(res.state):
             h, residual = receiver_localize(res.state, layout.carol, rng)
-            holder = h.value == "this-receiver"
+            holder = h is Holder.THIS_RECEIVER
             loc_fid = fidelity(residual, carol_target if holder else bob_target)
-        except PreconditionError:
-            pass  # vacuum-faking accept; flagged, not localizable
-        out.append((t, True, res.attempts, correct, fid, holder, loc_fid))
+        out.append((res.succeeded, res.attempts, correct, fid, holder, loc_fid))
     return out
 
 
@@ -513,12 +508,11 @@ def run_teleport_batch(
     rows = _collect_spans(
         _run_teleport_trials, lambda lo, hi: (tcfg, lo, hi), trials, workers
     )
-    successes = sum(1 for r in rows if r[1])
-    correct = sum(1 for r in rows if r[3])
-    fids = [r[4] for r in rows if r[4] is not None]
-    holders = [r[5] for r in rows if r[5] is not None]
-    loc_fids = [r[6] for r in rows if r[6] is not None]
-    rounds = [r[2] for r in rows]
+    succeeded, rounds, correct, fids, holders, loc_fids = zip(*rows)
+    successes = sum(succeeded)
+    fids = [f for f in fids if f is not None]
+    holders = [h for h in holders if h is not None]
+    loc_fids = [f for f in loc_fids if f is not None]
     mean_rounds = sum(rounds) / len(rows)
     fid_mean = left_sum(fids) / len(fids) if fids else None
     holder_frac = sum(holders) / len(holders) if holders else None
@@ -526,15 +520,13 @@ def run_teleport_batch(
     return TeleportReport(
         trials=trials,
         successes=successes,
-        correct_click_fraction=correct / successes if successes else 0.0,
+        correct_click_fraction=sum(correct) / successes if successes else 0.0,
         fidelity_mean=fid_mean,
         holder_this_fraction=holder_frac,
         localize_fidelity_mean=loc_mean,
         mean_time_s=mean_rounds * tcfg.base.t0,
         confidence={
-            "holder_this_wilson95": list(
-                wilson_interval(sum(1 for h in holders if h), len(holders))
-            )
+            "holder_this_wilson95": list(wilson_interval(sum(holders), len(holders)))
             if holders
             else None,
         },
@@ -583,10 +575,9 @@ def estimate_vacuum_coefficient(
     report = run_batch(cfg, trials, workers=workers)
     if report.successes == 0:
         raise InsufficientDataError("no successful chain builds")
-    w_count = round(report.w_fraction * report.successes)
-    if w_count == 0:
+    c_hat = report.c_n_hat  # None exactly when no success is a W outcome
+    if c_hat is None:
         raise InsufficientDataError("no W-class outcomes to normalize against")
-    c_hat = report.c_n_hat
     if layout is None:
         layout = make_chain_layout(cfg)
     mixture = NoisyStateMixture(

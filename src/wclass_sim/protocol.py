@@ -8,7 +8,8 @@ Two code paths cover every protocol state:
   construction by literal application of the creation/annihilation
   products, with the chain intermediate kept unnormalized (its squared norm
   is ``4n - 6``).  Every creation step is one builder, ``_excite``: a
-  spread ``sum_k c_k m_k+`` of creation operators applied to a state.
+  spread ``sum_k c_k m_k+`` of creation operators applied to a state;
+  only ``ideal_w_state`` writes its ``n`` terms directly.
 
 * **Sampled engine** (:class:`ChainSimulator`): Monte Carlo trajectories
   of heralded rounds, conditioned on single clicks, in the zero-phase
@@ -133,6 +134,11 @@ class ProtocolConfig:
     second_order_pump: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("n", "truncation_cap", "max_attempts", "seed"):
+            value = getattr(self, name)  # an int or an int-like such as np.int64
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.n < 2:
             raise ValueError("need at least two ensembles")
         if not 0.0 <= self.p_e < 1.0:
@@ -184,14 +190,17 @@ class TeleportConfig:
 
 @dataclass
 class StepOutcome:
-    """Result of a chain build or of one teleport round."""
+    """Result of a chain build, of a teleport trial or of one teleport
+    round.  A teleport trial that runs out of rounds has no state;
+    ``correct_clicks`` says whether an accepted teleport round's clicks
+    were backed by one photon per pair (None for anything else)."""
 
     succeeded: bool
     attempts: int
-    state: FockState
+    state: FockState | None
     click_log: Tuple[Tuple[str, bool], ...]
     stage_attempts: Dict[str, int] | None = None
-    info: dict | None = None
+    correct_clicks: bool | None = None
 
 
 class Holder(enum.Enum):
@@ -219,25 +228,32 @@ class ChainLayout:
         return FockState.vacuum(self.registry, self.truncation_cap)
 
 
-def make_chain_layout(cfg: ProtocolConfig) -> ChainLayout:
-    """Standard registry: one atomic mode per ensemble.  Stokes light is
-    only ever detected, so no round needs a mode for it."""
+def _atomic_registry(
+    cfg: ProtocolConfig, names: Sequence[str]
+) -> Tuple[ModeRegistry, Tuple[Mode, ...]]:
+    """A sealed registry of one atomic mode per name, in that order, which
+    fixes the order of every state's terms and so the report bytes.  Stokes
+    and retrieved light is only ever detected, so no round needs a mode for
+    it."""
     reg = ModeRegistry(CollectiveModeModel(cfg.n_a, cfg.finite_size))
-    ens = tuple(reg.add_atomic(f"ens{i}") for i in range(1, cfg.n + 1))
+    modes = tuple([reg.add_atomic(name) for name in names])
     reg.seal()
+    return reg, modes
+
+
+def make_chain_layout(cfg: ProtocolConfig) -> ChainLayout:
+    """Standard registry: one atomic mode per ensemble."""
+    reg, ens = _atomic_registry(cfg, [f"ens{i}" for i in range(1, cfg.n + 1)])
     return ChainLayout(reg, ens, cfg.truncation_cap)
 
 
 @dataclass(frozen=True)
-class TeleportLayout:
-    """Registry for the three-party teleportation: sender pair L/R plus the
-    six W-chain ensembles, atomic modes only."""
+class TeleportLayout(ChainLayout):
+    """Registry for the three-party teleportation: the six W-chain
+    ensembles 1..6 as ``ensembles``, plus the sender pair L/R."""
 
-    registry: ModeRegistry
     mode_l: Mode
     mode_r: Mode
-    ensembles: Tuple[Mode, ...]  # ensembles 1..6
-    truncation_cap: int
 
     def chain_layout(self, first_party: int) -> ChainLayout:
         k = first_party - 1
@@ -253,18 +269,12 @@ class TeleportLayout:
         """The other receiver pair: ensembles 2 and 5."""
         return self.ensembles[1], self.ensembles[4]
 
-    def vacuum(self) -> FockState:
-        return FockState.vacuum(self.registry, self.truncation_cap)
-
 
 def make_teleport_layout(tcfg: TeleportConfig) -> TeleportLayout:
-    cfg = tcfg.base
-    reg = ModeRegistry(CollectiveModeModel(cfg.n_a, cfg.finite_size))
-    mode_l = reg.add_atomic("ensL")
-    mode_r = reg.add_atomic("ensR")
-    ens = tuple(reg.add_atomic(f"ens{i}") for i in range(1, 7))
-    reg.seal()
-    return TeleportLayout(reg, mode_l, mode_r, ens, cfg.truncation_cap)
+    """Modes L, R, then ensembles 1..6."""
+    names = ["ensL", "ensR", *(f"ens{i}" for i in range(1, 7))]
+    reg, (mode_l, mode_r, *ens) = _atomic_registry(tcfg.base, names)
+    return TeleportLayout(reg, tuple(ens), tcfg.base.truncation_cap, mode_l, mode_r)
 
 
 # ---------------------------------------------------------------------------
@@ -1272,8 +1282,9 @@ def _retrieve(
     if u >= dist.p_accept:
         return None
     br = pick(dist.branches, u, list(accumulate(b.prob for b in dist.branches)))
-    info = {"correct_clicks": correct_teleport_clicks(br)}
-    return StepOutcome(True, rounds, br.state, br.clicks, info=info)
+    return StepOutcome(
+        True, rounds, br.state, br.clicks, correct_clicks=correct_teleport_clicks(br)
+    )
 
 
 def teleport_from_states(
@@ -1311,60 +1322,53 @@ class TeleportSimulator:
             dist = self._rounds[key] = teleport_round(psi, self.layout, self.tcfg.base)
         return dist
 
-    def run_trial(self, rng: np.random.Generator) -> StepOutcome:
-        """Full pipeline: build both W states, retrieve, condition on two
-        clicks.
-
-        A failed conditioning round discards everything and re-prepares both
-        W states, as the protocol prescribes; the attempt count accumulates
-        across restarts.
-        """
-        budget = self.tcfg.base.max_attempts
-        rounds = 0
-        while True:
-            r1 = self.w123.run_trial(rng)
-            rounds += r1.rounds
-            if not r1.succeeded or rounds >= budget:
-                raise AttemptsExhaustedError(
-                    "W preparation exhausted the attempt budget",
-                    stage="w123",
-                    attempts=min(rounds, budget),
-                )
-            r2 = self.w456.run_trial(rng, initial_state=r1.final_state)
-            rounds += r2.rounds
-            if not r2.succeeded or rounds >= budget:
-                raise AttemptsExhaustedError(
-                    "W preparation exhausted the attempt budget",
-                    stage="w456",
-                    attempts=min(rounds, budget),
-                )
-            rounds += 1
-            out = _retrieve(rng, self.round_distribution(r2.final_state), rounds)
-            if out is not None:
-                return out
-            if rounds >= budget:
-                raise AttemptsExhaustedError(
-                    "teleport conditioning exhausted the attempt budget",
-                    stage="teleport",
-                    attempts=budget,
-                )
-
 
 def teleport(
     tcfg: TeleportConfig,
     rng: np.random.Generator,
     sim: TeleportSimulator | None = None,
 ) -> StepOutcome:
-    """One trial of :meth:`TeleportSimulator.run_trial`, with the channel
-    phases put on its state.  ``sim`` must be built from this very ``tcfg``
-    (a fresh one by default); pass one to every trial of a batch."""
+    """One trial of the full pipeline: build W123, then W456, retrieve, and
+    condition on two clicks; the channel phases are put on the accepted
+    state.  ``sim`` must be built from this very ``tcfg`` (a fresh one by
+    default); pass one to every trial of a batch.
+
+    A failed conditioning round discards both W states and re-prepares
+    them, as the protocol prescribes; rounds accumulate across restarts.
+    Like every trial runner, a trial that runs out of ``max_attempts``
+    rounds returns ``succeeded=False``, with ``attempts == max_attempts``
+    and no state; only :func:`build_w_chain` and :func:`prepare_epr` raise
+    :class:`~wclass_sim.errors.AttemptsExhaustedError`.
+    """
     if sim is None:
         sim = TeleportSimulator(tcfg)
     elif sim.tcfg is not tcfg:
         raise ValueError("the teleport simulator was built from another config")
-    out = sim.run_trial(rng)
-    put_on = [-ph for ph in tcfg.base.phases * 2]  # W123 on 1..3, W456 on 4..6
-    return replace(out, state=phase_compensate(out.state, put_on, sim.layout.ensembles))
+    budget = tcfg.base.max_attempts
+    rounds = 0
+    while rounds < budget:
+        joint = None  # W123 grows from the vacuum, W456 from W123's outcome
+        for chain in (sim.w123, sim.w456):
+            res = chain.run_trial(rng, joint)
+            rounds += res.rounds  # a chain that exhausts spends the whole budget
+            joint = res.final_state
+            if rounds >= budget:
+                break
+        else:  # both W states are built: one retrieval round
+            rounds += 1
+            out = _retrieve(rng, sim.round_distribution(joint), rounds)
+            if out is not None:
+                put_on = [-ph for ph in tcfg.base.phases * 2]  # W123 on 1..3, W456 on 4..6
+                return replace(
+                    out, state=phase_compensate(out.state, put_on, sim.layout.ensembles)
+                )
+    return StepOutcome(False, budget, None, ())
+
+
+def localizable(state: FockState) -> bool:
+    """Whether :func:`receiver_localize` may measure ``state``: it is
+    nonzero and every term carries exactly one excitation."""
+    return not state.is_zero() and all(sum(occ) == 1 for occ, _ in state.items())
 
 
 def receiver_localize(
@@ -1376,11 +1380,12 @@ def receiver_localize(
 
     Outcome 1 means this receiver holds the transmitted qubit and the
     residual is their pair's state; outcome 0 hands it to the other receiver.
-    Inputs must carry exactly one excitation in total (vacuum components are
-    flagged as a precondition violation).
+    Inputs must be :func:`localizable`: one excitation in total (a vacuum
+    component, as a vacuum-faking accept leaves, is a precondition
+    violation).
     """
     modes = list(receiver_modes)
-    if state.is_zero() or any(sum(occ) != 1 for occ, _ in state.items()):
+    if not localizable(state):
         raise PreconditionError(
             "localization needs a single shared excitation; the input is zero "
             "or has a vacuum or multi-excitation component"

@@ -762,8 +762,9 @@ def teleport_from_states_reference(tcfg, rng, layout, joint_w_state):
     br = _conditioned(teleport_round(psi, layout, tcfg.base), rng)
     if br is None:
         return StepOutcome(False, 1, psi, ())
-    info = {"correct_clicks": correct_teleport_clicks(br)}
-    return StepOutcome(True, 1, br.state, br.clicks, info=info)
+    return StepOutcome(
+        True, 1, br.state, br.clicks, correct_clicks=correct_teleport_clicks(br)
+    )
 
 
 # ---------------------------------------------------------------------------

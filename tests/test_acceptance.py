@@ -212,7 +212,7 @@ def test_a6_teleportation():
         target = teleport_target_state(tcfg, layout)
         for _ in range(400):
             out = teleport_from_states(tcfg, rng, layout, joint)
-            if out.succeeded and out.info["correct_clicks"]:
+            if out.succeeded and out.correct_clicks:
                 ok &= equal_up_to_global_phase(out.state, target, 1e-10)
                 checked += 1
                 break

@@ -12,7 +12,12 @@ from scipy import stats
 
 from wclass_sim import montecarlo, protocol
 from wclass_sim.cli import main
-from wclass_sim.errors import DomainError, InsufficientDataError, PreconditionError
+from wclass_sim.errors import (
+    AttemptsExhaustedError,
+    DomainError,
+    InsufficientDataError,
+    PreconditionError,
+)
 from wclass_sim.fock import create
 from wclass_sim.montecarlo import (
     NoisyStateMixture,
@@ -273,6 +278,17 @@ def test_vacuum_coefficient_preconditions():
         estimate_vacuum_coefficient(starved, 1000)
 
 
+def test_vacuum_coefficient_needs_a_w_outcome(monkeypatch):
+    # successes without a W outcome: the report's c_n_hat is None
+    cfg = ProtocolConfig(n=3, p_e=0.02, eta=0.1, seed=1)
+    report = run_batch(cfg, 20)
+    assert report.successes > 0
+    no_w = replace(report, w_fraction=0.0, c_n_hat=None)
+    monkeypatch.setattr(montecarlo, "run_batch", lambda *args, **kwargs: no_w)
+    with pytest.raises(InsufficientDataError, match="W-class"):
+        estimate_vacuum_coefficient(cfg, 1000)
+
+
 def test_fidelity_mixture_examples():
     layout = make_chain_layout(ProtocolConfig(n=3, p_e=0.01))
     w = ideal_w_state(3, (0.0, 0.0, 0.0), layout)
@@ -424,13 +440,30 @@ def test_run_batch_matches_the_per_trial_reference(cfg, stages, trials):
 
 
 def test_teleport_batch_propagates_program_errors(monkeypatch):
-    def broken(*args, **kwargs):
-        raise ValueError("a bug, not an exhausted budget")
-
-    monkeypatch.setattr(montecarlo, "teleport", broken)
+    # an exhausted trial is a returned value, so a raised exhaustion is a bug
     tcfg = TeleportConfig(1.0, 0.0, ProtocolConfig(n=3, p_e=0.05, seed=1))
-    with pytest.raises(ValueError):
+    for error in (ValueError, AttemptsExhaustedError):
+        def broken(*args, **kwargs):
+            raise error("a bug, not an exhausted budget")
+
+        monkeypatch.setattr(montecarlo, "teleport", broken)
+        with pytest.raises(error):
+            run_teleport_batch(tcfg, 2)
+
+
+def test_teleport_batch_propagates_a_localization_error(monkeypatch):
+    # a vacuum-faking accept is never localized; a raised precondition is a bug
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise PreconditionError("a bug, not a vacuum-faking accept")
+
+    monkeypatch.setattr(montecarlo, "receiver_localize", broken)
+    tcfg = TeleportConfig(1.0, 0.0, ProtocolConfig(n=3, p_e=0.05, seed=1))
+    with pytest.raises(PreconditionError):
         run_teleport_batch(tcfg, 2)
+    assert len(calls) == 1
 
 
 def test_teleport_batch_enumerates_each_round_once(monkeypatch):

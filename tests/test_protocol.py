@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wclass_sim import protocol
 from wclass_sim.errors import AttemptsExhaustedError, PreconditionError
-from wclass_sim.montecarlo import trial_rngs
+from wclass_sim.montecarlo import rng_for_trial, trial_rngs
 from wclass_sim.fock import (
     PRUNE_THRESHOLD,
     FockState,
@@ -35,6 +35,7 @@ from wclass_sim.protocol import (
     epr_state,
     exact_double_w_state,
     ideal_w_state,
+    localizable,
     make_chain_layout,
     make_teleport_layout,
     merge_round,
@@ -123,6 +124,18 @@ def test_config_rejects_seed_beyond_64_bits(seed):
 def test_config_keeps_seeds_at_the_64_bit_bounds():
     for seed in (-(2**63), 2**63 - 1):
         assert ProtocolConfig(n=3, p_e=0.01, seed=seed).seed == seed
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n", 3), ("truncation_cap", 5), ("max_attempts", 200), ("seed", 7)]
+)
+def test_config_takes_integer_counts_only(field, value):
+    # a float or a bool used to construct, then fail or run deep in a batch
+    for bad in (float(value), value + 0.5, True, str(value)):
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(**{"n": 3, "p_e": 0.01, field: bad})
+    got = getattr(ProtocolConfig(**{"n": 3, "p_e": 0.01, field: np.int64(value)}), field)
+    assert type(got) is int and got == value
 
 
 def test_config_keeps_infinite_atom_number_as_no_correction():
@@ -569,7 +582,7 @@ def test_teleport_alpha_only_restricted_form():
     seen = 0
     for _ in range(200):
         out = teleport_from_states(tcfg, rng, layout, joint)
-        if out.succeeded and out.info["correct_clicks"]:
+        if out.succeeded and out.correct_clicks:
             assert equal_up_to_global_phase(out.state, target, 1e-10)
             seen += 1
     assert seen > 10
@@ -601,7 +614,7 @@ def test_teleport_matches_oracle_receiver_state():
     joint = exact_double_w_state(tcfg, layout)
     for _ in range(120):
         out = teleport_from_states(tcfg, rng, layout, joint)
-        if out.succeeded and out.info["correct_clicks"]:
+        if out.succeeded and out.correct_clicks:
             assert equal_up_to_global_phase(out.state, want, 1e-10)
             return
     pytest.fail("no correct-click acceptance in 120 rounds")
@@ -620,8 +633,8 @@ def test_teleport_outcome_carries_the_channel_phases():
     for t in range(10):
         r_0 = teleport(tcfg_0, np.random.default_rng(t), sim_0)
         r_ph = teleport(tcfg_ph, np.random.default_rng(t), sim_ph)
-        assert (r_ph.attempts, r_ph.click_log, r_ph.info) == (
-            r_0.attempts, r_0.click_log, r_0.info
+        assert (r_ph.attempts, r_ph.click_log, r_ph.correct_clicks) == (
+            r_0.attempts, r_0.click_log, r_0.correct_clicks
         )
         comp = phase_compensate(r_ph.state, phases * 2, sim_ph.layout.ensembles)
         # lift the zero-phase outcome into the phased registry to compare rays
@@ -744,6 +757,43 @@ def test_rounds_build_no_state_through_the_validating_constructor(monkeypatch):
     monkeypatch.setattr(FockState, "__init__", refuse)
     assert sim.run_trial(np.random.default_rng(0)).succeeded
     assert teleport(tcfg, np.random.default_rng(1), sim=tsim).succeeded
+
+
+def test_teleport_returns_an_exhausted_trial_as_a_value():
+    # the teleport_cap4_exhausted golden config: trial 5's first W123
+    # outcome leaves W456 no completing path under cap 4, so W456 spends the
+    # whole budget
+    tcfg = TeleportConfig(0.6, 0.8, ProtocolConfig(n=3, p_e=0.02, eta=0.2, seed=3))
+    sim = TeleportSimulator(tcfg)
+    w123 = sim.w123.run_trial(rng_for_trial(3, 5))
+    assert w123.succeeded and sim.w456.completion(0, w123.final_state)[0] == 0.0
+    out = teleport(tcfg, rng_for_trial(3, 5), sim)
+    assert (out.succeeded, out.attempts, out.state, out.click_log, out.correct_clicks) == (
+        False, tcfg.base.max_attempts, None, (), None
+    )
+
+
+def test_localizable_is_the_precondition_of_receiver_localize():
+    layout = make_teleport_layout(TeleportConfig(1.0, 0.0, ProtocolConfig(n=3, p_e=0.01)))
+    from wclass_sim.fock import create, superpose
+
+    vac = layout.vacuum()
+    one = create(vac, layout.ensembles[1])
+    states = [
+        one,
+        normalize(superpose([1.0, 1.0], [one, create(vac, layout.ensembles[2])])),
+        vac,
+        vac.replace_terms({}),
+        normalize(superpose([0.8, 0.6], [one, vac])),
+        create(one, layout.ensembles[2]),
+    ]
+    assert [localizable(s) for s in states] == [True, True, False, False, False, False]
+    carol = layout.carol
+    for state in states[:2]:
+        receiver_localize(state, carol, np.random.default_rng(0))
+    for state in states[2:]:
+        with pytest.raises(PreconditionError):
+            receiver_localize(state, carol, np.random.default_rng(0))
 
 
 def test_teleport_refuses_a_simulator_of_another_config():
@@ -1393,8 +1443,8 @@ def _outcomes_against_reference(step, reference):
     for seed in range(200):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         out, ref = step(rng), reference(ref_rng)
-        assert (out.succeeded, out.attempts, out.click_log, out.info) == (
-            ref.succeeded, ref.attempts, ref.click_log, ref.info
+        assert (out.succeeded, out.attempts, out.click_log, out.correct_clicks) == (
+            ref.succeeded, ref.attempts, ref.click_log, ref.correct_clicks
         )
         assert out.state.key() == ref.state.key()
         assert rng.random() == ref_rng.random()
