@@ -122,13 +122,6 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _bool(value) -> bool:
-    """A JSON ``true`` or ``false``."""
-    if not isinstance(value, bool):
-        raise TypeError("expected true or false")
-    return value
-
-
 def _int(value) -> int:
     """A number with an integral value, not a boolean."""
     if isinstance(value, bool) or not (
@@ -178,7 +171,8 @@ def _format(value) -> str:
 _FIELDS = dataclasses.fields(ProtocolConfig)
 
 # Every config-file key, which is also the dest of the flag that sets it:
-# its default (ProtocolConfig's where it has one) and its converter.
+# its default (ProtocolConfig's where it has one) and its converter (None
+# where ProtocolConfig checks the value as given).
 _DEFAULTS = {
     **{f.name: f.default for f in _FIELDS},
     "n": 3,
@@ -193,8 +187,8 @@ _DEFAULTS = {
 }
 _CONVERT = {
     "n": _int, "p_e": _float, "eta": _float, "phases": _phases, "n_a": _n_a,
-    "finite_size": _bool, "t0": _float, "truncation_cap": _int, "max_attempts": _int,
-    "seed": _seed, "second_order_pump": _bool, "trials": _int, "alpha": _pair,
+    "finite_size": None, "t0": _float, "truncation_cap": _int, "max_attempts": _int,
+    "seed": _seed, "second_order_pump": None, "trials": _int, "alpha": _pair,
     "beta": _pair, "n_min": _int, "n_max": _int, "format": _format,
 }
 
@@ -241,7 +235,7 @@ def parse_args(argv: Sequence[str]) -> ExperimentSpec:
     values = {}
     for key, convert in _CONVERT.items():
         try:
-            values[key] = convert(raw[key])
+            values[key] = raw[key] if convert is None else convert(raw[key])
         except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise UsageError(f"bad value for {key}: {raw[key]!r} ({exc})") from exc
 

@@ -70,6 +70,7 @@ import cmath
 import enum
 import functools
 import math
+import numbers
 import operator
 import warnings
 from bisect import bisect_right
@@ -111,6 +112,17 @@ from .optics import (
 # ---------------------------------------------------------------------------
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float: a real number in the float range, not a bool.
+    ``float`` is checked first, since the ``numbers.Real`` check is slow."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, (float, numbers.Real)):
+            return float(value)
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Parameters of one chain-preparation experiment.
@@ -139,6 +151,12 @@ class ProtocolConfig:
             if isinstance(value, bool) or not hasattr(type(value), "__index__"):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, operator.index(value))
+        for name in ("p_e", "eta", "t0", "n_a"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        for name in ("finite_size", "second_order_pump"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be True or False, got {value!r}")
         if self.n < 2:
             raise ValueError("need at least two ensembles")
         if not 0.0 <= self.p_e < 1.0:
@@ -148,7 +166,9 @@ class ProtocolConfig:
         phases = self.phases
         if phases is None:
             phases = (0.0,) * self.n
-        phases = tuple(float(x) for x in phases)
+        if isinstance(phases, str) or not hasattr(phases, "__iter__"):
+            raise ValueError(f"phases must be a sequence of numbers, got {phases!r}")
+        phases = tuple([_real("phases", x) for x in phases])
         if len(phases) != self.n:
             raise ValueError(f"need one phase per ensemble ({self.n})")
         if phases[0] != 0.0:
@@ -178,8 +198,11 @@ class TeleportConfig:
     base: ProtocolConfig
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, complex(value))
         if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
             raise PreconditionError("alpha and beta must be finite")
         if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > 1e-12:
@@ -190,16 +213,18 @@ class TeleportConfig:
 
 @dataclass
 class StepOutcome:
-    """Result of a chain build, of a teleport trial or of one teleport
-    round.  A teleport trial that runs out of rounds has no state;
-    ``correct_clicks`` says whether an accepted teleport round's clicks
-    were backed by one photon per pair (None for anything else)."""
+    """A trial's outcome, from every runner.  A failed trial has no state
+    and no clicks.  A chain trial counts each stage's attempts, which sum to
+    ``attempts``, and its successes, in stage order.  ``correct_clicks`` says
+    whether an accepted teleport round's clicks were backed by one photon
+    per pair (None for anything else)."""
 
     succeeded: bool
     attempts: int
     state: FockState | None
     click_log: Tuple[Tuple[str, bool], ...]
-    stage_attempts: Dict[str, int] | None = None
+    stage_attempts: Tuple[int, ...] = ()
+    stage_successes: Tuple[int, ...] = ()
     correct_clicks: bool | None = None
 
 
@@ -887,16 +912,6 @@ def chain_stages(n: int) -> Tuple[StageSpec, ...]:
 
 
 @dataclass
-class ChainTrialResult:
-    succeeded: bool
-    rounds: int
-    stage_attempts: Tuple[int, ...]
-    stage_successes: Tuple[int, ...]
-    final_state: FockState | None
-    click_log: Tuple[Tuple[str, bool], ...]
-
-
-@dataclass
 class ChainSample:
     """Columns of a block of chain trials, in trial order.
 
@@ -1192,18 +1207,16 @@ class ChainSimulator:
         self,
         rng: np.random.Generator,
         initial_state: FockState | None = None,
-    ) -> ChainTrialResult:
+    ) -> StepOutcome:
         """One trial of :meth:`sample`, from the vacuum or ``initial_state``."""
         s = self.sample((rng,), 1, initial_state)
         attempts = tuple(s.attempts[0].tolist())
         successes = tuple(s.successes[0].tolist())
         if not s.succeeded[0]:
-            return ChainTrialResult(False, sum(attempts), attempts, successes, None, ())
+            return StepOutcome(False, sum(attempts), None, (), attempts, successes)
         walk = [self._slots[slots[0]] for slots in s.path]
         log = tuple(click for br in walk for click in br.clicks)
-        return ChainTrialResult(
-            True, sum(attempts), attempts, successes, walk[-1].state, log
-        )
+        return StepOutcome(True, sum(attempts), walk[-1].state, log, attempts, successes)
 
 
 # ---------------------------------------------------------------------------
@@ -1237,12 +1250,9 @@ def build_w_chain(
     from the first stage on any failure.  The channel phases are put on the
     final state."""
     sim = ChainSimulator(cfg, layout, stages)
-    result = sim.run_trial(rng)
-    stage_attempts = {
-        spec.label: a for spec, a in zip(sim.stages, result.stage_attempts)
-    }
-    if not result.succeeded:
-        worst = max(stage_attempts, key=stage_attempts.get)
+    out = sim.run_trial(rng)
+    if not out.succeeded:
+        worst = sim.stages[out.stage_attempts.index(max(out.stage_attempts))].label
         raise AttemptsExhaustedError(
             f"chain build exhausted {cfg.max_attempts} attempts "
             f"(most spent at {worst})",
@@ -1250,13 +1260,7 @@ def build_w_chain(
             attempts=cfg.max_attempts,
         )
     put_on = [-ph for ph in cfg.phases]  # phase_compensate takes its phases off
-    return StepOutcome(
-        True,
-        result.rounds,
-        phase_compensate(result.final_state, put_on, sim.layout.ensembles),
-        result.click_log,
-        stage_attempts=stage_attempts,
-    )
+    return replace(out, state=phase_compensate(out.state, put_on, sim.layout.ensembles))
 
 
 # ---------------------------------------------------------------------------
@@ -1271,16 +1275,21 @@ def exact_double_w_state(tcfg: TeleportConfig, layout: TeleportLayout) -> FockSt
     return _excite(w123, layout.ensembles[3:], coeffs)
 
 
-def _retrieve(
-    rng: np.random.Generator, dist: RoundDistribution, rounds: int
-) -> StepOutcome | None:
+def _retrieval_round(
+    tcfg: TeleportConfig, layout: TeleportLayout, joint: FockState
+) -> RoundDistribution:
+    """The teleport round on the W pair ``joint``, the unknown state on L and R."""
+    psi = qubit_state(tcfg, joint, (layout.mode_l, layout.mode_r))
+    return teleport_round(psi, layout, tcfg.base)
+
+
+def _retrieve(rng: np.random.Generator, dist: RoundDistribution, rounds: int) -> StepOutcome:
     """One teleport round drawn from ``dist``: ``u = rng.random()`` rejects
-    the clicks when ``u >= p_accept`` (None), and otherwise picks the
-    accepted branch by the same ``u``; its outcome counts ``rounds`` rounds
-    in all."""
+    the clicks when ``u >= p_accept``, and otherwise picks the accepted
+    branch by the same ``u``; its outcome counts ``rounds`` rounds in all."""
     u = rng.random()
     if u >= dist.p_accept:
-        return None
+        return StepOutcome(False, rounds, None, ())
     br = pick(dist.branches, u, list(accumulate(b.prob for b in dist.branches)))
     return StepOutcome(
         True, rounds, br.state, br.clicks, correct_clicks=correct_teleport_clicks(br)
@@ -1294,9 +1303,7 @@ def teleport_from_states(
     joint_w_state: FockState,
 ) -> StepOutcome:
     """One teleport round given already-prepared W states (single attempt)."""
-    psi = qubit_state(tcfg, joint_w_state, (layout.mode_l, layout.mode_r))
-    out = _retrieve(rng, teleport_round(psi, layout, tcfg.base), 1)
-    return StepOutcome(False, 1, psi, ()) if out is None else out
+    return _retrieve(rng, _retrieval_round(tcfg, layout, joint_w_state), 1)
 
 
 class TeleportSimulator:
@@ -1313,13 +1320,11 @@ class TeleportSimulator:
         self._rounds: Dict[tuple, RoundDistribution] = {}
 
     def round_distribution(self, joint: FockState) -> RoundDistribution:
-        """The teleport round on the W pair ``joint`` once the unknown state
-        is prepared on the sender's pair."""
+        """The teleport round on the W pair ``joint``, enumerated once."""
         key = joint.key()
         dist = self._rounds.get(key)
         if dist is None:
-            psi = qubit_state(self.tcfg, joint, (self.layout.mode_l, self.layout.mode_r))
-            dist = self._rounds[key] = teleport_round(psi, self.layout, self.tcfg.base)
+            dist = self._rounds[key] = _retrieval_round(self.tcfg, self.layout, joint)
         return dist
 
 
@@ -1350,14 +1355,14 @@ def teleport(
         joint = None  # W123 grows from the vacuum, W456 from W123's outcome
         for chain in (sim.w123, sim.w456):
             res = chain.run_trial(rng, joint)
-            rounds += res.rounds  # a chain that exhausts spends the whole budget
-            joint = res.final_state
+            rounds += res.attempts  # a chain that exhausts spends the whole budget
+            joint = res.state
             if rounds >= budget:
                 break
         else:  # both W states are built: one retrieval round
             rounds += 1
             out = _retrieve(rng, sim.round_distribution(joint), rounds)
-            if out is not None:
+            if out.succeeded:
                 put_on = [-ph for ph in tcfg.base.phases * 2]  # W123 on 1..3, W456 on 4..6
                 return replace(
                     out, state=phase_compensate(out.state, put_on, sim.layout.ensembles)

@@ -405,11 +405,11 @@ def run_trial_trace_reference(sim, rng, state, round_distribution=None):
     round drawn by :func:`_conditioned` from ``round_distribution(stage,
     state)`` (``sim.round_distribution`` by default), a failed round
     restarting the pass from ``state``, until a pass completes or
-    ``max_attempts`` rounds are spent.  Returns the ``ChainTrialResult`` and
+    ``max_attempts`` rounds are spent.  Returns the ``StepOutcome`` and
     each stage's attempts up to its first success (None for an exhausted
     trial).  Only for stage lists whose passes can complete (the engine
     spends a hopeless budget at once)."""
-    from wclass_sim.protocol import ChainTrialResult
+    from wclass_sim.protocol import StepOutcome
 
     round_distribution = round_distribution or sim.round_distribution
     first_round = round_distribution(0, state)  # where every pass starts
@@ -429,11 +429,11 @@ def run_trial_trace_reference(sim, rng, state, round_distribution=None):
             log.extend(br.clicks)
             cur, k = br.state, k + 1
             if k == n_stages:
-                result = ChainTrialResult(
-                    True, rounds, tuple(attempts), tuple(successes), cur, tuple(log)
+                result = StepOutcome(
+                    True, rounds, cur, tuple(log), tuple(attempts), tuple(successes)
                 )
                 return result, tuple(first)
-    result = ChainTrialResult(False, rounds, tuple(attempts), tuple(successes), None, ())
+    result = StepOutcome(False, rounds, None, (), tuple(attempts), tuple(successes))
     return result, None
 
 
@@ -446,7 +446,7 @@ def run_trial_block_reference(sim, rng, state, round_distribution=None, block=40
     end the generator is put back to just after the last uniform read, by
     restoring its state at the last block and advancing it by the uniforms
     read from that block, so its next draw is the scalar walk's too."""
-    from wclass_sim.protocol import ChainTrialResult
+    from wclass_sim.protocol import StepOutcome
 
     round_distribution = round_distribution or sim.round_distribution
     root = round_distribution(0, state)  # where every pass starts
@@ -491,11 +491,11 @@ def run_trial_block_reference(sim, rng, state, round_distribution=None, block=40
     bitgen.state = saved
     bitgen.advance(pos)
     if done:
-        result = ChainTrialResult(
-            True, rounds, tuple(attempts), tuple(successes), cur, tuple(log)
+        result = StepOutcome(
+            True, rounds, cur, tuple(log), tuple(attempts), tuple(successes)
         )
         return result, tuple(first)
-    result = ChainTrialResult(False, rounds, tuple(attempts), tuple(successes), None, ())
+    result = StepOutcome(False, rounds, None, (), tuple(attempts), tuple(successes))
     return result, None
 
 
@@ -602,7 +602,7 @@ def run_trial_reference(sim, rng, initial_state=None):
     P(completion), which it recomputes from the nodes the branches lead to
     (``sim._node(stage + 1, branch state)``).  A trial past the budget spends
     it through the engine's ``_spend_budget``."""
-    from wclass_sim.protocol import ChainTrialResult, _spend_budget, pick
+    from wclass_sim.protocol import StepOutcome, _spend_budget, pick
 
     root = sim._vacuum_root if initial_state is None else sim._node(0, initial_state)
     p_pass, cond = root.p_complete, root.law[0]
@@ -630,11 +630,11 @@ def run_trial_reference(sim, rng, initial_state=None):
                 ))
                 br, node = pick(links, u * node.p_complete, cum)
                 log.extend(br.clicks)
-            return ChainTrialResult(
-                True, rounds, *tally_reference(counts, n_stages), br.state, tuple(log)
+            return StepOutcome(
+                True, rounds, br.state, tuple(log), *tally_reference(counts, n_stages)
             )
     counts, through = _spend_budget(rng, root, budget)
-    return ChainTrialResult(False, budget, *tally_reference(counts, through), None, ())
+    return StepOutcome(False, budget, None, (), *tally_reference(counts, through))
 
 
 def aggregate_chain_reference(cfg, stages, records):
@@ -705,7 +705,7 @@ def aggregate_chain_reference(cfg, stages, records):
 def _chain_batch_reference(cfg, trials, stages, run_trial, record=TrialRecord):
     """``(report, records)`` of a chain batch on the engine's per-trial
     streams and node table, each trial sampled by ``run_trial(sim, rng,
-    root) -> (ChainTrialResult, extra record fields)`` and classified by the
+    root) -> (StepOutcome, extra record fields)`` and classified by the
     Born draw that follows it, aggregated by
     :func:`aggregate_chain_reference`."""
     from wclass_sim import montecarlo
@@ -721,7 +721,7 @@ def _chain_batch_reference(cfg, trials, stages, run_trial, record=TrialRecord):
         res, *more = run_trial(sim, rng, root)
         fid = cls = None
         if res.succeeded:
-            state = res.final_state
+            state = res.state
             if id(state) not in finals:
                 finals[id(state)] = montecarlo._final_outcome(
                     state, target, sim.layout, not epr
@@ -733,7 +733,7 @@ def _chain_batch_reference(cfg, trials, stages, run_trial, record=TrialRecord):
                 else:
                     cls = "vacuum" if rng.random() < p_empty else "other"
         records.append(
-            record(t, res.succeeded, res.rounds, res.stage_attempts,
+            record(t, res.succeeded, res.attempts, res.stage_attempts,
                    res.stage_successes, fid, cls, *more)
         )
     return aggregate_chain_reference(cfg, stages, records), records
@@ -749,7 +749,8 @@ def run_batch_reference(cfg, trials: int, stages=None):
 
 def teleport_from_states_reference(tcfg, rng, layout, joint_w_state):
     """One teleport round on the W pair ``joint_w_state`` with the unknown
-    state prepared on the sender's pair, drawn from ``teleport_round``."""
+    state prepared on the sender's pair, drawn from ``teleport_round``; a
+    rejected round has no state."""
     from wclass_sim.fock import create, normalize, superpose
     from wclass_sim.protocol import StepOutcome, correct_teleport_clicks, teleport_round
 
@@ -761,7 +762,7 @@ def teleport_from_states_reference(tcfg, rng, layout, joint_w_state):
     )
     br = _conditioned(teleport_round(psi, layout, tcfg.base), rng)
     if br is None:
-        return StepOutcome(False, 1, psi, ())
+        return StepOutcome(False, 1, None, ())
     return StepOutcome(
         True, 1, br.state, br.clicks, correct_clicks=correct_teleport_clicks(br)
     )

@@ -363,6 +363,7 @@ def test_parser_reuse_keeps_reports_byte_identical(tmp_path, capsys):
         # no lenient conversion: bool("false") is True, int(3.9) is 3 ...
         pytest.param("w-state", {"finite_size": "false"}, id="finite_size-string"),
         pytest.param("w-state", {"second_order_pump": "no"}, id="second_order_pump-string"),
+        pytest.param("w-state", {"finite_size": "yes"}, id="finite_size-yes"),
         pytest.param("w-state", {"n": 3.9}, id="n-fraction"),
         pytest.param("w-state", {"trials": 2.5}, id="trials-fraction"),
         pytest.param("w-state", {"max_attempts": True}, id="max_attempts-true"),

@@ -347,7 +347,7 @@ def test_one_stage_exhausted_trial_spends_the_budget_on_its_stage():
               if not r.succeeded]
     assert len(failed) > 100
     for r in failed:
-        assert r.rounds == 5
+        assert r.attempts == 5
         assert tuple(r.stage_attempts) == (5,)
         assert tuple(r.stage_successes) == (0,)
 

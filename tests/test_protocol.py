@@ -25,6 +25,7 @@ from wclass_sim.protocol import (
     ChainSimulator,
     Holder,
     ProtocolConfig,
+    StepOutcome,
     TeleportConfig,
     TeleportSimulator,
     build_w_chain,
@@ -136,6 +137,40 @@ def test_config_takes_integer_counts_only(field, value):
             ProtocolConfig(**{"n": 3, "p_e": 0.01, field: bad})
     got = getattr(ProtocolConfig(**{"n": 3, "p_e": 0.01, field: np.int64(value)}), field)
     assert type(got) is int and got == value
+
+
+@pytest.mark.parametrize(
+    "field, good, bads",
+    [
+        ("p_e", np.int64(0), (True, "0.01", 0.01j, None)),
+        ("eta", np.float32(0.25), (False, "0.2", 0.2j, None)),
+        ("t0", 2, (True, "1e-6", 1e-6j, None)),
+        ("n_a", 1000, (True, "1000", 1000j, 10**400)),
+        ("finite_size", True, ("yes", 1, None)),
+        ("second_order_pump", False, ("no", 0, None)),
+        ("phases", (0, np.float64(0.5), 1), ("000", 0.0, (0.0, True, 0.0), (0.0, 0.5j, 0.0),
+                                             (0.0, "1", 0.0))),
+    ],
+    ids=["p_e", "eta", "t0", "n_a", "finite_size", "second_order_pump", "phases"],
+)
+def test_config_takes_real_numbers_and_flags_only(field, good, bads):
+    # second_order_pump="no" used to run as True, t0=True as a 1 s
+    # interaction, and a string or a complex number raised a bare TypeError
+    for bad in bads:
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(**{"n": 3, "p_e": 0.01, field: bad})
+    cfg = ProtocolConfig(**{"n": 3, "p_e": 0.01, field: good})
+    assert getattr(cfg, field) == good
+    assert {type(x) for x in (cfg.p_e, cfg.eta, cfg.t0, cfg.n_a, *cfg.phases)} == {float}
+
+
+@pytest.mark.parametrize("field, value", [("alpha", 1.0), ("beta", 0.0)])
+def test_teleport_config_takes_numbers_only(field, value):
+    # a string or a bool used to pass through complex()
+    base = ProtocolConfig(n=3, p_e=0.01)
+    for bad in (str(value), bool(value), None):
+        with pytest.raises(ValueError, match=field):
+            TeleportConfig(**{"alpha": 1.0, "beta": 0.0, field: bad, "base": base})
 
 
 def test_config_keeps_infinite_atom_number_as_no_correction():
@@ -445,7 +480,9 @@ def test_build_w_chain_ideal_limit():
     out = build_w_chain(cfg, np.random.default_rng(21), layout)
     assert out.succeeded
     assert out.state.norm() == pytest.approx(1.0, abs=1e-10)
-    assert set(out.stage_attempts) == {s.label for s in chain_stages(3)}
+    assert len(out.stage_attempts) == len(out.stage_successes) == len(chain_stages(3))
+    assert sum(out.stage_attempts) == out.attempts
+    assert out.stage_successes[-1] == 1
     assert fidelity(out.state, target) > 0.9  # one trajectory, usually exact
 
 
@@ -759,6 +796,58 @@ def test_rounds_build_no_state_through_the_validating_constructor(monkeypatch):
     assert teleport(tcfg, np.random.default_rng(1), sim=tsim).succeeded
 
 
+def _chain_trials():
+    # most of these trials exhaust their 200 rounds
+    sim = ChainSimulator(ProtocolConfig(n=3, p_e=0.1, max_attempts=200))
+    return [(sim.run_trial(np.random.default_rng(t)), len(chain_stages(3))) for t in range(40)]
+
+
+def _chain_builds():
+    cfg = ProtocolConfig(n=4, p_e=0.05, eta=0.1, phases=(0.0, 0.3, -0.5, 1.1))
+    return [(build_w_chain(cfg, np.random.default_rng(t)), len(chain_stages(4))) for t in range(10)]
+
+
+def _teleport_trials():
+    # the teleport_cap4_exhausted golden config, whose trial 5 exhausts
+    tcfg = TeleportConfig(0.6, 0.8, ProtocolConfig(n=3, p_e=0.02, eta=0.2, seed=3))
+    sim = TeleportSimulator(tcfg)
+    return [(teleport(tcfg, rng_for_trial(3, t), sim), None) for t in range(6)]
+
+
+def _teleport_rounds():
+    tcfg = TeleportConfig(0.6, 0.8, ProtocolConfig(n=3, p_e=0.01, eta=0.2))
+    layout = make_teleport_layout(tcfg)
+    joint = exact_double_w_state(tcfg, layout)
+    rng = np.random.default_rng(8)
+    return [(teleport_from_states(tcfg, rng, layout, joint), None) for _ in range(40)]
+
+
+@pytest.mark.parametrize(
+    "runner, outcomes",
+    [
+        (_chain_trials, {True, False}),
+        (_chain_builds, {True}),
+        (_teleport_trials, {True, False}),
+        (_teleport_rounds, {True, False}),
+    ],
+    ids=["run_trial", "build_w_chain", "teleport", "teleport_from_states"],
+)
+def test_every_runner_returns_one_outcome_record(runner, outcomes):
+    # a failed trial has no state and no clicks, whichever runner ran it
+    # (a rejected teleport_from_states round used to carry the sender's
+    # prepared state); a chain trial counts each stage's attempts in order
+    seen = set()
+    for out, n_stages in runner():
+        assert type(out) is StepOutcome
+        seen.add(out.succeeded)
+        if not out.succeeded:
+            assert out.state is None and out.click_log == ()
+        if n_stages is not None:
+            assert len(out.stage_attempts) == len(out.stage_successes) == n_stages
+            assert sum(out.stage_attempts) == out.attempts
+    assert seen == outcomes
+
+
 def test_teleport_returns_an_exhausted_trial_as_a_value():
     # the teleport_cap4_exhausted golden config: trial 5's first W123
     # outcome leaves W456 no completing path under cap 4, so W456 spends the
@@ -766,7 +855,7 @@ def test_teleport_returns_an_exhausted_trial_as_a_value():
     tcfg = TeleportConfig(0.6, 0.8, ProtocolConfig(n=3, p_e=0.02, eta=0.2, seed=3))
     sim = TeleportSimulator(tcfg)
     w123 = sim.w123.run_trial(rng_for_trial(3, 5))
-    assert w123.succeeded and sim.w456.completion(0, w123.final_state)[0] == 0.0
+    assert w123.succeeded and sim.w456.completion(0, w123.state)[0] == 0.0
     out = teleport(tcfg, rng_for_trial(3, 5), sim)
     assert (out.succeeded, out.attempts, out.state, out.click_log, out.correct_clicks) == (
         False, tcfg.base.max_attempts, None, (), None
@@ -1364,7 +1453,7 @@ def test_exhausted_trace_trials_log_no_clicks():
         if not res.succeeded:
             exhausted += 1
             assert res.click_log == ()
-            assert res.rounds == sum(res.stage_attempts) == 30
+            assert res.attempts == sum(res.stage_attempts) == 30
     assert exhausted > 250
 
 
@@ -1377,7 +1466,7 @@ def test_trace_trials_that_cannot_complete_spend_the_budget_at_once():
         assert sim.completion(0, sim.initial_state())[0] == 0.0
         res = sim.run_trial(np.random.default_rng(n))
         assert not res.succeeded
-        assert res.rounds == sum(res.stage_attempts) == cfg.max_attempts == 10**15
+        assert res.attempts == sum(res.stage_attempts) == cfg.max_attempts == 10**15
         with pytest.raises(AttemptsExhaustedError):
             build_w_chain(cfg, np.random.default_rng(n))
 
@@ -1446,7 +1535,8 @@ def _outcomes_against_reference(step, reference):
         assert (out.succeeded, out.attempts, out.click_log, out.correct_clicks) == (
             ref.succeeded, ref.attempts, ref.click_log, ref.correct_clicks
         )
-        assert out.state.key() == ref.state.key()
+        assert (out.state is None) == (ref.state is None)
+        assert out.state is None or out.state.key() == ref.state.key()
         assert rng.random() == ref_rng.random()
         seen.add((out.succeeded, out.attempts))
     return seen
