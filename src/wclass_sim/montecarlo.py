@@ -18,12 +18,11 @@ A process keeps the node tables of its last 8 chain configurations
 (:func:`_chain_engine`), so batches of one configuration at different seeds
 build its table once.  Batches take their config with ``phases=None`` (the
 phases are a gauge), so no table or report depends on them.  A chain table
-is closed once it is built and
-batches only read it, so a batch's bytes never depend on what ran before
-it.  Teleport batches build their own tables: the W456 table grows during
-trials from W123 outcomes, and ``FockState.key`` rounds amplitudes, so the
-first trial to reach a key supplies its state and a shared table would make
-a report depend on the batches run before it.
+is closed once it is built and batches only read it, so a batch's bytes
+never depend on what ran before it.  A teleport batch draws both of its W
+states from the n=3 chain table of its base configuration, the one a
+``w-state --n 3`` batch of that configuration uses, and adds no node to it;
+only its retrieval rounds are its own.
 """
 
 from __future__ import annotations
@@ -480,7 +479,7 @@ def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
     vacuum-faking accept is not)."""
     # the phases are a gauge: run and score in the zero-phase frame
     tcfg = replace(tcfg, base=replace(tcfg.base, phases=None))
-    sim = TeleportSimulator(tcfg)
+    sim = TeleportSimulator(tcfg, _chain_engine(replace(tcfg.base, seed=0), chain_stages(3))[0])
     layout = sim.layout
     target = teleport_target_state(tcfg, layout)
     vac = layout.vacuum()
@@ -505,6 +504,8 @@ def run_teleport_batch(
 ) -> TeleportReport:
     if trials < 1:
         raise ValueError("need at least one trial")
+    if workers > 1:  # built before the pool starts, so forked workers inherit it
+        _chain_engine(replace(tcfg.base, seed=0, phases=None), chain_stages(3))
     rows = _collect_spans(
         _run_teleport_trials, lambda lo, hi: (tcfg, lo, hi), trials, workers
     )

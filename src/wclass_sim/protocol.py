@@ -17,7 +17,9 @@ Two code paths cover every protocol state:
   table of nodes linked stage to stage, so trials reduce to categorical
   draws along those links plus geometric / multinomial fast-forwarding of
   the repeat-until-success loop; simulated attempt counts stay exact while
-  wall time stays flat.
+  wall time stays flat.  Teleportation prepares its two W states as two
+  trials of the n=3 chain, each truncated on its own ensembles, and
+  retrieves from their product (:class:`TeleportSimulator`).
   Rounds are enumerated on the atoms alone, one pass per round.  Stokes
   and retrieved photons are only ever detected, so no registry holds a mode
   for them: a connect round maps the pumped pairs, and a teleport round the
@@ -280,10 +282,6 @@ class TeleportLayout(ChainLayout):
     mode_l: Mode
     mode_r: Mode
 
-    def chain_layout(self, first_party: int) -> ChainLayout:
-        k = first_party - 1
-        return ChainLayout(self.registry, self.ensembles[k : k + 3], self.truncation_cap)
-
     @property
     def carol(self) -> Tuple[Mode, Mode]:
         """The receiver pair localized on: ensembles 3 and 6."""
@@ -296,10 +294,11 @@ class TeleportLayout(ChainLayout):
 
 
 def make_teleport_layout(tcfg: TeleportConfig) -> TeleportLayout:
-    """Modes L, R, then ensembles 1..6."""
+    """Modes L, R, then ensembles 1..6, under a cap of ``2 cap + 1``: both
+    W states, each truncated on its own chain, and the qubit."""
     names = ["ensL", "ensR", *(f"ens{i}" for i in range(1, 7))]
     reg, (mode_l, mode_r, *ens) = _atomic_registry(tcfg.base, names)
-    return TeleportLayout(reg, tuple(ens), tcfg.base.truncation_cap, mode_l, mode_r)
+    return TeleportLayout(reg, tuple(ens), 2 * tcfg.base.truncation_cap + 1, mode_l, mode_r)
 
 
 # ---------------------------------------------------------------------------
@@ -952,19 +951,17 @@ def choose(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return keys.searchsorted(queries, side="right")
 
 
-def _spend_budget(
-    rng: np.random.Generator, root: _Node, budget: int
-) -> Tuple[List[int], int]:
-    """Failed passes from ``root``, with failure stages drawn from its law,
-    until their rounds reach ``budget``: ``(passes failed at each stage,
-    stages got through by a last pass that the budget cut short)``.
+def _spend_budget(rng: np.random.Generator, law: tuple, budget: int) -> Tuple[List[int], int]:
+    """Failed passes, with failure stages drawn from ``law`` (a chain's
+    ``_law``), until their rounds reach ``budget``: ``(passes failed at each
+    stage, stages got through by a last pass that the budget cut short)``.
 
     A pass failing at stage ``k`` costs ``k + 1 <= max_cost`` rounds, so a
     block of ``left // max_cost`` passes (at most ``2**63 - 1``, the most
     ``multinomial`` takes) always fits in the ``left`` rounds still to spend
     and can be drawn at once; the last few are drawn singly.
     """
-    cond, max_cost, cum = root.law
+    cond, max_cost, cum = law
     counts = [0] * len(cond)
     left = budget
     while left >= max_cost:
@@ -993,9 +990,6 @@ class _Node:
     p_complete: float  # sum of branch prob x P(pass then completes)
     fail: Tuple[float, ...]  # P(pass fails at stage k)
     row: int  # its row in the walk columns
-    # stage-0 nodes only: (failure-stage law of a failed pass, its largest
-    # cost, its running sums); a pass failing at stage k costs k + 1 rounds
-    law: Tuple[np.ndarray, int, List[float]] | None = None
 
 
 class ChainSimulator:
@@ -1005,9 +999,9 @@ class ChainSimulator:
     Any failed conditioning restarts the whole list from its first stage, so
     a trial is a sequence of independent passes.  Each reached ``(stage,
     state)`` is enumerated once into a node of one table, linked to the
-    nodes its branches lead to; a pass is a walk along those links, so a
-    trial from the vacuum computes no state key.  States in and out are in
-    the zero-phase frame.
+    nodes its branches lead to.  Every pass starts from the vacuum, so the
+    table is built, closed, with its root, and a pass is a walk along its
+    links that computes no state key.  States are in the zero-phase frame.
 
     Trials are sampled in two phases (:meth:`sample`).  Phase one takes each
     trial's draws from its own generator: the number of passes
@@ -1036,7 +1030,6 @@ class ChainSimulator:
         self._cum: List[float] = []
         self._ahead: List[complex] = []
         self._slots: List[RoundBranch | None] = []
-        self._columns: Tuple[np.ndarray, np.ndarray] | None = None
         # the tally's tables: (counts @ _failed_later)[k] sums the passes
         # failed at stage k or later, and _last_pass[h] marks the stages
         # that a last pass getting through h stages attempted
@@ -1101,31 +1094,29 @@ class ChainSimulator:
         self._cum += cum + [math.inf]
         self._ahead += ahead + (ahead[-1:] or [0j])
         self._slots += dist.branches + (dist.branches[-1:] or (None,))
-        if idx == 0:  # a root: a pass may start here
-            q = (1.0 - p_complete) or 1.0  # a pass that never fails: any law will do
-            cond = np.clip(np.asarray(fail) / q, 0.0, None)
-            cond[-1] = max(0.0, 1.0 - cond[:-1].sum())
-            law_cum = list(accumulate(cond.tolist()))
-            node.law = (cond, int(np.flatnonzero(cond)[-1]) + 1, law_cum)
         return node
 
     @functools.cached_property
     def _vacuum_root(self) -> _Node:
-        return self._node(0, self._vacuum)
-
-    def _walk_columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(keys, complex(row, p_complete) ahead)`` per slot as arrays,
-        remade when the table has grown since they were last made."""
-        if self._columns is None or len(self._columns[0]) < len(self._cum):
-            keys = np.empty(len(self._cum), complex)
-            keys.real, keys.imag = self._owner, self._cum
-            self._columns = (keys, np.array(self._ahead))
-        return self._columns
+        """The node where every pass starts, built with every node a walk
+        can reach, and with it, once: the walk columns (``_columns``: per
+        slot, the key of :func:`choose` and ``complex(row, p_complete)``
+        ahead) and the law of a failed pass (``_law``: P(it failed at stage
+        k), its largest cost in rounds, k + 1 at stage k, and running sums)."""
+        root = self._node(0, self._vacuum)
+        keys = np.empty(len(self._cum), complex)
+        keys.real, keys.imag = self._owner, self._cum
+        self._columns = (keys, np.array(self._ahead))
+        q = (1.0 - root.p_complete) or 1.0  # a pass that never fails: any law will do
+        cond = np.clip(np.asarray(root.fail) / q, 0.0, None)
+        cond[-1] = max(0.0, 1.0 - cond[:-1].sum())
+        self._law = (cond, int(np.flatnonzero(cond)[-1]) + 1, list(accumulate(cond.tolist())))
+        return root
 
     # -- trial sampling ----------------------------------------------------
 
     def _draw(
-        self, rngs: Iterable[np.random.Generator], trials: int, root: _Node, width: int
+        self, rngs: Iterable[np.random.Generator], trials: int, width: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Phase one: each trial's draws from its generator, in order.  A
         trial draws its passes (geometric; none when a pass always
@@ -1142,7 +1133,7 @@ class ChainSimulator:
         """
         n_stages = len(self.stages)
         budget = self.cfg.max_attempts
-        p_pass, cond = root.p_complete, root.law[0]
+        p_pass, cond = self._vacuum_root.p_complete, self._law[0]
         # no count of a trial exceeds its rounds, which do not exceed the budget
         counts = np.zeros((trials, n_stages), np.int64 if budget < 2**63 else object)
         through = np.full(trials, n_stages)
@@ -1162,14 +1153,13 @@ class ChainSimulator:
                 ):
                     rng.random(out=uniforms[t])
                     continue
-            counts[t], through[t] = _spend_budget(rng, root, budget)
+            counts[t], through[t] = _spend_budget(rng, self._law, budget)
         return counts, through, uniforms
 
     def sample(
         self,
         rngs: Iterable[np.random.Generator],
         trials: int,
-        initial_state: FockState | None = None,
         extra: int = 0,
     ) -> ChainSample:
         """``trials`` trials within ``max_attempts`` rounds each, the
@@ -1183,13 +1173,13 @@ class ChainSimulator:
         rounds equal the budget, its stage attempts sum to it, and a
         one-stage chain records ``(budget,)`` attempts and no success.
         """
-        root = self._vacuum_root if initial_state is None else self._node(0, initial_state)
+        root = self._vacuum_root
         n_stages = len(self.stages)
-        counts, through, uniforms = self._draw(rngs, trials, root, n_stages + extra)
+        counts, through, uniforms = self._draw(rngs, trials, n_stages + extra)
         # phase two: the success walk, a stage at a time, from each trial's
         # complex(row, p_complete) of its node (an exhausted trial walks on
         # zeros, and its walk is never read)
-        keys, ahead = self._walk_columns()
+        keys, ahead = self._columns
         node = np.full(trials, complex(root.row, root.p_complete))
         path = []
         for k in range(n_stages):
@@ -1203,13 +1193,9 @@ class ChainSimulator:
             through == n_stages, attempts, attempts - counts, path, uniforms[:, n_stages:]
         )
 
-    def run_trial(
-        self,
-        rng: np.random.Generator,
-        initial_state: FockState | None = None,
-    ) -> StepOutcome:
-        """One trial of :meth:`sample`, from the vacuum or ``initial_state``."""
-        s = self.sample((rng,), 1, initial_state)
+    def run_trial(self, rng: np.random.Generator) -> StepOutcome:
+        """One trial of :meth:`sample`."""
+        s = self.sample((rng,), 1)
         attempts = tuple(s.attempts[0].tolist())
         successes = tuple(s.successes[0].tolist())
         if not s.succeeded[0]:
@@ -1270,7 +1256,7 @@ def build_w_chain(
 
 def exact_double_w_state(tcfg: TeleportConfig, layout: TeleportLayout) -> FockState:
     """Operator-algebra ``|W>_123 x |W>_456`` on the teleport registry."""
-    w123 = w_state_by_operators(3, tcfg.base.phases, layout.chain_layout(1))
+    w123 = w_state_by_operators(3, tcfg.base.phases, layout)  # on ensembles 1..3
     coeffs = [cmath.rect(1.0, ph) / math.sqrt(3) for ph in tcfg.base.phases]
     return _excite(w123, layout.ensembles[3:], coeffs)
 
@@ -1307,25 +1293,31 @@ def teleport_from_states(
 
 
 class TeleportSimulator:
-    """The two W-chain simulators and the retrieval round of
-    :func:`teleport`, with their memo tables, in the zero-phase frame; share
-    one across the trials of a batch so that each reached state is
-    enumerated once."""
+    """The teleport registry, the n=3 W chain that prepares both W states of
+    :func:`teleport` from the vacuum (``chain``, of ``tcfg.base`` up to seed
+    and phases; batches share one), and the retrieval rounds, memoized per
+    pair of chain outcomes: the two states themselves, branches of the
+    chain's closed table.  All in the zero-phase frame."""
 
-    def __init__(self, tcfg: TeleportConfig):
+    def __init__(self, tcfg: TeleportConfig, chain: ChainSimulator | None = None):
         self.tcfg = tcfg
         self.layout = make_teleport_layout(tcfg)
-        self.w123 = ChainSimulator(tcfg.base, self.layout.chain_layout(1))
-        self.w456 = ChainSimulator(tcfg.base, self.layout.chain_layout(4))
-        self._rounds: Dict[tuple, RoundDistribution] = {}
+        self.chain = chain or ChainSimulator(tcfg.base)
+        unread = functools.partial(replace, seed=0, phases=None)  # no table reads these
+        if self.chain.stages != chain_stages(3) or unread(self.chain.cfg) != unread(tcfg.base):
+            raise ValueError("the W-chain simulator was built from another config")
+        self._rounds = _Table(lambda w: _retrieval_round(tcfg, self.layout, self.joint_state(*w)))
 
-    def round_distribution(self, joint: FockState) -> RoundDistribution:
-        """The teleport round on the W pair ``joint``, enumerated once."""
-        key = joint.key()
-        dist = self._rounds.get(key)
-        if dist is None:
-            dist = self._rounds[key] = _retrieval_round(self.tcfg, self.layout, joint)
-        return dist
+    def joint_state(self, w123: FockState, w456: FockState) -> FockState:
+        """``|w123> x |w456>``, two states of the chain's registry, on
+        ensembles 1..3 and 4..6 of the teleport registry (L and R empty)."""
+        terms = {(0, 0, *o, *p): a * b for o, a in w123.items() for p, b in w456.items()}
+        return FockState._from_terms(self.layout.registry, terms, self.layout.truncation_cap)
+
+    def round_distribution(self, w123: FockState, w456: FockState) -> RoundDistribution:
+        """The teleport round on the W states ``w123`` and ``w456``,
+        enumerated once per pair."""
+        return self._rounds[w123, w456]
 
 
 def teleport(
@@ -1338,11 +1330,12 @@ def teleport(
     state.  ``sim`` must be built from this very ``tcfg`` (a fresh one by
     default); pass one to every trial of a batch.
 
-    A failed conditioning round discards both W states and re-prepares
-    them, as the protocol prescribes; rounds accumulate across restarts.
-    Like every trial runner, a trial that runs out of ``max_attempts``
-    rounds returns ``succeeded=False``, with ``attempts == max_attempts``
-    and no state; only :func:`build_w_chain` and :func:`prepare_epr` raise
+    The W states are two trials of ``sim.chain``.  A failed conditioning
+    round discards both and re-prepares them, as the protocol prescribes;
+    rounds accumulate across restarts.  Like every trial runner, a trial
+    that runs out of ``max_attempts`` rounds returns ``succeeded=False``,
+    with ``attempts == max_attempts`` and no state; only
+    :func:`build_w_chain` and :func:`prepare_epr` raise
     :class:`~wclass_sim.errors.AttemptsExhaustedError`.
     """
     if sim is None:
@@ -1352,16 +1345,16 @@ def teleport(
     budget = tcfg.base.max_attempts
     rounds = 0
     while rounds < budget:
-        joint = None  # W123 grows from the vacuum, W456 from W123's outcome
-        for chain in (sim.w123, sim.w456):
-            res = chain.run_trial(rng, joint)
+        w = []  # W123, then W456
+        for _ in range(2):
+            res = sim.chain.run_trial(rng)
             rounds += res.attempts  # a chain that exhausts spends the whole budget
-            joint = res.state
+            w.append(res.state)
             if rounds >= budget:
                 break
         else:  # both W states are built: one retrieval round
             rounds += 1
-            out = _retrieve(rng, sim.round_distribution(joint), rounds)
+            out = _retrieve(rng, sim.round_distribution(*w), rounds)
             if out.succeeded:
                 put_on = [-ph for ph in tcfg.base.phases * 2]  # W123 on 1..3, W456 on 4..6
                 return replace(

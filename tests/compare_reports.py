@@ -9,8 +9,9 @@ The argument vectors are the first ``--blocks`` blocks that
 with its own ``src/`` first on the path, calling ``wclass_sim.cli.main``
 in-process as the benchmark does.  A report is the exit code and the
 standard output of a call.  Prints the first report that differs, with a
-diff, or ``N of N identical``; the exit status is 0 when all are identical
-and 1 otherwise.
+diff, and how many of the differing reports differ only in their
+``schema_version`` line; then ``K of N identical``.  The exit status is 0
+when all are identical and 1 otherwise, whatever the difference.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ import argparse
 import difflib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the report line that a schema bump changes
+_SCHEMA_LINE = re.compile(r'^  "schema_version": \d+,$', re.MULTILINE)
 
 # Runs in the subprocess: argv lists on stdin, [exit code, stdout] per call
 # as JSON on stdout; argv[1] is the checkout's src/.
@@ -69,24 +74,31 @@ def run_reports(checkout: Path, argvs: list[list[str]]) -> list[tuple[int, str]]
     return [tuple(r) for r in json.loads(done.stdout)]
 
 
+def _schema_only(a: tuple[int, str], b: tuple[int, str]) -> bool:
+    """Whether two different reports differ in their schema version alone."""
+    return a != b and a[0] == b[0] and _SCHEMA_LINE.sub("", a[1]) == _SCHEMA_LINE.sub("", b[1])
+
+
 def compare(
     this: Path, other: Path, workload: str, seed: int, blocks: int
-) -> tuple[int, int, str | None]:
-    """``(identical reports, reports, description of the first difference or
-    None)`` of the workload's calls run by ``this`` and by ``other``."""
+) -> tuple[int, int, int, str | None]:
+    """``(identical reports, reports that differ only in schema_version,
+    reports, description of the first difference or None)`` of the
+    workload's calls run by ``this`` and by ``other``."""
     argvs = workload_argvs(workload, seed, blocks)
     mine, theirs = run_reports(this, argvs), run_reports(other, argvs)
     same = sum(a == b for a, b in zip(mine, theirs))
+    schema_only = sum(map(_schema_only, mine, theirs))
     for k, (argv, a, b) in enumerate(zip(argvs, mine, theirs)):
         if a != b:
             diff = difflib.unified_diff(
                 b[1].splitlines(), a[1].splitlines(), str(other), str(this), lineterm=""
             )
-            return same, len(argvs), (
+            return same, schema_only, len(argvs), (
                 f"call {k}: {' '.join(argv)}\nexit codes {b[0]} ({other}), {a[0]} ({this})\n"
                 + "\n".join(diff)
             )
-    return same, len(argvs), None
+    return same, schema_only, len(argvs), None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -96,9 +108,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--blocks", type=int, default=1)
     args = p.parse_args(argv)
-    same, total, first = compare(ROOT, args.other, args.workload, args.seed, args.blocks)
+    same, schema_only, total, first = compare(
+        ROOT, args.other, args.workload, args.seed, args.blocks
+    )
     if first is not None:
         print(f"first report that differs: {first}")
+        print(f"{schema_only} of {total - same} differing reports differ only in schema_version")
     print(f"{same} of {total} identical")
     return 0 if first is None else 1
 

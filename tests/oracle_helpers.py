@@ -593,8 +593,8 @@ def tally_reference(counts, through):
     return tuple(reached), tuple(map(operator.sub, reached, counts))
 
 
-def run_trial_reference(sim, rng, initial_state=None):
-    """``sim.run_trial(rng, initial_state)`` with the success walk and tally
+def run_trial_reference(sim, rng):
+    """``sim.run_trial(rng)`` with the success walk and tally
     written per trial, as the engine sampled before its columnar phases:
     draws the passes (geometric), the failed passes' stages (multinomial),
     then walks the node table with one uniform per stage, picking
@@ -604,8 +604,8 @@ def run_trial_reference(sim, rng, initial_state=None):
     it through the engine's ``_spend_budget``."""
     from wclass_sim.protocol import StepOutcome, _spend_budget, pick
 
-    root = sim._vacuum_root if initial_state is None else sim._node(0, initial_state)
-    p_pass, cond = root.p_complete, root.law[0]
+    root = sim._vacuum_root
+    p_pass, cond = root.p_complete, sim._law[0]
     n_stages = len(sim.stages)
     budget = sim.cfg.max_attempts
     if p_pass > 0.0:
@@ -633,7 +633,7 @@ def run_trial_reference(sim, rng, initial_state=None):
             return StepOutcome(
                 True, rounds, br.state, tuple(log), *tally_reference(counts, n_stages)
             )
-    counts, through = _spend_budget(rng, root, budget)
+    counts, through = _spend_budget(rng, sim._law, budget)
     return StepOutcome(False, budget, None, (), *tally_reference(counts, through))
 
 
@@ -1103,7 +1103,7 @@ def exact_double_w_state_reference(tcfg, layout):
     """``|W>_123 x |W>_456``: the second W created term by term on the first."""
     from wclass_sim.fock import create, superpose
 
-    w123 = w_state_by_operators_reference(3, tcfg.base.phases, layout.chain_layout(1))
+    w123 = w_state_by_operators_reference(3, tcfg.base.phases, layout)  # on ensembles 1..3
     return superpose(
         [
             complex(math.cos(ph), math.sin(ph)) / math.sqrt(3)

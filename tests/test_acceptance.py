@@ -275,7 +275,7 @@ def test_a7_determinism(tmp_path):
     assert cli_main(sweep + ["--workers", "2", "-o", str(c2)]) == 0
     ok &= c1.read_bytes() == c2.read_bytes()
     doc = json.loads(paths[0].read_text())
-    ok &= doc["schema_version"] == 1
+    ok &= doc["schema_version"] == 2
     assert _verdict("A7 determinism", ok, "byte-identical across re-runs and workers")
 
 

@@ -43,6 +43,8 @@ def test_every_name_the_benchmark_wraps_exists():
 
 
 def test_a_traced_teleport_call_records_every_enumerator(tmp_path):
+    # the W-state chain table is shared: built afresh, its rounds run traced
+    wclass_sim.montecarlo._chain_engine.cache_clear()
     spans = _spans()
     tracer = spans.Tracer()
     argv = ["teleport", "--cap", "5", "--eta", "0", "--trials", "1", "--seed", "1",

@@ -229,7 +229,7 @@ def test_epr_command_reports_high_fidelity(tmp_path):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["command"] == "epr"
     assert doc["config"]["seed"] == 4
     assert doc["results"]["fidelity_mean"] >= 0.99
@@ -247,7 +247,6 @@ def test_teleport_command_holder_split(tmp_path):
     n = doc["results"]["successes"]
     se = math.sqrt(0.25 / n)
     assert abs(frac - 0.5) < 4 * se
-    assert doc["results"]["localize_fidelity_mean"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_strong_pump_warns_outside_the_weak_pump_regime(tmp_path):

@@ -624,6 +624,15 @@ def test_pool_workers_start_from_the_parents_table():
     assert (info.misses, info.currsize) == (1, 1)
 
 
+def test_teleport_pool_workers_start_from_the_parents_table():
+    montecarlo._chain_engine.cache_clear()
+    tcfg = TeleportConfig(0.6, 0.8, ProtocolConfig(n=3, p_e=0.05, eta=0.1, seed=4))
+    pooled = run_teleport_batch(tcfg, 4, workers=2)
+    info = montecarlo._chain_engine.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert pooled.to_dict() == run_teleport_batch(tcfg, 4).to_dict()
+
+
 @pytest.mark.parametrize(
     "cpus, trials, pool", [(8, 1, None), (8, 3, 3), (8, 50, 8), (None, 50, None)]
 )
@@ -664,17 +673,26 @@ def test_one_worker_batches_do_not_ask_for_the_cpu_count(monkeypatch):
     run_batch(ProtocolConfig(n=3, p_e=0.02, eta=0.1, seed=6), 5)
 
 
-def test_teleport_batches_build_their_own_simulator(monkeypatch):
+def test_teleport_batches_share_the_w_state_chain_table(monkeypatch):
+    # both W states of every teleport trial come from the n=3 chain table of
+    # the base configuration, the one w-state batches of it use; a batch
+    # builds its own retrieval memo, and adds no node to the table
     real, built = montecarlo.TeleportSimulator, []
 
-    def counting(tcfg):
-        built.append(real(tcfg))
+    def recording(*args):
+        built.append(real(*args))
         return built[-1]
 
-    monkeypatch.setattr(montecarlo, "TeleportSimulator", counting)
-    tcfg = TeleportConfig(
-        0.6, 0.8, ProtocolConfig(n=3, p_e=0.05, eta=0.1, truncation_cap=5, seed=11)
-    )
-    run_teleport_batch(tcfg, 1)
-    run_teleport_batch(tcfg, 1)
+    monkeypatch.setattr(montecarlo, "TeleportSimulator", recording)
+    montecarlo._chain_engine.cache_clear()
+    base = ProtocolConfig(n=3, p_e=0.05, eta=0.1, truncation_cap=5, seed=11)
+    tcfg = TeleportConfig(0.6, 0.8, base)
+    run_batch(replace(base, seed=12, phases=(0.0, 0.3, 0.7)), 5)
+    chain = montecarlo._chain_engine(replace(base, seed=0, phases=None), chain_stages(3))[0]
+    nodes = len(chain._nodes)
+    run_teleport_batch(tcfg, 3)
+    run_teleport_batch(replace(tcfg, base=replace(base, seed=13, phases=(0.0, 1.0, 2.0))), 3)
     assert len(built) == 2 and built[0] is not built[1]
+    assert built[0].chain is built[1].chain is chain
+    assert len(chain._nodes) == nodes
+    assert montecarlo._chain_engine.cache_info().misses == 1

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 from itertools import accumulate, product
 
 import numpy as np
@@ -32,6 +33,7 @@ from wclass_sim.protocol import (
     chain_stages,
     connect_applied,
     connect_round,
+    correct_teleport_clicks,
     epr_stage,
     epr_state,
     exact_double_w_state,
@@ -796,6 +798,13 @@ def test_rounds_build_no_state_through_the_validating_constructor(monkeypatch):
     assert teleport(tcfg, np.random.default_rng(1), sim=tsim).succeeded
 
 
+# the teleport_cap4_exhausted golden config: a budget of 50000 rounds,
+# which 14 of its 30 trials spend
+TELEPORT_EXHAUSTED = TeleportConfig(
+    0.6, 0.8, ProtocolConfig(n=3, p_e=0.05, eta=0.2, seed=3, max_attempts=50_000)
+)
+
+
 def _chain_trials():
     # most of these trials exhaust their 200 rounds
     sim = ChainSimulator(ProtocolConfig(n=3, p_e=0.1, max_attempts=200))
@@ -808,8 +817,8 @@ def _chain_builds():
 
 
 def _teleport_trials():
-    # the teleport_cap4_exhausted golden config, whose trial 5 exhausts
-    tcfg = TeleportConfig(0.6, 0.8, ProtocolConfig(n=3, p_e=0.02, eta=0.2, seed=3))
+    # the teleport_cap4_exhausted golden config, whose trials 0 and 3 exhaust
+    tcfg = TELEPORT_EXHAUSTED
     sim = TeleportSimulator(tcfg)
     return [(teleport(tcfg, rng_for_trial(3, t), sim), None) for t in range(6)]
 
@@ -849,14 +858,12 @@ def test_every_runner_returns_one_outcome_record(runner, outcomes):
 
 
 def test_teleport_returns_an_exhausted_trial_as_a_value():
-    # the teleport_cap4_exhausted golden config: trial 5's first W123
-    # outcome leaves W456 no completing path under cap 4, so W456 spends the
-    # whole budget
-    tcfg = TeleportConfig(0.6, 0.8, ProtocolConfig(n=3, p_e=0.02, eta=0.2, seed=3))
+    # the teleport_cap4_exhausted golden config: its chain completes a pass
+    # with some probability, but trial 0 runs out of its 50000 rounds
+    tcfg = TELEPORT_EXHAUSTED
     sim = TeleportSimulator(tcfg)
-    w123 = sim.w123.run_trial(rng_for_trial(3, 5))
-    assert w123.succeeded and sim.w456.completion(0, w123.state)[0] == 0.0
-    out = teleport(tcfg, rng_for_trial(3, 5), sim)
+    assert sim.chain.completion(0, sim.chain.initial_state())[0] > 0.0
+    out = teleport(tcfg, rng_for_trial(3, 0), sim)
     assert (out.succeeded, out.attempts, out.state, out.click_log, out.correct_clicks) == (
         False, tcfg.base.max_attempts, None, (), None
     )
@@ -891,6 +898,81 @@ def test_teleport_refuses_a_simulator_of_another_config():
     other = TeleportConfig(0.8, 0.6, base)
     with pytest.raises(ValueError):
         teleport(tcfg, np.random.default_rng(1), sim=TeleportSimulator(other))
+    # its chain must be the n=3 W chain of the same config, up to seed and phases
+    TeleportSimulator(tcfg, ChainSimulator(replace(base, seed=4, phases=(0.0, 0.1, 0.2))))
+    for chain in (
+        ChainSimulator(replace(base, eta=0.2)),
+        ChainSimulator(replace(base, n=4, phases=None)),
+        ChainSimulator(base, stages=chain_stages(3)[:1]),
+    ):
+        with pytest.raises(ValueError):
+            TeleportSimulator(tcfg, chain)
+
+
+def test_teleport_draws_both_w_states_from_one_chain_table(monkeypatch):
+    # each W state is truncated on its own ensembles and prepared from the
+    # vacuum: both are trials of the one n=3 chain, whose table no trial grows
+    tcfg = TeleportConfig(0.6, 0.8, ProtocolConfig(n=3, p_e=0.05, eta=0.1, truncation_cap=5))
+    sim = TeleportSimulator(tcfg)
+    sim.chain.completion(0, sim.chain.initial_state())  # builds the table
+    nodes = len(sim.chain._nodes)
+    runs = []
+    run_trial = ChainSimulator.run_trial
+
+    def counted(self, rng):
+        runs.append(self)
+        return run_trial(self, rng)
+
+    monkeypatch.setattr(ChainSimulator, "run_trial", counted)
+    rng = np.random.default_rng(5)
+    outcomes = [teleport(tcfg, rng, sim) for _ in range(20)]
+    assert all(out.succeeded for out in outcomes)
+    assert set(map(id, runs)) == {id(sim.chain)} and len(runs) % 2 == 0
+    assert len(sim.chain._nodes) == nodes > 0
+
+
+class _Uniform:
+    """A stand-in generator whose every uniform draw is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+@pytest.mark.parametrize("cap", [4, 5])
+@pytest.mark.parametrize("eta", [0.0, 0.2])
+def test_single_excitation_w_pairs_teleport_exactly_to_either_receiver(eta, cap):
+    # the paper's claim, over the table: for each pair of one-excitation W
+    # terminals, every correct-click branch of its retrieval round leaves the
+    # qubit on Carol's pair or on Bob's with probability 1/2 each, exactly
+    base = ProtocolConfig(n=3, p_e=0.05, eta=eta, truncation_cap=cap)
+    tcfg = TeleportConfig(complex(0.3, 0.5), complex(math.sqrt(0.66), 0.0), base)
+    sim = TeleportSimulator(tcfg)
+    layout = sim.layout
+    terminals = [
+        w for w in _terminal_states(sim.chain, [sim.chain.initial_state()])
+        if all(sum(occ) == 1 for occ, _ in w.items())
+    ]
+    vac = layout.vacuum()
+    targets = {
+        Holder.THIS_RECEIVER: qubit_state(tcfg, vac, layout.carol),
+        Holder.OTHER_RECEIVER: qubit_state(tcfg, vac, layout.bob),
+    }
+    checked = 0
+    for w in product(terminals, repeat=2):
+        for br in sim.round_distribution(*w).branches:
+            if not correct_teleport_clicks(br):
+                continue
+            assert count_excitations(br.state, layout.carol)[1] == pytest.approx(0.5, abs=1e-12)
+            # a draw below p_here = 1/2 finds the excitation on Carol's pair
+            for u, want in ((0.25, Holder.THIS_RECEIVER), (0.75, Holder.OTHER_RECEIVER)):
+                holder, residual = receiver_localize(br.state, layout.carol, _Uniform(u))
+                assert holder is want
+                assert fidelity(residual, targets[holder]) == pytest.approx(1.0, abs=1e-12)
+            checked += 1
+    assert checked >= 4
 
 
 @pytest.mark.parametrize("n", [None, 3, 4, 5, 6])  # None: the one-stage EPR chain
@@ -1218,16 +1300,16 @@ def test_branch_states_are_born_pruned_with_their_key(n, cap):
 @pytest.mark.parametrize("cap", [4, 5])
 @pytest.mark.parametrize("eta", [0.0, 0.2])
 def test_teleport_branch_states_are_born_pruned_with_their_key(eta, cap):
-    # the same for the two chain tables of a teleport trial and its rounds
+    # the same for the chain table of a teleport trial and its rounds
     base = ProtocolConfig(n=3, p_e=0.05, eta=eta, truncation_cap=cap, phases=(0.0, 0.6, -0.9))
     sim = TeleportSimulator(TeleportConfig(complex(0.3, 0.5), complex(math.sqrt(0.66), 0), base))
-    w123 = _terminal_states(sim.w123, [sim.w123.initial_state()])
-    joints = _terminal_states(sim.w456, w123)
-    nodes = [*sim.w123._nodes.values(), *sim.w456._nodes.values()]
-    dists = [node.dist for node in nodes] + [sim.round_distribution(j) for j in joints]
+    terminals = _terminal_states(sim.chain, [sim.chain.initial_state()])
+    pairs = list(product(terminals, repeat=2))
+    nodes = list(sim.chain._nodes.values())
+    dists = [node.dist for node in nodes] + [sim.round_distribution(*w) for w in pairs]
     states = _branch_states(dists)
     _assert_pruned_and_keyed(states)
-    assert len(states) > len(nodes) + len(joints)
+    assert len(states) > len(nodes) + len(pairs)
 
 
 def test_merged_branches_keep_the_post_of_their_own_first_leaf():
@@ -1287,9 +1369,9 @@ def test_reached_rounds_account_for_all_their_mass(grid, n, cap, theta):
     ]
     if n == 3:
         tsim = TeleportSimulator(TeleportConfig(math.cos(theta), math.sin(theta), cfg))
-        w123 = _terminal_states(tsim.w123, [tsim.w123.initial_state()])
-        for joint in _terminal_states(tsim.w456, w123):
-            rounds.append(("teleport", joint, tsim.round_distribution(joint)))
+        terminals = _terminal_states(tsim.chain, [tsim.chain.initial_state()])
+        for w in product(terminals, repeat=2):
+            rounds.append(("teleport", tsim.joint_state(*w), tsim.round_distribution(*w)))
     for kind, state, dist in rounds:
         assert dist.p_accept + dist.rejected + dist.dropped == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= dist.truncated < 1.0
@@ -1416,9 +1498,9 @@ def test_teleport_rounds_match_reference_walk():
             )
             tcfg = TeleportConfig(*amplitudes[cap - 4], base)
             sim = TeleportSimulator(tcfg)
-            w123 = _terminal_states(sim.w123, [sim.w123.initial_state()])
+            terminals = _terminal_states(sim.chain, [sim.chain.initial_state()])
             joints = [exact_double_w_state(tcfg, sim.layout)]
-            joints += _terminal_states(sim.w456, w123)
+            joints += [sim.joint_state(*w) for w in product(terminals, repeat=2)]
             for joint in joints:
                 psi = qubit_state(tcfg, joint, (sim.layout.mode_l, sim.layout.mode_r))
                 _assert_same_round(
@@ -1471,14 +1553,14 @@ def test_trace_trials_that_cannot_complete_spend_the_budget_at_once():
             build_w_chain(cfg, np.random.default_rng(n))
 
 
-def _assert_trials_match_reference(sim, seed, initial_state=None, trials=200):
-    """``sim.run_trial`` against the per-trial reference on trials 0..trials-1
-    of ``seed``: the same result field for field, and the same next draw.
+def _assert_trials_match_reference(sim, seed):
+    """``sim.run_trial`` against the per-trial reference on trials 0..199 of
+    ``seed``: the same result field for field, and the same next draw.
     Returns the set of outcomes seen."""
     outcomes = set()
-    for a, b in zip(trial_rngs(seed, 0, trials), trial_rngs(seed, 0, trials)):
-        got = sim.run_trial(a, initial_state)
-        assert got == run_trial_reference(sim, b, initial_state)
+    for a, b in zip(trial_rngs(seed, 0, 200), trial_rngs(seed, 0, 200)):
+        got = sim.run_trial(a)
+        assert got == run_trial_reference(sim, b)
         assert a.random() == b.random()
         outcomes.add(got.succeeded)
     return outcomes
@@ -1507,16 +1589,6 @@ def test_run_trial_matches_the_per_trial_reference(cfg, stages, outcomes):
     # it replaced
     sim = ChainSimulator(cfg, stages=stages)
     assert _assert_trials_match_reference(sim, cfg.seed) == outcomes
-
-
-def test_run_trial_from_w456_roots_matches_the_per_trial_reference():
-    # the W456 table of a cap-5 teleport grows from every W123 outcome
-    tcfg = TeleportConfig(0.6, 0.8, ProtocolConfig(n=3, p_e=0.05, eta=0.1, truncation_cap=5))
-    sim = TeleportSimulator(tcfg)
-    roots = _terminal_states(sim.w123, [sim.w123.initial_state()])
-    assert len(roots) > 1
-    for k, root in enumerate(roots):
-        assert _assert_trials_match_reference(sim.w456, k, root, trials=50) == {True}
 
 
 # ---------------------------------------------------------------------------
