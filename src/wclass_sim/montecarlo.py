@@ -5,14 +5,21 @@ PCG64 seeded by ``SeedSequence(seed mod 2**64, spawn_key=(t,))``
 (:func:`rng_for_trial`), and aggregates are reduced in trial order, so
 reports are bit-identical for a fixed configuration no matter how many
 workers executed the batch.  A batch derives its trials' generator states
-a block at a time (:func:`trial_rngs`), bit for bit the same.
+a block at a time on uint64 arrays (:func:`trial_rngs`), bit for bit the
+same, and writes each trial's four state words straight into one reused
+generator.  Where a PCG64 keeps those words (found from numpy's
+``ctypes.state_address``, inside the object) and in which order is probed
+once per process through the public setter; a failed probe raises, with no
+other seeding path.  Each view holds the generator it points into, so none
+outlives it.
 
 A chain batch samples ``_BLOCK`` trials at a time
 (:meth:`ChainSimulator.sample`) and keeps them as columns
 (:class:`ChainColumns`), from which it scores, classifies and aggregates
 the whole block at once.  Integer sums are exact Python ints for any
-budget, float sums run over the trials in order, and a report keeps the
-aggregates only: the columns are dropped once they are reduced.
+budget, float sums are left folds over the trials in order
+(``np.add.accumulate``, squares by ``np.float_power``), and a report keeps
+the aggregates only: the columns are dropped once they are reduced.
 
 A process keeps the node tables of its last 8 chain configurations
 (:func:`_chain_engine`), so batches of one configuration at different seeds
@@ -27,6 +34,7 @@ only its retrieval rounds are its own.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import os
@@ -36,7 +44,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, PreconditionError
+from .errors import DomainError, InsufficientDataError, PreconditionError, StateLayoutError
 from .fock import (
     FockState,
     count_excitations,
@@ -84,8 +92,14 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing entropy into the pool
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = 2**32 - 1, 2**128 - 1
+_M32 = 2**32 - 1
 _BLOCK = 4096  # trials derived per vectorized pass
+# _pcg_states' constants as 0-d uint64 arrays, which numpy takes as operands
+# at about half the cost of a Python int: shifts, the 32-bit mask, the
+# multiplier's high and low words, and the low word's low and high halves
+_ONE, _S32, _S63, _LOW = (np.array(v, np.uint64) for v in (1, 32, 63, _M32))
+_MULT_HI, _MULT_LO = (np.array(v, np.uint64) for v in (_PCG_MULT >> 64, _PCG_MULT % 2**64))
+_MULT_B0, _MULT_B1 = (np.array(v, np.uint64) for v in (_PCG_MULT & _M32, _PCG_MULT >> 32 & _M32))
 
 
 def _hash_keys(const: int, mult: int, k: int) -> List[Tuple[int, int]]:
@@ -122,9 +136,9 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _pcg_seeds(pool: np.ndarray, lo: int, hi: int) -> List[list]:
+def _pcg_seeds(pool: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """PCG64's ``(state high, state low, inc high, inc low)`` seed words, as
-    lists of ints, of the trials ``[lo, hi)`` (all below or all from 2**32,
+    uint64 rows over the trials ``[lo, hi)`` (all below or all from 2**32,
     whose spawn key is then one or two words)."""
     t = np.arange(lo, hi, dtype=np.uint64)
     words = [t & _M32, t >> 32] if lo >> 32 else [t]
@@ -134,40 +148,99 @@ def _pcg_seeds(pool: np.ndarray, lo: int, hi: int) -> List[list]:
         mixed = _mix(mixed, _hash(w.astype(np.uint32), xor, mult))
     # generate_state(4, uint64): 8 words cycled from the pool, paired low first
     out = _hash(np.vstack((mixed, mixed)), *_STATE_KEYS).astype(np.uint64)
-    return (out[0::2] | out[1::2] << 32).tolist()
+    return out[0::2] | out[1::2] << 32
+
+
+def _pcg_states(seed_hi, seed_lo, seq_hi, seq_lo) -> np.ndarray:
+    """PCG64 seeded with ``seed`` and ``seq`` (uint64 arrays of their high and
+    low words), as rows ``(state low, state high, inc low, inc high)`` of a
+    ``(4, trials)`` array: ``inc = 2 seq + 1`` and ``state = (seed + inc)
+    MULT + inc`` mod 2**128.  uint64 ops wrap, so the carries out of the low
+    words are added back, and the high word of ``x_lo * MULT_LO`` is summed
+    from 32-bit halves."""
+    inc_lo, inc_hi = seq_lo << _ONE | _ONE, seq_hi << _ONE | seq_lo >> _S63
+    x_lo = seed_lo + inc_lo
+    x_hi = seed_hi + inc_hi + (x_lo < inc_lo)
+    a0, a1 = x_lo & _LOW, x_lo >> _S32
+    p01, p10 = a0 * _MULT_B1, a1 * _MULT_B0
+    mid = (a0 * _MULT_B0 >> _S32) + (p01 & _LOW) + (p10 & _LOW)
+    state_lo = x_lo * _MULT_LO + inc_lo
+    state_hi = a1 * _MULT_B1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32) + inc_hi
+    state_hi += x_lo * _MULT_HI + x_hi * _MULT_LO + (state_lo < inc_lo)
+    return np.array((state_lo, state_hi, inc_lo, inc_hi))
+
+
+def _state_words(bitgen: np.random.PCG64, words_at: int, flags_at: int) -> List[np.ndarray]:
+    """uint64 views of the four state words of a PCG64 and of the word that
+    holds its ``has_uint32`` and ``uinteger``, at the offsets from the
+    object's address that :func:`_state_layout` probed on its type.  Each
+    view's buffer holds ``bitgen``, so no view outlives the memory it points
+    into."""
+    views = []
+    for at, n in ((words_at, 4), (flags_at, 1)):
+        buf = (ctypes.c_uint64 * n).from_address(id(bitgen) + at)
+        buf.owner = bitgen
+        views.append(np.ctypeslib.as_array(buf))
+    return views
+
+
+@functools.lru_cache(maxsize=None)
+def _state_layout() -> Tuple[int, int, Tuple[int, ...]]:
+    """Where a PCG64 keeps its state, probed once per process: ``(offset of
+    its state words, offset of its has_uint32 word, which of (state low,
+    state high, inc low, inc high) each state word holds)``.
+
+    numpy's ``pcg64_state``, at ``ctypes.state_address``, is a pointer to
+    the state words, then ``has_uint32`` and ``uinteger``.  Both must lie in
+    the object itself, at offsets its type fixes.  The words' order differs
+    between numpy builds with ``__uint128_t`` and those that keep a (high,
+    low) struct, and with endianness, so a known state is set through the
+    public setter and its words are looked up."""
+    bitgen = np.random.PCG64(0)
+    addr = bitgen.ctypes.state_address
+    start, end = id(bitgen), id(bitgen) + type(bitgen).__basicsize__
+    ptr, after = ctypes.c_void_p.from_address(addr).value, addr + ctypes.sizeof(ctypes.c_void_p)
+    if not start <= min(ptr, addr) <= max(ptr + 32, after + 8) <= end:
+        raise StateLayoutError("numpy's PCG64 keeps its state outside the generator")
+    words, flags = _state_words(bitgen, ptr - start, after - start)
+    known = [0x0123456789ABCDEF, 0x1133557799BBDDFF, 0x02468ACE13579BDF, 0xF0E1D2C3B4A59687]
+    state = {"state": known[1] << 64 | known[0], "inc": known[3] << 64 | known[2]}
+    bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 1, "uinteger": _M32}
+    order = tuple(known.index(w) for w in words.tolist() if w in known)
+    if sorted(order) != [0, 1, 2, 3] or flags.view(np.uint32).tolist() != [1, _M32]:
+        raise StateLayoutError("numpy's PCG64 keeps its state words elsewhere")
+    return ptr - start, after - start, order
 
 
 def trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
     """``rng_for_trial(seed, t)`` for each ``t`` in ``[lo, hi)``, derived
     ``_BLOCK`` trials at a time.
 
-    The hashing of the spawn word runs on uint32 arrays over the block, and
-    PCG64's seeding (``inc = 2 initseq + 1``, then two LCG steps) on ints.
-    One generator is yielded over and over, set to each trial's state in
-    turn, so a trial's draws must be taken before the next one is asked for.
+    The hashing of the spawn word and PCG64's seeding (:func:`_pcg_states`)
+    run on arrays over the block.  One generator is yielded over and over:
+    each trial's four state words are written into its live state
+    (:func:`_state_words`, in the order :func:`_state_layout` probed), and
+    its buffered 32-bit half is cleared, so a consumer that took an odd
+    number of 32-bit draws leaves nothing to the next trial.  A trial's
+    draws must be taken before the next one is asked for.
     """
     if not 0 <= lo <= hi <= 2**64:
         raise ValueError("trial indices must lie in [0, 2**64)")
-    # the pool of SeedSequence(seed mod 2**64, spawn_key=(t,)) once its
-    # entropy words are mixed in, which is the same for every t: the spawn
-    # key pads the entropy with zeros, which the pool hashes in anyway
-    pool = np.random.SeedSequence(seed & (2**64 - 1)).pool
-    rng = np.random.Generator(np.random.PCG64(0))
-    bitgen = rng.bit_generator
+    # its pool is that of SeedSequence(seed mod 2**64, spawn_key=(t,)) once
+    # the entropy words are mixed in, the same for every t: the spawn key
+    # pads the entropy with zeros, which the pool hashes in anyway
+    entropy = np.random.SeedSequence(seed & (2**64 - 1))
+    rng = np.random.Generator(np.random.PCG64(entropy))  # its state is overwritten
+    words_at, flags_at, order = _state_layout()
+    words, flags = _state_words(rng.bit_generator, words_at, flags_at)
     for start in range(lo, hi, _BLOCK):
         stop = min(start + _BLOCK, hi)
         for a, b in ((start, min(stop, 2**32)), (max(start, 2**32), stop)):
             if a >= b:
                 continue
-            for s_hi, s_lo, i_hi, i_lo in zip(*_pcg_seeds(pool, a, b)):
-                inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
-                state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _M128
-                bitgen.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
+            for row in _pcg_states(*_pcg_seeds(entropy.pool, a, b)).take(order, 0).T:
+                words[...] = row
+                flags[0] = 0  # has_uint32 and uinteger
                 yield rng
 
 
@@ -374,13 +447,13 @@ def _column_sums(counts: np.ndarray) -> List[int]:
     return [sum(col) for col in counts.T.tolist()]
 
 
-def _squared_deviations(xs: List[float], mean: float) -> float:
-    """``sum((x - mean) ** 2 for x in xs)``, folded left (see
-    :func:`~wclass_sim.fock.left_sum`) in one loop."""
-    total = 0.0
-    for x in xs:
-        total += (x - mean) ** 2
-    return total
+def _squared_deviations(xs: np.ndarray, mean: float) -> float:
+    """``sum((x - mean) ** 2 for x in xs)`` folded left, over a non-empty
+    array: ``np.add.accumulate`` adds strictly left to right, and
+    ``float_power`` squares with libm's ``pow`` as ``**`` does (``x * x``
+    and ``np.power`` can differ in the last bit)."""
+    dev = np.asarray(xs, dtype=float) - mean
+    return float(np.add.accumulate(np.float_power(dev, 2.0))[-1])
 
 
 def _aggregate_chain(
@@ -394,8 +467,8 @@ def _aggregate_chain(
     conn_att = sum(att_sum[k] for k in connect_idx)
     conn_succ = sum(succ_sum[k] for k in connect_idx)
     rounds_total = sum(att_sum)  # every round is one stage's attempt
-    rounds = cols.attempts.sum(axis=1).tolist()  # each at most the budget
-    fids = cols.fidelity.tolist()  # trial order: float sums depend on it
+    rounds = cols.attempts.sum(axis=1)  # each at most the budget
+    fids = cols.fidelity  # trial order: float sums depend on it
     successes = len(fids)
     w_count = int(np.count_nonzero(cols.classification == _W))
     vac_count = int(np.count_nonzero(cols.classification == _VACUUM))
@@ -409,10 +482,10 @@ def _aggregate_chain(
         predicted = predicted_generation_time(
             cfg.n, cfg.eta, min(1.0, p_c_hat), cfg.t0
         )
-    fid_mean = left_sum(fids) / len(fids) if fids else None
+    fid_mean = float(np.add.accumulate(fids)[-1]) / successes if successes else None
     fid_se = None
-    if len(fids) > 1:
-        fid_se = math.sqrt(_squared_deviations(fids, fid_mean) / (len(fids) - 1) / len(fids))
+    if successes > 1:
+        fid_se = math.sqrt(_squared_deviations(fids, fid_mean) / (successes - 1) / successes)
     c_n = None
     c_n_se = None
     if w_count > 0:

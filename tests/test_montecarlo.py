@@ -1,13 +1,17 @@
 import concurrent.futures
 import functools
+import itertools
 import json
 import math
 import operator
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from wclass_sim import montecarlo, protocol
@@ -17,8 +21,9 @@ from wclass_sim.errors import (
     DomainError,
     InsufficientDataError,
     PreconditionError,
+    StateLayoutError,
 )
-from wclass_sim.fock import create
+from wclass_sim.fock import create, left_sum
 from wclass_sim.montecarlo import (
     NoisyStateMixture,
     estimate_vacuum_coefficient,
@@ -91,6 +96,43 @@ def test_report_sums_fold_left_whatever_the_python():
     residues = [(0.1 - report.fidelity_mean) ** 2] * 10
     se = math.sqrt(functools.reduce(operator.add, residues, 0.0) / 9 / 10)
     assert report.confidence["fidelity_mean_se"] == se
+
+
+@pytest.mark.parametrize("most", [2**53, 2**70], ids=["int64", "object"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_report_folds_match_the_python_left_folds(most, data):
+    # the rounds' and fidelities' squared deviations and the fidelity mean,
+    # folded in numpy, equal the Python left folds bit for bit; rounds past
+    # int64 come as Python ints in an object array
+    rounds = data.draw(st.lists(
+        st.one_of(st.integers(1, most), st.sampled_from([1, 2**53, most])),
+        min_size=1, max_size=40,
+    ))
+    fids = data.draw(st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.1, 1.0])),
+        min_size=len(rounds), max_size=len(rounds),
+    ))
+    trials = len(rounds)
+    cfg = ProtocolConfig(n=2, p_e=0.01)
+    attempts = np.array([[r] for r in rounds], np.int64 if most < 2**63 else object)
+    cols = montecarlo.ChainColumns(
+        np.ones(trials, bool), attempts, np.ones((trials, 1), attempts.dtype),
+        np.array(fids), np.zeros(trials, int),
+    )
+    report = montecarlo._aggregate_chain(cfg, (epr_stage(1, 2),), cols)
+    mean = sum(rounds) / trials
+    sd = math.sqrt(left_sum((x - mean) ** 2 for x in rounds) / max(1, trials - 1))
+    assert report.confidence["mean_time_s_se"].hex() == (
+        sd / math.sqrt(trials) * cfg.t0).hex()
+    fid_mean = left_sum(fids) / trials
+    assert report.fidelity_mean.hex() == fid_mean.hex()
+    fid_se = report.confidence["fidelity_mean_se"]
+    if trials == 1:
+        assert fid_se is None
+    else:
+        ss = left_sum((x - fid_mean) ** 2 for x in fids)
+        assert fid_se.hex() == math.sqrt(ss / (trials - 1) / trials).hex()
 
 
 def test_run_batch_is_deterministic():
@@ -548,6 +590,73 @@ def test_trial_rngs_raise_no_warnings(seed):
         for lo, hi in [(0, 5), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64)]:
             for rng in trial_rngs(seed, lo, hi):
                 rng.random()
+
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# the edge words carry out of the low add and the high product
+_EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _big_int_states(rows):
+    """PCG64's seeding on Python ints: ``inc = 2 seq + 1``, ``state = (seed
+    + inc) MULT + inc`` mod 2**128, as ``(state lo, state hi, inc lo, inc
+    hi)``."""
+    out = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in rows:
+        inc = (2 * (seq_hi << 64 | seq_lo) + 1) % 2**128
+        state = (((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) % 2**128
+        out.append([state % 2**64, state >> 64, inc % 2**64, inc >> 64])
+    return out
+
+
+def test_pcg_states_match_the_big_int_seeding_on_edge_words():
+    rows = list(itertools.product(_EDGE_WORDS, repeat=4))
+    got = montecarlo._pcg_states(*np.array(rows, np.uint64).T).T.tolist()
+    assert got == _big_int_states(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(*[st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_EDGE_WORDS))] * 4),
+    min_size=1, max_size=16,
+))
+def test_pcg_states_match_the_big_int_seeding(rows):
+    got = montecarlo._pcg_states(*np.array(rows, np.uint64).T).T.tolist()
+    assert got == _big_int_states(rows)
+
+
+def test_the_state_layout_probe_finds_four_distinct_words():
+    words_at, flags_at, order = montecarlo._state_layout()
+    assert sorted(order) == [0, 1, 2, 3]
+    bitgen = np.random.PCG64(0)
+    words, flags = montecarlo._state_words(bitgen, words_at, flags_at)
+    # each view holds the generator whose memory it points into
+    assert words.base.obj.owner is bitgen and flags.base.obj.owner is bitgen
+    rows = [(1, 2**64 - 1, 2**63, 5)]
+    words[...] = montecarlo._pcg_states(*np.array(rows, np.uint64).T)[order, 0]
+    s_lo, s_hi, i_lo, i_hi = _big_int_states(rows)[0]
+    assert bitgen.state["state"] == {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+
+
+def test_the_layout_probe_refuses_state_outside_the_generator(monkeypatch):
+    # a generator whose state address points into memory it does not own
+    class Elsewhere:
+        def __init__(self, seed):
+            self.buf = np.zeros(4, np.uint64)
+            self.buf[0] = self.buf.ctypes.data + 8  # the pointer to the words
+            self.ctypes = SimpleNamespace(state_address=self.buf.ctypes.data)
+
+    monkeypatch.setattr(np.random, "PCG64", Elsewhere)
+    with pytest.raises(StateLayoutError):
+        montecarlo._state_layout.__wrapped__()
+
+
+def test_a_failed_layout_probe_raises(monkeypatch):
+    # words that never show the probe's state: no fallback, a narrow error
+    blank = lambda *args: (np.zeros(4, np.uint64), np.zeros(1, np.uint64))
+    monkeypatch.setattr(montecarlo, "_state_words", blank)
+    with pytest.raises(StateLayoutError):
+        montecarlo._state_layout.__wrapped__()
 
 
 @pytest.mark.parametrize(
