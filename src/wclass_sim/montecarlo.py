@@ -5,13 +5,14 @@ PCG64 seeded by ``SeedSequence(seed mod 2**64, spawn_key=(t,))``
 (:func:`rng_for_trial`), and aggregates are reduced in trial order, so
 reports are bit-identical for a fixed configuration no matter how many
 workers executed the batch.  A batch derives its trials' generator states
-a block at a time on uint64 arrays (:func:`trial_rngs`), bit for bit the
-same, and writes each trial's four state words straight into one reused
-generator.  Where a PCG64 keeps those words (found from numpy's
-``ctypes.state_address``, inside the object) and in which order is probed
-once per process through the public setter; a failed probe raises, with no
-other seeding path.  Each view holds the generator it points into, so none
-outlives it.
+a block at a time on uint64 arrays, or a trial at a time on Python ints
+for a block of a few trials (:func:`trial_rngs`), bit for bit the same,
+and writes each trial's four state words straight into one reused
+generator, its own until its trials are drawn.  Where a PCG64 keeps those
+words (found from numpy's ``ctypes.state_address``, inside the object) and
+in which order is probed once per process through the public setter; a
+failed probe raises, with no other seeding path.  Each view holds the
+generator it points into, so none outlives it.
 
 A chain batch samples ``_BLOCK`` trials at a time
 (:meth:`ChainSimulator.sample`) and keeps them as columns
@@ -23,13 +24,24 @@ the aggregates only: the columns are dropped once they are reduced.
 
 A process keeps the node tables of its last 8 chain configurations
 (:func:`_chain_engine`), so batches of one configuration at different seeds
-build its table once.  Batches take their config with ``phases=None`` (the
+build its table once.  Batches take their config with seed 0 and zero
+phases (:meth:`~wclass_sim.protocol.ProtocolConfig.table_config`: the
 phases are a gauge), so no table or report depends on them.  A chain table
 is closed once it is built and batches only read it, so a batch's bytes
 never depend on what ran before it.  A teleport batch draws both of its W
 states from the n=3 chain table of its base configuration, the one a
 ``w-state --n 3`` batch of that configuration uses, and adds no node to it;
 only its retrieval rounds are its own.
+
+What a table needs beyond its rounds is made once per process, under the
+fields it depends on, so a cold batch pays for its rounds and not for
+their set-up: the layout (registry, modes, vacuum) per (n, N_a,
+finite-size, cap) (:func:`~wclass_sim.protocol.make_chain_layout`), the W
+target per layout (:func:`_w_target`), the tally tables per stage count,
+and up to 4 spare trial generators, each taken up by one :func:`trial_rngs`
+at a time.  Every cached value is made from its key alone and never
+changes once made (the engine's scores fill each slot once), so no report
+depends on what a process ran before; README lists every cache.
 """
 
 from __future__ import annotations
@@ -56,6 +68,7 @@ from .fock import (
     superpose,  # unused here; bench/spans.py wraps this binding
 )
 from .protocol import (
+    ChainLayout,
     ChainSimulator,
     Holder,
     ProtocolConfig,
@@ -92,14 +105,17 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing entropy into the pool
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32 = 2**32 - 1
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _BLOCK = 4096  # trials derived per vectorized pass
+_FEW = 4  # trials derived one at a time on Python ints, below the array ops' fixed cost
 # _pcg_states' constants as 0-d uint64 arrays, which numpy takes as operands
 # at about half the cost of a Python int: shifts, the 32-bit mask, the
 # multiplier's high and low words, and the low word's low and high halves
 _ONE, _S32, _S63, _LOW = (np.array(v, np.uint64) for v in (1, 32, 63, _M32))
 _MULT_HI, _MULT_LO = (np.array(v, np.uint64) for v in (_PCG_MULT >> 64, _PCG_MULT % 2**64))
 _MULT_B0, _MULT_B1 = (np.array(v, np.uint64) for v in (_PCG_MULT & _M32, _PCG_MULT >> 32 & _M32))
+# and _pcg_seeds' as 0-d uint32 arrays: the hash's shift and the mix's multipliers
+_U16, _MIX_L32, _MIX_R32 = (np.array(v, np.uint32) for v in (16, _MIX_L, _MIX_R))
 
 
 def _hash_keys(const: int, mult: int, k: int) -> List[Tuple[int, int]]:
@@ -115,23 +131,25 @@ def _hash_keys(const: int, mult: int, k: int) -> List[Tuple[int, int]]:
 
 # the pool takes 4 hashes to fill and 12 to mix, then 4 per spawn word
 _MIX_KEYS = _hash_keys(_INIT_A, _MULT_A, 24)
-# per spawn word and for generate_state's 8 words: the constants as columns,
-# so that one array op hashes a row of trials with each of them
+# generate_state's 8 words take the pool twice over
+_STATE_HASH_KEYS = _hash_keys(_INIT_B, _MULT_B, 8)
+# the same constants as (xor, multiplier) arrays shaped so that one array op
+# hashes a row of trials with each of them: per spawn word (pool, 1), and
+# for generate_state (cycle, pool, 1)
 _SPAWN_KEYS = [
     np.array(_MIX_KEYS[k : k + _POOL], np.uint32).T[:, :, None] for k in (16, 20)
 ]
-_STATE_KEYS = np.array(_hash_keys(_INIT_B, _MULT_B, 8), np.uint32).T[:, :, None]
+_STATE_KEYS = np.array(_STATE_HASH_KEYS, np.uint32).T.reshape(2, 2, _POOL, 1)
 
 
-def _hash(value, xor, mult):
-    """SeedSequence's hash of 32-bit words, on ints or uint32 arrays."""
+def _hash(value: int, xor: int, mult: int) -> int:
+    """SeedSequence's hash of a 32-bit word."""
     value = (value ^ xor) * mult & _M32
     return value ^ value >> 16
 
 
-def _mix(x, y):
-    """SeedSequence's mix of a hashed word ``y`` into the pool word ``x``, on
-    ints or uint32 arrays (whose products wrap)."""
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of a hashed word ``y`` into the pool word ``x``."""
     r = x * _MIX_L - y * _MIX_R & _M32
     return r ^ r >> 16
 
@@ -139,16 +157,27 @@ def _mix(x, y):
 def _pcg_seeds(pool: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """PCG64's ``(state high, state low, inc high, inc low)`` seed words, as
     uint64 rows over the trials ``[lo, hi)`` (all below or all from 2**32,
-    whose spawn key is then one or two words)."""
-    t = np.arange(lo, hi, dtype=np.uint64)
-    words = [t & _M32, t >> 32] if lo >> 32 else [t]
-    mixed = np.array(pool, np.uint32)[:, None]
+    whose spawn key is then one or two words), from the uint32 ``pool``.
+    :func:`_hash` and :func:`_mix` run on uint32 arrays, whose products wrap
+    mod 2**32 with no mask, and take their constants as 0-d arrays."""
+    if lo >> 32:
+        t = np.arange(lo, hi, dtype=np.uint64)
+        words = [(t & _M32).astype(np.uint32), (t >> 32).astype(np.uint32)]
+    else:
+        words = [np.arange(lo, hi, dtype=np.uint32)]
+    mixed = pool[:, None]
     for w, (xor, mult) in zip(words, _SPAWN_KEYS):
         # the word hashed once per pool word, into a (pool, trials) array
-        mixed = _mix(mixed, _hash(w.astype(np.uint32), xor, mult))
-    # generate_state(4, uint64): 8 words cycled from the pool, paired low first
-    out = _hash(np.vstack((mixed, mixed)), *_STATE_KEYS).astype(np.uint64)
-    return out[0::2] | out[1::2] << 32
+        h = (w ^ xor) * mult
+        h ^= h >> _U16
+        r = mixed * _MIX_L32 - h * _MIX_R32
+        mixed = r ^ r >> _U16
+    # generate_state(4, uint64): 8 words cycled from the pool, as (cycle,
+    # pool word, trials), paired low first
+    out = (mixed ^ _STATE_KEYS[0]) * _STATE_KEYS[1]
+    out ^= out >> _U16
+    out = out.astype(np.uint64)
+    return (out[:, 0::2] | out[:, 1::2] << _S32).reshape(4, -1)
 
 
 def _pcg_states(seed_hi, seed_lo, seq_hi, seq_lo) -> np.ndarray:
@@ -168,6 +197,20 @@ def _pcg_states(seed_hi, seed_lo, seq_hi, seq_lo) -> np.ndarray:
     state_hi = a1 * _MULT_B1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32) + inc_hi
     state_hi += x_lo * _MULT_HI + x_hi * _MULT_LO + (state_lo < inc_lo)
     return np.array((state_lo, state_hi, inc_lo, inc_hi))
+
+
+def _trial_state(pool: List[int], t: int) -> Tuple[int, int, int, int]:
+    """The row of :func:`_pcg_states` for trial ``t`` alone, on Python ints
+    (``pool`` as ints): :func:`_pcg_seeds`' hashing and mixing, then the
+    seeding in 128-bit arithmetic.  Cheaper than the array ops for a few
+    trials, whose fixed cost it does not pay."""
+    for k, w in zip((16, 20), (t & _M32, t >> 32) if t >> 32 else (t,)):
+        pool = [_mix(x, _hash(w, *key)) for x, key in zip(pool, _MIX_KEYS[k : k + _POOL])]
+    h = [_hash(pool[i % _POOL], *key) for i, key in enumerate(_STATE_HASH_KEYS)]
+    seed = h[1] << 96 | h[0] << 64 | h[3] << 32 | h[2]
+    inc = (h[5] << 97 | h[4] << 65 | h[7] << 33 | h[6] << 1 | 1) & _M128
+    state = ((seed + inc) * _PCG_MULT + inc) & _M128
+    return state & _M64, state >> 64, inc & _M64, inc >> 64
 
 
 def _state_words(bitgen: np.random.PCG64, words_at: int, flags_at: int) -> List[np.ndarray]:
@@ -212,36 +255,59 @@ def _state_layout() -> Tuple[int, int, Tuple[int, ...]]:
     return ptr - start, after - start, order
 
 
+#: trial generators whose iterators are done, each with its state views,
+#: kept for the next trial_rngs; at most _SPARE_MAX, more than a batch ever
+#: has live at once
+_SPARE: List[Tuple[np.random.Generator, np.ndarray, np.ndarray]] = []
+_SPARE_MAX = 4
+
+
 def trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
     """``rng_for_trial(seed, t)`` for each ``t`` in ``[lo, hi)``, derived
     ``_BLOCK`` trials at a time.
 
-    The hashing of the spawn word and PCG64's seeding (:func:`_pcg_states`)
-    run on arrays over the block.  One generator is yielded over and over:
-    each trial's four state words are written into its live state
-    (:func:`_state_words`, in the order :func:`_state_layout` probed), and
-    its buffered 32-bit half is cleared, so a consumer that took an odd
-    number of 32-bit draws leaves nothing to the next trial.  A trial's
-    draws must be taken before the next one is asked for.
+    The hashing of the spawn word and PCG64's seeding run on arrays over
+    the block (:func:`_pcg_seeds`, :func:`_pcg_states`), or on Python ints
+    per trial for a block of at most ``_FEW`` trials (:func:`_trial_state`).
+    One generator is yielded over and over: each trial's four state words
+    are written into its live state (:func:`_state_words`, in the order
+    :func:`_state_layout` probed), and its buffered 32-bit half is cleared,
+    so a consumer that took an odd number of 32-bit draws leaves nothing to
+    the next trial.  A trial's draws must be taken before the next one is
+    asked for.  The generator is this iterator's alone until it is done
+    (exhausted, closed or collected); then a later ``trial_rngs`` may take
+    it up again, so a draw on it after that is not a trial's.
     """
     if not 0 <= lo <= hi <= 2**64:
         raise ValueError("trial indices must lie in [0, 2**64)")
     # its pool is that of SeedSequence(seed mod 2**64, spawn_key=(t,)) once
     # the entropy words are mixed in, the same for every t: the spawn key
     # pads the entropy with zeros, which the pool hashes in anyway
-    entropy = np.random.SeedSequence(seed & (2**64 - 1))
-    rng = np.random.Generator(np.random.PCG64(entropy))  # its state is overwritten
+    pool = np.random.SeedSequence(seed & (2**64 - 1)).pool
     words_at, flags_at, order = _state_layout()
-    words, flags = _state_words(rng.bit_generator, words_at, flags_at)
-    for start in range(lo, hi, _BLOCK):
-        stop = min(start + _BLOCK, hi)
-        for a, b in ((start, min(stop, 2**32)), (max(start, 2**32), stop)):
-            if a >= b:
-                continue
-            for row in _pcg_states(*_pcg_seeds(entropy.pool, a, b)).take(order, 0).T:
-                words[...] = row
-                flags[0] = 0  # has_uint32 and uinteger
-                yield rng
+    try:  # one pop: two iterators never take the same spare
+        rng, words, flags = _SPARE.pop()
+    except IndexError:  # none spare
+        rng = np.random.Generator(np.random.PCG64(0))  # its state is overwritten
+        words, flags = _state_words(rng.bit_generator, words_at, flags_at)
+    try:
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            for a, b in ((start, min(stop, 2**32)), (max(start, 2**32), stop)):
+                if a >= b:
+                    continue
+                if b - a <= _FEW:
+                    ints = pool.tolist()
+                    states = np.array([_trial_state(ints, t) for t in range(a, b)], np.uint64).T
+                else:
+                    states = _pcg_states(*_pcg_seeds(pool, a, b))
+                for row in states.take(order, 0).T:
+                    words[...] = row
+                    flags[0] = 0  # has_uint32 and uinteger
+                    yield rng
+    finally:
+        if len(_SPARE) < _SPARE_MAX:
+            _SPARE.append((rng, words, flags))
 
 
 def wilson_interval(successes: int, total: int, z: float = 1.96) -> Tuple[float, float]:
@@ -361,8 +427,16 @@ def _chain_engine(
     if len(stages) == 1:  # a one-stage chain ends in the EPR pair
         target = epr_state(sim.layout, stages[0].i, stages[0].j, 0.0)
     else:
-        target = ideal_w_state(cfg.n, layout=sim.layout)
+        target = _w_target(sim.layout)
     return sim, target, np.full((len(sim._slots), 2), math.nan)
+
+
+@functools.lru_cache(maxsize=64)
+def _w_target(layout: ChainLayout) -> FockState:
+    """The zero-phase W state over every ensemble of ``layout``, made once
+    per layout, which :func:`~wclass_sim.protocol.make_chain_layout` shares
+    between the configurations of equal (n, N_a, finite-size, cap)."""
+    return ideal_w_state(len(layout.ensembles), layout=layout)
 
 
 def _run_chain_trials(
@@ -371,7 +445,7 @@ def _run_chain_trials(
     """The columns of trials ``[lo, hi)``, sampled ``_BLOCK`` at a time.  A
     W-chain trial that completes draws one uniform after its walk, for the
     Born draw that classifies an outcome that is not W."""
-    sim, target, scores = _chain_engine(replace(cfg, seed=0, phases=None), stages)
+    sim, target, scores = _chain_engine(cfg.table_config(), stages)
     classify = len(stages) > 1
     rngs = trial_rngs(cfg.seed, lo, hi)
     out = []
@@ -386,10 +460,11 @@ def _run_chain_trials(
                 state = sim.branch(slot).state
                 scores[slot] = _final_outcome(state, target, sim.layout, classify)
             fid, p_empty = scores[ends].T
-        classes = np.zeros(len(ends), int)  # an EPR pair is not classified
         if classify:
             drawn = np.where(s.extra[s.succeeded, 0] < p_empty, _VACUUM, _OTHER)
             classes = np.where(np.isnan(p_empty), _W, drawn)
+        else:  # an EPR pair is not classified
+            classes = np.zeros(len(ends), int)
         out.append(ChainColumns(s.succeeded, s.attempts, s.successes, fid, classes))
     return out
 
@@ -432,7 +507,7 @@ def run_batch(
         raise ValueError("need at least one trial")
     stages = chain_stages(cfg.n) if stages is None else tuple(stages)
     if workers > 1:  # built before the pool starts, so forked workers inherit it
-        _chain_engine(replace(cfg, seed=0, phases=None), stages)
+        _chain_engine(cfg.table_config(), stages)
     parts = _collect_spans(
         _run_chain_trials, lambda lo, hi: (cfg, stages, lo, hi), trials, workers
     )
@@ -470,8 +545,7 @@ def _aggregate_chain(
     rounds = cols.attempts.sum(axis=1)  # each at most the budget
     fids = cols.fidelity  # trial order: float sums depend on it
     successes = len(fids)
-    w_count = int(np.count_nonzero(cols.classification == _W))
-    vac_count = int(np.count_nonzero(cols.classification == _VACUUM))
+    _, w_count, vac_count, _ = np.bincount(cols.classification, minlength=4).tolist()
     mean_attempts = tuple(s / trials for s in att_sum)
     p_c_hat = conn_succ / conn_att if conn_att else 0.0
     mean_rounds = rounds_total / trials
@@ -552,7 +626,7 @@ def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
     vacuum-faking accept is not)."""
     # the phases are a gauge: run and score in the zero-phase frame
     tcfg = replace(tcfg, base=replace(tcfg.base, phases=None))
-    sim = TeleportSimulator(tcfg, _chain_engine(replace(tcfg.base, seed=0), chain_stages(3))[0])
+    sim = TeleportSimulator(tcfg, _chain_engine(tcfg.base.table_config(), chain_stages(3))[0])
     layout = sim.layout
     target = teleport_target_state(tcfg, layout)
     vac = layout.vacuum()
@@ -578,7 +652,7 @@ def run_teleport_batch(
     if trials < 1:
         raise ValueError("need at least one trial")
     if workers > 1:  # built before the pool starts, so forked workers inherit it
-        _chain_engine(replace(tcfg.base, seed=0, phases=None), chain_stages(3))
+        _chain_engine(tcfg.base.table_config(), chain_stages(3))
     rows = _collect_spans(
         _run_teleport_trials, lambda lo, hi: (tcfg, lo, hi), trials, workers
     )

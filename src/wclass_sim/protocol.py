@@ -190,6 +190,15 @@ class ProtocolConfig:
             raise ValueError("truncation_cap below 2 cannot hold the protocol")
         CollectiveModeModel(self.n_a, self.finite_size)  # raises if n_a is too small
 
+    def table_config(self) -> ProtocolConfig:
+        """``replace(self, seed=0, phases=None)``: this configuration without
+        the fields no chain table reads, which keys and builds the tables.
+        Copied without re-running the checks above, which seed 0 and zero
+        phases pass as this configuration did."""
+        out = object.__new__(ProtocolConfig)
+        out.__dict__.update(self.__dict__, seed=0, phases=(0.0,) * self.n)
+        return out
+
 
 @dataclass(frozen=True)
 class TeleportConfig:
@@ -252,26 +261,39 @@ class ChainLayout:
         return self.ensembles[party - 1]
 
     def vacuum(self) -> FockState:
+        """The vacuum of this registry and cap, made once: a layout and
+        its states are immutable."""
+        return self._vacuum
+
+    @functools.cached_property
+    def _vacuum(self) -> FockState:
         return FockState.vacuum(self.registry, self.truncation_cap)
 
 
 def _atomic_registry(
-    cfg: ProtocolConfig, names: Sequence[str]
+    n_a: float, finite_size: bool, names: Sequence[str]
 ) -> Tuple[ModeRegistry, Tuple[Mode, ...]]:
     """A sealed registry of one atomic mode per name, in that order, which
     fixes the order of every state's terms and so the report bytes.  Stokes
     and retrieved light is only ever detected, so no round needs a mode for
     it."""
-    reg = ModeRegistry(CollectiveModeModel(cfg.n_a, cfg.finite_size))
+    reg = ModeRegistry(CollectiveModeModel(n_a, finite_size))
     modes = tuple([reg.add_atomic(name) for name in names])
     reg.seal()
     return reg, modes
 
 
 def make_chain_layout(cfg: ProtocolConfig) -> ChainLayout:
-    """Standard registry: one atomic mode per ensemble."""
-    reg, ens = _atomic_registry(cfg, [f"ens{i}" for i in range(1, cfg.n + 1)])
-    return ChainLayout(reg, ens, cfg.truncation_cap)
+    """Standard registry: one atomic mode per ensemble.  Made once per
+    process for each (n, N_a, finite-size, cap), the fields it reads, and
+    shared: a sealed registry and a layout never change."""
+    return _chain_layout(cfg.n, cfg.n_a, cfg.finite_size, cfg.truncation_cap)
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_layout(n: int, n_a: float, finite_size: bool, cap: int) -> ChainLayout:
+    reg, ens = _atomic_registry(n_a, finite_size, [f"ens{i}" for i in range(1, n + 1)])
+    return ChainLayout(reg, ens, cap)
 
 
 @dataclass(frozen=True)
@@ -297,8 +319,9 @@ def make_teleport_layout(tcfg: TeleportConfig) -> TeleportLayout:
     """Modes L, R, then ensembles 1..6, under a cap of ``2 cap + 1``: both
     W states, each truncated on its own chain, and the qubit."""
     names = ["ensL", "ensR", *(f"ens{i}" for i in range(1, 7))]
-    reg, (mode_l, mode_r, *ens) = _atomic_registry(tcfg.base, names)
-    return TeleportLayout(reg, tuple(ens), 2 * tcfg.base.truncation_cap + 1, mode_l, mode_r)
+    base = tcfg.base
+    reg, (mode_l, mode_r, *ens) = _atomic_registry(base.n_a, base.finite_size, names)
+    return TeleportLayout(reg, tuple(ens), 2 * base.truncation_cap + 1, mode_l, mode_r)
 
 
 # ---------------------------------------------------------------------------
@@ -979,6 +1002,18 @@ def _spend_budget(rng: np.random.Generator, law: tuple, budget: int) -> Tuple[Li
     return counts, 0
 
 
+@functools.lru_cache(maxsize=64)
+def _tally_tables(n_stages: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The tally's tables of an ``n_stages`` chain, made once per stage
+    count and read-only: ``(counts @ failed_later)[k]`` sums the passes
+    failed at stage k or later, and ``last_pass[h]`` marks the stages that a
+    last pass getting through h stages attempted."""
+    failed_later = np.tri(n_stages, dtype=np.int64)
+    last_pass = np.tri(n_stages + 1, n_stages, -1, dtype=np.int64)
+    failed_later.flags.writeable = last_pass.flags.writeable = False
+    return failed_later, last_pass
+
+
 @dataclass(eq=False, slots=True)
 class _Node:
     """One reached ``(stage, state)`` of a pass: its round, the exact odds
@@ -1023,19 +1058,12 @@ class ChainSimulator:
         self._vacuum = self.layout.vacuum()
         self._nodes: Dict[tuple, _Node] = {}
         # the walk columns, per slot (each node's branches, then its
-        # sentinel; see choose): the node's row, the running sum,
-        # ``complex(row, p_complete)`` of the node the branch leads to (0
-        # past the last stage), and the branch
-        self._owner: List[int] = []
-        self._cum: List[float] = []
+        # sentinel): the key of choose, ``complex(row, p_complete)`` of the
+        # node the branch leads to (0 past the last stage), and the branch
+        self._keys: List[complex] = []
         self._ahead: List[complex] = []
         self._slots: List[RoundBranch | None] = []
-        # the tally's tables: (counts @ _failed_later)[k] sums the passes
-        # failed at stage k or later, and _last_pass[h] marks the stages
-        # that a last pass getting through h stages attempted
-        n_stages = len(self.stages)
-        self._failed_later = np.tri(n_stages, dtype=np.int64)
-        self._last_pass = np.tri(n_stages + 1, n_stages, -1, dtype=np.int64)
+        self._failed_later, self._last_pass = _tally_tables(len(self.stages))
 
     # -- exact per-round machinery ----------------------------------------
 
@@ -1074,24 +1102,28 @@ class ChainSimulator:
             )
         else:
             dist = merge_round(state, self.layout, spec.i, self.cfg, spec.detectors[0])
-        last = idx + 1 == len(self.stages)
-        children = [None if last else self._node(idx + 1, br.state) for br in dist.branches]
-        fail = [0.0] * len(self.stages)
-        fail[idx] = 1.0 - dist.p_accept
+        nxt = idx + 1
+        later = [0.0] * (len(self.stages) - nxt)  # P(fail at each later stage)
         p_complete = 0.0
         cum, ahead = [], []
-        for br, child in zip(dist.branches, children):
-            pc, fv = (1.0, ()) if child is None else (child.p_complete, child.fail)
-            p_complete += br.prob * pc
+        for br in dist.branches:  # each child is built, with its own, in turn
+            p = br.prob
+            if later:
+                child = self._node(nxt, br.state)
+                p_complete += p * child.p_complete
+                ahead.append(complex(child.row, child.p_complete))
+                # a child fails at no stage before its own
+                later = [f + p * x for f, x in zip(later, child.fail[nxt:])]
+            else:  # past the last stage: the pass completes
+                p_complete += p
+                ahead.append(0j)
             cum.append(p_complete)
-            ahead.append(0j if child is None else complex(child.row, pc))
-            for k in range(idx + 1, len(fv)):  # a child fails at no stage before its own
-                fail[k] += br.prob * fv[k]
         row = len(self._nodes)
-        node = self._nodes[key] = _Node(dist, p_complete, tuple(fail), row)
+        fail = (0.0,) * idx + (1.0 - dist.p_accept, *later)
+        node = self._nodes[key] = _Node(dist, p_complete, fail, row)
         # the branches' slots, then the sentinel's, which repeats the last branch
-        self._owner += [row] * (len(cum) + 1)
-        self._cum += cum + [math.inf]
+        self._keys += [complex(row, c) for c in cum]
+        self._keys.append(complex(row, math.inf))
         self._ahead += ahead + (ahead[-1:] or [0j])
         self._slots += dist.branches + (dist.branches[-1:] or (None,))
         return node
@@ -1104,11 +1136,9 @@ class ChainSimulator:
         ahead) and the law of a failed pass (``_law``: P(it failed at stage
         k), its largest cost in rounds, k + 1 at stage k, and running sums)."""
         root = self._node(0, self._vacuum)
-        keys = np.empty(len(self._cum), complex)
-        keys.real, keys.imag = self._owner, self._cum
-        self._columns = (keys, np.array(self._ahead))
+        self._columns = (np.array(self._keys), np.array(self._ahead))
         q = (1.0 - root.p_complete) or 1.0  # a pass that never fails: any law will do
-        cond = np.clip(np.asarray(root.fail) / q, 0.0, None)
+        cond = np.maximum(np.array(root.fail) / q, 0.0)
         cond[-1] = max(0.0, 1.0 - cond[:-1].sum())
         self._law = (cond, int(np.flatnonzero(cond)[-1]) + 1, list(accumulate(cond.tolist())))
         return root
@@ -1181,11 +1211,12 @@ class ChainSimulator:
         # zeros, and its walk is never read)
         keys, ahead = self._columns
         node = np.full(trials, complex(root.row, root.p_complete))
+        imag = node.imag  # a view: node is overwritten in place, stage by stage
         path = []
-        for k in range(n_stages):
-            node.imag *= uniforms[:, k]  # complex(row, u * p_complete): the query
+        for u in uniforms.T[:n_stages]:
+            imag *= u  # complex(row, u * p_complete): the query
             path.append(choose(keys, node))
-            node = ahead[path[-1]]
+            ahead.take(path[-1], out=node)
         # the tally: a stage is attempted by every pass that failed there or
         # later, and by the last pass when it got that far
         attempts = counts @ self._failed_later + self._last_pass[through]
@@ -1303,8 +1334,8 @@ class TeleportSimulator:
         self.tcfg = tcfg
         self.layout = make_teleport_layout(tcfg)
         self.chain = chain or ChainSimulator(tcfg.base)
-        unread = functools.partial(replace, seed=0, phases=None)  # no table reads these
-        if self.chain.stages != chain_stages(3) or unread(self.chain.cfg) != unread(tcfg.base):
+        same = self.chain.cfg.table_config() == tcfg.base.table_config()
+        if self.chain.stages != chain_stages(3) or not same:
             raise ValueError("the W-chain simulator was built from another config")
         self._rounds = _Table(lambda w: _retrieval_round(tcfg, self.layout, self.joint_state(*w)))
 

@@ -1,0 +1,31 @@
+"""The in-process timing comparison (``tests/ab_calls.py``): a tree timed
+against itself gives identical reports, and a checkout whose reports differ
+is caught."""
+
+import re
+import shutil
+
+import ab_calls
+from compare_reports import ROOT
+
+
+def test_the_tree_times_against_itself_on_chain_and_scan_blocks(capsys):
+    for workload in ("chain-sample", "param-scan"):
+        args = [str(ROOT), "--workload", workload, "--seed", "1", "--blocks", "1"]
+        assert ab_calls.main(args) == 0
+        ratios, summary = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"ratios \d+\.\d{4}", ratios)
+        assert re.fullmatch(
+            r"other/this time per block: median \d+\.\d{4}, quartiles \d+\.\d{4} \d+\.\d{4}, "
+            r"this tree faster in [01] of 1 blocks",
+            summary,
+        )
+
+
+def test_a_checkout_with_other_reports_is_caught(tmp_path, capsys):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "wclass_sim" / "cli.py"
+    cli.write_text(cli.read_text().replace("SCHEMA_VERSION = 2", "SCHEMA_VERSION = 3"))
+    args = [str(tmp_path), "--workload", "param-scan", "--seed", "1", "--blocks", "1"]
+    assert ab_calls.main(args) == 1
+    assert capsys.readouterr().out.startswith("call 0 gives different reports: w-state ")

@@ -7,7 +7,8 @@ budget-exhausted trials: ``w3_exhausted`` (a multi-stage chain whose
 budget of 200 rounds most trials spend) and ``teleport_cap4_exhausted``
 (at the default cap, 14 of its 30 trials spend a budget of 50000 rounds).
 Every case also runs with its node table cold, cached, and cached by a
-batch at another seed, to the same bytes.  A golden
+batch at another seed, and cold after a batch of another configuration that
+shares its per-process scaffolding or does not, to the same bytes.  A golden
 file changes only when the random stream or a reported formula changes on
 purpose.  To rewrite the files after such a change (and say why in
 CHANGES.md), run
@@ -32,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from wclass_sim import montecarlo, protocol
 from wclass_sim.cli import main
 from wclass_sim.montecarlo import _chain_engine
 
@@ -101,17 +103,39 @@ def _reseeded(argv: list[str]) -> list[str]:
     return [*argv[:k], str(int(argv[k]) + 1000), *argv[k + 1 :]]
 
 
+def _clear_process_caches() -> None:
+    """Empty every per-process cache of the engine: the chain tables, the
+    scaffolding they share (layouts, W targets, tally tables), the rounds'
+    tables and the spare trial generators."""
+    for module in (montecarlo, protocol):
+        for cache in vars(module).values():
+            if hasattr(cache, "cache_clear"):
+                cache.cache_clear()
+    montecarlo._SPARE.clear()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_independent_of_cached_tables(name, tmp_path):
     # cold, warm, and warm after a batch of the same configuration at
-    # another seed: the cached node tables, which teleport batches share
-    # with w-state batches, must not show in the bytes
+    # another seed; then cold again after a batch of another configuration
+    # that shares its scaffolding (another p_e: the same n, N_a, finite size
+    # and cap) or does not (another N_a).  The cached node tables, which
+    # teleport batches share with w-state batches, and the scaffolding
+    # cached beside them must not show in the bytes
     argv, code = CASES[name]
     out = tmp_path / "report"
-    _chain_engine.cache_clear()
-    for run in ("cold", "warm", "reseeded"):
-        if run == "reseeded":
-            main([*_reseeded(argv), "-o", str(tmp_path / "other")])
+    before = {
+        "cold": None,
+        "warm": None,
+        "reseeded": _reseeded(argv),
+        "after-shared": [*argv, "--pe", "0.031"],
+        "after-unshared": [*argv, "--na", "77", "--finite-size"],
+    }
+    for run, other in before.items():
+        if run in ("cold", "after-shared", "after-unshared"):
+            _clear_process_caches()
+        if other is not None:
+            main([*other, "-o", str(tmp_path / "other")])
         assert main([*argv, "-o", str(out)]) == code
         assert out.read_bytes() == golden_path(name).read_bytes(), run
 

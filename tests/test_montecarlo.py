@@ -4,8 +4,10 @@ import itertools
 import json
 import math
 import operator
+import sys
+import threading
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +25,7 @@ from wclass_sim.errors import (
     PreconditionError,
     StateLayoutError,
 )
-from wclass_sim.fock import create, left_sum
+from wclass_sim.fock import CollectiveModeModel, create, left_sum
 from wclass_sim.montecarlo import (
     NoisyStateMixture,
     estimate_vacuum_coefficient,
@@ -548,9 +550,12 @@ def test_teleport_batch_enumerates_each_round_once(monkeypatch):
 # 0, one and two entropy words, negative seeds taken mod 2**64
 DERIVATION_SEEDS = [0, 1, -1, 5, 2**32 - 1, 2**32, 2**63 - 1, -(2**63)]
 # from 0, from lo > 0, across a block of the derivation, across the one- to
-# two-word spawn key at 2**32, and up to the last index
+# two-word spawn key at 2**32, and up to the last index; blocks of at most
+# montecarlo._FEW trials are derived one at a time, larger ones as arrays,
+# so the last two windows take the arrays with two-word spawn keys
 DERIVATION_WINDOWS = [
-    (0, 6), (7, 12), (4093, 4099), (2**32 - 3, 2**32 + 3), (2**64 - 3, 2**64)
+    (0, 6), (7, 12), (4093, 4099), (2**32 - 3, 2**32 + 3), (2**64 - 3, 2**64),
+    (2**32 + 5, 2**32 + 17), (2**64 - 9, 2**64),
 ]
 
 
@@ -590,6 +595,55 @@ def test_trial_rngs_raise_no_warnings(seed):
         for lo, hi in [(0, 5), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64)]:
             for rng in trial_rngs(seed, lo, hi):
                 rng.random()
+
+
+@pytest.mark.parametrize("trials", [3, 40], ids=["per-trial", "block"])
+@pytest.mark.parametrize("seeds", [(5, 5), (5, 6)], ids=["same-seed", "other-seeds"])
+def test_live_trial_rng_iterators_keep_their_own_generators(seeds, trials):
+    # an iterator's generator serves a later iterator only once it is done:
+    # two live iterators, zipped, each reproduce their own trials, after a
+    # finished one that left half a 32-bit word buffered
+    for rng in trial_rngs(9, 0, 2):
+        rng.integers(0, 2**32, size=1, dtype=np.uint32)
+    both = zip(range(trials), trial_rngs(seeds[0], 0, trials), trial_rngs(seeds[1], 0, trials),
+               strict=True)
+    for t, a, b in both:
+        assert a is not b
+        for rng, seed in ((a, seeds[0]), (b, seeds[1])):
+            ref = rng_for_trial(seed, t)
+            assert rng.bit_generator.state == ref.bit_generator.state, (seed, t)
+            halves = [g.integers(0, 2**32, size=3, dtype=np.uint32).tolist() for g in (rng, ref)]
+            assert halves[0] == halves[1], (seed, t)
+
+
+def test_trial_rng_iterators_in_threads_keep_their_own_generators():
+    # more threads than cores, switching often: every thread's iterators
+    # reproduce their own trials, so no two live iterators ever shared a
+    # generator, spare or new
+    errors = []
+
+    def draw(seed):
+        try:
+            for hi in (3, 9, 3, 9):
+                for t, rng in zip(range(hi), trial_rngs(seed, 0, hi), strict=True):
+                    got = rng.random(2).tolist()
+                    if got != rng_for_trial(seed, t).random(2).tolist():
+                        errors.append((seed, hi, t))
+        except Exception as exc:  # a thread's failure must reach the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
 
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -699,6 +753,63 @@ def test_chain_engines_are_keyed_by_everything_but_seed_and_phases():
         run_batch(cfg, 5)
     info = montecarlo._chain_engine.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 4, 4)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ProtocolConfig(n=3, p_e=0.02, seed=5),
+        ProtocolConfig(n=4, p_e=0.01, eta=0.3, phases=(0.0, -0.0, 1.5, 2), seed=-7,
+                       n_a=100, finite_size=True, truncation_cap=3, max_attempts=9,
+                       second_order_pump=False, t0=2e-6),
+    ],
+    ids=["defaults", "every-field"],
+)
+def test_table_config_is_the_config_without_seed_and_phases(cfg):
+    # the engine key is made without re-running the checks, and is the
+    # config that replace() makes, field for field and type for type
+    seed, phases = cfg.seed, cfg.phases
+    got, want = cfg.table_config(), replace(cfg, seed=0, phases=None)
+    assert got == want and hash(got) == hash(want)
+    assert [(f.name, type(getattr(got, f.name))) for f in fields(got)] == [
+        (f.name, type(getattr(want, f.name))) for f in fields(want)
+    ]
+    assert (cfg.seed, cfg.phases) == (seed, phases)
+
+
+def test_configs_share_scaffolding_only_with_equal_layout_fields():
+    # the layout (registry, modes, vacuum), the W target and the tally tables
+    # are made once per (n, N_a, finite-size, cap): shared by configurations
+    # that agree on those four, and never by ones that do not
+    base = ProtocolConfig(n=4, p_e=0.02, eta=0.1, seed=1)
+    sharing = [
+        replace(base, p_e=0.03, eta=0.2, seed=2, phases=(0.0, 0.4, 0.8, 1.2)),
+        replace(base, second_order_pump=False, max_attempts=50, t0=2e-6),
+    ]
+    apart = [
+        replace(base, n_a=100.0, finite_size=True),
+        replace(base, n_a=1000.0, finite_size=True),
+        replace(base, n_a=100.0),  # N_a without the finite-size correction
+        replace(base, truncation_cap=3),
+        replace(base, n=5, phases=None),
+    ]
+    montecarlo._chain_engine.cache_clear()
+    cfgs = [base, *sharing, *apart]
+    engines = [montecarlo._chain_engine(c.table_config(), chain_stages(c.n)) for c in cfgs]
+    first, first_target, _ = engines[0]
+    for sim, target, _ in engines[1:3]:
+        assert sim.layout is first.layout and sim._vacuum is first._vacuum
+        assert target is first_target
+        assert sim._failed_later is first._failed_later and sim._last_pass is first._last_pass
+    registries = [sim.layout.registry for sim, _, _ in (engines[0], *engines[3:])]
+    assert len(set(map(id, registries))) == len(registries)
+    for cfg, (sim, target, _) in zip(cfgs, engines):
+        layout = sim.layout
+        assert layout.registry.collective == CollectiveModeModel(cfg.n_a, cfg.finite_size)
+        assert (len(layout.ensembles), layout.truncation_cap) == (cfg.n, cfg.truncation_cap)
+        assert target.registry is sim._vacuum.registry is layout.registry
+        assert target.key() == ideal_w_state(cfg.n, layout=layout).key()
+    assert not first._failed_later.flags.writeable and not first._last_pass.flags.writeable
 
 
 def test_signed_zero_phases_give_the_same_report():
