@@ -57,6 +57,6 @@ for eta in (0.0, 0.3):
 
 # repeat-until-success sampling
 rng = np.random.default_rng(0)
-attempts = [prepare_epr(cfg, 1, 2, rng, layout).attempts for _ in range(2000)]
+attempts = [prepare_epr(cfg, 1, 2, rng).attempts for _ in range(2000)]
 print(f"\nrepeat-until-success: mean attempts {np.mean(attempts):.1f}"
       f" ~ 1/accept = {1 / dist.p_accept:.1f}")

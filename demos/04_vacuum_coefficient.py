@@ -20,7 +20,7 @@ print(f"\ndouble pairs enabled, p_e = {p_e}, {trials} trials per point:")
 for eta in (0.1, 0.3, 0.5):
     cfg = ProtocolConfig(n=3, p_e=p_e, eta=eta, seed=40)
     layout = make_chain_layout(cfg)
-    c3, mixture = estimate_vacuum_coefficient(cfg, trials, layout=layout)
+    c3, mixture = estimate_vacuum_coefficient(cfg, trials)
     target = ideal_w_state(3, cfg.phases, layout)
     fid = fidelity_mixture(mixture, target)
     print(f"  eta={eta}:  c_3 = {c3:.5f},  mixture fidelity {fid:.6f}"

@@ -4,15 +4,16 @@ Trials are independent and reproducible: trial ``t`` of a batch draws from
 PCG64 seeded by ``SeedSequence(seed mod 2**64, spawn_key=(t,))``
 (:func:`rng_for_trial`), and aggregates are reduced in trial order, so
 reports are bit-identical for a fixed configuration no matter how many
-workers executed the batch.  A batch derives its trials' generator states
-a block at a time on uint64 arrays, or a trial at a time on Python ints
-for a block of a few trials (:func:`trial_rngs`), bit for bit the same,
-and writes each trial's four state words straight into one reused
-generator, its own until its trials are drawn.  Where a PCG64 keeps those
-words (found from numpy's ``ctypes.state_address``, inside the object) and
-in which order is probed once per process through the public setter; a
-failed probe raises, with no other seeding path.  Each view holds the
-generator it points into, so none outlives it.
+workers executed the batch.  A call of at most ``_FEW`` trials takes
+numpy's own derivation (:func:`rng_for_trial`, :func:`trial_rngs`); a
+larger one derives its trials' generator states a block at a time on
+uint64 arrays, bit for bit the same, and writes each trial's four state
+words straight into one reused generator, its own until its trials are
+drawn.  Where a PCG64 keeps those words (found from numpy's
+``ctypes.state_address``, inside the object) and in which order is probed
+once per process through the public setter; a failed probe raises, with no
+other path for a larger call.  Each view holds the generator it points
+into, so none outlives it.
 
 A chain batch samples ``_BLOCK`` trials at a time
 (:meth:`ChainSimulator.sample`) and keeps them as columns
@@ -35,13 +36,13 @@ only its retrieval rounds are its own.
 
 What a table needs beyond its rounds is made once per process, under the
 fields it depends on, so a cold batch pays for its rounds and not for
-their set-up: the layout (registry, modes, vacuum) per (n, N_a,
-finite-size, cap) (:func:`~wclass_sim.protocol.make_chain_layout`), the W
-target per layout (:func:`_w_target`), the tally tables per stage count,
-and up to 4 spare trial generators, each taken up by one :func:`trial_rngs`
-at a time.  Every cached value is made from its key alone and never
-changes once made (the engine's scores fill each slot once), so no report
-depends on what a process ran before; README lists every cache.
+their set-up: the layout (registry, modes, vacuum, zero-phase W state) per
+(n, N_a, finite-size, cap) (:func:`~wclass_sim.protocol.make_chain_layout`),
+the tally tables per stage count, and up to 4 spare trial generators,
+each taken up by one :func:`trial_rngs` at a time.  Every cached value is
+made from its key alone and never changes once made (the engine's scores
+fill each slot once), so no report depends on what a process ran before;
+README lists every cache.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .fock import (
     superpose,  # unused here; bench/spans.py wraps this binding
 )
 from .protocol import (
-    ChainLayout,
     ChainSimulator,
     Holder,
     ProtocolConfig,
@@ -105,9 +105,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing entropy into the pool
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_M32 = 2**32 - 1
 _BLOCK = 4096  # trials derived per vectorized pass
-_FEW = 4  # trials derived one at a time on Python ints, below the array ops' fixed cost
+_FEW = 3  # most trials of a call that takes numpy's own derivation, below the arrays' fixed cost
 # _pcg_states' constants as 0-d uint64 arrays, which numpy takes as operands
 # at about half the cost of a Python int: shifts, the 32-bit mask, the
 # multiplier's high and low words, and the low word's low and high halves
@@ -129,36 +129,22 @@ def _hash_keys(const: int, mult: int, k: int) -> List[Tuple[int, int]]:
     return keys
 
 
-# the pool takes 4 hashes to fill and 12 to mix, then 4 per spawn word
+# the pool takes 4 hashes to fill and 12 to mix, then 4 per spawn word;
+# generate_state's 8 words take the pool twice over.  As (xor, multiplier)
+# arrays shaped so that one array op hashes a row of trials with each of
+# them: per spawn word (pool, 1), and for generate_state (cycle, pool, 1)
 _MIX_KEYS = _hash_keys(_INIT_A, _MULT_A, 24)
-# generate_state's 8 words take the pool twice over
-_STATE_HASH_KEYS = _hash_keys(_INIT_B, _MULT_B, 8)
-# the same constants as (xor, multiplier) arrays shaped so that one array op
-# hashes a row of trials with each of them: per spawn word (pool, 1), and
-# for generate_state (cycle, pool, 1)
 _SPAWN_KEYS = [
     np.array(_MIX_KEYS[k : k + _POOL], np.uint32).T[:, :, None] for k in (16, 20)
 ]
-_STATE_KEYS = np.array(_STATE_HASH_KEYS, np.uint32).T.reshape(2, 2, _POOL, 1)
-
-
-def _hash(value: int, xor: int, mult: int) -> int:
-    """SeedSequence's hash of a 32-bit word."""
-    value = (value ^ xor) * mult & _M32
-    return value ^ value >> 16
-
-
-def _mix(x: int, y: int) -> int:
-    """SeedSequence's mix of a hashed word ``y`` into the pool word ``x``."""
-    r = x * _MIX_L - y * _MIX_R & _M32
-    return r ^ r >> 16
+_STATE_KEYS = np.array(_hash_keys(_INIT_B, _MULT_B, 8), np.uint32).T.reshape(2, 2, _POOL, 1)
 
 
 def _pcg_seeds(pool: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """PCG64's ``(state high, state low, inc high, inc low)`` seed words, as
     uint64 rows over the trials ``[lo, hi)`` (all below or all from 2**32,
     whose spawn key is then one or two words), from the uint32 ``pool``.
-    :func:`_hash` and :func:`_mix` run on uint32 arrays, whose products wrap
+    SeedSequence's hash and mix run on uint32 arrays, whose products wrap
     mod 2**32 with no mask, and take their constants as 0-d arrays."""
     if lo >> 32:
         t = np.arange(lo, hi, dtype=np.uint64)
@@ -197,20 +183,6 @@ def _pcg_states(seed_hi, seed_lo, seq_hi, seq_lo) -> np.ndarray:
     state_hi = a1 * _MULT_B1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32) + inc_hi
     state_hi += x_lo * _MULT_HI + x_hi * _MULT_LO + (state_lo < inc_lo)
     return np.array((state_lo, state_hi, inc_lo, inc_hi))
-
-
-def _trial_state(pool: List[int], t: int) -> Tuple[int, int, int, int]:
-    """The row of :func:`_pcg_states` for trial ``t`` alone, on Python ints
-    (``pool`` as ints): :func:`_pcg_seeds`' hashing and mixing, then the
-    seeding in 128-bit arithmetic.  Cheaper than the array ops for a few
-    trials, whose fixed cost it does not pay."""
-    for k, w in zip((16, 20), (t & _M32, t >> 32) if t >> 32 else (t,)):
-        pool = [_mix(x, _hash(w, *key)) for x, key in zip(pool, _MIX_KEYS[k : k + _POOL])]
-    h = [_hash(pool[i % _POOL], *key) for i, key in enumerate(_STATE_HASH_KEYS)]
-    seed = h[1] << 96 | h[0] << 64 | h[3] << 32 | h[2]
-    inc = (h[5] << 97 | h[4] << 65 | h[7] << 33 | h[6] << 1 | 1) & _M128
-    state = ((seed + inc) * _PCG_MULT + inc) & _M128
-    return state & _M64, state >> 64, inc & _M64, inc >> 64
 
 
 def _state_words(bitgen: np.random.PCG64, words_at: int, flags_at: int) -> List[np.ndarray]:
@@ -263,23 +235,28 @@ _SPARE_MAX = 4
 
 
 def trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
-    """``rng_for_trial(seed, t)`` for each ``t`` in ``[lo, hi)``, derived
-    ``_BLOCK`` trials at a time.
+    """``rng_for_trial(seed, t)`` for each ``t`` in ``[lo, hi)``.
 
-    The hashing of the spawn word and PCG64's seeding run on arrays over
-    the block (:func:`_pcg_seeds`, :func:`_pcg_states`), or on Python ints
-    per trial for a block of at most ``_FEW`` trials (:func:`_trial_state`).
-    One generator is yielded over and over: each trial's four state words
-    are written into its live state (:func:`_state_words`, in the order
-    :func:`_state_layout` probed), and its buffered 32-bit half is cleared,
-    so a consumer that took an odd number of 32-bit draws leaves nothing to
-    the next trial.  A trial's draws must be taken before the next one is
-    asked for.  The generator is this iterator's alone until it is done
-    (exhausted, closed or collected); then a later ``trial_rngs`` may take
-    it up again, so a draw on it after that is not a trial's.
+    A call of at most ``_FEW`` trials yields :func:`rng_for_trial` itself,
+    which costs less than the arrays' fixed cost.  A larger call derives
+    ``_BLOCK`` trials at a time: the hashing of the spawn word and PCG64's
+    seeding run on arrays over the block (:func:`_pcg_seeds`,
+    :func:`_pcg_states`), and one generator is yielded over and over: each
+    trial's four state words are written into its live state
+    (:func:`_state_words`, in the order :func:`_state_layout` probed), and
+    its buffered 32-bit half is cleared, so a consumer that took an odd
+    number of 32-bit draws leaves nothing to the next trial.  A trial's
+    draws must be taken before the next one is asked for.  The generator is
+    this iterator's alone until it is done (exhausted, closed or collected);
+    then a later ``trial_rngs`` may take it up again, so a draw on it after
+    that is not a trial's.
     """
     if not 0 <= lo <= hi <= 2**64:
         raise ValueError("trial indices must lie in [0, 2**64)")
+    if hi - lo <= _FEW:
+        for t in range(lo, hi):
+            yield rng_for_trial(seed, t)  # by name: bench/spans.py wraps this binding
+        return
     # its pool is that of SeedSequence(seed mod 2**64, spawn_key=(t,)) once
     # the entropy words are mixed in, the same for every t: the spawn key
     # pads the entropy with zeros, which the pool hashes in anyway
@@ -296,12 +273,7 @@ def trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
             for a, b in ((start, min(stop, 2**32)), (max(start, 2**32), stop)):
                 if a >= b:
                     continue
-                if b - a <= _FEW:
-                    ints = pool.tolist()
-                    states = np.array([_trial_state(ints, t) for t in range(a, b)], np.uint64).T
-                else:
-                    states = _pcg_states(*_pcg_seeds(pool, a, b))
-                for row in states.take(order, 0).T:
+                for row in _pcg_states(*_pcg_seeds(pool, a, b)).take(order, 0).T:
                     words[...] = row
                     flags[0] = 0  # has_uint32 and uinteger
                     yield rng
@@ -427,16 +399,8 @@ def _chain_engine(
     if len(stages) == 1:  # a one-stage chain ends in the EPR pair
         target = epr_state(sim.layout, stages[0].i, stages[0].j, 0.0)
     else:
-        target = _w_target(sim.layout)
+        target = sim.layout.w_state
     return sim, target, np.full((len(sim._slots), 2), math.nan)
-
-
-@functools.lru_cache(maxsize=64)
-def _w_target(layout: ChainLayout) -> FockState:
-    """The zero-phase W state over every ensemble of ``layout``, made once
-    per layout, which :func:`~wclass_sim.protocol.make_chain_layout` shares
-    between the configurations of equal (n, N_a, finite-size, cap)."""
-    return ideal_w_state(len(layout.ensembles), layout=layout)
 
 
 def _run_chain_trials(
@@ -469,14 +433,14 @@ def _run_chain_trials(
     return out
 
 
-def _collect_spans(fn, args_builder, trials: int, workers: int) -> list:
-    """``fn(*args_builder(lo, hi))`` over spans ``[lo, hi)`` of the trials,
+def _collect_spans(fn, args: tuple, trials: int, workers: int) -> list:
+    """``fn(*args, lo, hi)`` over spans ``[lo, hi)`` of the trials,
     one span per worker process, with the lists they return joined in
     trial order."""
     if workers > 1:  # a forking pool starts all its workers at the first submit
         workers = min(workers, trials, os.cpu_count() or 1)
     if workers <= 1:
-        return fn(*args_builder(0, trials))
+        return fn(*args, 0, trials)
     # imported here: a one-worker run need not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -484,7 +448,7 @@ def _collect_spans(fn, args_builder, trials: int, workers: int) -> list:
     spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     out: list = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args_builder(lo, hi)) for lo, hi in spans]
+        futures = [pool.submit(fn, *args, lo, hi) for lo, hi in spans]
         for fut in futures:  # submission order == trial order
             out.extend(fut.result())
     return out
@@ -508,9 +472,7 @@ def run_batch(
     stages = chain_stages(cfg.n) if stages is None else tuple(stages)
     if workers > 1:  # built before the pool starts, so forked workers inherit it
         _chain_engine(cfg.table_config(), stages)
-    parts = _collect_spans(
-        _run_chain_trials, lambda lo, hi: (cfg, stages, lo, hi), trials, workers
-    )
+    parts = _collect_spans(_run_chain_trials, (cfg, stages), trials, workers)
     return _aggregate_chain(cfg, stages, ChainColumns.concat(parts))
 
 
@@ -653,9 +615,7 @@ def run_teleport_batch(
         raise ValueError("need at least one trial")
     if workers > 1:  # built before the pool starts, so forked workers inherit it
         _chain_engine(tcfg.base.table_config(), chain_stages(3))
-    rows = _collect_spans(
-        _run_teleport_trials, lambda lo, hi: (tcfg, lo, hi), trials, workers
-    )
+    rows = _collect_spans(_run_teleport_trials, (tcfg,), trials, workers)
     succeeded, rounds, correct, fids, holders, loc_fids = zip(*rows)
     successes = sum(succeeded)
     fids = [f for f in fids if f is not None]
@@ -709,7 +669,7 @@ def fidelity_mixture(mix: NoisyStateMixture, target: FockState) -> float:
 
 
 def estimate_vacuum_coefficient(
-    cfg: ProtocolConfig, trials: int, workers: int = 1, layout=None
+    cfg: ProtocolConfig, trials: int, workers: int = 1
 ) -> Tuple[float, NoisyStateMixture]:
     """Estimate the vacuum coefficient from click-conditioned successes.
 
@@ -726,8 +686,7 @@ def estimate_vacuum_coefficient(
     c_hat = report.c_n_hat  # None exactly when no success is a W outcome
     if c_hat is None:
         raise InsufficientDataError("no W-class outcomes to normalize against")
-    if layout is None:
-        layout = make_chain_layout(cfg)
+    layout = make_chain_layout(cfg)
     mixture = NoisyStateMixture(
         [
             (c_hat / (1.0 + c_hat), layout.vacuum()),

@@ -269,6 +269,11 @@ class ChainLayout:
     def _vacuum(self) -> FockState:
         return FockState.vacuum(self.registry, self.truncation_cap)
 
+    @functools.cached_property
+    def w_state(self) -> FockState:
+        """The zero-phase W state over every ensemble, made once."""
+        return ideal_w_state(len(self.ensembles), layout=self)
+
 
 def _atomic_registry(
     n_a: float, finite_size: bool, names: Sequence[str]
@@ -1046,14 +1051,9 @@ class ChainSimulator:
     each stage's attempts and successes.
     """
 
-    def __init__(
-        self,
-        cfg: ProtocolConfig,
-        layout: ChainLayout | None = None,
-        stages: Sequence[StageSpec] | None = None,
-    ):
+    def __init__(self, cfg: ProtocolConfig, stages: Sequence[StageSpec] | None = None):
         self.cfg = cfg
-        self.layout = layout or make_chain_layout(cfg)
+        self.layout = make_chain_layout(cfg)
         self.stages = chain_stages(cfg.n) if stages is None else tuple(stages)
         self._vacuum = self.layout.vacuum()
         self._nodes: Dict[tuple, _Node] = {}
@@ -1241,32 +1241,23 @@ class ChainSimulator:
 # ---------------------------------------------------------------------------
 
 
-def prepare_epr(
-    cfg: ProtocolConfig,
-    i: int,
-    j: int,
-    rng: np.random.Generator,
-    layout: ChainLayout | None = None,
-) -> StepOutcome:
+def prepare_epr(cfg: ProtocolConfig, i: int, j: int, rng: np.random.Generator) -> StepOutcome:
     """Entangle ensembles ``i`` and ``j`` from the ground state.
 
     Pumps both, interferes the Stokes light, and conditions on exactly one
     click; failed attempts reset to the ground state and repeat, up to
     ``max_attempts``: the one-stage chain ``(epr_stage(i, j),)``.
     """
-    return build_w_chain(cfg, rng, layout, stages=(epr_stage(i, j),))
+    return build_w_chain(cfg, rng, stages=(epr_stage(i, j),))
 
 
 def build_w_chain(
-    cfg: ProtocolConfig,
-    rng: np.random.Generator,
-    layout: ChainLayout | None = None,
-    stages: Sequence[StageSpec] | None = None,
+    cfg: ProtocolConfig, rng: np.random.Generator, stages: Sequence[StageSpec] | None = None
 ) -> StepOutcome:
     """Build the ``n``-party W state (or run another stage list), restarting
     from the first stage on any failure.  The channel phases are put on the
     final state."""
-    sim = ChainSimulator(cfg, layout, stages)
+    sim = ChainSimulator(cfg, stages)
     out = sim.run_trial(rng)
     if not out.succeeded:
         worst = sim.stages[out.stage_attempts.index(max(out.stage_attempts))].label

@@ -179,7 +179,7 @@ def test_a5_noise_mixture():
     p_e, trials = 0.02, 30_000
     cfg3 = ProtocolConfig(n=3, p_e=p_e, eta=0.3, seed=555)
     layout = make_chain_layout(cfg3)
-    c3, mixture = estimate_vacuum_coefficient(cfg3, trials, layout=layout)
+    c3, mixture = estimate_vacuum_coefficient(cfg3, trials)
     ok = c3 > 0.0
     target = ideal_w_state(3, cfg3.phases, layout)
     mix_fid = fidelity_mixture(mixture, target)

@@ -105,8 +105,8 @@ def _reseeded(argv: list[str]) -> list[str]:
 
 def _clear_process_caches() -> None:
     """Empty every per-process cache of the engine: the chain tables, the
-    scaffolding they share (layouts, W targets, tally tables), the rounds'
-    tables and the spare trial generators."""
+    scaffolding they share (layouts with their W states, tally tables), the
+    rounds' tables and the spare trial generators."""
     for module in (montecarlo, protocol):
         for cache in vars(module).values():
             if hasattr(cache, "cache_clear"):

@@ -303,7 +303,7 @@ def test_vacuum_coefficient_identity_and_trend():
         eta: ProtocolConfig(n=3, p_e=0.03, eta=eta, seed=91) for eta in (0.1, 0.5)
     }
     layout = make_chain_layout(cfgs[0.1])
-    c_low, mix_low = estimate_vacuum_coefficient(cfgs[0.1], 12_000, layout=layout)
+    c_low, mix_low = estimate_vacuum_coefficient(cfgs[0.1], 12_000)
     c_high, _ = estimate_vacuum_coefficient(cfgs[0.5], 12_000)
     assert c_low > 0.0
     assert c_high > c_low
@@ -550,11 +550,13 @@ def test_teleport_batch_enumerates_each_round_once(monkeypatch):
 # 0, one and two entropy words, negative seeds taken mod 2**64
 DERIVATION_SEEDS = [0, 1, -1, 5, 2**32 - 1, 2**32, 2**63 - 1, -(2**63)]
 # from 0, from lo > 0, across a block of the derivation, across the one- to
-# two-word spawn key at 2**32, and up to the last index; blocks of at most
-# montecarlo._FEW trials are derived one at a time, larger ones as arrays,
-# so the last two windows take the arrays with two-word spawn keys
+# two-word spawn key at 2**32, and up to the last index.  A call of at most
+# montecarlo._FEW trials takes numpy's own derivation: one, three and two
+# trials, the last across 2**32, and three up to 2**64.  Larger calls take
+# the arrays, also on a part of one trial before 2**32
 DERIVATION_WINDOWS = [
-    (0, 6), (7, 12), (4093, 4099), (2**32 - 3, 2**32 + 3), (2**64 - 3, 2**64),
+    (0, 1), (5, 8), (2**32 - 1, 2**32 + 1), (2**64 - 3, 2**64),
+    (0, 6), (7, 12), (4093, 4099), (2**32 - 3, 2**32 + 3), (2**32 - 1, 2**32 + 4),
     (2**32 + 5, 2**32 + 17), (2**64 - 9, 2**64),
 ]
 
@@ -778,9 +780,9 @@ def test_table_config_is_the_config_without_seed_and_phases(cfg):
 
 
 def test_configs_share_scaffolding_only_with_equal_layout_fields():
-    # the layout (registry, modes, vacuum), the W target and the tally tables
-    # are made once per (n, N_a, finite-size, cap): shared by configurations
-    # that agree on those four, and never by ones that do not
+    # the layout (registry, modes, vacuum, W state) and the tally tables are
+    # made once per (n, N_a, finite-size, cap): shared by configurations that
+    # agree on those four, and never by ones that do not
     base = ProtocolConfig(n=4, p_e=0.02, eta=0.1, seed=1)
     sharing = [
         replace(base, p_e=0.03, eta=0.2, seed=2, phases=(0.0, 0.4, 0.8, 1.2)),
@@ -796,19 +798,22 @@ def test_configs_share_scaffolding_only_with_equal_layout_fields():
     montecarlo._chain_engine.cache_clear()
     cfgs = [base, *sharing, *apart]
     engines = [montecarlo._chain_engine(c.table_config(), chain_stages(c.n)) for c in cfgs]
-    first, first_target, _ = engines[0]
+    first = engines[0][0]
     for sim, target, _ in engines[1:3]:
         assert sim.layout is first.layout and sim._vacuum is first._vacuum
-        assert target is first_target
+        assert sim.layout.w_state is first.layout.w_state
+        assert target is first.layout.w_state
         assert sim._failed_later is first._failed_later and sim._last_pass is first._last_pass
-    registries = [sim.layout.registry for sim, _, _ in (engines[0], *engines[3:])]
-    assert len(set(map(id, registries))) == len(registries)
+    apart_sims = [sim for sim, _, _ in (engines[0], *engines[3:])]
+    assert len({id(sim.layout.registry) for sim in apart_sims}) == len(apart_sims)
+    assert len({id(sim.layout.w_state) for sim in apart_sims}) == len(apart_sims)
     for cfg, (sim, target, _) in zip(cfgs, engines):
         layout = sim.layout
         assert layout.registry.collective == CollectiveModeModel(cfg.n_a, cfg.finite_size)
         assert (len(layout.ensembles), layout.truncation_cap) == (cfg.n, cfg.truncation_cap)
-        assert target.registry is sim._vacuum.registry is layout.registry
-        assert target.key() == ideal_w_state(cfg.n, layout=layout).key()
+        assert target is layout.w_state
+        assert layout.w_state.registry is sim._vacuum.registry is layout.registry
+        assert layout.w_state.key() == ideal_w_state(cfg.n, layout=layout).key()
     assert not first._failed_later.flags.writeable and not first._last_pass.flags.writeable
 
 

@@ -347,7 +347,7 @@ def test_prepare_epr_ideal_limit_and_click_rate():
     rng = np.random.default_rng(4)
     fids = []
     for _ in range(200):
-        out = prepare_epr(cfg, 1, 2, rng, layout)
+        out = prepare_epr(cfg, 1, 2, rng)
         assert out.succeeded
         fids.append(fidelity(out.state, target))
     assert np.mean(fids) >= 1.0 - 10 * cfg.p_e
@@ -433,7 +433,7 @@ def test_merge_on_vacuum_never_clicks():
     dist = merge_round(vac, layout, 2, cfg)
     assert (dist.p_accept, dist.branches, dist.rejected) == (0.0, (), 1.0)
     merge_2 = chain_stages(3)[2:3]
-    assert ChainSimulator(cfg, layout, merge_2).completion(0, vac) == (0.0, (1.0,))
+    assert ChainSimulator(cfg, merge_2).completion(0, vac) == (0.0, (1.0,))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -448,7 +448,7 @@ def test_maximizing_stages_reach_the_w_state(n):
             )
             layout = make_chain_layout(cfg)
             wp = normalize(w_prime_state(n, None, layout))  # the zero-phase frame
-            sim = ChainSimulator(cfg, layout, chain_stages(n)[-2:])
+            sim = ChainSimulator(cfg, chain_stages(n)[-2:])
             pc, fails = sim.completion(0, wp)
             assert (pc, fails) == completion_reference(sim.stages, layout, cfg, wp)
             if eta == 0.0:
@@ -479,7 +479,7 @@ def test_build_w_chain_ideal_limit():
     cfg = ProtocolConfig(n=3, p_e=0.01, eta=0.0, seed=21)
     layout = make_chain_layout(cfg)
     target = ideal_w_state(3, cfg.phases, layout)
-    out = build_w_chain(cfg, np.random.default_rng(21), layout)
+    out = build_w_chain(cfg, np.random.default_rng(21))
     assert out.succeeded
     assert out.state.norm() == pytest.approx(1.0, abs=1e-10)
     assert len(out.stage_attempts) == len(out.stage_successes) == len(chain_stages(3))
@@ -543,10 +543,10 @@ def test_phase_covariance_of_the_sampled_chain():
     cfg_ph = ProtocolConfig(n=3, p_e=0.01, eta=0.2, seed=33, phases=phases)
     cfg_0 = ProtocolConfig(n=3, p_e=0.01, eta=0.2, seed=33)
     layout = make_chain_layout(cfg_0)
-    for step in (build_w_chain, lambda cfg, rng, lay: prepare_epr(cfg, 1, 2, rng, lay)):
+    for step in (build_w_chain, lambda cfg, rng: prepare_epr(cfg, 1, 2, rng)):
         for t in range(10):
-            r_ph = step(cfg_ph, np.random.default_rng(t), layout)
-            r_0 = step(cfg_0, np.random.default_rng(t), layout)
+            r_ph = step(cfg_ph, np.random.default_rng(t))
+            r_0 = step(cfg_0, np.random.default_rng(t))
             assert (r_ph.attempts, r_ph.click_log) == (r_0.attempts, r_0.click_log)
             comp = phase_compensate(r_ph.state, phases, layout.ensembles)
             assert equal_up_to_global_phase(comp, r_0.state, 1e-10)
