@@ -46,9 +46,5 @@ class DomainError(WClassError, ValueError):
     """A numeric argument is outside the formula's domain."""
 
 
-class StateLayoutError(WClassError):
-    """numpy's PCG64 keeps its state words where trial seeding cannot find them."""
-
-
 class UsageError(WClassError):
     """Bad command line or configuration input (exit code 2)."""

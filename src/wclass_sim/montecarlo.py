@@ -1,27 +1,19 @@
 """Seeded batch runner and estimators for the protocol's quantitative claims.
 
-Trials are independent and reproducible: trial ``t`` of a batch draws from
-PCG64 seeded by ``SeedSequence(seed mod 2**64, spawn_key=(t,))``
-(:func:`rng_for_trial`), and aggregates are reduced in trial order, so
+Trials are reproducible and split into fixed blocks of ``_BLOCK``: block
+``b`` of a batch, trials ``[b * _BLOCK, (b + 1) * _BLOCK)``, draws from PCG64
+seeded by ``SeedSequence(seed mod 2**64, spawn_key=(b,))``
+(:func:`rng_for_trial`), its trials one after another in trial order.  A
+worker takes whole blocks, and aggregates are reduced in trial order, so
 reports are bit-identical for a fixed configuration no matter how many
-workers executed the batch.  A call of at most ``_FEW`` trials takes
-numpy's own derivation (:func:`rng_for_trial`, :func:`trial_rngs`); a
-larger one derives its trials' generator states a block at a time on
-uint64 arrays, bit for bit the same, and writes each trial's four state
-words straight into one reused generator, its own until its trials are
-drawn.  Where a PCG64 keeps those words (found from numpy's
-``ctypes.state_address``, inside the object) and in which order is probed
-once per process through the public setter; a failed probe raises, with no
-other path for a larger call.  Each view holds the generator it points
-into, so none outlives it.
+workers executed the batch.
 
-A chain batch samples ``_BLOCK`` trials at a time
-(:meth:`ChainSimulator.sample`) and keeps them as columns
-(:class:`ChainColumns`), from which it scores, classifies and aggregates
-the whole block at once.  Integer sums are exact Python ints for any
-budget, float sums are left folds over the trials in order
-(``np.add.accumulate``, squares by ``np.float_power``), and a report keeps
-the aggregates only: the columns are dropped once they are reduced.
+A chain batch samples a block at a time (:meth:`ChainSimulator.sample`)
+and keeps it as columns (:class:`ChainColumns`), from which it scores,
+classifies and aggregates the whole block at once.  Integer sums are exact
+Python ints for any budget, float sums are left folds over the trials in
+order (``np.add.accumulate``, squares by ``np.float_power``), and a report
+keeps the aggregates only: the columns are dropped once they are reduced.
 
 A process keeps the node tables of its last 8 chain configurations
 (:func:`_chain_engine`), so batches of one configuration at different seeds
@@ -37,27 +29,24 @@ only its retrieval rounds are its own.
 What a table needs beyond its rounds is made once per process, under the
 fields it depends on, so a cold batch pays for its rounds and not for
 their set-up: the layout (registry, modes, vacuum, zero-phase W state) per
-(n, N_a, finite-size, cap) (:func:`~wclass_sim.protocol.make_chain_layout`),
-the tally tables per stage count, and up to 4 spare trial generators,
-each taken up by one :func:`trial_rngs` at a time.  Every cached value is
-made from its key alone and never changes once made (the engine's scores
-fill each slot once), so no report depends on what a process ran before;
-README lists every cache.
+(n, N_a, finite-size, cap) (:func:`~wclass_sim.protocol.make_chain_layout`)
+and the tally tables per stage count.  Every cached value is made from its
+key alone and never changes once made (the engine's scores fill each slot
+once), so no report depends on what a process ran before; README lists
+every cache.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import os
 from dataclasses import dataclass, fields, replace
-from itertools import islice
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, PreconditionError, StateLayoutError
+from .errors import DomainError, InsufficientDataError, PreconditionError
 from .fock import (
     FockState,
     count_excitations,
@@ -90,196 +79,14 @@ from .protocol import (
 )
 
 
-def rng_for_trial(seed: int, trial_index: int) -> np.random.Generator:
-    """Splittable per-trial stream: derived from ``(seed, trial_index)``."""
-    ss = np.random.SeedSequence(
-        entropy=seed & (2**64 - 1), spawn_key=(trial_index,)
-    )
+def rng_for_trial(seed: int, block: int) -> np.random.Generator:
+    """Splittable stream of one block of trials: derived from ``(seed,
+    block)``."""
+    ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=(block,))
     return np.random.default_rng(ss)
 
 
-# numpy's SeedSequence (pool of 4 words, hash constants and multipliers) and
-# PCG64 (128-bit LCG multiplier), which trial_rngs reproduces
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing entropy into the pool
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32 = 2**32 - 1
-_BLOCK = 4096  # trials derived per vectorized pass
-_FEW = 3  # most trials of a call that takes numpy's own derivation, below the arrays' fixed cost
-# _pcg_states' constants as 0-d uint64 arrays, which numpy takes as operands
-# at about half the cost of a Python int: shifts, the 32-bit mask, the
-# multiplier's high and low words, and the low word's low and high halves
-_ONE, _S32, _S63, _LOW = (np.array(v, np.uint64) for v in (1, 32, 63, _M32))
-_MULT_HI, _MULT_LO = (np.array(v, np.uint64) for v in (_PCG_MULT >> 64, _PCG_MULT % 2**64))
-_MULT_B0, _MULT_B1 = (np.array(v, np.uint64) for v in (_PCG_MULT & _M32, _PCG_MULT >> 32 & _M32))
-# and _pcg_seeds' as 0-d uint32 arrays: the hash's shift and the mix's multipliers
-_U16, _MIX_L32, _MIX_R32 = (np.array(v, np.uint32) for v in (16, _MIX_L, _MIX_R))
-
-
-def _hash_keys(const: int, mult: int, k: int) -> List[Tuple[int, int]]:
-    """The ``(xor, multiplier)`` constants of SeedSequence's next ``k``
-    hashes, the hash constant starting at ``const``."""
-    keys = []
-    for _ in range(k):
-        after = const * mult & _M32
-        keys.append((const, after))
-        const = after
-    return keys
-
-
-# the pool takes 4 hashes to fill and 12 to mix, then 4 per spawn word;
-# generate_state's 8 words take the pool twice over.  As (xor, multiplier)
-# arrays shaped so that one array op hashes a row of trials with each of
-# them: per spawn word (pool, 1), and for generate_state (cycle, pool, 1)
-_MIX_KEYS = _hash_keys(_INIT_A, _MULT_A, 24)
-_SPAWN_KEYS = [
-    np.array(_MIX_KEYS[k : k + _POOL], np.uint32).T[:, :, None] for k in (16, 20)
-]
-_STATE_KEYS = np.array(_hash_keys(_INIT_B, _MULT_B, 8), np.uint32).T.reshape(2, 2, _POOL, 1)
-
-
-def _pcg_seeds(pool: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """PCG64's ``(state high, state low, inc high, inc low)`` seed words, as
-    uint64 rows over the trials ``[lo, hi)`` (all below or all from 2**32,
-    whose spawn key is then one or two words), from the uint32 ``pool``.
-    SeedSequence's hash and mix run on uint32 arrays, whose products wrap
-    mod 2**32 with no mask, and take their constants as 0-d arrays."""
-    if lo >> 32:
-        t = np.arange(lo, hi, dtype=np.uint64)
-        words = [(t & _M32).astype(np.uint32), (t >> 32).astype(np.uint32)]
-    else:
-        words = [np.arange(lo, hi, dtype=np.uint32)]
-    mixed = pool[:, None]
-    for w, (xor, mult) in zip(words, _SPAWN_KEYS):
-        # the word hashed once per pool word, into a (pool, trials) array
-        h = (w ^ xor) * mult
-        h ^= h >> _U16
-        r = mixed * _MIX_L32 - h * _MIX_R32
-        mixed = r ^ r >> _U16
-    # generate_state(4, uint64): 8 words cycled from the pool, as (cycle,
-    # pool word, trials), paired low first
-    out = (mixed ^ _STATE_KEYS[0]) * _STATE_KEYS[1]
-    out ^= out >> _U16
-    out = out.astype(np.uint64)
-    return (out[:, 0::2] | out[:, 1::2] << _S32).reshape(4, -1)
-
-
-def _pcg_states(seed_hi, seed_lo, seq_hi, seq_lo) -> np.ndarray:
-    """PCG64 seeded with ``seed`` and ``seq`` (uint64 arrays of their high and
-    low words), as rows ``(state low, state high, inc low, inc high)`` of a
-    ``(4, trials)`` array: ``inc = 2 seq + 1`` and ``state = (seed + inc)
-    MULT + inc`` mod 2**128.  uint64 ops wrap, so the carries out of the low
-    words are added back, and the high word of ``x_lo * MULT_LO`` is summed
-    from 32-bit halves."""
-    inc_lo, inc_hi = seq_lo << _ONE | _ONE, seq_hi << _ONE | seq_lo >> _S63
-    x_lo = seed_lo + inc_lo
-    x_hi = seed_hi + inc_hi + (x_lo < inc_lo)
-    a0, a1 = x_lo & _LOW, x_lo >> _S32
-    p01, p10 = a0 * _MULT_B1, a1 * _MULT_B0
-    mid = (a0 * _MULT_B0 >> _S32) + (p01 & _LOW) + (p10 & _LOW)
-    state_lo = x_lo * _MULT_LO + inc_lo
-    state_hi = a1 * _MULT_B1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32) + inc_hi
-    state_hi += x_lo * _MULT_HI + x_hi * _MULT_LO + (state_lo < inc_lo)
-    return np.array((state_lo, state_hi, inc_lo, inc_hi))
-
-
-def _state_words(bitgen: np.random.PCG64, words_at: int, flags_at: int) -> List[np.ndarray]:
-    """uint64 views of the four state words of a PCG64 and of the word that
-    holds its ``has_uint32`` and ``uinteger``, at the offsets from the
-    object's address that :func:`_state_layout` probed on its type.  Each
-    view's buffer holds ``bitgen``, so no view outlives the memory it points
-    into."""
-    views = []
-    for at, n in ((words_at, 4), (flags_at, 1)):
-        buf = (ctypes.c_uint64 * n).from_address(id(bitgen) + at)
-        buf.owner = bitgen
-        views.append(np.ctypeslib.as_array(buf))
-    return views
-
-
-@functools.lru_cache(maxsize=None)
-def _state_layout() -> Tuple[int, int, Tuple[int, ...]]:
-    """Where a PCG64 keeps its state, probed once per process: ``(offset of
-    its state words, offset of its has_uint32 word, which of (state low,
-    state high, inc low, inc high) each state word holds)``.
-
-    numpy's ``pcg64_state``, at ``ctypes.state_address``, is a pointer to
-    the state words, then ``has_uint32`` and ``uinteger``.  Both must lie in
-    the object itself, at offsets its type fixes.  The words' order differs
-    between numpy builds with ``__uint128_t`` and those that keep a (high,
-    low) struct, and with endianness, so a known state is set through the
-    public setter and its words are looked up."""
-    bitgen = np.random.PCG64(0)
-    addr = bitgen.ctypes.state_address
-    start, end = id(bitgen), id(bitgen) + type(bitgen).__basicsize__
-    ptr, after = ctypes.c_void_p.from_address(addr).value, addr + ctypes.sizeof(ctypes.c_void_p)
-    if not start <= min(ptr, addr) <= max(ptr + 32, after + 8) <= end:
-        raise StateLayoutError("numpy's PCG64 keeps its state outside the generator")
-    words, flags = _state_words(bitgen, ptr - start, after - start)
-    known = [0x0123456789ABCDEF, 0x1133557799BBDDFF, 0x02468ACE13579BDF, 0xF0E1D2C3B4A59687]
-    state = {"state": known[1] << 64 | known[0], "inc": known[3] << 64 | known[2]}
-    bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 1, "uinteger": _M32}
-    order = tuple(known.index(w) for w in words.tolist() if w in known)
-    if sorted(order) != [0, 1, 2, 3] or flags.view(np.uint32).tolist() != [1, _M32]:
-        raise StateLayoutError("numpy's PCG64 keeps its state words elsewhere")
-    return ptr - start, after - start, order
-
-
-#: trial generators whose iterators are done, each with its state views,
-#: kept for the next trial_rngs; at most _SPARE_MAX, more than a batch ever
-#: has live at once
-_SPARE: List[Tuple[np.random.Generator, np.ndarray, np.ndarray]] = []
-_SPARE_MAX = 4
-
-
-def trial_rngs(seed: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
-    """``rng_for_trial(seed, t)`` for each ``t`` in ``[lo, hi)``.
-
-    A call of at most ``_FEW`` trials yields :func:`rng_for_trial` itself,
-    which costs less than the arrays' fixed cost.  A larger call derives
-    ``_BLOCK`` trials at a time: the hashing of the spawn word and PCG64's
-    seeding run on arrays over the block (:func:`_pcg_seeds`,
-    :func:`_pcg_states`), and one generator is yielded over and over: each
-    trial's four state words are written into its live state
-    (:func:`_state_words`, in the order :func:`_state_layout` probed), and
-    its buffered 32-bit half is cleared, so a consumer that took an odd
-    number of 32-bit draws leaves nothing to the next trial.  A trial's
-    draws must be taken before the next one is asked for.  The generator is
-    this iterator's alone until it is done (exhausted, closed or collected);
-    then a later ``trial_rngs`` may take it up again, so a draw on it after
-    that is not a trial's.
-    """
-    if not 0 <= lo <= hi <= 2**64:
-        raise ValueError("trial indices must lie in [0, 2**64)")
-    if hi - lo <= _FEW:
-        for t in range(lo, hi):
-            yield rng_for_trial(seed, t)  # by name: bench/spans.py wraps this binding
-        return
-    # its pool is that of SeedSequence(seed mod 2**64, spawn_key=(t,)) once
-    # the entropy words are mixed in, the same for every t: the spawn key
-    # pads the entropy with zeros, which the pool hashes in anyway
-    pool = np.random.SeedSequence(seed & (2**64 - 1)).pool
-    words_at, flags_at, order = _state_layout()
-    try:  # one pop: two iterators never take the same spare
-        rng, words, flags = _SPARE.pop()
-    except IndexError:  # none spare
-        rng = np.random.Generator(np.random.PCG64(0))  # its state is overwritten
-        words, flags = _state_words(rng.bit_generator, words_at, flags_at)
-    try:
-        for start in range(lo, hi, _BLOCK):
-            stop = min(start + _BLOCK, hi)
-            for a, b in ((start, min(stop, 2**32)), (max(start, 2**32), stop)):
-                if a >= b:
-                    continue
-                for row in _pcg_states(*_pcg_seeds(pool, a, b)).take(order, 0).T:
-                    words[...] = row
-                    flags[0] = 0  # has_uint32 and uinteger
-                    yield rng
-    finally:
-        if len(_SPARE) < _SPARE_MAX:
-            _SPARE.append((rng, words, flags))
+_BLOCK = 1024  # trials per stream block, and per sampling pass
 
 
 def wilson_interval(successes: int, total: int, z: float = 1.96) -> Tuple[float, float]:
@@ -406,16 +213,16 @@ def _chain_engine(
 def _run_chain_trials(
     cfg: ProtocolConfig, stages: Tuple[StageSpec, ...], lo: int, hi: int
 ) -> List[ChainColumns]:
-    """The columns of trials ``[lo, hi)``, sampled ``_BLOCK`` at a time.  A
-    W-chain trial that completes draws one uniform after its walk, for the
-    Born draw that classifies an outcome that is not W."""
+    """The columns of trials ``[lo, hi)``, ``lo`` a multiple of ``_BLOCK``,
+    sampled a block at a time from the block's stream.  A W-chain trial that
+    completes draws one uniform after its walk, for the Born draw that
+    classifies an outcome that is not W."""
     sim, target, scores = _chain_engine(cfg.table_config(), stages)
     classify = len(stages) > 1
-    rngs = trial_rngs(cfg.seed, lo, hi)
     out = []
     for start in range(lo, hi, _BLOCK):
-        size = min(_BLOCK, hi - start)
-        s = sim.sample(islice(rngs, size), size, extra=int(classify))
+        rng = rng_for_trial(cfg.seed, start // _BLOCK)  # by name: bench/spans.py wraps it
+        s = sim.sample(rng, min(_BLOCK, hi - start), extra=int(classify))
         ends = s.path[-1][s.succeeded]
         fid, p_empty = scores[ends].T
         new = np.isnan(fid)
@@ -434,17 +241,18 @@ def _run_chain_trials(
 
 
 def _collect_spans(fn, args: tuple, trials: int, workers: int) -> list:
-    """``fn(*args, lo, hi)`` over spans ``[lo, hi)`` of the trials,
-    one span per worker process, with the lists they return joined in
-    trial order."""
+    """``fn(*args, lo, hi)`` over spans ``[lo, hi)`` of the trials that
+    start at block boundaries, one span per worker process and at most one
+    worker per block, with the lists they return joined in trial order."""
+    blocks = -(-trials // _BLOCK)
     if workers > 1:  # a forking pool starts all its workers at the first submit
-        workers = min(workers, trials, os.cpu_count() or 1)
+        workers = min(workers, blocks, os.cpu_count() or 1)
     if workers <= 1:
         return fn(*args, 0, trials)
     # imported here: a one-worker run need not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = (trials + workers - 1) // workers
+    chunk = -(-blocks // workers) * _BLOCK
     spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     out: list = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -493,6 +301,23 @@ def _squared_deviations(xs: np.ndarray, mean: float) -> float:
     return float(np.add.accumulate(np.float_power(dev, 2.0))[-1])
 
 
+def _deviations(xs) -> Tuple[float, np.ndarray, float]:
+    """``(x0, x - x0, sum(x - x0) / n)`` of a non-empty sequence in order, the
+    sum folded left.  The mean is taken as ``x0 + sum(x - x0) / n``, so a
+    batch whose values are all equal reports that value, with no spread."""
+    x = np.asarray(xs, dtype=float)
+    dev = x - x[0]
+    return float(x[0]), dev, float(np.add.accumulate(dev)[-1]) / len(x)
+
+
+def _mean(xs) -> float | None:
+    """The mean of :func:`_deviations`, or None for no values."""
+    if not len(xs):
+        return None
+    x0, _, shift = _deviations(xs)
+    return x0 + shift
+
+
 def _aggregate_chain(
     cfg: ProtocolConfig, stages: Tuple[StageSpec, ...], cols: ChainColumns
 ) -> RunReport:
@@ -518,10 +343,12 @@ def _aggregate_chain(
         predicted = predicted_generation_time(
             cfg.n, cfg.eta, min(1.0, p_c_hat), cfg.t0
         )
-    fid_mean = float(np.add.accumulate(fids)[-1]) / successes if successes else None
-    fid_se = None
-    if successes > 1:
-        fid_se = math.sqrt(_squared_deviations(fids, fid_mean) / (successes - 1) / successes)
+    fid_mean = fid_se = None
+    if successes:
+        x0, dev, shift = _deviations(fids)
+        fid_mean = x0 + shift
+        if successes > 1:
+            fid_se = math.sqrt(_squared_deviations(dev, shift) / (successes - 1) / successes)
     c_n = None
     c_n_se = None
     if w_count > 0:
@@ -581,7 +408,8 @@ class TeleportReport(_Report):
 
 
 def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
-    """A row per trial of ``[lo, hi)``: ``(succeeded, rounds, correct
+    """A row per trial of ``[lo, hi)``, ``lo`` a multiple of ``_BLOCK``, each
+    block's trials drawn in turn from its stream: ``(succeeded, rounds, correct
     clicks, fidelity or None, this receiver holds or None, localized
     fidelity or None)``.  A fidelity is taken on correct clicks only, and
     localization on a :func:`~wclass_sim.protocol.localizable` state only (a
@@ -595,16 +423,18 @@ def _run_teleport_trials(tcfg: TeleportConfig, lo: int, hi: int) -> List[tuple]:
     carol_target = qubit_state(tcfg, vac, layout.carol)
     bob_target = qubit_state(tcfg, vac, layout.bob)
     out = []
-    for rng in trial_rngs(tcfg.base.seed, lo, hi):
-        res = teleport(tcfg, rng, sim)
-        correct = bool(res.correct_clicks)
-        fid = fidelity(res.state, target) if correct else None
-        holder = loc_fid = None
-        if res.succeeded and localizable(res.state):
-            h, residual = receiver_localize(res.state, layout.carol, rng)
-            holder = h is Holder.THIS_RECEIVER
-            loc_fid = fidelity(residual, carol_target if holder else bob_target)
-        out.append((res.succeeded, res.attempts, correct, fid, holder, loc_fid))
+    for start in range(lo, hi, _BLOCK):
+        rng = rng_for_trial(tcfg.base.seed, start // _BLOCK)  # by name: bench/spans.py wraps it
+        for _ in range(min(_BLOCK, hi - start)):
+            res = teleport(tcfg, rng, sim)
+            correct = bool(res.correct_clicks)
+            fid = fidelity(res.state, target) if correct else None
+            holder = loc_fid = None
+            if res.succeeded and localizable(res.state):
+                h, residual = receiver_localize(res.state, layout.carol, rng)
+                holder = h is Holder.THIS_RECEIVER
+                loc_fid = fidelity(residual, carol_target if holder else bob_target)
+            out.append((res.succeeded, res.attempts, correct, fid, holder, loc_fid))
     return out
 
 
@@ -622,16 +452,14 @@ def run_teleport_batch(
     holders = [h for h in holders if h is not None]
     loc_fids = [f for f in loc_fids if f is not None]
     mean_rounds = sum(rounds) / len(rows)
-    fid_mean = left_sum(fids) / len(fids) if fids else None
     holder_frac = sum(holders) / len(holders) if holders else None
-    loc_mean = left_sum(loc_fids) / len(loc_fids) if loc_fids else None
     return TeleportReport(
         trials=trials,
         successes=successes,
         correct_click_fraction=sum(correct) / successes if successes else 0.0,
-        fidelity_mean=fid_mean,
+        fidelity_mean=_mean(fids),
         holder_this_fraction=holder_frac,
-        localize_fidelity_mean=loc_mean,
+        localize_fidelity_mean=_mean(loc_fids),
         mean_time_s=mean_rounds * tcfg.base.t0,
         confidence={
             "holder_this_wilson95": list(wilson_interval(sum(holders), len(holders)))

@@ -1043,12 +1043,12 @@ class ChainSimulator:
     table is built, closed, with its root, and a pass is a walk along its
     links that computes no state key.  States are in the zero-phase frame.
 
-    Trials are sampled in two phases (:meth:`sample`).  Phase one takes each
-    trial's draws from its own generator: the number of passes
-    geometrically, the failed passes' stages multinomially, then the success
-    walk's uniforms.  Phase two works on the block's columns: it walks the
-    links for every completed trial at once (:func:`choose`) and tallies
-    each stage's attempts and successes.
+    Trials are sampled in two phases (:meth:`sample`).  Phase one takes the
+    trials' draws from one generator, trial after trial: the number of
+    passes geometrically, the failed passes' stages multinomially, then the
+    success walk's uniforms.  Phase two works on the block's columns: it
+    walks the links for every completed trial at once (:func:`choose`) and
+    tallies each stage's attempts and successes.
     """
 
     def __init__(self, cfg: ProtocolConfig, stages: Sequence[StageSpec] | None = None):
@@ -1146,9 +1146,9 @@ class ChainSimulator:
     # -- trial sampling ----------------------------------------------------
 
     def _draw(
-        self, rngs: Iterable[np.random.Generator], trials: int, width: int
+        self, rng: np.random.Generator, trials: int, width: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Phase one: each trial's draws from its generator, in order.  A
+        """Phase one: the trials' draws from ``rng``, trial by trial.  A
         trial draws its passes (geometric; none when a pass always
         completes), then its failed passes' stages (multinomial; none for a
         one-stage chain or no failure), then, when its rounds fit the
@@ -1169,7 +1169,7 @@ class ChainSimulator:
         through = np.full(trials, n_stages)
         uniforms = np.zeros((trials, width))
         costs = range(1, n_stages + 1)  # a pass failed at stage k cost k + 1 rounds
-        for t, rng in enumerate(rngs):
+        for t in range(trials):
             if p_pass > 0.0:
                 fails = 0 if p_pass >= 1.0 else int(rng.geometric(p_pass)) - 1
                 if fails and n_stages == 1:
@@ -1186,16 +1186,10 @@ class ChainSimulator:
             counts[t], through[t] = _spend_budget(rng, self._law, budget)
         return counts, through, uniforms
 
-    def sample(
-        self,
-        rngs: Iterable[np.random.Generator],
-        trials: int,
-        extra: int = 0,
-    ) -> ChainSample:
-        """``trials`` trials within ``max_attempts`` rounds each, the
-        ``t``-th drawing from the ``t``-th generator of ``rngs`` (which may
-        yield one generator reset to each trial's state in turn); each
-        completed trial draws ``extra`` more uniforms after its walk's.
+    def sample(self, rng: np.random.Generator, trials: int, extra: int = 0) -> ChainSample:
+        """``trials`` trials within ``max_attempts`` rounds each, drawing
+        from ``rng`` one after another; each completed trial draws ``extra``
+        more uniforms after its walk's.
 
         A trial that exhausts its budget spends it on failed passes drawn
         from the failure law until their rounds reach the budget; a last pass
@@ -1205,7 +1199,7 @@ class ChainSimulator:
         """
         root = self._vacuum_root
         n_stages = len(self.stages)
-        counts, through, uniforms = self._draw(rngs, trials, n_stages + extra)
+        counts, through, uniforms = self._draw(rng, trials, n_stages + extra)
         # phase two: the success walk, a stage at a time, from each trial's
         # complex(row, p_complete) of its node (an exhausted trial walks on
         # zeros, and its walk is never read)
@@ -1226,7 +1220,7 @@ class ChainSimulator:
 
     def run_trial(self, rng: np.random.Generator) -> StepOutcome:
         """One trial of :meth:`sample`."""
-        s = self.sample((rng,), 1)
+        s = self.sample(rng, 1)
         attempts = tuple(s.attempts[0].tolist())
         successes = tuple(s.successes[0].tolist())
         if not s.succeeded[0]:

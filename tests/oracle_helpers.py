@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from wclass_sim.fock import FockState, inner_product, superpose
+from wclass_sim.fock import FockState, inner_product, left_sum, superpose
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +275,30 @@ def expected_rounds_with_restart(qs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def epr_reference_records(cfg, lo: int, hi: int) -> list:
+def block_streams(seed: int, trials: int):
+    """``(t, rng)`` for each trial ``t`` of a batch, the trials of block ``b``
+    (``montecarlo._BLOCK`` trials each) all drawing in turn from
+    ``rng_for_trial(seed, b)``, as the engine's batches draw them."""
+    from wclass_sim import montecarlo
+
+    for t in range(trials):
+        if t % montecarlo._BLOCK == 0:
+            rng = montecarlo.rng_for_trial(seed, t // montecarlo._BLOCK)
+        yield t, rng
+
+
+def epr_reference_records(cfg, trials: int) -> list:
     """Per-trial ``(index, succeeded, rounds, stage_attempts, stage_successes,
     fidelity, classification)`` of an EPR batch, drawn by a loop written for
-    the single entangling round alone: a geometric number of attempts, then
-    one Born draw among the accepted branches.
+    the single entangling round alone: a geometric number of attempts, then,
+    within the budget, one Born draw among the accepted branches.
 
-    The round itself comes from ``connect_round`` and the per-trial streams
-    from ``rng_for_trial``; only the repeat-until-success sampling is
+    The round itself comes from ``connect_round`` and the streams from
+    :func:`block_streams`; only the repeat-until-success sampling is
     independent of the engine it checks.  Fidelities are to the zero-phase
     pair, as the round is in the zero-phase frame.
     """
     from wclass_sim.fock import fidelity
-    from wclass_sim.montecarlo import rng_for_trial
     from wclass_sim.protocol import connect_round, epr_state, make_chain_layout
 
     layout = make_chain_layout(cfg)
@@ -295,16 +306,15 @@ def epr_reference_records(cfg, lo: int, hi: int) -> list:
     target = epr_state(layout, 1, 2, 0.0)
     exhausted = (cfg.max_attempts, (cfg.max_attempts,), (0,), None, None)
     out = []
-    for t in range(lo, hi):
-        rng = rng_for_trial(cfg.seed, t)
+    for t, rng in block_streams(cfg.seed, trials):
         if dist.p_accept <= 0.0:
             out.append((t, False, *exhausted))
             continue
         attempts = int(rng.geometric(dist.p_accept))
-        u = rng.random() * dist.p_accept
         if attempts > cfg.max_attempts:
             out.append((t, False, *exhausted))
             continue
+        u = rng.random() * dist.p_accept
         acc = 0.0
         chosen = dist.branches[-1]
         for br in dist.branches:
@@ -669,12 +679,16 @@ def aggregate_chain_reference(cfg, stages, records):
     predicted = None
     if p_c_hat > 0.0:
         predicted = predicted_generation_time(cfg.n, cfg.eta, min(1.0, p_c_hat), cfg.t0)
-    fid_mean = sum(fids) / len(fids) if fids else None
-    fid_se = None
-    if len(fids) > 1:
-        fid_se = math.sqrt(
-            sum((x - fid_mean) ** 2 for x in fids) / (len(fids) - 1) / len(fids)
-        )
+    # the mean as the first fidelity plus the mean deviation from it
+    fid_mean = fid_se = None
+    if fids:
+        devs = [x - fids[0] for x in fids]
+        shift = left_sum(devs) / len(fids)
+        fid_mean = fids[0] + shift
+        if len(fids) > 1:
+            fid_se = math.sqrt(
+                left_sum((d - shift) ** 2 for d in devs) / (len(fids) - 1) / len(fids)
+            )
     c_n = c_n_se = None
     if w_count > 0:
         c_n = vac_count / w_count
@@ -703,10 +717,11 @@ def aggregate_chain_reference(cfg, stages, records):
 
 
 def _chain_batch_reference(cfg, trials, stages, run_trial, record=TrialRecord):
-    """``(report, records)`` of a chain batch on the engine's per-trial
-    streams and node table, each trial sampled by ``run_trial(sim, rng,
-    root) -> (StepOutcome, extra record fields)`` and classified by the
-    Born draw that follows it, aggregated by
+    """``(report, records)`` of a chain batch on the engine's block streams
+    (:func:`block_streams`) and node table, each trial sampled by
+    ``run_trial(sim, rng, root) -> (StepOutcome, extra record fields)`` and,
+    when a W chain's trial completes, followed by the uniform of the Born
+    draw that classifies an outcome that is not W, aggregated by
     :func:`aggregate_chain_reference`."""
     from wclass_sim import montecarlo
     from wclass_sim.protocol import chain_stages
@@ -717,7 +732,7 @@ def _chain_batch_reference(cfg, trials, stages, run_trial, record=TrialRecord):
     epr = len(stages) == 1
     finals = {}  # id of a final state: (fidelity, P(tail empty) or NaN)
     records = []
-    for t, rng in zip(range(trials), montecarlo.trial_rngs(cfg.seed, 0, trials)):
+    for t, rng in block_streams(cfg.seed, trials):
         res, *more = run_trial(sim, rng, root)
         fid = cls = None
         if res.succeeded:
@@ -728,10 +743,11 @@ def _chain_batch_reference(cfg, trials, stages, run_trial, record=TrialRecord):
                 )
             fid, p_empty = finals[id(state)]
             if not epr:
+                u = rng.random()
                 if math.isnan(p_empty):
                     cls = "w"
                 else:
-                    cls = "vacuum" if rng.random() < p_empty else "other"
+                    cls = "vacuum" if u < p_empty else "other"
         records.append(
             record(t, res.succeeded, res.attempts, res.stage_attempts,
                    res.stage_successes, fid, cls, *more)

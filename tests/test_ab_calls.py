@@ -25,7 +25,7 @@ def test_the_tree_times_against_itself_on_chain_and_scan_blocks(capsys):
 def test_a_checkout_with_other_reports_is_caught(tmp_path, capsys):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "wclass_sim" / "cli.py"
-    cli.write_text(cli.read_text().replace("SCHEMA_VERSION = 2", "SCHEMA_VERSION = 3"))
+    cli.write_text(cli.read_text().replace("SCHEMA_VERSION = 3", "SCHEMA_VERSION = 4"))
     args = [str(tmp_path), "--workload", "param-scan", "--seed", "1", "--blocks", "1"]
     assert ab_calls.main(args) == 1
     assert capsys.readouterr().out.startswith("call 0 gives different reports: w-state ")

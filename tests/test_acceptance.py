@@ -7,9 +7,11 @@ Run as ``pytest tests/test_acceptance.py -v -s`` or directly as
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 
+from wclass_sim import montecarlo
 from wclass_sim.cli import main as cli_main
 from wclass_sim.fock import (
     CollectiveModeModel,
@@ -263,19 +265,21 @@ def test_a7_determinism(tmp_path):
     args = ["w-state", "--n", "3", "--pe", "0.02", "--eta", "0.2",
             "--trials", "80", "--seed", "777"]
     paths = [tmp_path / f"r{k}.json" for k in range(3)]
-    assert cli_main(args + ["--workers", "1", "-o", str(paths[0])]) == 0
-    assert cli_main(args + ["--workers", "1", "-o", str(paths[1])]) == 0
-    assert cli_main(args + ["--workers", "3", "-o", str(paths[2])]) == 0
-    ok = paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
     sweep = ["scaling-sweep", "--n-min", "3", "--n-max", "4", "--pe", "0.03",
              "--eta", "0.2", "--trials", "40", "--seed", "9",
              "--format", "csv-summary"]
     c1, c2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-    assert cli_main(sweep + ["--workers", "1", "-o", str(c1)]) == 0
-    assert cli_main(sweep + ["--workers", "2", "-o", str(c2)]) == 0
+    # blocks of 8 trials, so the workers split these small batches
+    with mock.patch.object(montecarlo, "_BLOCK", 8):
+        assert cli_main(args + ["--workers", "1", "-o", str(paths[0])]) == 0
+        assert cli_main(args + ["--workers", "1", "-o", str(paths[1])]) == 0
+        assert cli_main(args + ["--workers", "3", "-o", str(paths[2])]) == 0
+        assert cli_main(sweep + ["--workers", "1", "-o", str(c1)]) == 0
+        assert cli_main(sweep + ["--workers", "2", "-o", str(c2)]) == 0
+    ok = paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
     ok &= c1.read_bytes() == c2.read_bytes()
     doc = json.loads(paths[0].read_text())
-    ok &= doc["schema_version"] == 2
+    ok &= doc["schema_version"] == 3
     assert _verdict("A7 determinism", ok, "byte-identical across re-runs and workers")
 
 

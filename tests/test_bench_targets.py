@@ -3,7 +3,8 @@ the outside, by attribute; a refactor that drops or moves one of them, or
 that calls past the wrapped binding, breaks every traced benchmark run.
 This checks the names, and that one small call reaches the enumerators
 through them.  Its report checker (``bench/checks.py``) calls into the
-program too; small reports must pass it."""
+program too; small reports must pass it, and the mean rounds of chain
+reports must agree with its exact law whatever the random stream."""
 
 import ast
 import importlib.util
@@ -129,3 +130,30 @@ def test_the_benchmark_checker_passes_small_reports(argv, capsys):
     problems, z = checks.Checker(wclass_sim.cli, wclass_sim.protocol).check(argv, report)
     assert problems == []
     assert (z is None) == (argv[0] == "teleport")
+
+
+# EPR and W chains of 3 to 6 ensembles, without and with loss, at caps 4 and 5
+EXACT_ROUNDS_CASES = [
+    [*chain, "--eta", eta, "--cap", cap]
+    for chain in (["epr"], *(["w-state", "--n", str(n)] for n in range(3, 7)))
+    for eta in ("0", "0.3")
+    for cap in ("4", "5")
+]
+
+
+def test_mean_rounds_agree_with_the_exact_law(capsys):
+    # a check that no random stream can pass by luck or fail by bad luck:
+    # each report's mean rounds against the exact E[R] and Var[R] of its own
+    # table (the compound geometric law of bench/checks.py), within 20
+    # standard errors per report and 5 pooled over all of them
+    checks = _load(CHECKS)
+    checker = checks.Checker(wclass_sim.cli, wclass_sim.protocol)
+    zs = []
+    for seed, case in enumerate(EXACT_ROUNDS_CASES, start=100):
+        argv = [*case, "--pe", "0.02", "--trials", "400", "--seed", str(seed), "--workers", "1"]
+        assert wclass_sim.cli.main(argv) == 0
+        problems, z = checker.check(argv, capsys.readouterr().out)
+        assert problems == [], argv
+        assert abs(z) <= checks.CALL_Z_LIMIT
+        zs.append(z)
+    assert abs(checks.pooled_z(zs)) <= checks.POOLED_Z_LIMIT

@@ -2,10 +2,10 @@
 in ``src/``, and names nothing that is not there.
 
 A process-level cache is a top-level function decorated with
-``functools.lru_cache`` or ``functools.cache``, a module-level
-``_Table(...)``, or the spare trial generators (``montecarlo._SPARE``).  The
-table's first column names them in backticks: ``module.name`` names one and
-sets the module of the bare names after it in that cell."""
+``functools.lru_cache`` or ``functools.cache``, or a module-level
+``_Table(...)``.  The table's first column names them in backticks:
+``module.name`` names one and sets the module of the bare names after it in
+that cell."""
 
 import ast
 import re
@@ -14,7 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "wclass_sim"
 # process-level caches that are neither a cached function nor a _Table
-OTHER_CACHES = {"montecarlo._SPARE"}
+OTHER_CACHES: set = set()
 
 
 def _modules():

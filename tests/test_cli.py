@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wclass_sim import cli
+from wclass_sim import cli, montecarlo
 from wclass_sim.cli import main, parse_args
 from wclass_sim.errors import UsageError
 
@@ -229,7 +229,7 @@ def test_epr_command_reports_high_fidelity(tmp_path):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["command"] == "epr"
     assert doc["config"]["seed"] == 4
     assert doc["results"]["fidelity_mean"] >= 0.99
@@ -274,12 +274,44 @@ def test_report_rerun_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_report_independent_of_workers(tmp_path):
+def test_report_independent_of_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BLOCK", 8)  # so the two workers split 60 trials
     base = ["w-state", "--n", "3", "--pe", "0.02", "--trials", "60", "--seed", "5"]
     p1, p2 = tmp_path / "w1.json", tmp_path / "w2.json"
     assert main(base + ["--workers", "1", "-o", str(p1)]) == 0
     assert main(base + ["--workers", "2", "-o", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _reports_at_workers(tmp_path, argv, workers):
+    """The report bytes of ``argv`` run at each worker count."""
+    out = []
+    for w in workers:
+        path = tmp_path / f"w{w}.json"
+        assert main([*argv, "--workers", str(w), "-o", str(path)]) == 0
+        out.append(path.read_bytes())
+    return out
+
+
+def test_multi_block_reports_independent_of_workers(tmp_path, monkeypatch):
+    # two blocks and part of a third, split at block boundaries; as many
+    # cpus as workers, so none is clamped away
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    trials = 2 * montecarlo._BLOCK + 37
+    argv = ["w-state", "--n", "3", "--pe", "0.02", "--eta", "0.1",
+            "--trials", str(trials), "--seed", "8"]
+    one, two, three = _reports_at_workers(tmp_path, argv, (1, 2, 3))
+    assert one == two == three
+
+
+def test_multi_block_teleport_reports_independent_of_workers(tmp_path, monkeypatch):
+    # blocks of 2 trials, so 5 trials span three; forked workers inherit it
+    monkeypatch.setattr(montecarlo, "_BLOCK", 2)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    argv = ["teleport", "--alpha-re", "0.6", "--beta-re", "0.8", "--pe", "0.05",
+            "--eta", "0.1", "--trials", "5", "--seed", "4"]
+    one, two, three = _reports_at_workers(tmp_path, argv, (1, 2, 3))
+    assert one == two == three
 
 
 def test_sweep_json_round_trip_and_csv_columns(tmp_path):

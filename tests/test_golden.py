@@ -4,8 +4,9 @@ Each case runs ``wclass-sim`` in-process and compares the report with the
 committed file ``tests/golden/<name>.json`` (``<name>.csv`` for a
 ``csv-summary`` case) byte for byte.  Two cases cover
 budget-exhausted trials: ``w3_exhausted`` (a multi-stage chain whose
-budget of 200 rounds most trials spend) and ``teleport_cap4_exhausted``
-(at the default cap, 14 of its 30 trials spend a budget of 50000 rounds).
+budget of 200 rounds all its trials spend, so it reports with exit code 1)
+and ``teleport_cap4_exhausted`` (at the default cap, 15 of its 30 trials
+spend a budget of 50000 rounds).
 Every case also runs with its node table cold, cached, and cached by a
 batch at another seed, and cold after a batch of another configuration that
 shares its per-process scaffolding or does not, to the same bytes.  A golden
@@ -34,8 +35,10 @@ from pathlib import Path
 import pytest
 
 from wclass_sim import montecarlo, protocol
-from wclass_sim.cli import main
-from wclass_sim.montecarlo import _chain_engine
+from wclass_sim.cli import main, parse_args
+from wclass_sim.montecarlo import _chain_engine, run_batch
+
+from oracle_helpers import chain_records
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -72,7 +75,7 @@ CASES = {
                                    "--alpha-re", "0.6", "--beta-re", "0.8", "--eta", "0.1",
                                    "--trials", "4", "--seed", "1", "--workers", "1"], 0),
     "w3_exhausted": (["w-state", "--n", "3", "--pe", "0.02", "--max-attempts", "200",
-                      "--trials", "200", "--seed", "4", "--workers", "1"], 0),
+                      "--trials", "200", "--seed", "4", "--workers", "1"], 1),
     "teleport_cap4_exhausted": (["teleport", "--alpha-re", "0.6", "--beta-re", "0.8",
                                  "--pe", "0.05", "--eta", "0.2", "--max-attempts", "50000",
                                  "--trials", "30", "--seed", "3", "--workers", "1"], 0),
@@ -105,13 +108,12 @@ def _reseeded(argv: list[str]) -> list[str]:
 
 def _clear_process_caches() -> None:
     """Empty every per-process cache of the engine: the chain tables, the
-    scaffolding they share (layouts with their W states, tally tables), the
-    rounds' tables and the spare trial generators."""
+    scaffolding they share (layouts with their W states, tally tables) and
+    the rounds' tables."""
     for module in (montecarlo, protocol):
         for cache in vars(module).values():
             if hasattr(cache, "cache_clear"):
                 cache.cache_clear()
-    montecarlo._SPARE.clear()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -150,6 +152,17 @@ def test_budget_is_part_of_the_table_key(tmp_path):
     out = tmp_path / "report"
     assert main([*argv, "-o", str(out)]) == code
     assert out.read_bytes() == golden_path("w3_exhausted").read_bytes()
+
+
+def test_one_terminal_state_reports_its_fidelity_exactly():
+    # w4_cap3_finite's trials all end in one state: the report's mean is
+    # that state's fidelity to the last bit, with no spread
+    spec = parse_args(CASES["w4_cap3_finite"][0])
+    report = run_batch(spec.config, spec.trials)
+    fids = {r.fidelity for r in chain_records(spec.config, spec.trials) if r.succeeded}
+    assert len(fids) == 1
+    assert report.fidelity_mean == fids.pop()
+    assert report.confidence["fidelity_mean_se"] == 0.0
 
 
 def _fields(name: str, data: bytes):

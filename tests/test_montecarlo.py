@@ -1,14 +1,9 @@
 import concurrent.futures
 import functools
-import itertools
 import json
 import math
 import operator
-import sys
-import threading
-import warnings
 from dataclasses import fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +18,6 @@ from wclass_sim.errors import (
     DomainError,
     InsufficientDataError,
     PreconditionError,
-    StateLayoutError,
 )
 from wclass_sim.fock import CollectiveModeModel, create, left_sum
 from wclass_sim.montecarlo import (
@@ -35,7 +29,6 @@ from wclass_sim.montecarlo import (
     run_batch,
     run_epr_batch,
     run_teleport_batch,
-    trial_rngs,
     wilson_interval,
 )
 from wclass_sim.protocol import (
@@ -85,18 +78,19 @@ def test_wilson_interval_brackets_the_rate():
 
 def test_report_sums_fold_left_whatever_the_python():
     # sum() of floats is compensated from Python 3.12 on; the reports add
-    # left to right, so ten fidelities of 0.1 average to the left fold's
-    # 0.9999999999999999 / 10 on every Python
+    # left to right, so a fidelity of 0 then ten of 0.1 average to the left
+    # fold's 0.9999999999999999 / 11 on every Python
     cfg = ProtocolConfig(n=3, p_e=0.01)
     stages = chain_stages(3)
-    ones = np.ones((10, len(stages)), np.int64)
+    fids = [0.0] + [0.1] * 10
+    ones = np.ones((11, len(stages)), np.int64)
     cols = montecarlo.ChainColumns(
-        np.ones(10, bool), ones, ones, np.full(10, 0.1), np.full(10, montecarlo._W)
+        np.ones(11, bool), ones, ones, np.array(fids), np.full(11, montecarlo._W)
     )
     report = montecarlo._aggregate_chain(cfg, stages, cols)
-    assert report.fidelity_mean == 0.9999999999999999 / 10 != 0.1
-    residues = [(0.1 - report.fidelity_mean) ** 2] * 10
-    se = math.sqrt(functools.reduce(operator.add, residues, 0.0) / 9 / 10)
+    assert report.fidelity_mean == 0.9999999999999999 / 11 != 1.0 / 11
+    residues = [(x - report.fidelity_mean) ** 2 for x in fids]
+    se = math.sqrt(functools.reduce(operator.add, residues, 0.0) / 10 / 11)
     assert report.confidence["fidelity_mean_se"] == se
 
 
@@ -127,13 +121,15 @@ def test_report_folds_match_the_python_left_folds(most, data):
     sd = math.sqrt(left_sum((x - mean) ** 2 for x in rounds) / max(1, trials - 1))
     assert report.confidence["mean_time_s_se"].hex() == (
         sd / math.sqrt(trials) * cfg.t0).hex()
-    fid_mean = left_sum(fids) / trials
-    assert report.fidelity_mean.hex() == fid_mean.hex()
+    # the fidelity mean is the first fidelity plus the mean deviation from it
+    devs = [x - fids[0] for x in fids]
+    shift = left_sum(devs) / trials
+    assert report.fidelity_mean.hex() == (fids[0] + shift).hex()
     fid_se = report.confidence["fidelity_mean_se"]
     if trials == 1:
         assert fid_se is None
     else:
-        ss = left_sum((x - fid_mean) ** 2 for x in fids)
+        ss = left_sum((d - shift) ** 2 for d in devs)
         assert fid_se.hex() == math.sqrt(ss / (trials - 1) / trials).hex()
 
 
@@ -150,7 +146,9 @@ def test_run_batch_is_deterministic():
     assert single_a.to_dict() == single_b.to_dict()
 
 
-def test_run_batch_worker_count_does_not_change_results():
+def test_run_batch_worker_count_does_not_change_results(monkeypatch):
+    # blocks of 16 trials, so the pool's two workers split 240 trials
+    monkeypatch.setattr(montecarlo, "_BLOCK", 16)
     cfg = ProtocolConfig(n=3, p_e=0.02, eta=0.0, seed=5)
     serial = run_batch(cfg, 240, workers=1)
     parallel = run_batch(cfg, 240, workers=2)
@@ -254,7 +252,9 @@ def test_trace_and_fast_paths_agree():
     [
         (ProtocolConfig(n=3, p_e=0.05, eta=0.1, seed=61), None, 4096),
         (ProtocolConfig(n=3, p_e=0.05, eta=0.1, seed=62), None, 7),
-        (ProtocolConfig(n=3, p_e=0.02, seed=4, max_attempts=200), None, 64),
+        # a budget that about one trial in ten completes within, so both
+        # outcomes show on any stream
+        (ProtocolConfig(n=3, p_e=0.02, seed=4, max_attempts=5000), None, 64),
         (ProtocolConfig(n=4, p_e=0.1, seed=5, max_attempts=5000), None, 100),
         (ProtocolConfig(n=5, p_e=0.1, seed=6, max_attempts=2500), None, 4096),
         (ProtocolConfig(n=3, p_e=0.1, eta=0.3, seed=3, max_attempts=12), (epr_stage(1, 2),), 5),
@@ -269,10 +269,9 @@ def test_block_scan_matches_the_scalar_round_walk(cfg, stages, block):
     sim = montecarlo._chain_engine(replace(cfg, seed=0, phases=None), stages)[0]
     root = sim.initial_state()
     trials = 150
-    scalar_rngs = trial_rngs(cfg.seed, 0, trials)
-    block_rngs = trial_rngs(cfg.seed, 0, trials)
+    a, b = rng_for_trial(cfg.seed, 0), rng_for_trial(cfg.seed, 0)
     outcomes = set()
-    for a, b in zip(scalar_rngs, block_rngs):
+    for _ in range(trials):
         want = run_trial_trace_reference(sim, a, root)
         got = run_trial_block_reference(sim, b, root, block=block)
         assert got == want
@@ -381,7 +380,7 @@ def test_epr_batch_matches_reference_loop(cfg):
          r.fidelity, r.classification)
         for r in records
     ]
-    assert got == epr_reference_records(cfg, 0, 300)
+    assert got == epr_reference_records(cfg, 300)
 
 
 def test_one_stage_exhausted_trial_spends_the_budget_on_its_stage():
@@ -523,13 +522,12 @@ def test_teleport_batch_enumerates_each_round_once(monkeypatch):
             repeats.append((trial[0], first_seen[key]))
         first_seen.setdefault(key, trial[0])
 
-    real_rngs, real_connect, real_teleport_round = (
-        montecarlo.trial_rngs, protocol.connect_round, protocol.teleport_round)
+    real_teleport, real_connect, real_teleport_round = (
+        montecarlo.teleport, protocol.connect_round, protocol.teleport_round)
 
-    def numbered_rngs(seed, lo, hi):
-        for t, rng in zip(range(lo, hi), real_rngs(seed, lo, hi)):
-            trial[0] = t
-            yield rng
+    def numbered_teleport(*args):
+        trial[0] = 0 if trial[0] is None else trial[0] + 1
+        return real_teleport(*args)
 
     def connect_round(state, layout, i, j, *args):
         record(("connect", layout.ensembles, i, j, state.key()))
@@ -539,180 +537,12 @@ def test_teleport_batch_enumerates_each_round_once(monkeypatch):
         record(("teleport", state.key()))
         return real_teleport_round(state, layout, cfg)
 
-    monkeypatch.setattr(montecarlo, "trial_rngs", numbered_rngs)
+    monkeypatch.setattr(montecarlo, "teleport", numbered_teleport)
     monkeypatch.setattr(protocol, "connect_round", connect_round)
     monkeypatch.setattr(protocol, "teleport_round", teleport_round)
     assert run_teleport_batch(tcfg, 3).successes == 3
     assert trial[0] == 2 and first_seen
     assert repeats == []
-
-
-# 0, one and two entropy words, negative seeds taken mod 2**64
-DERIVATION_SEEDS = [0, 1, -1, 5, 2**32 - 1, 2**32, 2**63 - 1, -(2**63)]
-# from 0, from lo > 0, across a block of the derivation, across the one- to
-# two-word spawn key at 2**32, and up to the last index.  A call of at most
-# montecarlo._FEW trials takes numpy's own derivation: one, three and two
-# trials, the last across 2**32, and three up to 2**64.  Larger calls take
-# the arrays, also on a part of one trial before 2**32
-DERIVATION_WINDOWS = [
-    (0, 1), (5, 8), (2**32 - 1, 2**32 + 1), (2**64 - 3, 2**64),
-    (0, 6), (7, 12), (4093, 4099), (2**32 - 3, 2**32 + 3), (2**32 - 1, 2**32 + 4),
-    (2**32 + 5, 2**32 + 17), (2**64 - 9, 2**64),
-]
-
-
-@pytest.mark.parametrize("seed", DERIVATION_SEEDS)
-def test_trial_rngs_match_numpy_derivation(seed):
-    for lo, hi in DERIVATION_WINDOWS:
-        trials = range(lo, hi)
-        for t, rng in zip(trials, trial_rngs(seed, lo, hi), strict=True):
-            ref = rng_for_trial(seed, t)
-            # a buffered 32-bit half left by the trial before would show here
-            assert rng.bit_generator.state == ref.bit_generator.state, (seed, t)
-            assert rng.random(8).tolist() == ref.random(8).tolist(), (seed, t)
-            # an odd number of 32-bit draws leaves half of a 64-bit word
-            halves = [g.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
-                      for g in (rng, ref)]
-            assert halves[0] == halves[1], (seed, t)
-            assert rng.bit_generator.state["has_uint32"] == 1
-
-
-def test_trial_rngs_reject_indices_beyond_64_bits():
-    with pytest.raises(ValueError):
-        next(trial_rngs(1, 2**64 - 1, 2**64 + 1))
-    with pytest.raises(ValueError):
-        next(trial_rngs(1, -1, 2))
-
-
-# seeds of one and two entropy words, negative seeds taken mod 2**64
-OVERFLOW_SEEDS = [0, -1, 2**32, 2**63 - 1, -(2**63)]
-
-
-@pytest.mark.parametrize("seed", OVERFLOW_SEEDS)
-def test_trial_rngs_raise_no_warnings(seed):
-    # uint32 arrays wrap silently where numpy scalars warn on overflow; a
-    # warning here means the derivation computed on a scalar
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for lo, hi in [(0, 5), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64)]:
-            for rng in trial_rngs(seed, lo, hi):
-                rng.random()
-
-
-@pytest.mark.parametrize("trials", [3, 40], ids=["per-trial", "block"])
-@pytest.mark.parametrize("seeds", [(5, 5), (5, 6)], ids=["same-seed", "other-seeds"])
-def test_live_trial_rng_iterators_keep_their_own_generators(seeds, trials):
-    # an iterator's generator serves a later iterator only once it is done:
-    # two live iterators, zipped, each reproduce their own trials, after a
-    # finished one that left half a 32-bit word buffered
-    for rng in trial_rngs(9, 0, 2):
-        rng.integers(0, 2**32, size=1, dtype=np.uint32)
-    both = zip(range(trials), trial_rngs(seeds[0], 0, trials), trial_rngs(seeds[1], 0, trials),
-               strict=True)
-    for t, a, b in both:
-        assert a is not b
-        for rng, seed in ((a, seeds[0]), (b, seeds[1])):
-            ref = rng_for_trial(seed, t)
-            assert rng.bit_generator.state == ref.bit_generator.state, (seed, t)
-            halves = [g.integers(0, 2**32, size=3, dtype=np.uint32).tolist() for g in (rng, ref)]
-            assert halves[0] == halves[1], (seed, t)
-
-
-def test_trial_rng_iterators_in_threads_keep_their_own_generators():
-    # more threads than cores, switching often: every thread's iterators
-    # reproduce their own trials, so no two live iterators ever shared a
-    # generator, spare or new
-    errors = []
-
-    def draw(seed):
-        try:
-            for hi in (3, 9, 3, 9):
-                for t, rng in zip(range(hi), trial_rngs(seed, 0, hi), strict=True):
-                    got = rng.random(2).tolist()
-                    if got != rng_for_trial(seed, t).random(2).tolist():
-                        errors.append((seed, hi, t))
-        except Exception as exc:  # a thread's failure must reach the test
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=draw, args=(seed,)) for seed in range(8)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert errors == []
-
-
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# the edge words carry out of the low add and the high product
-_EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-
-
-def _big_int_states(rows):
-    """PCG64's seeding on Python ints: ``inc = 2 seq + 1``, ``state = (seed
-    + inc) MULT + inc`` mod 2**128, as ``(state lo, state hi, inc lo, inc
-    hi)``."""
-    out = []
-    for seed_hi, seed_lo, seq_hi, seq_lo in rows:
-        inc = (2 * (seq_hi << 64 | seq_lo) + 1) % 2**128
-        state = (((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc) % 2**128
-        out.append([state % 2**64, state >> 64, inc % 2**64, inc >> 64])
-    return out
-
-
-def test_pcg_states_match_the_big_int_seeding_on_edge_words():
-    rows = list(itertools.product(_EDGE_WORDS, repeat=4))
-    got = montecarlo._pcg_states(*np.array(rows, np.uint64).T).T.tolist()
-    assert got == _big_int_states(rows)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(
-    st.tuples(*[st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_EDGE_WORDS))] * 4),
-    min_size=1, max_size=16,
-))
-def test_pcg_states_match_the_big_int_seeding(rows):
-    got = montecarlo._pcg_states(*np.array(rows, np.uint64).T).T.tolist()
-    assert got == _big_int_states(rows)
-
-
-def test_the_state_layout_probe_finds_four_distinct_words():
-    words_at, flags_at, order = montecarlo._state_layout()
-    assert sorted(order) == [0, 1, 2, 3]
-    bitgen = np.random.PCG64(0)
-    words, flags = montecarlo._state_words(bitgen, words_at, flags_at)
-    # each view holds the generator whose memory it points into
-    assert words.base.obj.owner is bitgen and flags.base.obj.owner is bitgen
-    rows = [(1, 2**64 - 1, 2**63, 5)]
-    words[...] = montecarlo._pcg_states(*np.array(rows, np.uint64).T)[order, 0]
-    s_lo, s_hi, i_lo, i_hi = _big_int_states(rows)[0]
-    assert bitgen.state["state"] == {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
-
-
-def test_the_layout_probe_refuses_state_outside_the_generator(monkeypatch):
-    # a generator whose state address points into memory it does not own
-    class Elsewhere:
-        def __init__(self, seed):
-            self.buf = np.zeros(4, np.uint64)
-            self.buf[0] = self.buf.ctypes.data + 8  # the pointer to the words
-            self.ctypes = SimpleNamespace(state_address=self.buf.ctypes.data)
-
-    monkeypatch.setattr(np.random, "PCG64", Elsewhere)
-    with pytest.raises(StateLayoutError):
-        montecarlo._state_layout.__wrapped__()
-
-
-def test_a_failed_layout_probe_raises(monkeypatch):
-    # words that never show the probe's state: no fallback, a narrow error
-    blank = lambda *args: (np.zeros(4, np.uint64), np.zeros(1, np.uint64))
-    monkeypatch.setattr(montecarlo, "_state_words", blank)
-    with pytest.raises(StateLayoutError):
-        montecarlo._state_layout.__wrapped__()
 
 
 @pytest.mark.parametrize(
@@ -840,8 +670,10 @@ def test_engine_cache_holds_at_most_eight_configurations():
     assert (info.misses, info.currsize) == (10, 8)
 
 
-def test_pool_workers_start_from_the_parents_table():
-    # built in the parent before the pool starts, so forked workers inherit it
+def test_pool_workers_start_from_the_parents_table(monkeypatch):
+    # built in the parent before the pool starts, so forked workers inherit
+    # it, and the patched block size with it
+    monkeypatch.setattr(montecarlo, "_BLOCK", 8)
     montecarlo._chain_engine.cache_clear()
     cfg = ProtocolConfig(n=3, p_e=0.02, eta=0.1, seed=4)
     run_batch(cfg, 40, workers=2)
@@ -849,7 +681,8 @@ def test_pool_workers_start_from_the_parents_table():
     assert (info.misses, info.currsize) == (1, 1)
 
 
-def test_teleport_pool_workers_start_from_the_parents_table():
+def test_teleport_pool_workers_start_from_the_parents_table(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BLOCK", 2)
     montecarlo._chain_engine.cache_clear()
     tcfg = TeleportConfig(0.6, 0.8, ProtocolConfig(n=3, p_e=0.05, eta=0.1, seed=4))
     pooled = run_teleport_batch(tcfg, 4, workers=2)
@@ -859,13 +692,17 @@ def test_teleport_pool_workers_start_from_the_parents_table():
 
 
 @pytest.mark.parametrize(
-    "cpus, trials, pool", [(8, 1, None), (8, 3, 3), (8, 50, 8), (None, 50, None)]
+    "cpus, blocks, pool", [(8, 1, None), (8, 3, 3), (8, 50, 8), (None, 50, None)]
 )
-def test_pool_size_is_clamped_to_trials_and_cpus(monkeypatch, cpus, trials, pool):
+def test_pool_size_is_clamped_to_trials_and_cpus(monkeypatch, cpus, blocks, pool):
     # a forking pool starts all its workers at the first submit, so a huge
-    # worker count must not reach it; the stand-in pool records its size and
-    # runs each span inline, and the report is the serial one
-    sizes = []
+    # worker count must not reach it: at most one worker per block of
+    # trials (the last one part full here) and per cpu.  The stand-in pool
+    # records its size and runs each span inline, and the report is the
+    # serial one
+    monkeypatch.setattr(montecarlo, "_BLOCK", 4)
+    trials = 4 * blocks - 1
+    sizes, spans = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -878,6 +715,7 @@ def test_pool_size_is_clamped_to_trials_and_cpus(monkeypatch, cpus, trials, pool
             return False
 
         def submit(self, fn, *args):
+            spans.append(args[-2:])
             fut = concurrent.futures.Future()
             fut.set_result(fn(*args))
             return fut
@@ -887,6 +725,9 @@ def test_pool_size_is_clamped_to_trials_and_cpus(monkeypatch, cpus, trials, pool
     cfg = ProtocolConfig(n=3, p_e=0.02, eta=0.1, seed=6)
     pooled = run_batch(cfg, trials, workers=100_000)
     assert sizes == ([] if pool is None else [pool])
+    # contiguous spans in trial order, each starting at a block boundary
+    assert all(lo % 4 == 0 for lo, _ in spans)
+    assert [hi for _, hi in spans] == [lo for lo, _ in spans[1:]] + [trials] * bool(spans)
     assert pooled.to_dict() == run_batch(cfg, trials).to_dict()
 
 
