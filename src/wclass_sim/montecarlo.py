@@ -31,9 +31,8 @@ fields it depends on, so a cold batch pays for its rounds and not for
 their set-up: the layout (registry, modes, vacuum, zero-phase W state) per
 (n, N_a, finite-size, cap) (:func:`~wclass_sim.protocol.make_chain_layout`)
 and the tally tables per stage count.  Every cached value is made from its
-key alone and never changes once made (the engine's scores fill each slot
-once), so no report depends on what a process ran before; README lists
-every cache.
+key alone and never changes once made, so no report depends on what a
+process ran before; README lists every cache.
 """
 
 from __future__ import annotations
@@ -189,17 +188,17 @@ def _final_outcome(
 @functools.lru_cache(maxsize=8)
 def _chain_engine(
     cfg: ProtocolConfig, stages: Tuple[StageSpec, ...]
-) -> Tuple[ChainSimulator, FockState, np.ndarray]:
-    """``(simulator with its node table built, target state, scores of its
-    final branches)`` of a chain configuration, called with ``seed=0`` and
-    ``phases=None``: batches that differ only in seed or phases share one.
-    The target is the zero-phase EPR pair or W state, as are the table's.
+) -> Tuple[ChainSimulator, np.ndarray]:
+    """``(simulator with its node table built, scores of its terminals)`` of
+    a chain configuration, called with ``seed=0`` and ``phases=None``:
+    batches that differ only in seed or phases share one.
 
     The table is closed once built (every node reachable from the vacuum
     root is built with it) and batches only read it, so a batch draws on
     the same nodes and states whatever ran before it.  The scores hold
-    :func:`_final_outcome` per walk slot, filled in when a batch first ends
-    a walk there (NaN rows before).
+    :func:`_final_outcome` per terminal
+    (:attr:`~wclass_sim.protocol.ChainSimulator.terminals`), against the
+    zero-phase EPR pair or W state, as the table's states are.
     """
     sim = ChainSimulator(cfg, stages=stages)
     sim._vacuum_root  # builds the table
@@ -207,7 +206,9 @@ def _chain_engine(
         target = epr_state(sim.layout, stages[0].i, stages[0].j, 0.0)
     else:
         target = sim.layout.w_state
-    return sim, target, np.full((len(sim._slots), 2), math.nan)
+    classify = len(stages) > 1
+    scores = [_final_outcome(br.state, target, sim.layout, classify) for br in sim.terminals]
+    return sim, np.array(scores, dtype=float).reshape(-1, 2)
 
 
 def _run_chain_trials(
@@ -215,27 +216,20 @@ def _run_chain_trials(
 ) -> List[ChainColumns]:
     """The columns of trials ``[lo, hi)``, ``lo`` a multiple of ``_BLOCK``,
     sampled a block at a time from the block's stream.  A W-chain trial that
-    completes draws one uniform after its walk, for the Born draw that
-    classifies an outcome that is not W."""
-    sim, target, scores = _chain_engine(cfg.table_config(), stages)
+    completes draws one uniform after the one that picks its final branch,
+    for the Born draw that classifies an outcome that is not W."""
+    sim, scores = _chain_engine(cfg.table_config(), stages)
     classify = len(stages) > 1
     out = []
     for start in range(lo, hi, _BLOCK):
         rng = rng_for_trial(cfg.seed, start // _BLOCK)  # by name: bench/spans.py wraps it
         s = sim.sample(rng, min(_BLOCK, hi - start), extra=int(classify))
-        ends = s.path[-1][s.succeeded]
-        fid, p_empty = scores[ends].T
-        new = np.isnan(fid)
-        if new.any():  # final branches no batch has ended in yet
-            for slot in set(ends[new].tolist()):
-                state = sim.branch(slot).state
-                scores[slot] = _final_outcome(state, target, sim.layout, classify)
-            fid, p_empty = scores[ends].T
+        fid, p_empty = scores[s.terminal[s.succeeded]].T
         if classify:
             drawn = np.where(s.extra[s.succeeded, 0] < p_empty, _VACUUM, _OTHER)
             classes = np.where(np.isnan(p_empty), _W, drawn)
         else:  # an EPR pair is not classified
-            classes = np.zeros(len(ends), int)
+            classes = np.zeros(len(fid), int)
         out.append(ChainColumns(s.succeeded, s.attempts, s.successes, fid, classes))
     return out
 
@@ -338,11 +332,9 @@ def _aggregate_chain(
     mean_rounds = rounds_total / trials
     mean_time = mean_rounds * cfg.t0
     sd_rounds = math.sqrt(_squared_deviations(rounds, mean_rounds) / max(1, trials - 1))
-    predicted = None
-    if p_c_hat > 0.0:
-        predicted = predicted_generation_time(
-            cfg.n, cfg.eta, min(1.0, p_c_hat), cfg.t0
-        )
+    predicted = None  # the law is the W chain's: a one-stage chain has none
+    if p_c_hat > 0.0 and len(stages) > 1:
+        predicted = predicted_generation_time(cfg.n, cfg.eta, min(1.0, p_c_hat), cfg.t0)
     fid_mean = fid_se = None
     if successes:
         x0, dev, shift = _deviations(fids)

@@ -14,10 +14,11 @@ Two code paths cover every protocol state:
 * **Sampled engine** (:class:`ChainSimulator`): Monte Carlo trajectories
   of heralded rounds, conditioned on single clicks, in the zero-phase
   frame.  Each reached (stage, state) is enumerated exactly, once, into a
-  table of nodes linked stage to stage, so trials reduce to categorical
-  draws along those links plus geometric / multinomial fast-forwarding of
-  the repeat-until-success loop; simulated attempt counts stay exact while
-  wall time stays flat.  Teleportation prepares its two W states as two
+  table of nodes linked stage to stage, so a trial reduces to geometric /
+  multinomial fast-forwarding of the repeat-until-success loop plus one
+  categorical draw of the branch its completed pass ends on, from the
+  table's terminal law; simulated attempt counts stay exact while wall time
+  stays flat.  Teleportation prepares its two W states as two
   trials of the n=3 chain, each truncated on its own ensembles, and
   retrieves from their product (:class:`TeleportSimulator`).
   Rounds are enumerated on the atoms alone, one pass per round.  Stokes
@@ -225,7 +226,8 @@ class TeleportConfig:
 @dataclass
 class StepOutcome:
     """A trial's outcome, from every runner.  A failed trial has no state
-    and no clicks.  A chain trial counts each stage's attempts, which sum to
+    and no clicks; a completed one has the clicks of the round that
+    completed it.  A chain trial counts each stage's attempts, which sum to
     ``attempts``, and its successes, in stage order.  ``correct_clicks`` says
     whether an accepted teleport round's clicks were backed by one photon
     per pair (None for anything else)."""
@@ -943,17 +945,17 @@ class ChainSample:
     """Columns of a block of chain trials, in trial order.
 
     ``attempts`` and ``successes`` hold a row of per-stage counts per trial:
-    int64, or Python ints when the budget passes int64.  ``path`` holds, per
-    stage, the slot each trial's walk chose there
-    (:meth:`ChainSimulator.branch`), and ``extra`` a row per trial of the
-    uniforms it drew after the walk's; both mean something for succeeded
-    trials only.
+    int64, or Python ints when the budget passes int64.  ``terminal`` holds
+    the index in :attr:`ChainSimulator.terminals` of the branch each trial's
+    pass ended on, and ``extra`` a row per trial of the uniforms it drew
+    after the one that chose it; both mean something for succeeded trials
+    only.
     """
 
     succeeded: np.ndarray
     attempts: np.ndarray
     successes: np.ndarray
-    path: List[np.ndarray]
+    terminal: np.ndarray
     extra: np.ndarray
 
 
@@ -965,18 +967,11 @@ def pick(branches: Sequence, u: float, cum: Sequence[float]):
     return branches[k] if k < len(branches) else branches[-1]
 
 
-def choose(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """:func:`pick` for many draws at once: the slot that each query
-    ``complex(row, x)`` picks among the branches of node ``row``.
-
-    ``keys`` holds the slots of every node in row order: ``complex(row,
-    running sum)`` per branch, then a sentinel ``complex(row, inf)`` that
-    stands for the last branch again.  numpy orders complex numbers by real
-    part, then imaginary part, so the search counts the row's running sums
-    at or below ``x``: bisect_right, with ``x`` at or beyond the total
-    landing on the sentinel.
-    """
-    return keys.searchsorted(queries, side="right")
+def choose(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`pick` for many draws at once: for each ``u``, the index of the
+    first of the running sums ``cum`` that exceeds it, or the last index
+    when rounding leaves ``u`` beyond the total."""
+    return np.minimum(cum.searchsorted(u, side="right"), len(cum) - 1)
 
 
 def _spend_budget(rng: np.random.Generator, law: tuple, budget: int) -> Tuple[List[int], int]:
@@ -1021,15 +1016,13 @@ def _tally_tables(n_stages: int) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False, slots=True)
 class _Node:
-    """One reached ``(stage, state)`` of a pass: its round, the exact odds
-    of the rest of the pass from here, and its row in the table's walk
-    columns.  The node a branch leads to is the table's ``(stage + 1,
-    branch state)``; the walk columns hold its row."""
+    """One reached ``(stage, state)`` of a pass: its round and the exact
+    odds of the rest of the pass from here.  The node a branch leads to is
+    the table's ``(stage + 1, branch state)``."""
 
     dist: RoundDistribution
     p_complete: float  # sum of branch prob x P(pass then completes)
     fail: Tuple[float, ...]  # P(pass fails at stage k)
-    row: int  # its row in the walk columns
 
 
 class ChainSimulator:
@@ -1040,15 +1033,18 @@ class ChainSimulator:
     a trial is a sequence of independent passes.  Each reached ``(stage,
     state)`` is enumerated once into a node of one table, linked to the
     nodes its branches lead to.  Every pass starts from the vacuum, so the
-    table is built, closed, with its root, and a pass is a walk along its
-    links that computes no state key.  States are in the zero-phase frame.
+    table is built, closed, with its root, and with it the law of a failed
+    pass and the terminal law: P(a completed pass ends on each last-stage
+    branch).  What a completed trial reports depends only on the branch it
+    ended on, so no trial computes a state key.  States are in the
+    zero-phase frame.
 
     Trials are sampled in two phases (:meth:`sample`).  Phase one takes the
     trials' draws from one generator, trial after trial: the number of
-    passes geometrically, the failed passes' stages multinomially, then the
-    success walk's uniforms.  Phase two works on the block's columns: it
-    walks the links for every completed trial at once (:func:`choose`) and
-    tallies each stage's attempts and successes.
+    passes geometrically, the failed passes' stages multinomially, then one
+    uniform for the final branch.  Phase two works on the block's columns:
+    it draws every completed trial's final branch from the terminal law at
+    once (:func:`choose`) and tallies each stage's attempts and successes.
     """
 
     def __init__(self, cfg: ProtocolConfig, stages: Sequence[StageSpec] | None = None):
@@ -1057,12 +1053,6 @@ class ChainSimulator:
         self.stages = chain_stages(cfg.n) if stages is None else tuple(stages)
         self._vacuum = self.layout.vacuum()
         self._nodes: Dict[tuple, _Node] = {}
-        # the walk columns, per slot (each node's branches, then its
-        # sentinel): the key of choose, ``complex(row, p_complete)`` of the
-        # node the branch leads to (0 past the last stage), and the branch
-        self._keys: List[complex] = []
-        self._ahead: List[complex] = []
-        self._slots: List[RoundBranch | None] = []
         self._failed_later, self._last_pass = _tally_tables(len(self.stages))
 
     # -- exact per-round machinery ----------------------------------------
@@ -1077,10 +1067,6 @@ class ChainSimulator:
         """``(P(pass completes from here), P(pass fails at stage k))``."""
         node = self._node(stage_idx, state)
         return node.p_complete, node.fail
-
-    def branch(self, slot: int) -> RoundBranch:
-        """The branch a walk slot stands for."""
-        return self._slots[slot]
 
     def _node(self, idx: int, state: FockState) -> _Node:
         """The node of ``(idx, state)``, built on first reach together with
@@ -1105,43 +1091,69 @@ class ChainSimulator:
         nxt = idx + 1
         later = [0.0] * (len(self.stages) - nxt)  # P(fail at each later stage)
         p_complete = 0.0
-        cum, ahead = [], []
         for br in dist.branches:  # each child is built, with its own, in turn
             p = br.prob
             if later:
                 child = self._node(nxt, br.state)
                 p_complete += p * child.p_complete
-                ahead.append(complex(child.row, child.p_complete))
                 # a child fails at no stage before its own
                 later = [f + p * x for f, x in zip(later, child.fail[nxt:])]
             else:  # past the last stage: the pass completes
                 p_complete += p
-                ahead.append(0j)
-            cum.append(p_complete)
-        row = len(self._nodes)
         fail = (0.0,) * idx + (1.0 - dist.p_accept, *later)
-        node = self._nodes[key] = _Node(dist, p_complete, fail, row)
-        # the branches' slots, then the sentinel's, which repeats the last branch
-        self._keys += [complex(row, c) for c in cum]
-        self._keys.append(complex(row, math.inf))
-        self._ahead += ahead + (ahead[-1:] or [0j])
-        self._slots += dist.branches + (dist.branches[-1:] or (None,))
+        # stored after its children: each node comes after every node it leads to
+        node = self._nodes[key] = _Node(dist, p_complete, fail)
         return node
 
     @functools.cached_property
     def _vacuum_root(self) -> _Node:
-        """The node where every pass starts, built with every node a walk
-        can reach, and with it, once: the walk columns (``_columns``: per
-        slot, the key of :func:`choose` and ``complex(row, p_complete)``
-        ahead) and the law of a failed pass (``_law``: P(it failed at stage
-        k), its largest cost in rounds, k + 1 at stage k, and running sums)."""
+        """The node where every pass starts, built with every node a pass
+        can reach, and with it, once: the law of a failed pass (``_law``:
+        P(it failed at stage k), its largest cost in rounds, k + 1 at stage
+        k, and running sums) and the terminal law (:meth:`_terminal_law`)."""
         root = self._node(0, self._vacuum)
-        self._columns = (np.array(self._keys), np.array(self._ahead))
         q = (1.0 - root.p_complete) or 1.0  # a pass that never fails: any law will do
         cond = np.maximum(np.array(root.fail) / q, 0.0)
         cond[-1] = max(0.0, 1.0 - cond[:-1].sum())
         self._law = (cond, int(np.flatnonzero(cond)[-1]) + 1, list(accumulate(cond.tolist())))
+        self._terminals, self._ends = self._terminal_law(root)
         return root
+
+    @property
+    def terminals(self) -> Tuple[RoundBranch, ...]:
+        """The last stage's branches that a completed pass can end on
+        (:meth:`_terminal_law`)."""
+        self._vacuum_root
+        return self._terminals
+
+    def _terminal_law(self, root: _Node) -> Tuple[Tuple[RoundBranch, ...], np.ndarray]:
+        """``(terminals, running sums)``: the last stage's branches that a
+        completed pass can end on, in the order their nodes were built, and
+        the running sums of P(a completed pass ends on each); empty when no
+        pass completes.
+
+        One pass over the nodes from the root down (the reverse of the order
+        they were built in, which puts each node after every node that leads
+        to it) hands each node's reach, P(a completed pass goes through it),
+        on to its children: a child gains reach x branch prob x its own
+        ``p_complete`` / the node's ``p_complete``."""
+        last = len(self.stages) - 1
+        reach = {root: 1.0}
+        ends = []  # (a last-stage node, its reach over its p_complete)
+        for (idx, _), node in reversed(self._nodes.items()):
+            r = reach.get(node, 0.0)
+            if r == 0.0 or node.p_complete == 0.0:
+                continue
+            scale = r / node.p_complete
+            if idx == last:
+                ends.append((node, scale))
+                continue
+            for br in node.dist.branches:
+                child = self._node(idx + 1, br.state)
+                reach[child] = reach.get(child, 0.0) + scale * br.prob * child.p_complete
+        terminals = tuple([br for node, _ in reversed(ends) for br in node.dist.branches])
+        weights = [scale * br.prob for node, scale in reversed(ends) for br in node.dist.branches]
+        return terminals, np.array(list(accumulate(weights)), dtype=float)
 
     # -- trial sampling ----------------------------------------------------
 
@@ -1152,8 +1164,8 @@ class ChainSimulator:
         trial draws its passes (geometric; none when a pass always
         completes), then its failed passes' stages (multinomial; none for a
         one-stage chain or no failure), then, when its rounds fit the
-        budget, ``width`` uniforms: one per stage for the walk, then any
-        the caller asked for.  A trial that overruns the budget spends it
+        budget, ``width`` uniforms: one for its final branch, then any the
+        caller asked for.  A trial that overruns the budget spends it
         instead (:func:`_spend_budget`).
 
         Returns ``(failed passes per stage, stages the last pass got
@@ -1189,7 +1201,8 @@ class ChainSimulator:
     def sample(self, rng: np.random.Generator, trials: int, extra: int = 0) -> ChainSample:
         """``trials`` trials within ``max_attempts`` rounds each, drawing
         from ``rng`` one after another; each completed trial draws ``extra``
-        more uniforms after its walk's.
+        more uniforms after the one that picks its final branch from the
+        terminal law.
 
         A trial that exhausts its budget spends it on failed passes drawn
         from the failure law until their rounds reach the budget; a last pass
@@ -1197,25 +1210,16 @@ class ChainSimulator:
         rounds equal the budget, its stage attempts sum to it, and a
         one-stage chain records ``(budget,)`` attempts and no success.
         """
-        root = self._vacuum_root
         n_stages = len(self.stages)
-        counts, through, uniforms = self._draw(rng, trials, n_stages + extra)
-        # phase two: the success walk, a stage at a time, from each trial's
-        # complex(row, p_complete) of its node (an exhausted trial walks on
-        # zeros, and its walk is never read)
-        keys, ahead = self._columns
-        node = np.full(trials, complex(root.row, root.p_complete))
-        imag = node.imag  # a view: node is overwritten in place, stage by stage
-        path = []
-        for u in uniforms.T[:n_stages]:
-            imag *= u  # complex(row, u * p_complete): the query
-            path.append(choose(keys, node))
-            ahead.take(path[-1], out=node)
-        # the tally: a stage is attempted by every pass that failed there or
-        # later, and by the last pass when it got that far
+        counts, through, uniforms = self._draw(rng, trials, 1 + extra)
+        # phase two: the final branches (an exhausted trial's, drawn on a
+        # zero, is never read), then the tally: a stage is attempted by every
+        # pass that failed there or later, and by the last pass when it got
+        # that far
+        terminal = choose(self._ends, uniforms[:, 0])
         attempts = counts @ self._failed_later + self._last_pass[through]
         return ChainSample(
-            through == n_stages, attempts, attempts - counts, path, uniforms[:, n_stages:]
+            through == n_stages, attempts, attempts - counts, terminal, uniforms[:, 1:]
         )
 
     def run_trial(self, rng: np.random.Generator) -> StepOutcome:
@@ -1225,9 +1229,8 @@ class ChainSimulator:
         successes = tuple(s.successes[0].tolist())
         if not s.succeeded[0]:
             return StepOutcome(False, sum(attempts), None, (), attempts, successes)
-        walk = [self._slots[slots[0]] for slots in s.path]
-        log = tuple(click for br in walk for click in br.clicks)
-        return StepOutcome(True, sum(attempts), walk[-1].state, log, attempts, successes)
+        end = self.terminals[s.terminal[0]]
+        return StepOutcome(True, sum(attempts), end.state, end.clicks, attempts, successes)
 
 
 # ---------------------------------------------------------------------------

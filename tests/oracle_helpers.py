@@ -11,6 +11,7 @@ the library's rounds, streams or aggregation, its docstring says so.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from bisect import bisect_left
@@ -369,6 +370,32 @@ def completion_reference(stages, layout, cfg, state, idx: int = 0, seen=None):
     return p_complete, tuple(fail)
 
 
+def terminal_law_reference(sim):
+    """``(terminals, P(a completed pass ends on each))`` of the
+    ``ChainSimulator`` ``sim``, by recursing from the vacuum into every
+    branch of every round with no memo of results: each complete path adds
+    its probability, the product of its branch probabilities, to the final
+    branch it ends on, and the sums are divided by their total.  Final
+    branches come in the order the paths first reach them.
+
+    The rounds are the table's (``sim.round_distribution``), so the final
+    branches are the very branch objects the engine draws from; only the
+    law is computed anew."""
+    n_stages = len(sim.stages)
+    mass = {}  # id of a final branch -> [branch, summed path probability]
+
+    def walk(idx, state, p):
+        for br in sim.round_distribution(idx, state).branches:
+            if idx + 1 == n_stages:
+                mass.setdefault(id(br), [br, 0.0])[1] += p * br.prob
+            else:
+                walk(idx + 1, br.state, p * br.prob)
+
+    walk(0, sim.initial_state(), 1.0)
+    total = left_sum(m for _, m in mass.values())
+    return [br for br, _ in mass.values()], [m / total for _, m in mass.values()]
+
+
 # ---------------------------------------------------------------------------
 # categorical draw: the running-sum loop
 # ---------------------------------------------------------------------------
@@ -588,7 +615,7 @@ def run_batch_trace_reference(cfg, trials: int, stages=None):
 
 
 # ---------------------------------------------------------------------------
-# the per-trial sampler: each trial's walk and tally in Python
+# the per-trial sampler: each trial's final branch and tally in Python
 # ---------------------------------------------------------------------------
 
 
@@ -603,15 +630,21 @@ def tally_reference(counts, through):
     return tuple(reached), tuple(map(operator.sub, reached, counts))
 
 
+@functools.lru_cache(maxsize=8)
+def _terminal_pick(sim):
+    """``(terminals, running sums)`` of :func:`terminal_law_reference`, made
+    once per simulator."""
+    terminals, law = terminal_law_reference(sim)
+    return terminals, list(accumulate(law))
+
+
 def run_trial_reference(sim, rng):
-    """``sim.run_trial(rng)`` with the success walk and tally
-    written per trial, as the engine sampled before its columnar phases:
-    draws the passes (geometric), the failed passes' stages (multinomial),
-    then walks the node table with one uniform per stage, picking
-    (``protocol.pick``) among each node's running sums of branch prob x
-    P(completion), which it recomputes from the nodes the branches lead to
-    (``sim._node(stage + 1, branch state)``).  A trial past the budget spends
-    it through the engine's ``_spend_budget``."""
+    """``sim.run_trial(rng)`` with the final branch and tally written per
+    trial: draws the passes (geometric), the failed passes' stages
+    (multinomial), then, within the budget, one uniform that picks
+    (``protocol.pick``) the branch the pass ended on from the running sums
+    of :func:`terminal_law_reference`; its clicks are the trial's.  A trial
+    past the budget spends it through the engine's ``_spend_budget``."""
     from wclass_sim.protocol import StepOutcome, _spend_budget, pick
 
     root = sim._vacuum_root
@@ -627,21 +660,10 @@ def run_trial_reference(sim, rng):
             counts = rng.multinomial(fails, cond).tolist()
         rounds = sum(map(operator.mul, counts, range(1, n_stages + 1))) + n_stages
         if rounds <= budget:
-            node, log = root, []
-            for k, u in enumerate(rng.random(n_stages).tolist()):
-                last = k + 1 == n_stages
-                links = [
-                    (br, None if last else sim._node(k + 1, br.state))
-                    for br in node.dist.branches
-                ]
-                cum = list(accumulate(
-                    br.prob * (1.0 if child is None else child.p_complete)
-                    for br, child in links
-                ))
-                br, node = pick(links, u * node.p_complete, cum)
-                log.extend(br.clicks)
+            terminals, cum = _terminal_pick(sim)
+            br = pick(terminals, rng.random(), cum)
             return StepOutcome(
-                True, rounds, br.state, tuple(log), *tally_reference(counts, n_stages)
+                True, rounds, br.state, br.clicks, *tally_reference(counts, n_stages)
             )
     counts, through = _spend_budget(rng, sim._law, budget)
     return StepOutcome(False, budget, None, (), *tally_reference(counts, through))
@@ -676,8 +698,8 @@ def aggregate_chain_reference(cfg, stages, records):
     sd_rounds = math.sqrt(
         sum((x - mean_rounds) ** 2 for x in rounds) / max(1, trials - 1)
     )
-    predicted = None
-    if p_c_hat > 0.0:
+    predicted = None  # the n-party W law; none for a one-stage chain
+    if p_c_hat > 0.0 and len(stages) > 1:
         predicted = predicted_generation_time(cfg.n, cfg.eta, min(1.0, p_c_hat), cfg.t0)
     # the mean as the first fidelity plus the mean deviation from it
     fid_mean = fid_se = None
@@ -721,15 +743,20 @@ def _chain_batch_reference(cfg, trials, stages, run_trial, record=TrialRecord):
     (:func:`block_streams`) and node table, each trial sampled by
     ``run_trial(sim, rng, root) -> (StepOutcome, extra record fields)`` and,
     when a W chain's trial completes, followed by the uniform of the Born
-    draw that classifies an outcome that is not W, aggregated by
+    draw that classifies an outcome that is not W (after the uniform of its
+    final branch, for :func:`run_trial_reference`), aggregated by
     :func:`aggregate_chain_reference`."""
     from wclass_sim import montecarlo
-    from wclass_sim.protocol import chain_stages
+    from wclass_sim.protocol import chain_stages, epr_state
 
     stages = chain_stages(cfg.n) if stages is None else tuple(stages)
-    sim, target, _ = montecarlo._chain_engine(replace(cfg, seed=0, phases=None), stages)
+    sim = montecarlo._chain_engine(replace(cfg, seed=0, phases=None), stages)[0]
     root = sim.initial_state()
     epr = len(stages) == 1
+    if epr:  # scored against the zero-phase EPR pair or W state, as the table's states are
+        target = epr_state(sim.layout, stages[0].i, stages[0].j, 0.0)
+    else:
+        target = sim.layout.w_state
     finals = {}  # id of a final state: (fidelity, P(tail empty) or NaN)
     records = []
     for t, rng in block_streams(cfg.seed, trials):

@@ -8,6 +8,8 @@ import shutil
 import ab_calls
 from compare_reports import ROOT
 
+from wclass_sim.cli import SCHEMA_VERSION
+
 
 def test_the_tree_times_against_itself_on_chain_and_scan_blocks(capsys):
     for workload in ("chain-sample", "param-scan"):
@@ -25,7 +27,8 @@ def test_the_tree_times_against_itself_on_chain_and_scan_blocks(capsys):
 def test_a_checkout_with_other_reports_is_caught(tmp_path, capsys):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "wclass_sim" / "cli.py"
-    cli.write_text(cli.read_text().replace("SCHEMA_VERSION = 3", "SCHEMA_VERSION = 4"))
+    bump = (f"SCHEMA_VERSION = {SCHEMA_VERSION}", f"SCHEMA_VERSION = {SCHEMA_VERSION + 1}")
+    cli.write_text(cli.read_text().replace(*bump))
     args = [str(tmp_path), "--workload", "param-scan", "--seed", "1", "--blocks", "1"]
     assert ab_calls.main(args) == 1
     assert capsys.readouterr().out.startswith("call 0 gives different reports: w-state ")

@@ -8,6 +8,8 @@ reports must agree with its exact law whatever the random stream."""
 
 import ast
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import pytest
 
 import wclass_sim
 import wclass_sim.cli  # noqa: F401  (the tracer wraps names bound in cli)
+from oracle_helpers import terminal_law_reference
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 CHECKS = SPANS.with_name("checks.py")
@@ -157,3 +160,64 @@ def test_mean_rounds_agree_with_the_exact_law(capsys):
         assert abs(z) <= checks.CALL_Z_LIMIT
         zs.append(z)
     assert abs(checks.pooled_z(zs)) <= checks.POOLED_Z_LIMIT
+
+
+def _exact_success_fields(config, epr):
+    """``{field: (mean, variance)}`` per completed trial of ``fidelity_mean``,
+    ``w_fraction`` and ``vacuum_fraction``, from the terminal law of the
+    chain table of ``config`` (:func:`terminal_law_reference`) and each final
+    state's fidelity and P(last two ensembles empty).  A trial counts as W
+    when its fidelity passes one half; any other is classified vacuum with
+    that probability; an EPR pair is never classified.  A field that is the
+    same on every final state has that value and no variance."""
+    from wclass_sim.fock import count_excitations, fidelity, left_sum
+    from wclass_sim.protocol import ChainSimulator, epr_stage, epr_state
+
+    sim = ChainSimulator(config.table_config(), stages=(epr_stage(1, 2),) if epr else None)
+    terminals, law = terminal_law_reference(sim)
+    target = epr_state(sim.layout, 1, 2, 0.0) if epr else sim.layout.w_state
+    per_terminal = {"fidelity_mean": [], "w_fraction": [], "vacuum_fraction": []}
+    for br in terminals:
+        fid = fidelity(br.state, target)
+        is_w = not epr and fid > 0.5
+        empty = 0.0
+        if not (epr or is_w):
+            empty = count_excitations(br.state, sim.layout.ensembles[-2:]).get(0, 0.0)
+        per_terminal["fidelity_mean"].append(fid)
+        per_terminal["w_fraction"].append(float(is_w))
+        per_terminal["vacuum_fraction"].append(empty)
+    out = {}
+    for field, xs in per_terminal.items():
+        if len(set(xs)) == 1:
+            out[field] = (xs[0], 0.0)
+            continue
+        mean = left_sum(p * x for p, x in zip(law, xs))
+        if field == "fidelity_mean":
+            out[field] = (mean, left_sum(p * (x - mean) ** 2 for p, x in zip(law, xs)))
+        else:  # the share of trials drawn with probability x on their final state
+            out[field] = (mean, mean * (1.0 - mean))
+    return out
+
+
+def test_success_fields_agree_with_the_terminal_law(capsys):
+    # fidelity_mean, w_fraction and vacuum_fraction of each report against
+    # their exact law over the final states a completed pass ends in, whatever
+    # the random stream: within 20 standard errors per report and field, and
+    # 5 pooled per field over all reports; a field with no variance is exact
+    checks = _load(CHECKS)
+    zs = {}
+    for seed, case in enumerate(EXACT_ROUNDS_CASES, start=100):
+        argv = [*case, "--pe", "0.02", "--trials", "400", "--seed", str(seed), "--workers", "1"]
+        assert wclass_sim.cli.main(argv) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        exact = _exact_success_fields(wclass_sim.cli.parse_args(argv).config, case[0] == "epr")
+        for field, (mean, var) in exact.items():
+            if var == 0.0:
+                assert res[field] == mean, (argv, field)
+                continue
+            z = (res[field] - mean) / math.sqrt(var / res["successes"])
+            assert abs(z) <= checks.CALL_Z_LIMIT, (argv, field, z)
+            zs.setdefault(field, []).append(z)
+    assert zs  # some field varies
+    for field, field_zs in zs.items():
+        assert abs(checks.pooled_z(field_zs)) <= checks.POOLED_Z_LIMIT, field

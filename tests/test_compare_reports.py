@@ -6,6 +6,10 @@ import shutil
 import compare_reports
 from compare_reports import ROOT, compare
 
+from wclass_sim.cli import SCHEMA_VERSION
+
+BUMP = (f"SCHEMA_VERSION = {SCHEMA_VERSION}", f"SCHEMA_VERSION = {SCHEMA_VERSION + 1}")
+
 
 def test_the_tree_matches_itself_on_teleport_and_chain_blocks():
     assert compare(ROOT, ROOT, "teleport-loss", seed=1, blocks=2) == (6, 0, 6, None)
@@ -16,12 +20,13 @@ def test_a_checkout_with_other_reports_is_caught(tmp_path, capsys):
     # each checkout runs its own src/: bump the schema version in a copy
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "wclass_sim" / "cli.py"
-    cli.write_text(cli.read_text().replace("SCHEMA_VERSION = 3", "SCHEMA_VERSION = 4"))
+    cli.write_text(cli.read_text().replace(*BUMP))
     args = [str(tmp_path), "--workload", "teleport-loss", "--seed", "1", "--blocks", "1"]
     assert compare_reports.main(args) == 1
     out = capsys.readouterr().out
     assert out.startswith("first report that differs: call 0: teleport ")
-    assert '-  "schema_version": 4,\n+  "schema_version": 3,' in out
+    v = SCHEMA_VERSION
+    assert f'-  "schema_version": {v + 1},\n+  "schema_version": {v},' in out
     assert out.endswith(
         "3 of 3 differing reports differ only in schema_version\n0 of 3 identical\n"
     )
@@ -32,7 +37,7 @@ def test_a_difference_past_the_schema_version_is_counted_apart(tmp_path, capsys)
     # in their schema version
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "wclass_sim" / "cli.py"
-    text = cli.read_text().replace("SCHEMA_VERSION = 3", "SCHEMA_VERSION = 4")
+    text = cli.read_text().replace(*BUMP)
     cli.write_text(text.replace('"command": spec.command,', '"command": spec.command * 2,'))
     args = [str(tmp_path), "--workload", "chain-sample", "--seed", "1", "--blocks", "1"]
     assert compare_reports.main(args) == 1

@@ -5,7 +5,7 @@ committed file ``tests/golden/<name>.json`` (``<name>.csv`` for a
 ``csv-summary`` case) byte for byte.  Two cases cover
 budget-exhausted trials: ``w3_exhausted`` (a multi-stage chain whose
 budget of 200 rounds all its trials spend, so it reports with exit code 1)
-and ``teleport_cap4_exhausted`` (at the default cap, 15 of its 30 trials
+and ``teleport_cap4_exhausted`` (at the default cap, 14 of its 30 trials
 spend a budget of 50000 rounds).
 Every case also runs with its node table cold, cached, and cached by a
 batch at another seed, and cold after a batch of another configuration that

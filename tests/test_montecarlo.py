@@ -203,6 +203,14 @@ def test_predicted_time_brackets_measured_time_with_loss():
     assert 0.5 <= ratio <= 2.0
 
 
+def test_a_one_stage_chain_predicts_no_time():
+    # the predicted time is the n-party W chain's law; a one-stage chain's
+    # analogue t0 / p_c_hat would only repeat its mean_time_s
+    cfg = ProtocolConfig(n=3, p_e=0.05, eta=0.1, seed=7)
+    assert run_epr_batch(cfg, 50).predicted_time_s is None
+    assert run_batch(cfg, 50).predicted_time_s is not None
+
+
 def test_stage_attempts_are_geometric():
     # the round-by-round oracle records attempts-to-first-success per stage;
     # the entangling stage is an iid Bernoulli round, so the count is geometric
@@ -473,8 +481,9 @@ def test_budgets_past_int64_change_no_report():
     ids=["w3-past-a-block", "epr", "w3-exhausted", "hopeless", "w5-finite"],
 )
 def test_run_batch_matches_the_per_trial_reference(cfg, stages, trials):
-    # the columnar batch against per-trial walks, tallies and classifications
-    # aggregated record by record: the same records and report bytes
+    # the columnar batch against per-trial final branches, tallies and
+    # classifications aggregated record by record: the same records and
+    # report bytes
     got = run_batch(cfg, trials, stages=stages)
     want, want_records = run_batch_reference(cfg, trials, stages=stages)
     assert chain_records(cfg, trials, stages) == want_records
@@ -629,19 +638,17 @@ def test_configs_share_scaffolding_only_with_equal_layout_fields():
     cfgs = [base, *sharing, *apart]
     engines = [montecarlo._chain_engine(c.table_config(), chain_stages(c.n)) for c in cfgs]
     first = engines[0][0]
-    for sim, target, _ in engines[1:3]:
+    for sim, _ in engines[1:3]:
         assert sim.layout is first.layout and sim._vacuum is first._vacuum
         assert sim.layout.w_state is first.layout.w_state
-        assert target is first.layout.w_state
         assert sim._failed_later is first._failed_later and sim._last_pass is first._last_pass
-    apart_sims = [sim for sim, _, _ in (engines[0], *engines[3:])]
+    apart_sims = [sim for sim, _ in (engines[0], *engines[3:])]
     assert len({id(sim.layout.registry) for sim in apart_sims}) == len(apart_sims)
     assert len({id(sim.layout.w_state) for sim in apart_sims}) == len(apart_sims)
-    for cfg, (sim, target, _) in zip(cfgs, engines):
+    for cfg, (sim, _) in zip(cfgs, engines):
         layout = sim.layout
         assert layout.registry.collective == CollectiveModeModel(cfg.n_a, cfg.finite_size)
         assert (len(layout.ensembles), layout.truncation_cap) == (cfg.n, cfg.truncation_cap)
-        assert target is layout.w_state
         assert layout.w_state.registry is sim._vacuum.registry is layout.registry
         assert layout.w_state.key() == ideal_w_state(cfg.n, layout=layout).key()
     assert not first._failed_later.flags.writeable and not first._last_pass.flags.writeable

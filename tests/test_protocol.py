@@ -76,6 +76,7 @@ from oracle_helpers import (
     sorted_key_reference,
     teleport_round_reference,
     teleport_target_state_reference,
+    terminal_law_reference,
     unknown_prepared_reference,
     w_m_amplitudes,
     w_prime_amplitudes,
@@ -454,7 +455,11 @@ def test_maximizing_stages_reach_the_w_state(n):
             if eta == 0.0:
                 # the genuine herald is exact and the only way through
                 assert pc == pytest.approx(p_complete, rel=1e-12, abs=0)
-                (w,) = _terminal_states(sim, [wp])
+                (w,) = [
+                    end.state
+                    for br in sim.round_distribution(0, wp).branches
+                    for end in sim.round_distribution(1, br.state).branches
+                ]
                 target = ideal_w_state(n, cfg.phases, layout)
                 w = _phased(w, cfg.phases, layout.ensembles)
                 assert fidelity(w, target) == pytest.approx(1.0, abs=1e-12)
@@ -552,13 +557,6 @@ def test_phase_covariance_of_the_sampled_chain():
             assert equal_up_to_global_phase(comp, r_0.state, 1e-10)
 
 
-def _terminal_links(sim):
-    # the branches of the last stage's nodes; a table is keyed by (stage, state key)
-    last = len(sim.stages) - 1
-    finals = [node for (idx, _), node in sim._nodes.items() if idx == last]
-    return [br for node in finals for br in node.dist.branches]
-
-
 @pytest.mark.parametrize("n", [None, 3, 4, 5])  # None: the one-stage EPR chain
 @pytest.mark.parametrize("cap", [3, 4, 5])
 def test_channel_phases_leave_the_chain_table_unchanged(n, cap, monkeypatch):
@@ -583,7 +581,7 @@ def test_channel_phases_leave_the_chain_table_unchanged(n, cap, monkeypatch):
             sim = ChainSimulator(cfg, stages=stages)
             p_pass, fails = sim.completion(0, sim.initial_state())
             target = ideal_w_state(m, ph, sim.layout)
-            terminals = [(br.prob, fidelity(br.state, target)) for br in _terminal_links(sim)]
+            terminals = [(br.prob, fidelity(br.state, target)) for br in sim.terminals]
             tables.append((len(sim._nodes), (p_pass, *fails), terminals))
         (nodes_0, odds_0, ends_0), (nodes, odds, ends) = tables
         assert nodes == nodes_0
@@ -859,11 +857,14 @@ def test_every_runner_returns_one_outcome_record(runner, outcomes):
 
 def test_teleport_returns_an_exhausted_trial_as_a_value():
     # the teleport_cap4_exhausted golden config: its chain completes a pass
-    # with some probability, but trial 0 runs out of its 50000 rounds
+    # with some probability, but about half its trials run out of their
+    # 50000 rounds; the first of those on the golden's stream
     tcfg = TELEPORT_EXHAUSTED
     sim = TeleportSimulator(tcfg)
     assert sim.chain.completion(0, sim.chain.initial_state())[0] > 0.0
-    out = teleport(tcfg, rng_for_trial(3, 0), sim)
+    rng = rng_for_trial(3, 0)
+    trials = (teleport(tcfg, rng, sim) for _ in range(30))
+    out = next(out for out in trials if not out.succeeded)
     assert (out.succeeded, out.attempts, out.state, out.click_log, out.correct_clicks) == (
         False, tcfg.base.max_attempts, None, (), None
     )
@@ -952,7 +953,7 @@ def test_single_excitation_w_pairs_teleport_exactly_to_either_receiver(eta, cap)
     sim = TeleportSimulator(tcfg)
     layout = sim.layout
     terminals = [
-        w for w in _terminal_states(sim.chain, [sim.chain.initial_state()])
+        w for w in _terminal_states(sim.chain)
         if all(sum(occ) == 1 for occ, _ in w.items())
     ]
     vac = layout.vacuum()
@@ -1303,7 +1304,7 @@ def test_teleport_branch_states_are_born_pruned_with_their_key(eta, cap):
     # the same for the chain table of a teleport trial and its rounds
     base = ProtocolConfig(n=3, p_e=0.05, eta=eta, truncation_cap=cap, phases=(0.0, 0.6, -0.9))
     sim = TeleportSimulator(TeleportConfig(complex(0.3, 0.5), complex(math.sqrt(0.66), 0), base))
-    terminals = _terminal_states(sim.chain, [sim.chain.initial_state()])
+    terminals = _terminal_states(sim.chain)
     pairs = list(product(terminals, repeat=2))
     nodes = list(sim.chain._nodes.values())
     dists = [node.dist for node in nodes] + [sim.round_distribution(*w) for w in pairs]
@@ -1369,7 +1370,7 @@ def test_reached_rounds_account_for_all_their_mass(grid, n, cap, theta):
     ]
     if n == 3:
         tsim = TeleportSimulator(TeleportConfig(math.cos(theta), math.sin(theta), cfg))
-        terminals = _terminal_states(tsim.chain, [tsim.chain.initial_state()])
+        terminals = _terminal_states(tsim.chain)
         for w in product(terminals, repeat=2):
             rounds.append(("teleport", tsim.joint_state(*w), tsim.round_distribution(*w)))
     for kind, state, dist in rounds:
@@ -1482,11 +1483,9 @@ def test_teleport_round_accounts_for_all_its_mass(amps, theta, eta, cap):
     assert dist.p_accept + dist.rejected + dist.dropped == pytest.approx(1.0, abs=1e-12)
 
 
-def _terminal_states(sim, roots):
-    """The states a completed pass of ``sim`` can end in, from ``roots``."""
-    for state in roots:
-        sim.completion(0, state)
-    return [br.state for br in _terminal_links(sim)]
+def _terminal_states(sim):
+    """The states a completed pass of ``sim`` can end in."""
+    return [br.state for br in sim.terminals]
 
 
 def test_teleport_rounds_match_reference_walk():
@@ -1498,7 +1497,7 @@ def test_teleport_rounds_match_reference_walk():
             )
             tcfg = TeleportConfig(*amplitudes[cap - 4], base)
             sim = TeleportSimulator(tcfg)
-            terminals = _terminal_states(sim.chain, [sim.chain.initial_state()])
+            terminals = _terminal_states(sim.chain)
             joints = [exact_double_w_state(tcfg, sim.layout)]
             joints += [sim.joint_state(*w) for w in product(terminals, repeat=2)]
             for joint in joints:
@@ -1510,7 +1509,8 @@ def test_teleport_rounds_match_reference_walk():
 
 
 def test_warm_trials_hash_no_state(monkeypatch):
-    # after a warm-up trial every pass is a walk along the node table's links
+    # after a warm-up trial no trial keys a state: it draws its final branch
+    # from the table's terminal law
     in_budget = ChainSimulator(ProtocolConfig(n=3, p_e=0.05, eta=0.1))
     exhausted = ChainSimulator(ProtocolConfig(n=3, p_e=0.02, max_attempts=200))
     for sim in (in_budget, exhausted):
@@ -1549,6 +1549,7 @@ def test_trace_trials_that_cannot_complete_spend_the_budget_at_once():
         res = sim.run_trial(np.random.default_rng(n))
         assert not res.succeeded
         assert res.attempts == sum(res.stage_attempts) == cfg.max_attempts == 10**15
+        assert sim.terminals == () and sim._ends.size == 0  # an empty terminal law
         with pytest.raises(AttemptsExhaustedError):
             build_w_chain(cfg, np.random.default_rng(n))
 
@@ -1574,7 +1575,9 @@ CHAIN_CASES = [
         for n in (3, 4, 5, 6)
         for cap in (3, 4, 5)
     ),
-    (ProtocolConfig(n=3, p_e=0.02, seed=4, max_attempts=200), None, {True, False}),
+    # a budget that about one trial in ten completes within, so both
+    # outcomes show on any stream
+    (ProtocolConfig(n=3, p_e=0.02, seed=4, max_attempts=5000), None, {True, False}),
     (ProtocolConfig(n=4, p_e=0.0, seed=5, max_attempts=40), None, {False}),
 ]
 
@@ -1586,10 +1589,30 @@ CHAIN_CASES = [
          "w3-exhausted", "hopeless"],
 )
 def test_run_trial_matches_the_per_trial_reference(cfg, stages, outcomes):
-    # the columnar sampler, one trial at a time, against the walk and tally
-    # it replaced
+    # the columnar sampler, one trial at a time, against the per-trial draw
+    # of the final branch and tally
     sim = ChainSimulator(cfg, stages=stages)
     assert _assert_trials_match_reference(sim, cfg.seed) == outcomes
+
+
+@pytest.mark.parametrize("n", [None, 3, 4, 5, 6])  # None: the one-stage EPR chain
+@pytest.mark.parametrize("cap", [3, 4, 5, 6])
+def test_terminal_law_matches_the_sum_over_complete_paths(n, cap):
+    # the forward pass over the table against the recursive sum over every
+    # complete path: the same final branches in the same order, and running
+    # sums that agree within a few ulps, with a total of one (the grid's
+    # worst cases read 3.6 and 2.5 units of 2**-52)
+    ulps = 8 * 2.0**-52
+    stages = (epr_stage(1, 2),) if n is None else None
+    for eta in (0.0, 0.3):
+        sim = ChainSimulator(
+            ProtocolConfig(n=n or 3, p_e=0.02, eta=eta, truncation_cap=cap), stages=stages
+        )
+        terminals, law = terminal_law_reference(sim)
+        assert len(sim.terminals) == len(terminals) > 0
+        assert all(got is want for got, want in zip(sim.terminals, terminals))
+        assert sim._ends.tolist() == pytest.approx(list(accumulate(law)), rel=ulps, abs=0)
+        assert abs(sim._ends[-1] - 1.0) <= ulps
 
 
 # ---------------------------------------------------------------------------
@@ -1643,10 +1666,6 @@ def test_pick_matches_the_running_sum_loop(weights, u):
     xs = (u, u * total, *cum, total, math.nextafter(total, 2.0), 2.0)
     for x in xs:
         assert protocol.pick(branches, x, cum) == pick_reference(branches, x, weights)
-    # the vectorized choice on a table of one node (row 0), whose last slot
-    # is the sentinel that stands for the last branch again
-    keys = np.array([complex(0, c) for c in cum] + [complex(0, math.inf)])
-    slots = protocol.choose(keys, np.array([complex(0, x) for x in xs]))
-    assert [min(s, len(branches) - 1) for s in slots.tolist()] == [
-        pick_reference(branches, x, weights) for x in xs
-    ]
+    # the vectorized draw, on the same running sums and points at once
+    picked = protocol.choose(np.array(cum), np.array(xs))
+    assert picked.tolist() == [pick_reference(branches, x, weights) for x in xs]
