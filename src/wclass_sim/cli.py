@@ -3,7 +3,7 @@
 Commands: ``epr``, ``w-state``, ``teleport``, ``scaling-sweep``.  Every flag
 stores to the config-file key it sets: a command's values are the defaults,
 overlaid by the ``--config`` file, then by the flags given.  Reports are
-JSON (schema version 4) with a full config echo so every report reproduces
+JSON (schema version 5) with a full config echo so every report reproduces
 itself; ``scaling-sweep`` can also emit a CSV summary.  Wall-clock timing
 goes to stderr only, so a re-run with the same config and seed writes a
 byte-identical report regardless of ``--workers``.
@@ -27,7 +27,7 @@ from .errors import UsageError, WClassError
 from .montecarlo import run_batch, run_epr_batch, run_teleport_batch
 from .protocol import ProtocolConfig, TeleportConfig
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _FORMATS = ("json", "csv-summary")
 

@@ -15,13 +15,17 @@ Python ints for any budget, float sums are left folds over the trials in
 order (``np.add.accumulate``, squares by ``np.float_power``), and a report
 keeps the aggregates only: the columns are dropped once they are reduced.
 
-A process keeps the node tables of its last 8 chain configurations
+A process keeps its last 8 chain configurations with their tables weighed
 (:func:`_chain_engine`), so batches of one configuration at different seeds
-build its table once.  Batches take their config with seed 0 and zero
-phases (:meth:`~wclass_sim.protocol.ProtocolConfig.table_config`: the
-phases are a gauge), so no table or report depends on them.  A chain table
-is closed once it is built and batches only read it, so a batch's bytes
-never depend on what ran before it.  A teleport batch draws both of its W
+weigh its table once, and the tables themselves per shape, so
+configurations that differ only in p_e or eta > 0 build one
+(:func:`~wclass_sim.protocol._chain_shape`).  Batches take their config
+with seed 0 and zero phases
+(:meth:`~wclass_sim.protocol.ProtocolConfig.table_config`: the phases are
+a gauge), so no table or report depends on them.  A chain table is closed
+once it is built and batches only read it, and its states do not depend on
+the configuration that built it, so a batch's bytes never depend on what
+ran before it.  A teleport batch draws both of its W
 states from the n=3 chain table of its base configuration, the one a
 ``w-state --n 3`` batch of that configuration uses, and adds no node to it;
 only its retrieval rounds are its own.
@@ -48,7 +52,7 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError, PreconditionError
 from .fock import (
     FockState,
-    count_excitations,
+    count_excitations,  # unused here; bench/spans.py wraps this binding
     create,  # unused here; bench/spans.py wraps this binding
     fidelity,
     inner_product,
@@ -66,7 +70,7 @@ from .protocol import (
     chain_stages,
     connect_round,  # unused here; bench/spans.py wraps this binding
     epr_stage,
-    epr_state,
+    epr_state,  # unused here; bench/spans.py wraps this binding
     ideal_w_state,
     localizable,
     make_chain_layout,
@@ -166,49 +170,23 @@ class RunReport(_Report):
     rounds_total: int  # exact sum of the trials' rounds; not in to_dict
 
 
-def _final_outcome(
-    state: FockState, target: FockState, layout, classify: bool
-) -> Tuple[float, float]:
-    """``(fidelity with target, P(the last two ensembles hold nothing))`` of
-    a final state; the second is NaN when the state is never classified
-    (an EPR pair, or a W outcome).
-
-    A success counts as a W outcome when it overlaps the ideal W state by
-    more than one half.  Otherwise the excitation number of the last two
-    ensembles is measured (Born sampled): finding them empty is the vacuum
-    signature of a multi-pair emission whose partner photon was lost, and
-    anything else is residual contamination.
-    """
-    fid = fidelity(state, target)
-    if not classify or fid > 0.5:
-        return fid, math.nan
-    return fid, count_excitations(state, layout.ensembles[-2:]).get(0, 0.0)
-
-
 @functools.lru_cache(maxsize=8)
 def _chain_engine(
     cfg: ProtocolConfig, stages: Tuple[StageSpec, ...]
 ) -> Tuple[ChainSimulator, np.ndarray]:
-    """``(simulator with its node table built, scores of its terminals)`` of
+    """``(simulator with its table evaluated, scores of its terminals)`` of
     a chain configuration, called with ``seed=0`` and ``phases=None``:
     batches that differ only in seed or phases share one.
 
-    The table is closed once built (every node reachable from the vacuum
-    root is built with it) and batches only read it, so a batch draws on
-    the same nodes and states whatever ran before it.  The scores hold
-    :func:`_final_outcome` per terminal
-    (:attr:`~wclass_sim.protocol.ChainSimulator.terminals`), against the
-    zero-phase EPR pair or W state, as the table's states are.
+    The table is its shape's, closed once built and weighed once per
+    configuration, and batches only read it, so a batch draws on the same
+    terminals and states whatever ran before it.  The scores hold
+    ``(fidelity, P(the last two ensembles hold nothing) or NaN)`` per
+    terminal (:attr:`~wclass_sim.protocol.ChainSimulator.scores`), against
+    the zero-phase EPR pair or W state, as the table's states are.
     """
     sim = ChainSimulator(cfg, stages=stages)
-    sim._vacuum_root  # builds the table
-    if len(stages) == 1:  # a one-stage chain ends in the EPR pair
-        target = epr_state(sim.layout, stages[0].i, stages[0].j, 0.0)
-    else:
-        target = sim.layout.w_state
-    classify = len(stages) > 1
-    scores = [_final_outcome(br.state, target, sim.layout, classify) for br in sim.terminals]
-    return sim, np.array(scores, dtype=float).reshape(-1, 2)
+    return sim, sim.scores
 
 
 def _run_chain_trials(

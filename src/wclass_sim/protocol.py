@@ -18,7 +18,9 @@ Two code paths cover every protocol state:
   multinomial fast-forwarding of the repeat-until-success loop plus one
   categorical draw of the branch its completed pass ends on, from the
   table's terminal law; simulated attempt counts stay exact while wall time
-  stays flat.  Teleportation prepares its two W states as two
+  stays flat.  p_e and eta enter a table only as weights, so one table
+  serves every (p_e, eta > 0) of its shape (:class:`_Shape`), and each
+  configuration weighs it.  Teleportation prepares its two W states as two
   trials of the n=3 chain, each truncated on its own ensembles, and
   retrieves from their product (:class:`TeleportSimulator`).
   Rounds are enumerated on the atoms alone, one pass per round.  Stokes
@@ -26,15 +28,18 @@ Two code paths cover every protocol state:
   for them: a connect round maps the pumped pairs, and a teleport round the
   retrieved excitations, through the splitters to the photon-number sectors
   of the ports, each sector carrying the atomic state it heralds; a connect
-  round sums its sectors from pump factors kept per configuration.  Loss
+  round sums its sectors at ``lam = 1`` from pump factors kept per
+  collective model and weighs a sector of ``M`` pairs by ``p_e^M``.  Loss
   before an absorbing detector only reweights each sector, so a sector's
   outcomes come from a leaf table kept per (port photon numbers, eta,
-  herald rule): each leaf holds its loss factors, detections, clicks, the
-  herald's verdict and its feed-forward.  One pass over the leaves makes
-  the ``_PROB_FLOOR`` cut and the merge of equal branches, and each accepted
-  sector becomes one state, normalized with its pi feed-forward applied in
-  the same pass.  A repump round takes its click probability and its
-  annihilated, normalized state in one pass over the terms.
+  herald rule): each leaf holds its loss counts and factors, detections,
+  clicks, the herald's verdict and its feed-forward.  One pass over the
+  leaves makes the ``_PROB_FLOOR`` cut, the merge of equal branches and the
+  round's law (:class:`_HeraldedLaw`, which a table weighs for the other
+  configurations of its shape), and each accepted sector becomes one state,
+  normalized with its pi feed-forward applied in the same pass.  A repump
+  round takes its click probability and its annihilated, normalized state
+  in one pass over the terms.
 
 The channel phases ``phi_1i`` are a gauge: each Stokes photon is born with
 an excitation of its own ensemble, so a phase on its light is
@@ -98,9 +103,9 @@ from .fock import (
     normalize,
     superpose,
 )
+from .fock import count_excitations, fidelity
 from .optics import _splitter_expansion, apply_phase, loss_weights
 # unused here; bench/spans.py wraps these bindings
-from .fock import count_excitations, fidelity
 from .optics import (
     apply_beam_splitter,
     detection_outcomes,
@@ -484,6 +489,10 @@ class RoundDistribution(NamedTuple):
     # the pumped norm the truncation cap dropped over the pumped norm
     # before the cap (connect rounds; zero for the others)
     truncated: float = 0.0
+    # a connect or merge round with p_e and eta factored out
+    # (:class:`_HeraldedLaw`, :class:`_MergeLaw`), which a chain table
+    # weighs for the other configurations of its shape
+    law: _HeraldedLaw | _MergeLaw | None = None
 
 
 _PROB_FLOOR = 1e-18
@@ -513,17 +522,18 @@ def _pair_blocks(most: int) -> Tuple[Tuple[int, int], ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _pump_factors(collective: CollectiveModeModel, p_e: float, most: int) -> _Table:
-    """``(n_i, n_j, pairs) -> (f_mi g_mj per pair block, the same for the
-    blocks of more than ``pairs`` pairs)``, blocks in the order of
-    :func:`_pair_blocks`: the amplitude of ``m_i`` and ``m_j`` pairs pumped
-    on two atomic modes that hold ``n_i`` and ``n_j`` excitations, of which
-    a term with room for ``pairs`` pairs keeps the first blocks and cuts the
-    second.  ``f_m = lam^m / sqrt(m!) r_m``, ``lam = sqrt(p_e)``, with
+def _pump_factors(collective: CollectiveModeModel, most: int) -> _Table:
+    """``(n_i, n_j, pairs) -> (f_mi g_mj per pair block, (m_i + m_j,
+    f_mi g_mj) per block of more than ``pairs`` pairs)``, blocks in the
+    order of :func:`_pair_blocks`: the amplitude of ``m_i`` and ``m_j``
+    pairs pumped on two atomic modes that hold ``n_i`` and ``n_j``
+    excitations, of which a term with room for ``pairs`` pairs keeps the
+    first blocks and cuts the second.  ``f_m = r_m / sqrt(m!)``, with
     ``r_m`` the rungs in ``(s+)^m |n> = r_m |n + m>`` of
-    :func:`~wclass_sim.fock.create`, finite-size factor included."""
-    lam = math.sqrt(p_e)
-    amp = [lam**m / math.sqrt(math.factorial(m)) for m in range(most + 1)]
+    :func:`~wclass_sim.fock.create`, finite-size factor included; the pump's
+    ``lam^m``, ``lam = sqrt(p_e)``, is left out (the round's law puts
+    ``p_e^M`` back on a sector of ``M`` pairs)."""
+    amp = [1.0 / math.sqrt(math.factorial(m)) for m in range(most + 1)]
     blocks = _pair_blocks(most)
 
     def one_mode(n: int) -> List[float]:
@@ -536,7 +546,7 @@ def _pump_factors(collective: CollectiveModeModel, p_e: float, most: int) -> _Ta
         ni, nj, pairs = key
         fi, fj = one_mode(ni), one_mode(nj)
         fg = tuple([fi[mi] * fj[mj] for mi, mj in blocks])
-        return fg, tuple([x for x, (mi, mj) in zip(fg, blocks) if mi + mj > pairs])
+        return fg, tuple([(mi + mj, x) for x, (mi, mj) in zip(fg, blocks) if mi + mj > pairs])
 
     return _Table(factors)
 
@@ -561,8 +571,9 @@ def _leaf_table(herald: _Herald, eta: float) -> _Table:
     channels: the outcomes of a sector that holds ``ports`` photons on the
     detected ports, one leaf per split of each port's photons into lost and
     detected, in the lexicographic order of the photons lost.  A leaf is
-    ``(loss factor per port, flips or None when rejected, position along
-    the steps, photons detected per port, named clicks, photons lost)``."""
+    ``(position along the steps, (photons, lost) per port, flips or None
+    when rejected, photons detected per port, named clicks, photons lost,
+    loss factor per port)``."""
     accept = dict(herald.accept)
 
     def leaves(ports: Tuple[int, ...]) -> tuple:
@@ -574,16 +585,59 @@ def _leaf_table(herald: _Herald, eta: float) -> _Table:
             clicks = tuple([d > 0 for d in det])  # one photon or more clicks
             outcome = lost + det
             out.append((
-                tuple(map(operator.getitem, weights, lost)),
-                accept.get(clicks),
                 tuple([outcome[k] for k in herald.order]),
+                tuple(zip(ports, lost)),
+                accept.get(clicks),
                 det,
                 tuple(zip(herald.detectors, clicks)),
                 sum(lost),
+                tuple(map(operator.getitem, weights, lost)),
             ))
         return tuple(out)
 
     return _Table(leaves)
+
+
+@functools.lru_cache(maxsize=64)
+def _loss_grid(eta: float, top: int) -> np.ndarray:
+    """``k (top + 1) + l -> P(l of k photons lost)`` behind transmission
+    ``1 - eta`` (:func:`~wclass_sim.optics.loss_weights`) for ``l <= k <=
+    top``, zero elsewhere, read-only: the loss factors of a table's leaves."""
+    grid = np.zeros((top + 1) ** 2)
+    for k in range(top + 1):
+        grid[k * (top + 1) : k * (top + 1) + k + 1] = loss_weights(k, eta)
+    grid.flags.writeable = False
+    return grid
+
+
+class _HeraldedLaw(NamedTuple):
+    """A heralded round with p_e and eta factored out.
+
+    A sector holds the atomic terms left with ``M`` pumped pairs, summed at
+    ``lam = 1``: every term of it
+    carries ``lam^M``, so its squared norm at ``p_e`` is ``p_e^M C`` and
+    its state does not depend on ``p_e``.  A leaf splits a sector's photons
+    into lost and detected per port; at ``eta`` it has probability ``p_e^M
+    C / Z(p_e)`` times ``C(k, l) eta^l (1 - eta)^(k - l)`` per port, with
+    ``Z`` the sum over the sectors.  The rejected leaves come first, in
+    sector order, then the accepted ones along the steps, each naming the
+    branch it sums onto; a branch's state, normalized with its
+    feed-forward, is the one of its first leaf.  Every leaf is kept, so a
+    law enumerated with loss serves every eta > 0.
+    """
+
+    sectors: Tuple[Tuple[int, float], ...]  # (M, C) per sector
+    leaves: Tuple[Tuple[int, tuple, int], ...]  # (sector, (k, l) per port, branch or -1)
+    branches: Tuple[tuple, ...]  # (state, clicks, detected, lost) per branch
+
+
+class _MergeLaw(NamedTuple):
+    """A repump round with eta factored out: the Born weight of each
+    excitation number of the read ensemble, and the annihilated state as
+    its one branch (none when no term holds an excitation there)."""
+
+    born: Tuple[Tuple[int, float], ...]  # (n_i, P(n_i)), by first appearance
+    branches: Tuple[tuple, ...]  # (state, clicks, detected, lost), at most one
 
 
 #: ``n -> cmath.rect(1.0, math.pi * n)``: the factor a pi phase shift puts
@@ -621,10 +675,11 @@ def _heralded(
     state: FockState,
     sectors: Sectors,
     herald: _Herald,
+    p_e: float,
     eta: float,
-    cut: float = 0.0,
+    cut: Dict[int, float] | None = None,
 ) -> RoundDistribution:
-    """Enumerate one heralded round from its port sectors.
+    """Enumerate one heralded round from its port sectors, with its law.
 
     ``sectors`` maps the photon numbers on the detected ports to the atomic
     terms left with them, unnormalized; each port passes a
@@ -638,9 +693,13 @@ def _heralded(
     leaves (:func:`_leaf_table`), made once per (ports, eta, herald).  An
     accepted outcome leaves its sector, normalized and with the herald's
     feed-forward, as a state of ``state``'s registry and cap; each sector is
-    built once per feed-forward.  ``cut`` is the norm the truncation cap
-    dropped before the sectors were formed; the round reports
-    ``cut / (cut + total)`` as ``truncated``, the cap's only record.
+    built once per feed-forward.  ``cut`` maps each pair count ``M`` to the
+    norm the truncation cap dropped before the sectors were formed; it is
+    None for a round that pumps no pairs.  A round that pumps is summed at
+    ``lam = 1``, so a sector of ``M`` pairs weighs ``p_e^M`` times its
+    squared norm, and the round reports ``cut / (cut + total)``, both at
+    ``p_e``, as ``truncated``, the cap's only record; only such a round
+    has a law (``RoundDistribution.law``): no table reweighs the others.
 
     An outcome below ``_PROB_FLOOR`` is dropped; since no outcome is more
     likely than any prefix of it along the ports' loss and detection steps,
@@ -648,10 +707,12 @@ def _heralded(
     the order along the steps (``herald.order``), and those equal in state
     key, clicks, detected and lost photons are merged onto the first, which
     keeps its own state.  Each built state is keyed once: it gets the index
-    of its key among the round's, and the merge compares indices.
+    of its key among the round's, and the merge compares indices.  The law
+    (:class:`_HeraldedLaw`) keeps every leaf and every accepted branch, those
+    the floor drops here included, for the other (p_e, eta) of a table's
+    shape: :meth:`ChainSimulator._evaluate` weighs it with this arithmetic.
     """
     parts = {}  # ports -> (squared norm, terms), of the sectors left nonzero
-    total = 0.0  # their squared norms, folded left
     for n, terms in sectors.items():
         kept = {}
         n2 = 0
@@ -662,46 +723,83 @@ def _heralded(
                 n2 += w**2
         if kept:
             parts[n] = (n2, kept)
-            total += n2
-    if total <= 0.0:
+    if not parts:
         raise NormalizationError("a heralded round of the zero state")
+    pumped = cut is not None
+    weights = [n2 for n2, _ in parts.values()]
+    if pumped:  # a sector of M pairs, summed at lam = 1
+        law_sectors = tuple([(sum(n), n2) for n, (n2, _) in parts.items()])
+        weights = [p_e**m * c for m, c in law_sectors]
+    total = 0.0  # Z(p_e), folded left
+    for w in weights:
+        total += w
     table = _leaf_table(herald, eta)
-    leaves = []
+    accepted = []
+    rows = [] if pumped else None  # the law's leaves, the rejected ones first
     rejected = dropped = 0.0
-    for n, (n2, _) in parts.items():
-        share = n2 / total
-        for factors, flips, along, det, named, lost in table[n]:
+    for s, n in enumerate(parts):
+        share = weights[s] / total
+        for leaf in table[n]:
             p = share
-            for w in factors:
+            for w in leaf[6]:
                 p *= w
+            # without a law to keep, an accepted leaf below the floor is only dropped
+            if leaf[2] is not None and (pumped or p >= _PROB_FLOOR):
+                accepted.append((leaf[0], leaf, s, n, p))
+                continue
+            if pumped:
+                rows.append((s, leaf[1], -1))
             if p < _PROB_FLOOR:
                 dropped += p
-            elif flips is None:
-                rejected += p
             else:
-                leaves.append((along, n, flips, det, named, lost, p))
-    leaves.sort(key=operator.itemgetter(0))
-
+                rejected += p
+    accepted.sort(key=operator.itemgetter(0))
     built: Dict[tuple, Tuple[FockState, int]] = {}  # (ports, flips) -> (post, its index)
     index: Dict[tuple, int] = {}  # state key -> index, keyed once per post
-    merged: Dict[tuple, list] = {}
-    for _, n, flips, det, named, lost, p in leaves:
+    merged: Dict[tuple, int] = {}  # (index, clicks, detected, lost) -> branch
+    branches, probs = [], []
+    for _, (_, ports, flips, det, named, lost, _), s, n, p in accepted:
         got = built.get((n, flips))
         if got is None:
             n2, terms = parts[n]
             post = _conditioned(state, terms, n2, flips)
             got = built[n, flips] = (post, index.setdefault(post.key(), len(index)))
         post, i = got
-        old = merged.get((i, named, det, lost))
-        if old is None:  # a merged branch keeps the post of its first leaf
-            merged[i, named, det, lost] = [p, post, named, det, lost]
+        b = merged.setdefault((i, named, det, lost), len(branches))
+        if b == len(branches):
+            branches.append((post, named, det, lost))
+            probs.append(0.0)
+        if pumped:
+            rows.append((s, ports, b))
+        if p < _PROB_FLOOR:
+            dropped += p
         else:
-            old[0] += p
-    branches = tuple([RoundBranch(*b) for b in merged.values()])
+            probs[b] += p
+    # a kept leaf is at least _PROB_FLOOR: a branch is kept when its sum is not 0
+    out = tuple([RoundBranch(p, *br) for p, br in zip(probs, branches) if p])
     p_accept = 0.0  # the branches' probabilities, folded left
-    for b in branches:
-        p_accept += b.prob
-    return RoundDistribution(p_accept, branches, rejected, dropped, cut / (cut + total))
+    for br in out:
+        p_accept += br.prob
+    lost_to_cap = 0.0
+    law = None
+    if pumped:
+        for m, c in sorted(cut.items()):
+            lost_to_cap += p_e**m * c
+        law = _HeraldedLaw(law_sectors, tuple(rows), tuple(branches))
+    return RoundDistribution(
+        p_accept, out, rejected, dropped, lost_to_cap / (lost_to_cap + total), law
+    )
+
+
+def _warn_strong_pump(p_e: float) -> None:
+    """Warn, for the caller's caller, when ``p_e`` is past the weak pump
+    that the expansion to two pairs per ensemble assumes."""
+    if p_e > 0.1:
+        warnings.warn(
+            f"emission_prob={p_e} is outside the weak-pump regime; "
+            "the truncated expansion loses accuracy",
+            stacklevel=3,
+        )
 
 
 def connect_round(
@@ -722,38 +820,36 @@ def connect_round(
     splitter takes the ``(m_i, m_j)`` photons to port sectors ``(n_1, n_2)``
     (:func:`~wclass_sim.optics._splitter_expansion`), and each sector
     heralds ``sum c (s_i+)^m_i (s_j+)^m_j |state>`` on the atoms, term by
-    term, from the pump factors of the configuration (:func:`_pump_factors`).
-    Until they are detected the photons count against the cap: a term is
-    kept while its atoms plus twice its pairs fit, and ``truncated``, the
-    pumped norm dropped over the pumped norm before the cap, is the only
-    record of the dropped ones.  The sectors are summed pair block by pair
-    block, in lexicographic order, and term by term within a block.
+    term, from the pump factors (:func:`_pump_factors`).  A sector holds
+    ``M = n_1 + n_2 = m_i + m_j`` photons, so ``lam^M`` sits on each of its
+    terms: the sectors are summed at ``lam = 1``, which leaves every branch
+    state independent of p_e, and weighed by ``p_e^M`` (:func:`_heralded`,
+    which also returns the round's law for a table's other configurations).
+    Until they are detected
+    the photons count against the cap: a term is kept while its atoms plus
+    twice its pairs fit, and ``truncated``, the pumped norm dropped over
+    the pumped norm before the cap, is the only record of the dropped ones.
+    The sectors are summed pair block by pair block, in lexicographic
+    order, and term by term within a block.
 
     Accepts exactly one click.  A click on the antisymmetric port is folded
     back onto the symmetric outcome by a pi feed-forward on ensemble ``j``
     unless ``symmetric_port_only`` rejects it (the maximizing round).
     """
-    if cfg.p_e <= 0.0:
-        return RoundDistribution(0.0, (), rejected=1.0)  # no pair, no click
-    if cfg.p_e > 0.1:
-        warnings.warn(
-            f"emission_prob={cfg.p_e} is outside the weak-pump regime; "
-            "the truncated expansion loses accuracy",
-            stacklevel=2,
-        )
+    _warn_strong_pump(cfg.p_e)
     most = 2 if cfg.second_order_pump else 1  # pairs per ensemble
-    pump = _pump_factors(state.registry.collective, cfg.p_e, most)
+    pump = _pump_factors(state.registry.collective, most)
     blocks = _pair_blocks(most)
     ii, ij = layout.ensemble(i).index, layout.ensemble(j).index
     cap = state.truncation_cap
     rows = []  # (occupation, amplitude, pump factor per block, pairs it has room for)
-    cut = 0.0
+    cut: Dict[int, float] = {}  # pairs -> the norm the cap dropped
     room = -1  # the most pairs any term has room for
     for occ, a in state.items():
         pairs = (cap - sum(occ)) // 2  # each pair takes two quanta
         fg, over = pump[occ[ii], occ[ij], pairs]
-        for x in over:
-            cut += abs(a * x) ** 2
+        for m, x in over:
+            cut[m] = cut.get(m, 0.0) + abs(a * x) ** 2
         rows.append((occ, a, fg, pairs))
         room = max(room, pairs)
     sectors: Sectors = {}
@@ -773,7 +869,7 @@ def connect_round(
             for sec, c in ports:
                 sec[new] = sec.get(new, 0j) + base * c
     herald = _connect_herald(tuple(detector_ids), ij, symmetric_port_only)
-    return _heralded(state, sectors, herald, cfg.eta, cut)
+    return _heralded(state, sectors, herald, cfg.p_e, cfg.eta, cut)
 
 
 @functools.lru_cache(maxsize=256)
@@ -808,9 +904,10 @@ def merge_round(
 
     Registering one excitation applies ``s_i`` once; the click probability is
     the Born weight of at least one retrieved photon reaching the detector,
-    ``sum_k P(n_i = k) (1 - eta^k)``.  One pass over the terms takes their
-    Born weights and the annihilated terms; the arithmetic is that of
-    :func:`~wclass_sim.fock.count_excitations`,
+    ``sum_k P(n_i = k) (1 - eta^k)``; the Born weights and the state are the
+    round's law (:class:`_MergeLaw`).  One pass over the
+    terms takes their Born weights and the annihilated terms; the arithmetic
+    is that of :func:`~wclass_sim.fock.count_excitations`,
     :func:`~wclass_sim.fock.annihilate` and
     :func:`~wclass_sim.fock.normalize` (in :func:`_conditioned`), in their
     order.
@@ -833,20 +930,24 @@ def merge_round(
                 n2 += abs(a) ** 2
     if total <= 0.0:
         raise NormalizationError("cannot measure an empty state")
-    dist: Dict[int, float] = {}
+    born: Dict[int, float] = {}
     for k, w in weights:
-        dist[k] = dist.get(k, 0.0) + w / total
+        born[k] = born.get(k, 0.0) + w / total
+    branches = ()
+    if n2 > 0.0:
+        post = _conditioned(state, kept, n2, ())
+        branches = ((post, ((detector_id, True),), (1,), 0),)
+    law = _MergeLaw(tuple(born.items()), branches)
     p_click = 0.0  # a left fold, as every sum that feeds a report
-    for k, p in dist.items():
+    for k, p in law.born:
         if k >= 1:
             p_click += p * (1.0 - cfg.eta**k)
     if p_click <= 0.0:
-        return RoundDistribution(0.0, (), rejected=1.0)
-    if n2 <= 0.0:
+        return RoundDistribution(0.0, (), rejected=1.0, law=law)
+    if not branches:
         raise NormalizationError("cannot normalize the zero state")
-    post = _conditioned(state, kept, n2, ())
-    branch = RoundBranch(p_click, post, ((detector_id, True),), (1,), 0)
-    return RoundDistribution(p_click, (branch,), rejected=1.0 - p_click)
+    branch = RoundBranch(p_click, *branches[0])
+    return RoundDistribution(p_click, (branch,), rejected=1.0 - p_click, law=law)
 
 
 def teleport_round(
@@ -890,7 +991,7 @@ def teleport_round(
     )
     # loss then detection on each port in turn
     herald = _Herald(("D1", "D2", "D3", "D4"), accept, (0, 4, 1, 5, 2, 6, 3, 7))
-    return _heralded(state, sectors, herald, cfg.eta)
+    return _heralded(state, sectors, herald, 1.0, cfg.eta)
 
 
 def correct_teleport_clicks(branch: RoundBranch) -> bool:
@@ -1014,15 +1115,157 @@ def _tally_tables(n_stages: int) -> Tuple[np.ndarray, np.ndarray]:
     return failed_later, last_pass
 
 
-@dataclass(eq=False, slots=True)
-class _Node:
-    """One reached ``(stage, state)`` of a pass: its round and the exact
-    odds of the rest of the pass from here.  The node a branch leads to is
-    the table's ``(stage + 1, branch state)``."""
+def _stage_round(
+    spec: StageSpec, state: FockState, layout: ChainLayout, cfg: ProtocolConfig
+) -> RoundDistribution:
+    """The round of stage ``spec`` on ``state``."""
+    if spec.kind == "connect":
+        return connect_round(
+            state, layout, spec.i, spec.j, cfg, spec.detectors, spec.symmetric_port_only
+        )
+    return merge_round(state, layout, spec.i, cfg, spec.detectors[0])
 
-    dist: RoundDistribution
-    p_complete: float  # sum of branch prob x P(pass then completes)
-    fail: Tuple[float, ...]  # P(pass fails at stage k)
+
+def _final_outcome(
+    state: FockState, target: FockState, layout: ChainLayout, classify: bool
+) -> Tuple[float, float]:
+    """``(fidelity with target, P(the last two ensembles hold nothing))`` of
+    a final state; the second is NaN when the state is never classified
+    (an EPR pair, or a W outcome).
+
+    A success counts as a W outcome when it overlaps the ideal W state by
+    more than one half.  Otherwise the excitation number of the last two
+    ensembles is measured (Born sampled): finding them empty is the vacuum
+    signature of a multi-pair emission whose partner photon was lost, and
+    anything else is residual contamination.
+    """
+    fid = fidelity(state, target)
+    if not classify or fid > 0.5:
+        return fid, math.nan
+    return fid, count_excitations(state, layout.ensembles[-2:]).get(0, 0.0)
+
+
+#: The configuration a shape's rounds are enumerated at.  Any ``p_e`` and
+#: any ``eta > 0`` (or zero, for a lossless shape) give the same laws: the
+#: rounds sum their sectors at ``lam = 1`` and their laws keep every leaf.
+_SHAPE_P_E, _SHAPE_ETA = 0.01, 0.5
+
+
+class _Shape:
+    """A chain table with p_e and eta factored out, as numbers only.
+
+    Every pass starts from the vacuum, so the table holds each ``(stage,
+    state)`` a pass can reach at any (p_e, eta) of its shape, built once:
+    its nodes in the order they were built, each after every node it leads
+    to, and their branches node by node, each to a node of the next stage
+    or, from the last stage, to a terminal.  Each connect round keeps its
+    sectors' ``(M, C)`` and its leaves' sector, loss counts and branch
+    (:class:`_HeraldedLaw`); each merge round the Born weights of its
+    ensemble's excitation numbers (:class:`_MergeLaw`).  No state of an
+    internal node is kept: only the terminals' states, computed at ``lam =
+    1``, so no report depends on which configuration built the shape.
+    """
+
+    def __init__(self, cfg: ProtocolConfig, stages: Tuple[StageSpec, ...]):
+        self.layout = make_chain_layout(cfg)
+        self.stages = stages
+        nodes = []  # (stage, law, child node per branch or None) in build order
+        self._build(cfg, 0, self.layout.vacuum(), {}, nodes)
+        self.stage = [idx for idx, _, _ in nodes]
+        self.first = [0]  # node v's branches are first[v]:first[v + 1]
+        self.child = []  # per branch: its node, or ~t for terminal t
+        self.merges = []  # (branch, Born weights) per merge node with a branch
+        self.terminals = []  # (state, clicks, detected, lost) per terminal
+        self.terminal_branch = []
+        sec_node, sec_m, sec_c, leaf_sec, leaf_ports, leaf_branch = [], [], [], [], [], []
+        for v, (idx, law, kids) in enumerate(nodes):
+            b0 = len(self.child)
+            if isinstance(law, _MergeLaw):
+                if law.branches:
+                    self.merges.append((b0, law.born))
+            else:
+                s0 = len(sec_m)
+                for m, c in law.sectors:
+                    sec_node.append(v)
+                    sec_m.append(m)
+                    sec_c.append(c)
+                for s, ports, b in law.leaves:
+                    leaf_sec.append(s0 + s)
+                    leaf_ports.append(ports)
+                    leaf_branch.append(b0 + b if b >= 0 else -1)
+            for b, br in enumerate(law.branches):
+                if kids is None:
+                    self.child.append(~len(self.terminals))
+                    self.terminals.append(br)
+                    self.terminal_branch.append(b0 + b)
+                else:
+                    self.child.append(kids[b])
+            self.first.append(len(self.child))
+        # the connect leaves of every node, for one vectorized pass per config
+        ports = np.array(leaf_ports or np.zeros((0, 2, 2)), dtype=np.intp)
+        self.top = int(ports.max(initial=0))
+        self.m_top = max(sec_m, default=0)
+        self.sec_node = np.array(sec_node, dtype=np.intp)
+        self.sec_m = np.array(sec_m, dtype=np.intp)
+        self.sec_c = np.array(sec_c, dtype=float)
+        self.leaf_sec = np.array(leaf_sec, dtype=np.intp)
+        # per port, each leaf's position in the loss grid (_loss_grid)
+        self.leaf_loss = (ports[:, :, 0] * (self.top + 1) + ports[:, :, 1]).T.copy()
+        self.leaf_branch = np.array(leaf_branch, dtype=np.intp)
+        self.leaf_accepted = self.leaf_branch >= 0
+
+    def _build(
+        self, cfg: ProtocolConfig, idx: int, state: FockState, index: dict, nodes: list
+    ) -> int:
+        """The node of ``(idx, state)``, built on first reach after every
+        node it leads to; ``index`` maps ``(stage, state key)`` to the nodes
+        built so far.  A method, not a closure: a recursive closure is a
+        reference cycle, which would keep every state of the build alive
+        until the cyclic collector ran."""
+        key = (idx, state.key())
+        v = index.get(key)
+        if v is None:
+            law = _stage_round(self.stages[idx], state, self.layout, cfg).law
+            kids = None
+            if idx + 1 < len(self.stages):
+                kids = [self._build(cfg, idx + 1, br[0], index, nodes) for br in law.branches]
+            v = index[key] = len(nodes)
+            nodes.append((idx, law, kids))
+        return v
+
+    @functools.cached_property
+    def scores(self) -> np.ndarray:
+        """:func:`_final_outcome` per terminal, against the zero-phase EPR
+        pair of a one-stage list or the W state, as the table's states
+        are."""
+        if len(self.stages) == 1:  # a one-stage chain ends in the EPR pair
+            spec = self.stages[0]
+            target = epr_state(self.layout, spec.i, spec.j, 0.0)
+        else:
+            target = self.layout.w_state
+        classify = len(self.stages) > 1
+        scores = [_final_outcome(t[0], target, self.layout, classify) for t in self.terminals]
+        return np.array(scores, dtype=float).reshape(-1, 2)
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_shape(
+    n: int,
+    n_a: float,
+    finite_size: bool,
+    cap: int,
+    second_order_pump: bool,
+    lossy: bool,
+    stages: Tuple[StageSpec, ...],
+) -> _Shape:
+    """The table of a shape: the configuration fields that decide which
+    nodes and branches exist, made once per process for each and shared by
+    every (p_e, eta)."""
+    cfg = ProtocolConfig(
+        n=n, p_e=_SHAPE_P_E, eta=_SHAPE_ETA if lossy else 0.0, n_a=n_a,
+        finite_size=finite_size, truncation_cap=cap, second_order_pump=second_order_pump,
+    )
+    return _Shape(cfg, stages)
 
 
 class ChainSimulator:
@@ -1030,14 +1273,14 @@ class ChainSimulator:
     ``n``-party W chain (:func:`chain_stages`).
 
     Any failed conditioning restarts the whole list from its first stage, so
-    a trial is a sequence of independent passes.  Each reached ``(stage,
-    state)`` is enumerated once into a node of one table, linked to the
-    nodes its branches lead to.  Every pass starts from the vacuum, so the
-    table is built, closed, with its root, and with it the law of a failed
-    pass and the terminal law: P(a completed pass ends on each last-stage
-    branch).  What a completed trial reports depends only on the branch it
-    ended on, so no trial computes a state key.  States are in the
-    zero-phase frame.
+    a trial is a sequence of independent passes, each from the vacuum.  The
+    table of every ``(stage, state)`` a pass can reach is its shape's
+    (:class:`_Shape`), built once per process; this configuration weighs
+    its branches and closes it in one pass (:meth:`_evaluate`), which gives
+    P(a pass completes), the law of a failed pass and the terminal law:
+    P(a completed pass ends on each last-stage branch).  What a completed
+    trial reports depends only on the branch it ended on, so no trial
+    computes a state key.  States are in the zero-phase frame.
 
     Trials are sampled in two phases (:meth:`sample`).  Phase one takes the
     trials' draws from one generator, trial after trial: the number of
@@ -1049,111 +1292,107 @@ class ChainSimulator:
 
     def __init__(self, cfg: ProtocolConfig, stages: Sequence[StageSpec] | None = None):
         self.cfg = cfg
-        self.layout = make_chain_layout(cfg)
         self.stages = chain_stages(cfg.n) if stages is None else tuple(stages)
-        self._vacuum = self.layout.vacuum()
-        self._nodes: Dict[tuple, _Node] = {}
+        if any(spec.kind == "connect" for spec in self.stages):
+            _warn_strong_pump(cfg.p_e)
+        self.shape = _chain_shape(
+            cfg.n, cfg.n_a, cfg.finite_size, cfg.truncation_cap,
+            cfg.second_order_pump, cfg.eta > 0.0, self.stages,
+        )
+        self.layout = self.shape.layout
         self._failed_later, self._last_pass = _tally_tables(len(self.stages))
+        self._evaluate()
 
-    # -- exact per-round machinery ----------------------------------------
+    def _evaluate(self) -> None:
+        """Weigh the shape's branches at this configuration and close the
+        table.
 
-    def initial_state(self) -> FockState:
-        return self._vacuum
-
-    def round_distribution(self, stage_idx: int, state: FockState) -> RoundDistribution:
-        return self._node(stage_idx, state).dist
-
-    def completion(self, stage_idx: int, state: FockState) -> Tuple[float, Tuple[float, ...]]:
-        """``(P(pass completes from here), P(pass fails at stage k))``."""
-        node = self._node(stage_idx, state)
-        return node.p_complete, node.fail
-
-    def _node(self, idx: int, state: FockState) -> _Node:
-        """The node of ``(idx, state)``, built on first reach together with
-        every node it links to."""
-        key = (idx, state.key())
-        node = self._nodes.get(key)
-        if node is not None:
-            return node
-        spec = self.stages[idx]
-        if spec.kind == "connect":
-            dist = connect_round(
-                state,
-                self.layout,
-                spec.i,
-                spec.j,
-                self.cfg,
-                spec.detectors,
-                spec.symmetric_port_only,
-            )
-        else:
-            dist = merge_round(state, self.layout, spec.i, self.cfg, spec.detectors[0])
-        nxt = idx + 1
-        later = [0.0] * (len(self.stages) - nxt)  # P(fail at each later stage)
-        p_complete = 0.0
-        for br in dist.branches:  # each child is built, with its own, in turn
-            p = br.prob
-            if later:
-                child = self._node(nxt, br.state)
-                p_complete += p * child.p_complete
-                # a child fails at no stage before its own
-                later = [f + p * x for f, x in zip(later, child.fail[nxt:])]
-            else:  # past the last stage: the pass completes
-                p_complete += p
-        fail = (0.0,) * idx + (1.0 - dist.p_accept, *later)
-        # stored after its children: each node comes after every node it leads to
-        node = self._nodes[key] = _Node(dist, p_complete, fail)
-        return node
-
-    @functools.cached_property
-    def _vacuum_root(self) -> _Node:
-        """The node where every pass starts, built with every node a pass
-        can reach, and with it, once: the law of a failed pass (``_law``:
-        P(it failed at stage k), its largest cost in rounds, k + 1 at stage
-        k, and running sums) and the terminal law (:meth:`_terminal_law`)."""
-        root = self._node(0, self._vacuum)
-        q = (1.0 - root.p_complete) or 1.0  # a pass that never fails: any law will do
-        cond = np.maximum(np.array(root.fail) / q, 0.0)
+        Each connect leaf gets ``p_e^M C / Z(p_e)`` times its loss factors,
+        each merge branch its click probability, with the arithmetic of
+        :func:`_heralded` and :func:`merge_round`, so a branch here has the
+        probability its round gives it.  Then one pass over the
+        nodes from the root down (the reverse of the order they were built
+        in) hands each node's reach, P(a pass gets there), on to its
+        children, and to the terminals from the last stage: a node fails
+        its pass with its reach times ``1 - p_accept``.  It sets ``p_pass``,
+        ``_fail`` (P(a pass fails at stage k)), ``_law`` (the law of a
+        failed pass, its largest cost in rounds, k + 1 at stage k, and its
+        running sums) and the terminal law: ``_live``, the terminals a pass
+        ends on, and ``_ends``, the running sums of P(a completed pass ends
+        on each).
+        """
+        shape, p_e, eta = self.shape, self.cfg.p_e, self.cfg.eta
+        powers = np.array([p_e**m for m in range(shape.m_top + 1)])
+        w = powers[shape.sec_m] * shape.sec_c
+        share = w / np.bincount(shape.sec_node, w, len(shape.stage))[shape.sec_node]
+        p = share[shape.leaf_sec]
+        grid = _loss_grid(eta, shape.top)
+        for column in shape.leaf_loss:
+            p = p * grid[column]
+        kept = (p >= _PROB_FLOOR) & shape.leaf_accepted
+        probs = np.bincount(shape.leaf_branch[kept], p[kept], len(shape.child)).tolist()
+        for b, born in shape.merges:
+            p_click = 0.0
+            for k, x in born:
+                if k >= 1:
+                    p_click += x * (1.0 - eta**k)
+            probs[b] = p_click
+        stage, first, child = shape.stage, shape.first, shape.child
+        reach = [0.0] * len(stage)
+        reach[-1] = 1.0  # the root, built last
+        fail = [0.0] * len(self.stages)
+        ends = [0.0] * len(shape.terminals)
+        for v in range(len(stage) - 1, -1, -1):
+            r = reach[v]
+            if r == 0.0:
+                continue
+            p_accept = 0.0  # folded left, as its round folds it
+            for b in range(first[v], first[v + 1]):
+                x = probs[b]
+                p_accept += x
+                c = child[b]
+                if c >= 0:
+                    reach[c] += r * x
+                else:
+                    ends[~c] += r * x
+            fail[stage[v]] += r * (1.0 - p_accept)
+        p_pass = 0.0
+        for x in ends:
+            p_pass += x
+        self.p_pass, self._fail = p_pass, tuple(fail)
+        q = (1.0 - p_pass) or 1.0  # a pass that never fails: any law will do
+        cond = np.maximum(np.array(fail) / q, 0.0)
         cond[-1] = max(0.0, 1.0 - cond[:-1].sum())
         self._law = (cond, int(np.flatnonzero(cond)[-1]) + 1, list(accumulate(cond.tolist())))
-        self._terminals, self._ends = self._terminal_law(root)
-        return root
+        self._live = [t for t, x in enumerate(ends) if x > 0.0]
+        self._ends = np.array(list(accumulate([ends[t] / p_pass for t in self._live])), dtype=float)
+        self.terminals = tuple([
+            RoundBranch(probs[shape.terminal_branch[t]], *shape.terminals[t]) for t in self._live
+        ])
+
+    # -- the table ---------------------------------------------------------
+
+    def initial_state(self) -> FockState:
+        return self.layout.vacuum()
+
+    def completion(self, stage_idx: int, state: FockState) -> Tuple[float, Tuple[float, ...]]:
+        """``(P(pass completes), P(pass fails at stage k))`` from the root,
+        where every pass starts: stage 0 on the vacuum (the only node whose
+        odds the table keeps)."""
+        if stage_idx != 0 or state.key() != self.initial_state().key():
+            raise ValueError("a chain table keeps the odds of its root only")
+        return self.p_pass, self._fail
+
+    def round_distribution(self, stage_idx: int, state: FockState) -> RoundDistribution:
+        """The round of stage ``stage_idx`` on ``state`` at this
+        configuration, enumerated afresh: the table keeps its weights, not
+        its rounds."""
+        return _stage_round(self.stages[stage_idx], state, self.layout, self.cfg)
 
     @property
-    def terminals(self) -> Tuple[RoundBranch, ...]:
-        """The last stage's branches that a completed pass can end on
-        (:meth:`_terminal_law`)."""
-        self._vacuum_root
-        return self._terminals
-
-    def _terminal_law(self, root: _Node) -> Tuple[Tuple[RoundBranch, ...], np.ndarray]:
-        """``(terminals, running sums)``: the last stage's branches that a
-        completed pass can end on, in the order their nodes were built, and
-        the running sums of P(a completed pass ends on each); empty when no
-        pass completes.
-
-        One pass over the nodes from the root down (the reverse of the order
-        they were built in, which puts each node after every node that leads
-        to it) hands each node's reach, P(a completed pass goes through it),
-        on to its children: a child gains reach x branch prob x its own
-        ``p_complete`` / the node's ``p_complete``."""
-        last = len(self.stages) - 1
-        reach = {root: 1.0}
-        ends = []  # (a last-stage node, its reach over its p_complete)
-        for (idx, _), node in reversed(self._nodes.items()):
-            r = reach.get(node, 0.0)
-            if r == 0.0 or node.p_complete == 0.0:
-                continue
-            scale = r / node.p_complete
-            if idx == last:
-                ends.append((node, scale))
-                continue
-            for br in node.dist.branches:
-                child = self._node(idx + 1, br.state)
-                reach[child] = reach.get(child, 0.0) + scale * br.prob * child.p_complete
-        terminals = tuple([br for node, _ in reversed(ends) for br in node.dist.branches])
-        weights = [scale * br.prob for node, scale in reversed(ends) for br in node.dist.branches]
-        return terminals, np.array(list(accumulate(weights)), dtype=float)
+    def scores(self) -> np.ndarray:
+        """The shape's :attr:`_Shape.scores` of :attr:`terminals`."""
+        return self.shape.scores[self._live]
 
     # -- trial sampling ----------------------------------------------------
 
@@ -1175,7 +1414,7 @@ class ChainSimulator:
         """
         n_stages = len(self.stages)
         budget = self.cfg.max_attempts
-        p_pass, cond = self._vacuum_root.p_complete, self._law[0]
+        p_pass, cond = self.p_pass, self._law[0]
         # no count of a trial exceeds its rounds, which do not exceed the budget
         counts = np.zeros((trials, n_stages), np.int64 if budget < 2**63 else object)
         through = np.full(trials, n_stages)

@@ -370,6 +370,100 @@ def completion_reference(stages, layout, cfg, state, idx: int = 0, seen=None):
     return p_complete, tuple(fail)
 
 
+class NodeTableReference:
+    """The chain table built node by node at one configuration, as the
+    engine built it before its tables were shared per shape: each ``(stage,
+    state)`` a pass reaches from the vacuum is enumerated once, at the
+    configuration's p_e and eta, with the library's round enumerators, into
+    a node keyed by ``(stage, state key)`` that holds its round, P(the pass
+    completes from here) and P(it fails at each stage), by recursion over
+    its children.  The first state to reach a key stands for the later ones.
+    ``completion``, ``round_distribution``, ``terminals``, ``p_pass`` and
+    ``_law`` read as the engine's ``ChainSimulator`` does, for any node.
+    """
+
+    def __init__(self, cfg, stages=None):
+        from wclass_sim.protocol import chain_stages, make_chain_layout
+
+        self.cfg = cfg
+        self.layout = make_chain_layout(cfg)
+        self.stages = chain_stages(cfg.n) if stages is None else tuple(stages)
+        self._nodes = {}  # (stage, state key) -> (round, p_complete, fail)
+
+    def initial_state(self):
+        return self.layout.vacuum()
+
+    def round_distribution(self, idx, state):
+        return self._node(idx, state)[0]
+
+    def completion(self, idx, state):
+        _, p_complete, fail = self._node(idx, state)
+        return p_complete, fail
+
+    def _node(self, idx, state):
+        from wclass_sim.protocol import _stage_round
+
+        key = (idx, state.key())
+        node = self._nodes.get(key)
+        if node is not None:
+            return node
+        dist = _stage_round(self.stages[idx], state, self.layout, self.cfg)
+        nxt = idx + 1
+        later = [0.0] * (len(self.stages) - nxt)  # P(fail at each later stage)
+        p_complete = 0.0
+        for br in dist.branches:
+            if later:
+                _, pc, child_fail = self._node(nxt, br.state)
+                p_complete += br.prob * pc
+                later = [f + br.prob * x for f, x in zip(later, child_fail[nxt:])]
+            else:  # past the last stage: the pass completes
+                p_complete += br.prob
+        fail = (0.0,) * idx + (1.0 - dist.p_accept, *later)
+        node = self._nodes[key] = (dist, p_complete, fail)  # after its children
+        return node
+
+    @functools.cached_property
+    def p_pass(self):
+        return self.completion(0, self.initial_state())[0]
+
+    @functools.cached_property
+    def _law(self):
+        """P(a failed pass failed at stage k), its largest cost in rounds and
+        its running sums, as the engine keeps them."""
+        p_pass, fail = self.completion(0, self.initial_state())
+        q = (1.0 - p_pass) or 1.0
+        cond = np.maximum(np.array(fail) / q, 0.0)
+        cond[-1] = max(0.0, 1.0 - cond[:-1].sum())
+        return cond, int(np.flatnonzero(cond)[-1]) + 1, list(accumulate(cond.tolist()))
+
+    @functools.cached_property
+    def terminals(self):
+        """The last stage's branches a completed pass can end on, in the
+        order the nodes were built, and the running sums of P(a completed
+        pass ends on each), by one pass over the nodes from the root down
+        (``_ends``)."""
+        last = len(self.stages) - 1
+        root = self._node(0, self.initial_state())
+        reach = {id(root): 1.0}
+        ends = []  # (a last-stage node's round, its reach over its p_complete)
+        for (idx, _), node in reversed(self._nodes.items()):
+            dist, p_complete, _ = node
+            r = reach.get(id(node), 0.0)
+            if r == 0.0 or p_complete == 0.0:
+                continue
+            scale = r / p_complete
+            if idx == last:
+                ends.append((dist, scale))
+                continue
+            for br in dist.branches:
+                child = self._node(idx + 1, br.state)
+                reach[id(child)] = reach.get(id(child), 0.0) + scale * br.prob * child[1]
+        terminals = [br for dist, _ in reversed(ends) for br in dist.branches]
+        weights = [scale * br.prob for dist, scale in reversed(ends) for br in dist.branches]
+        self._ends = np.array(list(accumulate(weights)), dtype=float)
+        return tuple(terminals)
+
+
 def terminal_law_reference(sim):
     """``(terminals, P(a completed pass ends on each))`` of the
     ``ChainSimulator`` ``sim``, by recursing from the vacuum into every
@@ -378,22 +472,32 @@ def terminal_law_reference(sim):
     branch it ends on, and the sums are divided by their total.  Final
     branches come in the order the paths first reach them.
 
-    The rounds are the table's (``sim.round_distribution``), so the final
-    branches are the very branch objects the engine draws from; only the
-    law is computed anew."""
+    The rounds are those of :class:`NodeTableReference` at ``sim``'s
+    configuration and stages, which dedups states by key as the engine's
+    table does; only the law is computed anew."""
+    table = NodeTableReference(sim.cfg, sim.stages)
     n_stages = len(sim.stages)
     mass = {}  # id of a final branch -> [branch, summed path probability]
 
     def walk(idx, state, p):
-        for br in sim.round_distribution(idx, state).branches:
+        for br in table.round_distribution(idx, state).branches:
             if idx + 1 == n_stages:
                 mass.setdefault(id(br), [br, 0.0])[1] += p * br.prob
             else:
                 walk(idx + 1, br.state, p * br.prob)
 
-    walk(0, sim.initial_state(), 1.0)
+    walk(0, table.initial_state(), 1.0)
     total = left_sum(m for _, m in mass.values())
     return [br for br, _ in mass.values()], [m / total for _, m in mass.values()]
+
+
+def same_terminals(got, want):
+    """Whether two lists of final branches hold the same clicks, detected
+    and lost photons and state keys, in the same order."""
+    def fingerprint(br):
+        return br.clicks, br.detected, br.lost, br.state.key()
+
+    return [fingerprint(br) for br in got] == [fingerprint(br) for br in want]
 
 
 # ---------------------------------------------------------------------------
@@ -590,26 +694,31 @@ def run_batch_trace_reference(cfg, trials: int, stages=None):
     """``(report, records)`` of ``run_batch(cfg, trials, stages=stages)``
     with every trial walked round by round by
     :func:`run_trial_block_reference` (the block scan of
-    :func:`run_trial_trace_reference`); the records are
+    :func:`run_trial_trace_reference`) over the rounds of
+    :class:`NodeTableReference` at ``cfg``; the records are
     :class:`TracedTrialRecord`.
 
     A root whose passes never complete spends the budget at once through
-    ``sim.run_trial``, as the engine does.  Rounds are looked up by ``(stage,
-    id(state))``: the table keeps every state alive, so an id is never
-    reused, and the walk computes no state key.
+    the engine's ``run_trial``, as the engine does.  Rounds are looked up by
+    ``(stage, id(state))``: the reference table keeps every state alive, so
+    an id is never reused, and the walk computes no state key.
     """
+    from wclass_sim.protocol import chain_stages
+
+    stages = chain_stages(cfg.n) if stages is None else tuple(stages)
+    table = NodeTableReference(replace(cfg, seed=0, phases=None), stages)
     memo = {}
 
-    def trace_trial(sim, rng, root):
-        def round_distribution(k, state):
-            key = (k, id(state))
-            if key not in memo:
-                memo[key] = sim.round_distribution(k, state)
-            return memo[key]
+    def round_distribution(k, state):
+        key = (k, id(state))
+        if key not in memo:
+            memo[key] = table.round_distribution(k, state)
+        return memo[key]
 
-        if sim._vacuum_root.p_complete <= 0.0:
+    def trace_trial(sim, rng, root):
+        if sim.p_pass <= 0.0:
             return sim.run_trial(rng), None
-        return run_trial_block_reference(sim, rng, root, round_distribution)
+        return run_trial_block_reference(table, rng, root, round_distribution)
 
     return _chain_batch_reference(cfg, trials, stages, trace_trial, TracedTrialRecord)
 
@@ -633,9 +742,11 @@ def tally_reference(counts, through):
 @functools.lru_cache(maxsize=8)
 def _terminal_pick(sim):
     """``(terminals, running sums)`` of :func:`terminal_law_reference`, made
-    once per simulator."""
+    once per simulator; the terminals are the engine's own, once they are
+    checked to be the reference's, so a draw returns the engine's state."""
     terminals, law = terminal_law_reference(sim)
-    return terminals, list(accumulate(law))
+    assert same_terminals(sim.terminals, terminals)
+    return sim.terminals, list(accumulate(law))
 
 
 def run_trial_reference(sim, rng):
@@ -647,8 +758,7 @@ def run_trial_reference(sim, rng):
     past the budget spends it through the engine's ``_spend_budget``."""
     from wclass_sim.protocol import StepOutcome, _spend_budget, pick
 
-    root = sim._vacuum_root
-    p_pass, cond = root.p_complete, sim._law[0]
+    p_pass, cond = sim.p_pass, sim._law[0]
     n_stages = len(sim.stages)
     budget = sim.cfg.max_attempts
     if p_pass > 0.0:
@@ -747,7 +857,7 @@ def _chain_batch_reference(cfg, trials, stages, run_trial, record=TrialRecord):
     final branch, for :func:`run_trial_reference`), aggregated by
     :func:`aggregate_chain_reference`."""
     from wclass_sim import montecarlo
-    from wclass_sim.protocol import chain_stages, epr_state
+    from wclass_sim.protocol import _final_outcome, chain_stages, epr_state
 
     stages = chain_stages(cfg.n) if stages is None else tuple(stages)
     sim = montecarlo._chain_engine(replace(cfg, seed=0, phases=None), stages)[0]
@@ -765,7 +875,7 @@ def _chain_batch_reference(cfg, trials, stages, run_trial, record=TrialRecord):
         if res.succeeded:
             state = res.state
             if id(state) not in finals:
-                finals[id(state)] = montecarlo._final_outcome(
+                finals[id(state)] = _final_outcome(
                     state, target, sim.layout, not epr
                 )
             fid, p_empty = finals[id(state)]

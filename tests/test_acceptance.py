@@ -279,7 +279,7 @@ def test_a7_determinism(tmp_path):
     ok = paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
     ok &= c1.read_bytes() == c2.read_bytes()
     doc = json.loads(paths[0].read_text())
-    ok &= doc["schema_version"] == 4
+    ok &= doc["schema_version"] == 5
     assert _verdict("A7 determinism", ok, "byte-identical across re-runs and workers")
 
 

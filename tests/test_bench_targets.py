@@ -47,8 +47,10 @@ def test_every_name_the_benchmark_wraps_exists():
 
 
 def test_a_traced_teleport_call_records_every_enumerator(tmp_path):
-    # the W-state chain table is shared: built afresh, its rounds run traced
+    # the W-state chain table is shared per shape: built afresh, its rounds
+    # run traced
     wclass_sim.montecarlo._chain_engine.cache_clear()
+    wclass_sim.protocol._chain_shape.cache_clear()
     spans = _spans()
     tracer = spans.Tracer()
     argv = ["teleport", "--cap", "5", "--eta", "0", "--trials", "1", "--seed", "1",
@@ -160,6 +162,35 @@ def test_mean_rounds_agree_with_the_exact_law(capsys):
         assert abs(z) <= checks.CALL_Z_LIMIT
         zs.append(z)
     assert abs(checks.pooled_z(zs)) <= checks.POOLED_Z_LIMIT
+
+
+def test_stage_attempts_agree_with_the_exact_failure_law(capsys):
+    # per-stage attempts against the exact failure law of each report's own
+    # table, whatever the random stream: a trial's failed passes are
+    # geometric (q / p on average) and each reaches stage k with a = the
+    # share of failed passes that fail at k or later, so its attempts there
+    # have E = 1 + a q/p and Var = a(1 - a) q/p + a^2 q/p^2; within 20
+    # standard errors per report and stage, and 5 pooled per stage
+    checks = _load(CHECKS)
+    zs = {}
+    for seed, case in enumerate(EXACT_ROUNDS_CASES, start=100):
+        argv = [*case, "--pe", "0.02", "--trials", "400", "--seed", str(seed), "--workers", "1"]
+        assert wclass_sim.cli.main(argv) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        config = wclass_sim.cli.parse_args(argv).config.table_config()
+        stages = (wclass_sim.protocol.epr_stage(1, 2),) if case[0] == "epr" else None
+        sim = wclass_sim.protocol.ChainSimulator(config, stages=stages)
+        p, fails = sim.completion(0, sim.initial_state())
+        q = sum(fails)
+        for k, mean in enumerate(res["mean_attempts_per_stage"]):
+            a = sum(fails[k:]) / q
+            var = a * (1 - a) * q / p + a**2 * q / p**2
+            z = (mean - (1 + a * q / p)) / math.sqrt(var / res["trials"])
+            assert abs(z) <= checks.CALL_Z_LIMIT, (argv, k, z)
+            zs.setdefault(k, []).append(z)
+    assert len(zs) == 11  # the stages of the n = 6 chain
+    for k, stage_zs in zs.items():
+        assert abs(checks.pooled_z(stage_zs)) <= checks.POOLED_Z_LIMIT, k
 
 
 def _exact_success_fields(config, epr):

@@ -229,7 +229,7 @@ def test_epr_command_reports_high_fidelity(tmp_path):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     assert doc["command"] == "epr"
     assert doc["config"]["seed"] == 4
     assert doc["results"]["fidelity_mean"] >= 0.99

@@ -44,3 +44,34 @@ def test_a_difference_past_the_schema_version_is_counted_apart(tmp_path, capsys)
     assert capsys.readouterr().out.endswith(
         "0 of 5 differing reports differ only in schema_version\n0 of 5 identical\n"
     )
+
+
+def test_field_differences_give_each_numeric_fields_largest_distance():
+    one = '{"results": {"p": 0.5, "n": 3, "label": "w", "xs": [1.0, 2.0]}}'
+    two = '{"results": {"p": 0.5000000000000002, "n": 5, "label": "v", "xs": [1.0, 2.0]}}'
+    three = '{"results": {"p": 0.5000000000000003, "n": 3, "label": "w", "xs": [1.0, null]}}'
+    numeric, other = compare_reports.field_differences(
+        [((0, one), (0, two)), ((0, one), (1, three)), ((0, "a,b\n"), (0, "a,c\n"))]
+    )
+    assert numeric == {"results.p": "3 ulps", "results.n": "2 units"}
+    assert other == {
+        "results.label": 1, "exit code": 1, "results.xs[1]": 1, "report (not JSON)": 1,
+    }
+
+
+def test_differing_reports_print_their_field_distances(tmp_path, capsys):
+    # a mean moved by one ulp and a changed string, in every chain report
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    mc = tmp_path / "src" / "wclass_sim" / "montecarlo.py"
+    mc.write_text(mc.read_text().replace(
+        "mean_time_s=mean_time,", "mean_time_s=math.nextafter(mean_time, math.inf),"
+    ))
+    cli = tmp_path / "src" / "wclass_sim" / "cli.py"
+    cli.write_text(cli.read_text().replace('"command": spec.command,', '"command": "x",'))
+    args = [str(tmp_path), "--workload", "chain-sample", "--seed", "1", "--blocks", "1"]
+    assert compare_reports.main(args) == 1
+    out = capsys.readouterr().out
+    assert (
+        "largest distance per numeric field:\n  results.mean_time_s: 1 ulps\n"
+        "other differences:\n  command: 5 reports\n"
+    ) in out

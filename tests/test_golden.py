@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -36,8 +35,10 @@ import pytest
 
 from wclass_sim import montecarlo, protocol
 from wclass_sim.cli import main, parse_args
+from wclass_sim.fock import debug_serialize
 from wclass_sim.montecarlo import _chain_engine, run_batch
 
+from compare_reports import ulps
 from oracle_helpers import chain_records
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -142,6 +143,46 @@ def test_report_independent_of_cached_tables(name, tmp_path):
         assert out.read_bytes() == golden_path(name).read_bytes(), run
 
 
+CHAIN_CASES = sorted(
+    name for name in JSON_CASES if CASES[name][0][0] in ("epr", "w-state")
+)
+
+
+def _terminal_states(argv: list[str]) -> list[str]:
+    """``debug_serialize`` of each terminal state of the table a chain
+    command's batch draws from, read from the process's cached shape."""
+    spec = parse_args(argv)
+    cfg = spec.config.table_config()
+    stages = (protocol.epr_stage(1, 2),) if argv[0] == "epr" else None
+    return [debug_serialize(t[0]) for t in protocol.ChainSimulator(cfg, stages).shape.terminals]
+
+
+@pytest.mark.parametrize("name", CHAIN_CASES)
+def test_shapes_built_by_another_pe_and_eta_change_no_byte(name, tmp_path):
+    # one chain table serves every (p_e, eta > 0) of its shape: the case
+    # run cold, and run after a configuration of its shape with another p_e
+    # (and another eta > 0, when the case's eta is positive) built the
+    # table, and that other configuration run cold and after the case, give
+    # the same report bytes and the same terminal states
+    argv = CASES[name][0]
+    other = [*argv, "--pe", "0.043"]
+    if parse_args(argv).config.eta > 0.0:
+        other += ["--eta", "0.17"]
+    reports, states = {}, {}
+    for order in ((argv, other), (other, argv), (argv,), (other,)):
+        _clear_process_caches()
+        for run in order:
+            out = tmp_path / "report"
+            main([*run, "-o", str(out)])
+            key = "case" if run is argv else "other"
+            reports.setdefault(key, set()).add(out.read_bytes())
+            states.setdefault(key, set()).add(tuple(_terminal_states(run)))
+    assert reports["case"] == {golden_path(name).read_bytes()}
+    assert len(reports["other"]) == 1
+    assert len(states["case"]) == len(states["other"]) == 1
+    assert states["case"] == states["other"]
+
+
 def test_budget_is_part_of_the_table_key(tmp_path):
     # w3_exhausted's configuration at the default budget first: a table
     # shared across budgets would let its trials run past 200 rounds
@@ -196,19 +237,9 @@ def _changes(old, new, path: str = ""):
         yield path, old, new
 
 
-def _ulps(a: float, b: float) -> int:
-    """How many floats apart ``a`` and ``b`` are."""
-
-    def ordinal(x: float) -> int:
-        bits = struct.unpack("<q", struct.pack("<d", x))[0]
-        return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
-
-    return abs(ordinal(a) - ordinal(b))
-
-
 def _distance(a, b) -> str:
     if isinstance(a, float) and isinstance(b, float):
-        return f" ({_ulps(a, b)} ulps)"
+        return f" ({ulps(a, b)} ulps)"
     if type(a) is int and type(b) is int:
         return f" ({b - a:+d})"
     return ""

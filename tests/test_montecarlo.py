@@ -1,8 +1,10 @@
 import concurrent.futures
 import functools
+import gc
 import json
 import math
 import operator
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from wclass_sim import montecarlo, protocol
-from wclass_sim.cli import main
+from wclass_sim.cli import main, parse_args
 from wclass_sim.errors import (
     AttemptsExhaustedError,
     DomainError,
@@ -41,7 +43,9 @@ from wclass_sim.protocol import (
     make_chain_layout,
 )
 
+from compare_reports import workload_argvs
 from oracle_helpers import (
+    NodeTableReference,
     chain_columns,
     chain_records,
     chain_stage_probabilities,
@@ -274,7 +278,7 @@ def test_block_scan_matches_the_scalar_round_walk(cfg, stages, block):
     # the same result, attempts to first success and next draw, trial by
     # trial, including trials that a block boundary or the budget cuts
     stages = chain_stages(cfg.n) if stages is None else stages
-    sim = montecarlo._chain_engine(replace(cfg, seed=0, phases=None), stages)[0]
+    sim = NodeTableReference(replace(cfg, seed=0, phases=None), stages)
     root = sim.initial_state()
     trials = 150
     a, b = rng_for_trial(cfg.seed, 0), rng_for_trial(cfg.seed, 0)
@@ -565,15 +569,15 @@ def test_teleport_batch_enumerates_each_round_once(monkeypatch):
 )
 def test_chain_table_is_closed_once_built(cfg, stages):
     # a batch served from a cached table adds no node to it, whether the
-    # engine samples it or the round-by-round oracle walks it
+    # engine samples it or the round-by-round oracle walks its own
     montecarlo._chain_engine.cache_clear()
     stages = chain_stages(cfg.n) if stages is None else stages
     sim = montecarlo._chain_engine(replace(cfg, seed=0), stages)[0]
-    built = len(sim._nodes)
+    shape, built = sim.shape, len(sim.shape.stage)
     run_batch(cfg, 300, stages=stages)
-    assert len(sim._nodes) == built
+    assert sim.shape is shape and len(shape.stage) == built
     run_batch_trace_reference(cfg, 100, stages=stages)
-    assert len(sim._nodes) == built
+    assert sim.shape is shape and len(shape.stage) == built
     assert montecarlo._chain_engine.cache_info().misses == 1
 
 
@@ -639,7 +643,7 @@ def test_configs_share_scaffolding_only_with_equal_layout_fields():
     engines = [montecarlo._chain_engine(c.table_config(), chain_stages(c.n)) for c in cfgs]
     first = engines[0][0]
     for sim, _ in engines[1:3]:
-        assert sim.layout is first.layout and sim._vacuum is first._vacuum
+        assert sim.layout is first.layout and sim.initial_state() is first.initial_state()
         assert sim.layout.w_state is first.layout.w_state
         assert sim._failed_later is first._failed_later and sim._last_pass is first._last_pass
     apart_sims = [sim for sim, _ in (engines[0], *engines[3:])]
@@ -649,7 +653,7 @@ def test_configs_share_scaffolding_only_with_equal_layout_fields():
         layout = sim.layout
         assert layout.registry.collective == CollectiveModeModel(cfg.n_a, cfg.finite_size)
         assert (len(layout.ensembles), layout.truncation_cap) == (cfg.n, cfg.truncation_cap)
-        assert layout.w_state.registry is sim._vacuum.registry is layout.registry
+        assert layout.w_state.registry is sim.initial_state().registry is layout.registry
         assert layout.w_state.key() == ideal_w_state(cfg.n, layout=layout).key()
     assert not first._failed_later.flags.writeable and not first._last_pass.flags.writeable
 
@@ -762,10 +766,65 @@ def test_teleport_batches_share_the_w_state_chain_table(monkeypatch):
     tcfg = TeleportConfig(0.6, 0.8, base)
     run_batch(replace(base, seed=12, phases=(0.0, 0.3, 0.7)), 5)
     chain = montecarlo._chain_engine(replace(base, seed=0, phases=None), chain_stages(3))[0]
-    nodes = len(chain._nodes)
+    nodes = len(chain.shape.stage)
     run_teleport_batch(tcfg, 3)
     run_teleport_batch(replace(tcfg, base=replace(base, seed=13, phases=(0.0, 1.0, 2.0))), 3)
     assert len(built) == 2 and built[0] is not built[1]
     assert built[0].chain is built[1].chain is chain
-    assert len(chain._nodes) == nodes
+    assert len(chain.shape.stage) == nodes
     assert montecarlo._chain_engine.cache_info().misses == 1
+
+
+def test_a_batch_whose_shape_is_cached_enumerates_no_round(monkeypatch):
+    # one table per shape: a configuration that differs from a cached one
+    # only in p_e, eta > 0, seed, phases or budget weighs the cached table,
+    # and no connect or merge round is enumerated for it
+    calls = []
+
+    def counted(real):
+        def enumerate_round(*args):
+            calls.append(real.__name__)
+            return real(*args)
+
+        return enumerate_round
+
+    for name in ("connect_round", "merge_round"):
+        monkeypatch.setattr(protocol, name, counted(getattr(protocol, name)))
+    protocol._chain_shape.cache_clear()
+    montecarlo._chain_engine.cache_clear()
+    base = ProtocolConfig(n=4, p_e=0.02, eta=0.2, seed=1)
+    for stages in (None, (epr_stage(1, 2),)):
+        calls.clear()
+        run_batch(base, 20, stages=stages)
+        assert calls  # the cold batch builds its shape
+        calls.clear()
+        for cfg in (
+            replace(base, p_e=0.035, eta=0.1, seed=2, phases=(0.0, 0.3, 0.6, 0.9)),
+            replace(base, p_e=0.0, eta=0.45, max_attempts=100),
+        ):
+            run_batch(cfg, 20, stages=stages)
+        assert calls == []
+    run_batch(replace(base, eta=0.0), 20)  # no loss: another shape
+    assert calls
+
+
+def test_one_param_scan_blocks_shapes_keep_under_a_megabyte():
+    # the shapes hold numbers and terminal states only: the 64 calls of one
+    # param-scan block build their shapes, from an empty shape cache, into
+    # less than 1 MB of memory kept (their node-by-node tables kept about
+    # 4 MB)
+    cfgs = [parse_args(argv).config.table_config() for argv in workload_argvs("param-scan", 1, 1)]
+    for cfg in cfgs:  # the caches beside the shapes: layouts, leaf tables, loss laws
+        ChainSimulator(cfg)
+    protocol._chain_shape.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for cfg in cfgs:
+            ChainSimulator(cfg)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert protocol._chain_shape.cache_info().currsize > 40
+    assert kept <= 1_000_000

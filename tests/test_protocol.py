@@ -1,3 +1,4 @@
+import cmath
 import functools
 import math
 from dataclasses import replace
@@ -55,6 +56,7 @@ from wclass_sim.protocol import (
 )
 
 from oracle_helpers import (
+    NodeTableReference,
     as_state,
     completion_reference,
     connect_applied_reference,
@@ -69,6 +71,7 @@ from oracle_helpers import (
     merged_amplitudes,
     pick_reference,
     receiver_amplitudes,
+    same_terminals,
     step2_amplitudes,
     teleport_from_states_reference,
     receiver_targets_reference,
@@ -449,7 +452,7 @@ def test_maximizing_stages_reach_the_w_state(n):
             )
             layout = make_chain_layout(cfg)
             wp = normalize(w_prime_state(n, None, layout))  # the zero-phase frame
-            sim = ChainSimulator(cfg, chain_stages(n)[-2:])
+            sim = NodeTableReference(cfg, chain_stages(n)[-2:])
             pc, fails = sim.completion(0, wp)
             assert (pc, fails) == completion_reference(sim.stages, layout, cfg, wp)
             if eta == 0.0:
@@ -578,7 +581,7 @@ def test_channel_phases_leave_the_chain_table_unchanged(n, cap, monkeypatch):
         tables = []
         for connect, ph in ((engine, (0.0,) * m), (connect_round_reference, phases)):
             monkeypatch.setattr(protocol, "connect_round", connect)
-            sim = ChainSimulator(cfg, stages=stages)
+            sim = NodeTableReference(cfg, stages=stages)
             p_pass, fails = sim.completion(0, sim.initial_state())
             target = ideal_w_state(m, ph, sim.layout)
             terminals = [(br.prob, fidelity(br.state, target)) for br in sim.terminals]
@@ -915,8 +918,7 @@ def test_teleport_draws_both_w_states_from_one_chain_table(monkeypatch):
     # vacuum: both are trials of the one n=3 chain, whose table no trial grows
     tcfg = TeleportConfig(0.6, 0.8, ProtocolConfig(n=3, p_e=0.05, eta=0.1, truncation_cap=5))
     sim = TeleportSimulator(tcfg)
-    sim.chain.completion(0, sim.chain.initial_state())  # builds the table
-    nodes = len(sim.chain._nodes)
+    nodes = len(sim.chain.shape.stage)
     runs = []
     run_trial = ChainSimulator.run_trial
 
@@ -929,7 +931,7 @@ def test_teleport_draws_both_w_states_from_one_chain_table(monkeypatch):
     outcomes = [teleport(tcfg, rng, sim) for _ in range(20)]
     assert all(out.succeeded for out in outcomes)
     assert set(map(id, runs)) == {id(sim.chain)} and len(runs) % 2 == 0
-    assert len(sim.chain._nodes) == nodes > 0
+    assert len(sim.chain.shape.stage) == nodes > 0
 
 
 class _Uniform:
@@ -981,23 +983,36 @@ def test_single_excitation_w_pairs_teleport_exactly_to_either_receiver(eta, cap)
 @pytest.mark.parametrize("double_pair", [True, False])
 @pytest.mark.parametrize("eta", [0.0, 0.3])
 def test_completion_table_matches_plain_recursion(n, cap, double_pair, eta):
+    # the node-by-node table against the plain recursion, exactly; and the
+    # engine's table, its shape built by another (p_e, eta), against it:
+    # p_pass, the failure law and the terminal law within rel 1e-14
     stages = (epr_stage(1, 2),) if n is None else chain_stages(n)
     for finite in ({}, {"n_a": 100.0, "finite_size": True}):
         cfg = ProtocolConfig(
             n=n or 2, p_e=0.01, eta=eta, truncation_cap=cap,
             second_order_pump=double_pair, **finite,
         )
-        sim = ChainSimulator(cfg, stages=stages)
-        vac = sim.initial_state()
-        p_pass, fails = sim.completion(0, vac)
+        table = NodeTableReference(cfg, stages=stages)
+        vac = table.initial_state()
+        p_pass, fails = table.completion(0, vac)
         # exact when each (stage, key) is represented by its first state, as
         # in the table; each path's own state moves the last bits only
         assert (p_pass, fails) == completion_reference(
-            sim.stages, sim.layout, cfg, vac, seen={}
+            table.stages, table.layout, cfg, vac, seen={}
         )
-        own_pc, own_fails = completion_reference(sim.stages, sim.layout, cfg, vac)
+        own_pc, own_fails = completion_reference(table.stages, table.layout, cfg, vac)
         assert (p_pass, *fails) == pytest.approx((own_pc, *own_fails), rel=1e-14, abs=0)
         assert abs(p_pass + sum(fails) - 1.0) < 1e-12
+        protocol._chain_shape.cache_clear()
+        ChainSimulator(replace(cfg, p_e=0.037, eta=eta and 0.61), stages=stages)
+        sim = ChainSimulator(cfg, stages=stages)
+        assert sim.shape is ChainSimulator(replace(cfg, p_e=0.2e-3), stages=stages).shape
+        assert sim.completion(0, vac) == (sim.p_pass, sim._fail)
+        assert (sim.p_pass, *sim._fail) == pytest.approx((p_pass, *fails), rel=1e-14, abs=0)
+        assert sim._law[0].tolist() == pytest.approx(table._law[0].tolist(), rel=1e-14, abs=0)
+        assert same_terminals(sim.terminals, table.terminals)
+        assert [br.prob for br in sim.terminals] == [br.prob for br in table.terminals]
+        assert sim._ends.tolist() == pytest.approx(table._ends.tolist(), rel=1e-14, abs=0)
 
 
 def _assert_same_round(dist, ref, frame=lambda state: state):
@@ -1047,7 +1062,7 @@ def test_connect_rounds_match_reference_loop(monkeypatch):
     finite = dict(n_a=100.0, finite_size=True)
     grid.append(dict(n=4, eta=0.1, phases=random_phases(4, rng), **finite))
     for kw in grid:
-        sim = ChainSimulator(ProtocolConfig(**{"p_e": 0.01, **kw}))
+        sim = NodeTableReference(ProtocolConfig(**{"p_e": 0.01, **kw}))
         sim.completion(0, sim.initial_state())
     assert len(set(inputs)) == len(grid)
 
@@ -1086,7 +1101,7 @@ def test_atoms_only_rounds_match_the_photonic_reference(n, cap, monkeypatch):
         tables = []
         for connect in (real, checked):
             monkeypatch.setattr(protocol, "connect_round", connect)
-            sim = ChainSimulator(cfg)
+            sim = NodeTableReference(cfg)
             p_pass, fails = sim.completion(0, sim.initial_state())
             tables.append((len(sim._nodes), (p_pass, *fails)))
         (nodes, odds), (ref_nodes, ref_odds) = tables
@@ -1131,7 +1146,7 @@ def test_merge_rounds_match_the_three_pass_reference(n, cap, monkeypatch):
             n=n, p_e=p_e, eta=eta, truncation_cap=cap,
             second_order_pump=double_pair, **finite,
         )
-        sim = ChainSimulator(cfg)
+        sim = NodeTableReference(cfg)
         sim.completion(0, sim.initial_state())
     assert rounds > len(ROUND_GRID)
 
@@ -1140,7 +1155,7 @@ def _stage_acceptances(sim):
     """``{stage label: acceptance}`` read from ``sim``'s table: the mass of
     the passes that get through a stage over the mass of those that reach
     it."""
-    root = sim._vacuum_root
+    root = sim._node(0, sim.initial_state())
     reach = {id(root): [root, 1.0]}
     out = {}
     for idx, spec in enumerate(sim.stages):
@@ -1148,9 +1163,9 @@ def _stage_acceptances(sim):
         ahead = {}
         for node, mass in reach.values():
             into += mass
-            passed += mass * node.dist.p_accept
+            passed += mass * node[0].p_accept
             if idx + 1 < len(sim.stages):
-                for br in node.dist.branches:
+                for br in node[0].branches:
                     child = sim._node(idx + 1, br.state)
                     ahead.setdefault(id(child), [child, 0.0])[1] += mass * br.prob
         out[spec.label] = passed / into
@@ -1190,7 +1205,7 @@ def test_stage_acceptances_follow_their_leading_order_laws(n, eta):
     checked = set()
     for cap in (4, 5, 6):
         for p_e in (1e-4, 1e-5, 1e-6):
-            sim = ChainSimulator(ProtocolConfig(n=n, p_e=p_e, eta=eta, truncation_cap=cap))
+            sim = NodeTableReference(ProtocolConfig(n=n, p_e=p_e, eta=eta, truncation_cap=cap))
             table = _stage_acceptances(sim)
             for label, law in _leading_order_laws(n, eta, p_e).items():
                 if label in table:
@@ -1211,7 +1226,7 @@ def test_a4_growth_splits_into_the_added_pair_and_the_maximizing_pair():
     # connect(1,n) x merge(1) loses
     exact = {}
     for n in range(3, 7):
-        sim = ChainSimulator(ProtocolConfig(n=n, p_e=0.01, eta=0.3, truncation_cap=4))
+        sim = NodeTableReference(ProtocolConfig(n=n, p_e=0.01, eta=0.3, truncation_cap=4))
         p_pass, fail = sim.completion(0, sim.initial_state())
         rounds = len(sim.stages) + sum((k + 1) * f for k, f in enumerate(fail)) / p_pass
         exact[n] = rounds, p_pass, _stage_acceptances(sim)
@@ -1252,10 +1267,10 @@ def _reached_rounds(sim, root):
         if id(node) in seen:
             continue
         seen.add(id(node))
-        yield idx, state, node.dist
+        yield idx, state, node[0]
         if idx + 1 < len(sim.stages):
             todo += [
-                (idx + 1, br.state, sim._node(idx + 1, br.state)) for br in node.dist.branches
+                (idx + 1, br.state, sim._node(idx + 1, br.state)) for br in node[0].branches
             ]
 
 
@@ -1291,9 +1306,9 @@ def test_branch_states_are_born_pruned_with_their_key(n, cap):
             n=n, p_e=p_e, eta=eta, truncation_cap=cap,
             second_order_pump=double_pair, **finite,
         )
-        sim = ChainSimulator(cfg)
+        sim = NodeTableReference(cfg)
         sim.completion(0, sim.initial_state())
-        states += _branch_states(node.dist for node in sim._nodes.values())
+        states += _branch_states(node[0] for node in sim._nodes.values())
     _assert_pruned_and_keyed(states)
     assert len(states) > len(ROUND_GRID)
 
@@ -1306,8 +1321,10 @@ def test_teleport_branch_states_are_born_pruned_with_their_key(eta, cap):
     sim = TeleportSimulator(TeleportConfig(complex(0.3, 0.5), complex(math.sqrt(0.66), 0), base))
     terminals = _terminal_states(sim.chain)
     pairs = list(product(terminals, repeat=2))
-    nodes = list(sim.chain._nodes.values())
-    dists = [node.dist for node in nodes] + [sim.round_distribution(*w) for w in pairs]
+    table = NodeTableReference(base.table_config())
+    table.completion(0, table.initial_state())
+    nodes = list(table._nodes.values())
+    dists = [node[0] for node in nodes] + [sim.round_distribution(*w) for w in pairs]
     states = _branch_states(dists)
     _assert_pruned_and_keyed(states)
     assert len(states) > len(nodes) + len(pairs)
@@ -1324,7 +1341,7 @@ def test_merged_branches_keep_the_post_of_their_own_first_leaf():
     state = FockState.vacuum(reg, 3)
     sectors = {(1, 1): {(1,): 2.0 + 0j}, (2, 0): {(1,): 3.0 + 1e-17j}}
     herald = protocol._Herald(("D1", "D2"), (((True, False), ()),), (0, 1, 2, 3))
-    dist = protocol._heralded(state, sectors, herald, 0.5)
+    dist = protocol._heralded(state, sectors, herald, 1.0, 0.5)
     no_loss, one_loss = dist.branches
     assert (no_loss.detected, no_loss.lost) == ((2, 0), 0)
     assert (one_loss.detected, one_loss.lost) == ((1, 0), 1)
@@ -1363,7 +1380,7 @@ def test_reached_rounds_account_for_all_their_mass(grid, n, cap, theta):
         **finite,
     )
     pairs = 2 * (2 if double_pair else 1)  # pumped on the two ensembles at most
-    sim = ChainSimulator(cfg)
+    sim = NodeTableReference(cfg)
     rounds = [
         (sim.stages[idx].kind, state, dist)
         for idx, state, dist in _reached_rounds(sim, sim.initial_state())
@@ -1610,7 +1627,7 @@ def test_terminal_law_matches_the_sum_over_complete_paths(n, cap):
         )
         terminals, law = terminal_law_reference(sim)
         assert len(sim.terminals) == len(terminals) > 0
-        assert all(got is want for got, want in zip(sim.terminals, terminals))
+        assert same_terminals(sim.terminals, terminals)
         assert sim._ends.tolist() == pytest.approx(list(accumulate(law)), rel=ulps, abs=0)
         assert abs(sim._ends[-1] - 1.0) <= ulps
 
@@ -1669,3 +1686,54 @@ def test_pick_matches_the_running_sum_loop(weights, u):
     # the vectorized draw, on the same running sums and points at once
     picked = protocol.choose(np.array(cum), np.array(xs))
     assert picked.tolist() == [pick_reference(branches, x, weights) for x in xs]
+
+
+def _instrument(dist):
+    """``{clicks: E_c}`` of a round: per click record, the operator
+    ``sum_b p_b |psi_b><psi_b|`` over the record's accepted branches, as a
+    dict of matrix elements."""
+    out = {}
+    for br in dist.branches:
+        rho = out.setdefault(br.clicks, {})
+        for o1, a1 in br.state.items():
+            for o2, a2 in br.state.items():
+                rho[o1, o2] = rho.get((o1, o2), 0j) + br.prob * a1 * a2.conjugate()
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    eta=st.sampled_from([0.0, 0.1, 0.3]),
+    cap=st.integers(3, 5),
+    theta=st.sampled_from([0.0, math.pi / 2]),
+)
+def test_the_teleport_round_is_linear_in_its_input(eta, cap, theta):
+    # a round is a quantum instrument: per click record c, E_c(psi) is
+    # linear in |psi><psi|, so for the W pair with the qubit on |1_L> (psi1)
+    # and on |1_R> (psi2), and psi+- = (psi1 +- e^{i theta} psi2)/sqrt(2),
+    # E_c(psi+) + E_c(psi-) = E_c(psi1) + E_c(psi2), within the four rounds'
+    # truncated and dropped mass and 1e-15 of float rounding
+    base = ProtocolConfig(n=3, p_e=0.02, eta=eta, truncation_cap=cap)
+    layout = make_teleport_layout(TeleportConfig(1.0, 0.0, base))
+    joint = exact_double_w_state(TeleportConfig(1.0, 0.0, base), layout)
+    pair = (layout.mode_l, layout.mode_r)
+    psi1 = qubit_state(TeleportConfig(1.0, 0.0, base), joint, pair)
+    psi2 = qubit_state(TeleportConfig(0.0, 1.0, base), joint, pair)
+    e = cmath.rect(1.0, theta)
+    plus = qubit_state(TeleportConfig(1 / math.sqrt(2), e / math.sqrt(2), base), joint, pair)
+    minus = qubit_state(TeleportConfig(1 / math.sqrt(2), -e / math.sqrt(2), base), joint, pair)
+    dists = [teleport_round(psi, layout, base) for psi in (plus, minus, psi1, psi2)]
+    tol = sum(d.truncated + d.dropped for d in dists) + 1e-15
+    sides = [_instrument(dists[0]), _instrument(dists[1])], [
+        _instrument(dists[2]), _instrument(dists[3])
+    ]
+    records = {c for side in sides for e_c in side for c in e_c}
+    assert records  # the round accepts some click records
+    for c in records:
+        left, right = ({}, {})
+        for total, side in ((left, sides[0]), (right, sides[1])):
+            for e_c in side:
+                for k, x in e_c.get(c, {}).items():
+                    total[k] = total.get(k, 0j) + x
+        keys = left.keys() | right.keys()
+        assert max(abs(left.get(k, 0j) - right.get(k, 0j)) for k in keys) <= tol, c
