@@ -1248,7 +1248,9 @@ class _Shape:
         return np.array(scores, dtype=float).reshape(-1, 2)
 
 
-@functools.lru_cache(maxsize=64)
+# holds a full sweep over n, cap, pump order, loss and a few N_a (param-scan
+# touches 96 shapes); bounded, since N_a is a float in the key
+@functools.lru_cache(maxsize=128)
 def _chain_shape(
     n: int,
     n_a: float,

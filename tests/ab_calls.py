@@ -15,8 +15,10 @@ A report is the exit code and the standard output of a call.
 
 Prints, per block, the ratio of the other checkout's time to this tree's
 (above 1: this tree is faster), then their median, quartiles and how many
-blocks this tree won.  Exits with 1, naming the call, at the first report
-that differs.
+blocks this tree won, then each side's chain-shape cache
+(``protocol._chain_shape``): its hits and misses over the warm-up and timed
+calls, and its size, for a side whose checkout has that cache.  Exits with
+1, naming the call, at the first report that differs.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ def run_call(cli, argv: list[str]) -> tuple[float, tuple[int, str]]:
     return seconds, (rc, out.getvalue())
 
 
-def block_ratios(this: Path, other: Path, workload: str, seed: int, blocks: int) -> list[float]:
-    """Per block, the other checkout's time over this tree's.  Raises
-    ``AssertionError`` at the first call whose reports differ."""
-    sides = (load_cli(this, "ab_this"), load_cli(other, "ab_other"))
+def block_ratios(sides, workload: str, seed: int, blocks: int) -> list[float]:
+    """Per block, the second side's time over the first's, each side a
+    loaded ``cli``.  Raises ``AssertionError`` at the first call whose
+    reports differ."""
     per_block = len(workload_argvs(workload, seed, 1))
     argvs = workload_argvs(workload, seed, blocks)
     for argv in argvs[:per_block]:  # warm-up: lazy imports and first-call costs
@@ -93,6 +95,21 @@ def summary(ratios: list[float]) -> str:
     )
 
 
+def shape_cache_lines(sides) -> list[str]:
+    """Each side's ``protocol._chain_shape`` hits, misses and size; none for
+    a side whose checkout has no such cache."""
+    lines = []
+    for label, cli in zip(("this", "other"), sides):
+        cache = getattr(sys.modules.get(f"{cli.__package__}.protocol"), "_chain_shape", None)
+        if cache is not None:
+            info = cache.cache_info()
+            lines.append(
+                f"{label} _chain_shape: hits {info.hits}, misses {info.misses}, "
+                f"size {info.currsize} of {info.maxsize}"
+            )
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("other", type=Path, help="root of the checkout to time against")
@@ -100,13 +117,16 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--blocks", type=int, default=1)
     args = p.parse_args(argv)
+    sides = (load_cli(ROOT, "ab_this"), load_cli(args.other, "ab_other"))
     try:
-        ratios = block_ratios(ROOT, args.other, args.workload, args.seed, args.blocks)
+        ratios = block_ratios(sides, args.workload, args.seed, args.blocks)
     except AssertionError as exc:
         print(exc)
         return 1
     print("ratios " + " ".join(f"{r:.4f}" for r in ratios))
     print(summary(ratios))
+    for line in shape_cache_lines(sides):
+        print(line)
     return 0
 
 

@@ -828,3 +828,59 @@ def test_one_param_scan_blocks_shapes_keep_under_a_megabyte():
         tracemalloc.stop()
     assert protocol._chain_shape.cache_info().currsize > 40
     assert kept <= 1_000_000
+
+
+@functools.cache
+def _param_scan_configs(seed):
+    """The table configurations of param-scan's 60 blocks at ``seed``, in
+    call order, and block 1's count."""
+    argvs = workload_argvs("param-scan", seed, 60)
+    block = len(workload_argvs("param-scan", seed, 1))
+    return [parse_args(argv).config.table_config() for argv in argvs], block
+
+
+def _shape_key(cfg):
+    return (cfg.n, cfg.n_a, cfg.finite_size, cfg.truncation_cap, cfg.second_order_pump,
+            cfg.eta > 0.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_shape_cache_holds_every_shape_param_scan_touches(seed):
+    # param-scan's 60 blocks touch 96 shapes (n 3..6, cap 3 or 4, pump
+    # order, eta > 0, and N_a of 100 or 1000 with finite size, or neither);
+    # the shape cache holds them all, so once the whole scan has run, its
+    # first block again builds none
+    cfgs, block = _param_scan_configs(seed)
+    shapes = {_shape_key(cfg) for cfg in cfgs}
+    assert len(shapes) == 96
+    assert len(shapes) <= protocol._chain_shape.cache_info().maxsize
+    protocol._chain_shape.cache_clear()
+    for cfg in cfgs:
+        ChainSimulator(cfg)
+    assert protocol._chain_shape.cache_info().misses == 96
+    for cfg in cfgs[:block]:
+        ChainSimulator(cfg)
+    assert protocol._chain_shape.cache_info().misses == 96
+
+
+def test_param_scans_96_shapes_keep_under_one_and_a_half_megabytes():
+    # the whole resident shape set of a param-scan run, built from an empty
+    # shape cache and scored, keeps less than 1.5 MB (about 0.77 MB
+    # measured); layouts, leaf tables and loss laws are warmed first
+    cfgs = {}
+    for cfg in _param_scan_configs(1)[0]:
+        cfgs.setdefault(_shape_key(cfg), cfg)
+    for cfg in cfgs.values():
+        ChainSimulator(cfg).scores
+    protocol._chain_shape.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for cfg in cfgs.values():
+            ChainSimulator(cfg).scores
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert protocol._chain_shape.cache_info().currsize == 96
+    assert kept <= 1_500_000
